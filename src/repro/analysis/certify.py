@@ -39,8 +39,6 @@ What is provable, and why:
   and NEP 50 gives Python scalars *weak* promotion.  A small abstract
   dtype analysis certifies the cases where both promotions provably
   agree (see :func:`_scalar_obstacle`); everything else is probed.
-- ``numexpr``-accelerated kernels may legitimately differ in the last
-  ulp, so they are never statically certified.
 
 Every decision is emitted as a :class:`CertificationRecord` into
 ``plan.provenance`` — ``certified`` (probe skipped), ``probe`` (dynamic
@@ -315,10 +313,6 @@ def certify_kernel(spec, plan: EvaluationPlan) -> CertificationRecord:
     rejected: list[str] = []
     events: list[DrawEvent] = []
 
-    if spec.uses_numexpr:
-        probe.append("numexpr-accelerated chains are not modeled "
-                     "bit-exactly; probe required")
-
     delegated = {
         slot for slot in (set(spec.s_slots) | set(spec.g_slots))
         if is_stochastic(plan.steps[slot].node)
@@ -424,7 +418,7 @@ def certification_records(plan: EvaluationPlan) -> tuple[CertificationRecord, ..
                  if isinstance(r, CertificationRecord))
 
 
-def certify_value(value, use_numexpr: bool = False) -> dict[str, Any]:
+def certify_value(value) -> dict[str, Any]:
     """End-to-end certification of one ``Uncertain``/``Node``/plan.
 
     Compiles the value, runs the optimizer pipeline (collecting its
@@ -460,7 +454,7 @@ def certify_value(value, use_numexpr: bool = False) -> dict[str, Any]:
         ))
     else:
         try:
-            spec = _fused._generate(optimized, use_numexpr)
+            spec = _fused._generate(optimized)
         except Exception as exc:
             records.append(CertificationRecord(
                 subject="fused-kernel",

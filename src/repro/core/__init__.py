@@ -34,7 +34,6 @@ from repro.core.graph import (
 )
 from repro.core.plan import (
     EvaluationPlan,
-    PlanTelemetry,
     clear_plan_cache,
     compile_plan,
     invalidate_plan,
@@ -81,7 +80,6 @@ __all__ = [
     "ApplyNode",
     "BindNode",
     "EvaluationPlan",
-    "PlanTelemetry",
     "compile_plan",
     "invalidate_plan",
     "clear_plan_cache",

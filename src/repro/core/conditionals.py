@@ -16,7 +16,6 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.core.plan import PlanTelemetry
 from repro.core.sprt import HypothesisTest, SPRT
 from repro.resilience.policies import (
     INCONCLUSIVE_POLICIES,
@@ -42,9 +41,6 @@ class EvaluationConfig:
     :mod:`repro.core.engines`; ``"numpy"`` is the vectorized default,
     ``"interpreter"`` the per-batch graph walk, ``"parallel"`` the
     process-pool engine of :mod:`repro.runtime.parallel`).
-    ``plan_telemetry``, when set to a
-    :class:`~repro.core.plan.PlanTelemetry`, makes every engine record
-    nodes evaluated, batches executed, and wall time per node kind.
 
     The unified evaluation knobs (the ``repro.evaluate`` surface) live
     here too:
@@ -87,9 +83,6 @@ class EvaluationConfig:
     #: RNG streams (rewrites that would reorder leaf draws are rejected),
     #: and memo-carrying draws (``SampleContext``) always run unoptimized.
     optimize: "bool | int" = True
-    #: Telemetry sink for the plan/engine layer (``None`` = off, the fast
-    #: path).  Enable with :meth:`enable_plan_telemetry`.
-    plan_telemetry: PlanTelemetry | None = None
     #: Optional static-analysis hook run once per freshly compiled plan
     #: (``None`` = off).  Install the default analyzer — which warns with
     #: :class:`~repro.analysis.UncertaintyWarning` on UNC101-class
@@ -188,12 +181,6 @@ class EvaluationConfig:
     def reset_sample_counter(self) -> None:
         self.samples_drawn = 0
         self.conditionals_evaluated = 0
-
-    def enable_plan_telemetry(self) -> PlanTelemetry:
-        """Install (or return the existing) plan/engine telemetry sink."""
-        if self.plan_telemetry is None:
-            self.plan_telemetry = PlanTelemetry()
-        return self.plan_telemetry
 
     def enable_plan_analysis(self) -> None:
         """Warn (once per cached plan) on statically detectable bugs.

@@ -32,7 +32,6 @@ from repro.core.plan import (
     OP_SOURCE,
     OP_UNARY,
     EvaluationPlan,
-    PlanTelemetry,
 )
 from repro.resilience import health as _health
 from repro.runtime import cancellation as _cancel
@@ -94,7 +93,6 @@ class ExecutionEngine:
         n: int,
         rng: np.random.Generator,
         memo: dict[Node, np.ndarray] | None = None,
-        telemetry: PlanTelemetry | None = None,
     ) -> list:
         raise NotImplementedError
 
@@ -104,7 +102,6 @@ class ExecutionEngine:
         n: int,
         rng: np.random.Generator,
         memo: dict[Node, np.ndarray] | None = None,
-        telemetry: PlanTelemetry | None = None,
     ) -> np.ndarray:
         """Batch of ``n`` joint samples of the plan's root.
 
@@ -129,11 +126,9 @@ class ExecutionEngine:
         metrics = _metrics.active()
         tracer = _trace.get_tracer()
         if metrics is None and tracer is None and propagate:
-            return self.run(plan, n, rng, memo=memo, telemetry=telemetry)[
-                plan.root_slot
-            ]
+            return self.run(plan, n, rng, memo=memo)[plan.root_slot]
         start = perf_counter()
-        values = self.run(plan, n, rng, memo=memo, telemetry=telemetry)
+        values = self.run(plan, n, rng, memo=memo)
         elapsed = perf_counter() - start
         if metrics is not None:
             metrics.record_engine(self.name, n, elapsed)
@@ -176,13 +171,12 @@ class NumpyEngine(ExecutionEngine):
 
     The hot loop dispatches on the opcode chosen at compile time; binary
     and unary operators run without the generic ``evaluate_batch``
-    indirection.  With a telemetry sink installed, per-node wall time is
-    recorded by kind (slower; leave telemetry off on hot paths).
+    indirection.
     """
 
     name = "numpy"
 
-    def run(self, plan, n, rng, memo=None, telemetry=None):
+    def run(self, plan, n, rng, memo=None):
         values: list = [None] * len(plan.steps)
         # Cooperative cancellation: the ambient token (installed by the
         # service tier or an ambient deadline) is polled once per program
@@ -191,7 +185,7 @@ class NumpyEngine(ExecutionEngine):
         # branch per step and nothing else; checks never touch ``rng``.
         token = _cancel.current()
         step_i = 0
-        if memo is None and telemetry is None:
+        if memo is None:
             # Hot path (the SPRT loop, expectations): run the specialized
             # program with bound callables and no bookkeeping.
             shape = (n,)
@@ -230,45 +224,29 @@ class NumpyEngine(ExecutionEngine):
             steps = [s for s in plan.steps if needed[s.slot]]
         else:
             steps = plan.steps
-        if telemetry is None:
-            with np.errstate(**_ERRSTATE):
-                for step in steps:
-                    if token is not None:
-                        token.check(step=step_i, steps=len(steps))
-                        step_i += 1
-                    opcode = step.opcode
-                    node = step.node
-                    if opcode == OP_BINARY:
-                        a, b = step.parent_slots
-                        out = node.op(values[a], values[b])
-                    elif opcode == OP_SOURCE:
-                        out = node.evaluate_batch((), n, rng)
-                    elif opcode == OP_UNARY:
-                        out = node.op(values[step.parent_slots[0]])
-                    else:
-                        out = node.evaluate_batch(
-                            [values[i] for i in step.parent_slots], n, rng
-                        )
-                    if type(out) is not np.ndarray or out.shape[:1] != (n,):
-                        out = _check_batch(out, node, n)
-                    values[step.slot] = out
-        else:
-            with np.errstate(**_ERRSTATE):
-                for step in steps:
-                    if token is not None:
-                        token.check(step=step_i, steps=len(steps))
-                        step_i += 1
-                    start = perf_counter()
-                    out = step.node.evaluate_batch(
+        with np.errstate(**_ERRSTATE):
+            for step in steps:
+                if token is not None:
+                    token.check(step=step_i, steps=len(steps))
+                    step_i += 1
+                opcode = step.opcode
+                node = step.node
+                if opcode == OP_BINARY:
+                    a, b = step.parent_slots
+                    out = node.op(values[a], values[b])
+                elif opcode == OP_SOURCE:
+                    out = node.evaluate_batch((), n, rng)
+                elif opcode == OP_UNARY:
+                    out = node.op(values[step.parent_slots[0]])
+                else:
+                    out = node.evaluate_batch(
                         [values[i] for i in step.parent_slots], n, rng
                     )
-                    out = _check_batch(out, step.node, n)
-                    values[step.slot] = out
-                    telemetry.record_node(step.kind, perf_counter() - start)
-            telemetry.record_batch(n)
-        if memo is not None:
-            for step in steps:
-                memo[step.node] = values[step.slot]
+                if type(out) is not np.ndarray or out.shape[:1] != (n,):
+                    out = _check_batch(out, node, n)
+                values[step.slot] = out
+        for step in steps:
+            memo[step.node] = values[step.slot]
         return values
 
 
@@ -284,7 +262,7 @@ class InterpreterEngine(ExecutionEngine):
     name = "interpreter"
     supports_optimized = False
 
-    def run(self, plan, n, rng, memo=None, telemetry=None):
+    def run(self, plan, n, rng, memo=None):
         local: dict[Node, np.ndarray] = dict(memo) if memo else {}
         stack: list[tuple[Node, bool]] = [(plan.root, False)]
         token = _cancel.current()
@@ -301,18 +279,11 @@ class InterpreterEngine(ExecutionEngine):
                 else:
                     if token is not None:
                         token.check(nodes_done=len(local), steps=len(plan.steps))
-                    start = perf_counter() if telemetry is not None else 0.0
                     parent_values = [local[p] for p in node.parents]
                     out = _check_batch(
                         node.evaluate_batch(parent_values, n, rng), node, n
                     )
                     local[node] = out
-                    if telemetry is not None:
-                        telemetry.record_node(
-                            type(node).__name__, perf_counter() - start
-                        )
-        if telemetry is not None:
-            telemetry.record_batch(n)
         if memo is not None:
             memo.update(local)
         values: list = [None] * len(plan.steps)

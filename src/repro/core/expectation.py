@@ -37,7 +37,7 @@ def _resolve(uncertain, rng):
     plan = getattr(uncertain, "plan", None)
     if plan is None:
         node = getattr(uncertain, "node", uncertain)
-        plan = compile_plan(node, telemetry=_cond.get_config().plan_telemetry)
+        plan = compile_plan(node)
     if rng is None:
         rng = _cond.get_config().rng
     return plan, ensure_rng(rng)

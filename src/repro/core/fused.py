@@ -50,16 +50,15 @@ in runtime metrics and the :class:`CertificationRecord` attached to
 :mod:`repro.core.optimizer` is therefore enforced three ways: by
 construction, by proof, and by test.
 
-``numexpr`` acceleration for long arithmetic chains is available behind a
-feature flag (``FusedEngine(use_numexpr=True)`` or the
-``REPRO_FUSED_NUMEXPR`` environment variable); when the library is not
-installed the flag degrades to plain numpy with a warning.
+A verdict is a property of the plan shape, so it is cached per shape.  A
+run that fails for a reason outside the shape — cancellation or an
+injected chaos fault during the probe — fails the caller's draw and
+caches nothing.
 """
 
 from __future__ import annotations
 
 import operator
-import os
 import threading
 import warnings
 from collections import OrderedDict
@@ -75,6 +74,7 @@ from repro.core.graph import (
     UnaryOpNode,
 )
 from repro.core.plan import OP_SOURCE, EvaluationPlan, PlanStep
+from repro.resilience.chaos import InjectedFault
 from repro.runtime import cancellation as _cancel
 from repro.runtime import metrics as _metrics
 
@@ -111,9 +111,6 @@ _SAFE_SYMBOLS = frozenset(
     {"+", "-", "*", "<", "<=", ">", ">=", "==", "!=",
      "logical_and", "logical_or", "logical_xor", "logical_not", "abs"}
 )
-
-#: numexpr handles these (and only these) in the chain-fusion path.
-_NE_SYMBOLS = frozenset({"+", "-", "*", "/"})
 
 _SCALAR_TYPES = (int, float, bool, np.integer, np.floating, np.bool_)
 
@@ -153,13 +150,12 @@ class FusedStep(PlanStep):
 class FusedProgram:
     """Introspection handle for one generated kernel (shared per shape)."""
 
-    __slots__ = ("structural_hash", "source", "steps", "uses_numexpr")
+    __slots__ = ("structural_hash", "source", "steps")
 
-    def __init__(self, structural_hash, source, steps, uses_numexpr=False):
+    def __init__(self, structural_hash, source, steps):
         self.structural_hash = structural_hash
         self.source = source
         self.steps = tuple(steps)
-        self.uses_numexpr = uses_numexpr
 
     def op_histogram(self) -> dict[str, int]:
         """Constituent-operation counts across all fused statements."""
@@ -187,13 +183,11 @@ class FusedProgram:
 class _Expr:
     """An expression being built for one plan slot."""
 
-    __slots__ = ("text", "ops", "ne_ok", "names")
+    __slots__ = ("text", "ops")
 
-    def __init__(self, text, ops=(), ne_ok=False, names=()):
+    def __init__(self, text, ops=()):
         self.text = text
         self.ops = tuple(ops)
-        self.ne_ok = ne_ok
-        self.names = frozenset(names)
 
 
 class _KernelSpec:
@@ -201,7 +195,7 @@ class _KernelSpec:
 
     __slots__ = (
         "source", "factory", "steps_meta", "s_slots", "f_slots", "g_slots",
-        "k_slots", "runs", "uses_numexpr", "verified", "certification",
+        "k_slots", "runs", "verified", "certification",
     )
 
     def __init__(self):
@@ -213,7 +207,6 @@ class _KernelSpec:
         self.g_slots = ()
         self.k_slots = ()
         self.runs = ()  # (family, (slot, ...)) per coalesced draw
-        self.uses_numexpr = False
         self.verified = False
         self.certification = None  # CertificationRecord (shared per shape)
 
@@ -249,7 +242,7 @@ def _binding_args(spec: _KernelSpec, plan: EvaluationPlan):
     return S, F, G, K, tuple(R)
 
 
-def _generate(plan: EvaluationPlan, use_numexpr: bool) -> _KernelSpec:
+def _generate(plan: EvaluationPlan) -> _KernelSpec:
     """Generate (but do not verify) the kernel source for ``plan``."""
     spec = _KernelSpec()
     steps = plan.steps
@@ -339,7 +332,7 @@ def _generate(plan: EvaluationPlan, use_numexpr: bool) -> _KernelSpec:
     def ref(slot):
         """Operand text for ``slot`` (inlined expression or variable)."""
         e = exprs.get(slot)
-        return e if e is not None else _Expr(f"v{slot}", ne_ok=True, names=(f"v{slot}",))
+        return e if e is not None else _Expr(f"v{slot}")
 
     def assign(slot, expr, parent_slots):
         body.append(f"v{slot} = {expr.text}")
@@ -382,9 +375,7 @@ def _generate(plan: EvaluationPlan, use_numexpr: bool) -> _KernelSpec:
             elif slot in k_index:
                 j = k_index[slot]
                 if const_slot[slot]:
-                    exprs[slot] = _Expr(
-                        f"_K{j}", ne_ok=True, names=(f"_K{j}",)
-                    )
+                    exprs[slot] = _Expr(f"_K{j}")
                 else:
                     body.append(f"v{slot} = np.full(n, _K{j})")
                     steps_meta.append((slot, (), ("const",)))
@@ -400,8 +391,6 @@ def _generate(plan: EvaluationPlan, use_numexpr: bool) -> _KernelSpec:
             expr = _Expr(
                 f"({a.text} {sym} {b.text})",
                 ops=a.ops + b.ops + (sym,),
-                ne_ok=a.ne_ok and b.ne_ok and sym in _NE_SYMBOLS,
-                names=a.names | b.names,
             )
         elif kind is BinaryOpNode and node.op in _NPFUNC_BINARY:
             fn = _NPFUNC_BINARY[node.op]
@@ -409,22 +398,17 @@ def _generate(plan: EvaluationPlan, use_numexpr: bool) -> _KernelSpec:
             expr = _Expr(
                 f"np.{fn}({a.text}, {b.text})",
                 ops=a.ops + b.ops + (fn,),
-                names=a.names | b.names,
             )
             sym = fn
         elif kind is UnaryOpNode and node.op in _PREFIX_UNARY:
             sym = _PREFIX_UNARY[node.op]
             a = ref(parents[0])
-            expr = _Expr(
-                f"({sym}{a.text})", ops=a.ops + (sym,), names=a.names
-            )
+            expr = _Expr(f"({sym}{a.text})", ops=a.ops + (sym,))
             sym = "neg" if sym == "-" else "pos"
         elif kind is UnaryOpNode and node.op in _NPFUNC_UNARY:
             fn = _NPFUNC_UNARY[node.op]
             a = ref(parents[0])
-            expr = _Expr(
-                f"np.{fn}({a.text})", ops=a.ops + (fn,), names=a.names
-            )
+            expr = _Expr(f"np.{fn}({a.text})", ops=a.ops + (fn,))
             sym = fn
         elif kind in (BinaryOpNode, UnaryOpNode) or (
             kind is ApplyNode
@@ -448,7 +432,6 @@ def _generate(plan: EvaluationPlan, use_numexpr: bool) -> _KernelSpec:
             expr = _Expr(
                 call,
                 ops=tuple(a2 for a in args for a2 in a.ops) + (node.label,),
-                names=frozenset().union(*(a.names for a in args)),
             )
             sym = node.label
         else:
@@ -474,20 +457,11 @@ def _generate(plan: EvaluationPlan, use_numexpr: bool) -> _KernelSpec:
         if uses[slot] == 1 and slot != root_slot:
             exprs[slot] = expr  # single consumer: fuse into it
         else:
-            if use_numexpr and expr.ne_ok and len(expr.ops) >= 2:
-                local = ", ".join(
-                    f"{nm!r}: {nm}" for nm in sorted(expr.names)
-                )
-                expr = _Expr(
-                    f"_ne.evaluate({expr.text!r}, local_dict={{{local}}})",
-                    ops=expr.ops,
-                )
-                spec.uses_numexpr = True
             assign(slot, expr, parents)
 
     body.append(f"return v{root_slot}")
 
-    lines = ["def _factory(np, _chk, S, F, G, K, R, _ne):"]
+    lines = ["def _factory(np, _chk, S, F, G, K, R):"]
     for j in range(len(s_slots)):
         lines.append(f"    _S{j} = S[{j}]")
     for j in range(len(f_slots)):
@@ -592,11 +566,11 @@ def fused_program(plan: EvaluationPlan) -> FusedProgram | None:
     """The fused program bound to ``plan``, or ``None`` if it falls back."""
     bound = plan._fused
     if bound is None:
-        bound = _prepare(plan, FusedEngine._default_numexpr())
+        bound = _prepare(plan)
     return None if bound is _FALLBACK else bound.program
 
 
-def _prepare(plan: EvaluationPlan, use_numexpr):
+def _prepare(plan: EvaluationPlan):
     """Build (or rebind) and verify the kernel for ``plan``; cache on it."""
     metrics = _metrics.active()
     digest = plan.structural_hash
@@ -611,7 +585,7 @@ def _prepare(plan: EvaluationPlan, use_numexpr):
     fresh = spec is None
     if fresh:
         try:
-            spec = _generate(plan, use_numexpr and _numexpr() is not None)
+            spec = _generate(plan)
         except Exception as exc:
             warnings.warn(
                 f"fused kernel generation failed for plan {digest}: "
@@ -658,9 +632,13 @@ def _prepare(plan: EvaluationPlan, use_numexpr):
     certified = spec.certification is not None and spec.certification.certified
     try:
         S, F, G, K, R = _binding_args(spec, plan)
-        kernel = spec.factory(np, _chk, S, F, G, K, R, _numexpr())
+        kernel = spec.factory(np, _chk, S, F, G, K, R)
         if fresh and not certified and not _verify(kernel, plan, reference):
             raise _VerificationFailed(digest)
+    except (_cancel.EvaluationCancelled, InjectedFault):
+        # The probe run failed, not the kernel: propagate to the caller
+        # and cache no verdict, so the next plan of this shape probes anew.
+        raise
     except Exception as exc:
         if isinstance(exc, _VerificationFailed):
             detail = "UNC401: output diverged from the numpy engine"
@@ -711,7 +689,6 @@ def _prepare(plan: EvaluationPlan, use_numexpr):
             FusedStep(steps[slot].node, slot, parent_slots, ops)
             for slot, parent_slots, ops in spec.steps_meta
         ],
-        uses_numexpr=spec.uses_numexpr,
     )
     bound = _BoundKernel(kernel, program)
     plan._fused = bound
@@ -722,69 +699,30 @@ class _VerificationFailed(Exception):
     pass
 
 
-_numexpr_cache = False
-
-
-def _numexpr():
-    """The numexpr module, or ``None`` when unavailable (warns once)."""
-    global _numexpr_cache
-    if _numexpr_cache is False:
-        try:
-            import numexpr  # noqa: F401
-
-            _numexpr_cache = numexpr
-        except ImportError:
-            _numexpr_cache = None
-    return _numexpr_cache
-
-
 class FusedEngine(ExecutionEngine):
     """Execute plans through per-shape generated numpy kernels.
 
     Drop-in engine (``evaluation_config(engine="fused")``): memo-carrying
-    draws, telemetry runs, and unfusable plans delegate to the inner
-    engine (numpy by default), so semantics are always exactly the
-    reference engines' — the kernel path is taken only after bit-identity
-    verification.
+    draws and unfusable plans delegate to the numpy engine, so semantics
+    are always exactly the reference engines' — the kernel path is taken
+    only after bit-identity verification.
     """
 
     name = "fused"
     supports_optimized = True
 
-    def __init__(self, inner: str = "numpy", use_numexpr: bool | None = None):
-        self._inner_name = inner
-        self._inner = None
-        if use_numexpr is None:
-            use_numexpr = self._default_numexpr()
-        self.use_numexpr = bool(use_numexpr)
-        if self.use_numexpr and _numexpr() is None:
-            warnings.warn(
-                "numexpr requested for the fused engine but not installed; "
-                "kernels will use plain numpy",
-                FusedFallbackWarning,
-                stacklevel=2,
-            )
-
-    @staticmethod
-    def _default_numexpr() -> bool:
-        return os.environ.get("REPRO_FUSED_NUMEXPR", "").strip() not in (
-            "", "0", "false", "no",
-        )
-
     @property
     def inner(self) -> ExecutionEngine:
-        if self._inner is None:
-            self._inner = get_engine(self._inner_name)
-        return self._inner
+        return get_engine("numpy")
 
-    def run(self, plan, n, rng, memo=None, telemetry=None):
-        if memo is not None or telemetry is not None:
-            # Memoised contexts need every shared slot; telemetry needs
-            # per-node timings.  Both are the inner engine's job.
-            return self.inner.run(plan, n, rng, memo=memo, telemetry=telemetry)
+    # ``*_``: the per-layer wrapper in benchmarks/e2e/tracing.py forwards a sixth positional.
+    def run(self, plan, n, rng, memo=None, *_):
+        if memo is not None:
+            # Memoised contexts need every shared slot: the inner engine's job.
+            return self.inner.run(plan, n, rng, memo=memo)
         bound = plan._fused
         if bound is None:
-            bound = _prepare(plan, self.use_numexpr)
+            bound = _prepare(plan)
         if bound is _FALLBACK:
             # The inner engine polls the ambient token per program step.
             return self.inner.run(plan, n, rng)

@@ -74,8 +74,10 @@ import numpy as np
 from repro.core import conditionals as _cond
 from repro.core.engines import ExecutionEngine, get_engine
 from repro.core.optimizer import resolve_level
+from repro.resilience.chaos import InjectedFault
 from repro.runtime import metrics as _metrics
 from repro.runtime import trace as _trace
+from repro.runtime.cancellation import EvaluationCancelled
 
 __all__ = [
     "LedgerEntry",
@@ -536,6 +538,10 @@ class SampleLedger:
             split_rng = np.random.default_rng(seed_seq)
             head = eng.run(exec_plan, _PROBE_SPLIT, split_rng)
             tail = eng.run(exec_plan, _PROBE_FULL - _PROBE_SPLIT, split_rng)
+        except (EvaluationCancelled, InjectedFault):
+            # A failure of this run, not of the plan shape: the caller's
+            # query fails and no sticky verdict is written.
+            raise
         except Exception:
             return False
         for slot in range(len(exec_plan.steps)):
@@ -558,7 +564,7 @@ class SampleLedger:
 
     # -- serving ------------------------------------------------------------
 
-    def _fill(self, entry: LedgerEntry, eng, k: int, gen, config) -> np.ndarray:
+    def _fill(self, entry: LedgerEntry, eng, k: int, gen) -> np.ndarray:
         """One instrumented engine run for the entry's stream.
 
         Uses the engine's ``sample`` entry point so metrics, tracing and
@@ -568,8 +574,7 @@ class SampleLedger:
         serve another query.
         """
         try:
-            return eng.sample(entry.plan, k, gen,
-                              telemetry=config.plan_telemetry)
+            return eng.sample(entry.plan, k, gen)
         except BaseException:
             self._drop(entry.key)
             raise
@@ -581,7 +586,7 @@ class SampleLedger:
         if needed > have:
             d = needed - have
             _admit(config, d)
-            rows = self._fill(entry, eng, d, entry.gen, config)
+            rows = self._fill(entry, eng, d, entry.gen)
             rows = np.asarray(rows)
             if entry.column is None:
                 entry.column = rows
@@ -608,7 +613,7 @@ class SampleLedger:
         if column is None:
             _admit(config, n)
             gen = _base_generator(entry.base_spec)
-            column = np.asarray(self._fill(entry, eng, n, gen, config))
+            column = np.asarray(self._fill(entry, eng, n, gen))
             entry.runs[n] = column
             entry.nbytes += column.nbytes
             _record(misses=1, rows_drawn=n)

@@ -30,7 +30,6 @@ Execution of a plan is the job of an engine (:mod:`repro.core.engines`).
 
 from __future__ import annotations
 
-import dataclasses
 import weakref
 from typing import Callable, Iterator
 
@@ -42,66 +41,6 @@ from repro.runtime import trace as _trace
 #: Sentinel distinguishing "structural hash not computed yet" from the
 #: legitimate ``None`` result of an opaque (unshareable) plan.
 _UNSET = object()
-
-
-@dataclasses.dataclass
-class PlanTelemetry:
-    """Counters describing plan compilation and execution activity.
-
-    Install a sink with ``evaluation_config(plan_telemetry=PlanTelemetry())``
-    (or :meth:`EvaluationConfig.enable_plan_telemetry`); engines then record
-    into it.  This is the Figure 14(b)-style instrumentation for the
-    sampling runtime itself rather than for the hypothesis tests.
-    """
-
-    #: Number of plans lowered from a ``Node`` DAG.
-    plans_compiled: int = 0
-    #: Number of :func:`compile_plan` calls satisfied from the cache.
-    plan_cache_hits: int = 0
-    #: Fresh compiles whose *shape* was already in the structural cache
-    #: (an isomorphic plan compiled earlier — possibly by another session).
-    structural_hits: int = 0
-    #: Fresh compiles registering a new shape in the structural cache.
-    structural_misses: int = 0
-    #: Number of batch executions (one per ``engine.sample`` / context fill).
-    batches_executed: int = 0
-    #: Number of node evaluations across all batches.
-    nodes_evaluated: int = 0
-    #: Total samples produced for root nodes (sum of batch sizes).
-    samples_generated: int = 0
-    #: Wall-clock seconds spent evaluating nodes, keyed by node kind
-    #: (``LeafNode``, ``BinaryOpNode``, ...).
-    node_seconds: dict[str, float] = dataclasses.field(default_factory=dict)
-
-    def record_node(self, kind: str, seconds: float) -> None:
-        self.nodes_evaluated += 1
-        self.node_seconds[kind] = self.node_seconds.get(kind, 0.0) + seconds
-
-    def record_batch(self, n: int) -> None:
-        self.batches_executed += 1
-        self.samples_generated += int(n)
-
-    def reset(self) -> None:
-        self.plans_compiled = 0
-        self.plan_cache_hits = 0
-        self.structural_hits = 0
-        self.structural_misses = 0
-        self.batches_executed = 0
-        self.nodes_evaluated = 0
-        self.samples_generated = 0
-        self.node_seconds = {}
-
-    def as_dict(self) -> dict:
-        return {
-            "plans_compiled": self.plans_compiled,
-            "plan_cache_hits": self.plan_cache_hits,
-            "structural_hits": self.structural_hits,
-            "structural_misses": self.structural_misses,
-            "batches_executed": self.batches_executed,
-            "nodes_evaluated": self.nodes_evaluated,
-            "samples_generated": self.samples_generated,
-            "node_seconds": dict(self.node_seconds),
-        }
 
 
 #: Instruction tags, chosen at compile time so the hot loop can dispatch
@@ -302,7 +241,7 @@ class EvaluationPlan:
         return iter(self.steps)
 
     def op_histogram(self) -> dict[str, int]:
-        """Number of steps per node kind (useful for telemetry displays)."""
+        """Number of steps per node kind."""
         hist: dict[str, int] = {}
         for step in self.steps:
             hist[step.kind] = hist.get(step.kind, 0) + 1
@@ -359,7 +298,6 @@ _PLANNED_ROOTS: "weakref.WeakSet[Node]" = weakref.WeakSet()
 
 def compile_plan(
     root: Node,
-    telemetry: PlanTelemetry | None = None,
     analyze: "Callable[[EvaluationPlan], object] | None" = None,
 ) -> EvaluationPlan:
     """Lower ``root``'s DAG into an :class:`EvaluationPlan`, cached per root.
@@ -377,8 +315,6 @@ def compile_plan(
     plan = root._compiled_plan
     metrics = _metrics.active()
     if plan is not None:
-        if telemetry is not None:
-            telemetry.plan_cache_hits += 1
         if metrics is not None:
             metrics.record_cache_hit()
         return plan
@@ -393,13 +329,6 @@ def compile_plan(
         span_attrs["structural_hash"] = key
     root._compiled_plan = plan
     _PLANNED_ROOTS.add(root)
-    if telemetry is not None:
-        telemetry.plans_compiled += 1
-        if key is not None:
-            if structural_hit:
-                telemetry.structural_hits += 1
-            else:
-                telemetry.structural_misses += 1
     if metrics is not None:
         metrics.record_compile()
         if key is not None:

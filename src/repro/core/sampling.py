@@ -115,15 +115,13 @@ def _execute_plan(
             deadline_at=config.deadline_at
         )):
             try:
-                return eng.sample(plan, n, ensure_rng(rng), memo=memo,
-                                  telemetry=config.plan_telemetry)
+                return eng.sample(plan, n, ensure_rng(rng), memo=memo)
             except _cancel.EvaluationCancelled as exc:
                 raise DeadlineExceeded(
                     f"evaluation deadline of {config.deadline}s expired "
                     f"mid-draw at {exc.progress or 'start'}"
                 ) from exc
-    return eng.sample(plan, n, ensure_rng(rng), memo=memo,
-                      telemetry=config.plan_telemetry)
+    return eng.sample(plan, n, ensure_rng(rng), memo=memo)
 
 
 class SampleContext:
@@ -168,12 +166,7 @@ class SampleContext:
         """
         batch = self._values.get(node)
         if batch is None:
-            config = _cond.get_config()
-            plan = compile_plan(
-                node,
-                telemetry=config.plan_telemetry,
-                analyze=config.plan_analyzer,
-            )
+            plan = compile_plan(node, analyze=_cond.get_config().plan_analyzer)
             if engine is None:
                 engine = self._engine
             batch = _execute_plan(
@@ -190,9 +183,7 @@ def bernoulli_sampler(root: Node, rng: np.random.Generator):
     front, so the SPRT's sequential batches amortise traversal to zero.
     """
     config = _cond.get_config()
-    plan = compile_plan(
-        root, telemetry=config.plan_telemetry, analyze=config.plan_analyzer
-    )
+    plan = compile_plan(root, analyze=config.plan_analyzer)
     window = None
     if config.sample_cache:
         from repro.core.ledger import LEDGER

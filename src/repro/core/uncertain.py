@@ -98,11 +98,8 @@ class Uncertain:
         """
         plan = self._plan
         if plan is None:
-            config = _cond.get_config()
             plan = compile_plan(
-                self.node,
-                telemetry=config.plan_telemetry,
-                analyze=config.plan_analyzer,
+                self.node, analyze=_cond.get_config().plan_analyzer
             )
             object.__setattr__(self, "_plan", plan)
         return plan

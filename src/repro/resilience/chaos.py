@@ -203,13 +203,13 @@ class ChaosEngine(ExecutionEngine):
                 f"(seed {self.seed})"
             )
 
-    def run(self, plan, n, rng, memo=None, telemetry=None):
+    def run(self, plan, n, rng, memo=None):
         self._misbehave()
-        return self.inner.run(plan, n, rng, memo=memo, telemetry=telemetry)
+        return self.inner.run(plan, n, rng, memo=memo)
 
-    def sample(self, plan, n, rng, memo=None, telemetry=None):
+    def sample(self, plan, n, rng, memo=None):
         self._misbehave()
-        return self.inner.sample(plan, n, rng, memo=memo, telemetry=telemetry)
+        return self.inner.sample(plan, n, rng, memo=memo)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<ChaosEngine inner={self.inner.name!r} seed={self.seed}>"

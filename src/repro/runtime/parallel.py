@@ -47,10 +47,10 @@ pool up to ``max_retries`` rounds.  Exhausting the retry budget either
 surfaces as :class:`~repro.core.sampling.SamplingError` (the default) or
 — with ``serial_fallback=True`` — rescues the still-failed chunks by
 running them serially in-process with their *original* spawned seeds, so
-the degraded batch is bit-identical to the healthy one.  A per-run
-``deadline`` and a cumulative ``sample_budget`` raise
-:class:`~repro.core.sampling.DeadlineExceeded` /
-:class:`~repro.core.sampling.SampleBudgetExceeded`.
+the degraded batch is bit-identical to the healthy one.  Budgets and
+deadlines come from the ambient ``evaluation_config(sample_budget=...,
+deadline=...)``: the sampling facade charges the budget before the run,
+and the deadline's cancellation token bounds every chunk wait.
 """
 
 from __future__ import annotations
@@ -69,11 +69,7 @@ import numpy as np
 
 from repro.core.engines import ExecutionEngine, get_engine, register_engine
 from repro.core.plan import EvaluationPlan
-from repro.core.sampling import (
-    DeadlineExceeded,
-    SampleBudgetExceeded,
-    SamplingError,
-)
+from repro.core.sampling import SamplingError
 from repro.runtime import cancellation as _cancel
 from repro.runtime import metrics as _metrics
 from repro.runtime import trace as _trace
@@ -199,12 +195,6 @@ class ParallelEngine(ExecutionEngine):
         chunked RNG stream bit-for-bit), a ``RuntimeWarning`` is issued
         and the rescue is counted in the runtime metrics.  Default
         ``False`` keeps the fail-fast ``SamplingError``.
-    sample_budget:
-        Cumulative cap on samples this engine instance may draw;
-        exceeding it raises ``SampleBudgetExceeded``.
-    deadline:
-        Per-``run`` wall-clock limit in seconds; raises
-        ``DeadlineExceeded`` when chunks are still pending at expiry.
     mp_context:
         ``multiprocessing`` context or start-method name (default: the
         platform default, ``fork`` on Linux).
@@ -219,8 +209,6 @@ class ParallelEngine(ExecutionEngine):
         inner: str = "numpy",
         max_retries: int = 1,
         serial_fallback: bool = False,
-        sample_budget: int | None = None,
-        deadline: float | None = None,
         mp_context=None,
     ) -> None:
         self.workers = (os.cpu_count() or 1) if workers is None else int(workers)
@@ -234,8 +222,6 @@ class ParallelEngine(ExecutionEngine):
         self.inner = inner
         self.max_retries = int(max_retries)
         self.serial_fallback = bool(serial_fallback)
-        self.sample_budget = sample_budget
-        self.deadline = deadline
         if isinstance(mp_context, str):
             import multiprocessing
 
@@ -249,7 +235,6 @@ class ParallelEngine(ExecutionEngine):
         #: cleared whenever the pool is discarded (fresh workers start with
         #: empty caches).
         self._shipped: set[str] = set()
-        self._samples_drawn = 0
         _live_engines.add(self)
 
     # -- pool lifecycle -----------------------------------------------------
@@ -270,11 +255,6 @@ class ParallelEngine(ExecutionEngine):
     def shutdown(self) -> None:
         """Tear down the worker pool (a later run lazily rebuilds it)."""
         self._discard_pool()
-
-    @property
-    def samples_drawn(self) -> int:
-        """Cumulative samples drawn by this engine instance (budget basis)."""
-        return self._samples_drawn
 
     # -- plan payloads ------------------------------------------------------
 
@@ -310,35 +290,21 @@ class ParallelEngine(ExecutionEngine):
 
     # -- execution ----------------------------------------------------------
 
-    def run(self, plan, n, rng, memo=None, telemetry=None):
-        if self.sample_budget is not None and (
-            self._samples_drawn + n > self.sample_budget
-        ):
-            raise SampleBudgetExceeded(
-                f"ParallelEngine sample budget exhausted: {self._samples_drawn} "
-                f"drawn + {n} requested > budget {self.sample_budget}"
-            )
+    def run(self, plan, n, rng, memo=None):
         if memo is not None:
             # Shared-context draws need the memo filled with every node's
             # batch under one joint assignment; that is inherently a
             # single-stream operation, so defer to the inner engine with
             # the caller's RNG (exactly NumpyEngine semantics).
-            values = get_engine(self.inner).run(
-                plan, n, rng, memo=memo, telemetry=telemetry
-            )
-            self._samples_drawn += n
-            return values
-        root = self._sample_sharded(plan, int(n), rng, telemetry)
-        self._samples_drawn += n
+            return get_engine(self.inner).run(plan, n, rng, memo=memo)
+        root = self._sample_sharded(plan, int(n), rng)
         values: list = [None] * len(plan.steps)
         values[plan.root_slot] = root
         return values
 
-    def _sample_sharded(self, plan, n, rng, telemetry) -> np.ndarray:
+    def _sample_sharded(self, plan, n, rng) -> np.ndarray:
         chunks = chunk_layout(n, self.chunk_size)
         seeds = spawn_chunk_seeds(rng, len(chunks))
-        if telemetry is not None:
-            telemetry.record_batch(n)
         metric = _metrics.active()
         plan_key, payload = self._payload_for(plan)
         serial = payload is None or len(chunks) == 1 or self.workers <= 1
@@ -386,7 +352,6 @@ class ParallelEngine(ExecutionEngine):
         return self._dispatch(plan, plan_key, payload, chunks, seeds, metric)
 
     def _dispatch(self, plan, plan_key, payload, chunks, seeds, metric) -> np.ndarray:
-        deadline_at = None if self.deadline is None else monotonic() + self.deadline
         token = _cancel.current()
         results: list = [None] * len(chunks)
 
@@ -434,27 +399,17 @@ class ParallelEngine(ExecutionEngine):
                 for i, future in futures.items():
                     _cancel_check()
                     timeout = None
-                    if deadline_at is not None:
-                        timeout = max(0.0, deadline_at - monotonic())
                     if token is not None and token.deadline_at is not None:
-                        left = max(0.0, token.deadline_at - monotonic())
-                        timeout = left if timeout is None else min(timeout, left)
+                        timeout = max(0.0, token.deadline_at - monotonic())
                     try:
                         results[i] = future.result(timeout=timeout)
                     except TimeoutError:
-                        if deadline_at is None and token is not None:
-                            # Only the token's deadline can have set this
-                            # timeout; promote the expiry explicitly so
-                            # the race at the exact boundary cannot fall
-                            # through to the engine-deadline error below.
-                            token.cancel("deadline")
-                        _cancel_check()  # token deadline: EvaluationCancelled
-                        self._discard_pool()  # drop stragglers with the pool
-                        raise DeadlineExceeded(
-                            f"parallel sampling exceeded its {self.deadline}s "
-                            f"deadline with {sum(r is None for r in results)} "
-                            f"of {len(chunks)} chunks unfinished"
-                        ) from None
+                        # Only the token's deadline sets a timeout; promote
+                        # the expiry explicitly so the race at the exact
+                        # boundary still raises EvaluationCancelled (the
+                        # facade reports it as DeadlineExceeded).
+                        token.cancel("deadline")
+                        _cancel_check()
                     except PlanPayloadMissing:
                         # A fresh worker process has an empty plan cache:
                         # warm it by re-sending with the payload.  Not a

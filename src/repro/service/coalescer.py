@@ -102,9 +102,7 @@ def _engine_name(engine: "str | ExecutionEngine") -> str:
 
 def _draw(plan, n: int, rng, engine) -> np.ndarray:
     """One instrumented engine run of the shared plan."""
-    eng = get_engine(engine)
-    config = _cond.get_config()
-    return eng.sample(plan, int(n), rng, telemetry=config.plan_telemetry)
+    return get_engine(engine).sample(plan, int(n), rng)
 
 
 def _admit(config, n: int) -> None:

@@ -51,16 +51,14 @@ def _certified_kernel_passes_probe(value: Uncertain) -> tuple[str, bool]:
     if opt.structural_hash is None:
         return "opaque", True
     try:
-        spec = fused_mod._generate(opt, False)
+        spec = fused_mod._generate(opt)
     except Exception:
         return "nofuse", True
     record = certify_kernel(spec, opt)
     if record.status != "certified":
         return record.status, True
     S, F, G, K, R = fused_mod._binding_args(spec, opt)
-    kernel = spec.factory(
-        np, fused_mod._chk, S, F, G, K, R, fused_mod._numexpr()
-    )
+    kernel = spec.factory(np, fused_mod._chk, S, F, G, K, R)
     ok = fused_mod._verify(kernel, opt, get_engine("numpy"))
     return "certified", ok
 
@@ -122,7 +120,7 @@ class TestCertifyKernel:
     def test_trusted_families_certify(self):
         value = Uncertain(Gaussian(0, 1)) + Uncertain(Uniform(0, 1))
         plan = compile_plan(value.node).optimized(2)
-        spec = fused_mod._generate(plan, False)
+        spec = fused_mod._generate(plan)
         record = certify_kernel(spec, plan)
         assert record.status == "certified"
         assert record.subject == "fused-kernel"
@@ -136,7 +134,7 @@ class TestCertifyKernel:
 
         value = Uncertain(HomemadeGaussian(0.0, 1.0)) + 1.0
         plan = compile_plan(value.node).optimized(2)
-        spec = fused_mod._generate(plan, False)
+        spec = fused_mod._generate(plan)
         record = certify_kernel(spec, plan)
         assert record.status == "probe"
         assert any("not a trusted" in r for r in record.reasons)
@@ -146,7 +144,7 @@ class TestCertifyKernel:
         # NEP 50; the certifier must not claim this case statically.
         value = Uncertain(Gaussian(0.0, 1.0)) + True
         plan = compile_plan(value.node).optimized(2)
-        spec = fused_mod._generate(plan, False)
+        spec = fused_mod._generate(plan)
         record = certify_kernel(spec, plan)
         assert record.status in ("probe", "certified")
         if record.status == "probe":

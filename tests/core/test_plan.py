@@ -31,7 +31,6 @@ from repro.core.graph import (
 )
 from repro.core.joint import ComponentNode
 from repro.core.plan import (
-    PlanTelemetry,
     clear_plan_cache,
     compile_plan,
     invalidate_plan,
@@ -42,6 +41,7 @@ from repro.core.uncertain import Uncertain
 from repro.dists import Gaussian, Uniform
 from repro.dists.sampling_function import FunctionDistribution
 from repro.rng import default_rng
+from repro.runtime import RuntimeMetrics
 
 ENGINES = ["numpy", "interpreter"]
 
@@ -128,12 +128,14 @@ class TestPlanCompilation:
             assert kinds.get(kind, 0) >= 1
 
     def test_compile_telemetry(self):
-        telemetry = PlanTelemetry()
+        metrics = RuntimeMetrics()
         root = every_node_kind_graph()
-        compile_plan(root, telemetry=telemetry)
-        compile_plan(root, telemetry=telemetry)
-        assert telemetry.plans_compiled == 1
-        assert telemetry.plan_cache_hits == 1
+        with evaluation_config(metrics=metrics):
+            compile_plan(root)
+            compile_plan(root)
+        plans = metrics.snapshot()["plans"]
+        assert plans["compiled"] == 1
+        assert plans["cache_hits"] == 1
 
 
 class TestEngineEquivalence:
@@ -220,26 +222,19 @@ class TestEngineSelection:
 
 
 class TestTelemetry:
-    def test_engine_records_batches_and_nodes(self, rng):
+    def test_engine_records_batches_and_samples(self, rng):
         x = Uncertain(Gaussian(0.0, 1.0))
         y = x + x
-        with evaluation_config() as cfg:
-            telemetry = cfg.enable_plan_telemetry()
+        metrics = RuntimeMetrics()
+        with evaluation_config(metrics=metrics):
             y.samples(10, rng)
             y.samples(10, rng)
-        assert telemetry.batches_executed == 2
-        assert telemetry.nodes_evaluated == 4  # 2 nodes x 2 batches
-        assert telemetry.samples_generated == 20
-        assert "LeafNode" in telemetry.node_seconds
-        assert "BinaryOpNode" in telemetry.node_seconds
-        snapshot = telemetry.as_dict()
-        assert snapshot["batches_executed"] == 2
-        telemetry.reset()
-        assert telemetry.batches_executed == 0
-
-    def test_telemetry_off_by_default(self, rng):
-        with evaluation_config() as cfg:
-            assert cfg.plan_telemetry is None
+        snapshot = metrics.snapshot()
+        assert snapshot["plans"]["compiled"] == 1
+        assert snapshot["engines"]["numpy"]["batches"] == 2
+        assert snapshot["engines"]["numpy"]["samples"] == 20
+        metrics.reset()
+        assert metrics.snapshot()["engines"] == {}
 
 
 class TestUncertainPlanCarrying:

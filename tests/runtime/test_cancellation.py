@@ -12,14 +12,22 @@ bit-identical to a run with no token installed.
 from __future__ import annotations
 
 import time
+import warnings
 
 import numpy as np
 import pytest
 
 from repro import Uncertain, evaluation_config
 from repro.core.engines import get_engine
+from repro.core.fused import (
+    FusedFallbackWarning,
+    clear_kernel_cache,
+    fused_program,
+)
+from repro.core.ledger import clear_ledger, ledger_stats
 from repro.dists import Gaussian
-from repro.resilience.chaos import ChaosDistribution, latency_storm
+from repro.dists.base import Distribution
+from repro.resilience.chaos import ChaosDistribution, InjectedFault, latency_storm
 from repro.runtime import cancellation
 from repro.runtime.cancellation import CancellationToken, EvaluationCancelled
 from repro.runtime.parallel import ParallelEngine
@@ -38,6 +46,40 @@ def stalling_query(stall_s: float = 0.05, seed: int = 0) -> Uncertain:
         Gaussian(0.0, 1.0), seed=seed, latency_s=stall_s, latency_rate=1.0,
     ))
     return slow + slow * 2.0
+
+
+class FlakyOnce(Distribution):
+    """A standard normal whose first draw raises :class:`InjectedFault`.
+
+    The armed flag is not structural, so a flaky and a healthy instance
+    share one plan shape.
+    """
+
+    structural_fields = ()
+
+    def __init__(self, armed: bool = True) -> None:
+        self.armed = armed
+
+    def sample_n(self, n, rng):
+        if self.armed:
+            self.armed = False
+            raise InjectedFault("first draw")
+        return rng.standard_normal(n)
+
+
+def flaky_query(armed: bool = True) -> Uncertain:
+    leaf = Uncertain(FlakyOnce(armed))
+    return leaf + leaf * 2.0
+
+
+@pytest.fixture()
+def fresh_verdicts():
+    """Empty kernel cache and ledger, so per-shape verdicts start unset."""
+    clear_kernel_cache()
+    clear_ledger()
+    yield
+    clear_kernel_cache()
+    clear_ledger()
 
 
 class TestToken:
@@ -118,15 +160,20 @@ class TestEngineBoundaries:
             with pytest.raises(EvaluationCancelled):
                 get_engine("fused").sample(value.plan, 64, np.random.default_rng(0))
 
-    def test_fused_fallback_inherits_per_step_boundaries(self):
-        # Chaos-wrapped plans are structurally opaque, so the fused
-        # engine delegates to its inner numpy engine — which polls the
-        # same ambient token per step.
+    def test_fused_fallback_inherits_per_step_boundaries(self, fresh_verdicts):
+        # Chaos-wrapped plans have a structural hash, so the first draw of
+        # this shape probes its new kernel against the numpy engine, which
+        # polls the same ambient token per step.  The cancelled probe must
+        # surface as the cancellation, not as a rejected kernel.
         value = stalling_query(stall_s=0.05)
         token = CancellationToken.with_timeout(0.01)
-        with cancellation.scope(token):
-            with pytest.raises(EvaluationCancelled):
-                get_engine("fused").sample(value.plan, 64, np.random.default_rng(0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", FusedFallbackWarning)
+            with cancellation.scope(token):
+                with pytest.raises(EvaluationCancelled):
+                    get_engine("fused").sample(
+                        value.plan, 64, np.random.default_rng(0)
+                    )
 
     def test_parallel_serial_path_stops_at_chunk_boundary(self):
         value = stalling_query(stall_s=0.05)
@@ -157,6 +204,45 @@ class TestEngineBoundaries:
         with evaluation_config(deadline=0.01):
             with pytest.raises(DeadlineExceeded, match="mid-draw"):
                 value.samples(64, rng=0)
+
+
+class TestTransientFaultsWriteNoVerdict:
+    """A cancelled or fault-injected probe fails its draw and caches no
+    per-shape verdict: the next plan of that shape is judged afresh."""
+
+    def test_cancelled_fused_probe_does_not_demote_the_shape(self, fresh_verdicts):
+        token = CancellationToken.with_timeout(0.005)
+        with cancellation.scope(token), pytest.raises(EvaluationCancelled):
+            stalling_query(0.02).samples(16, rng=0, engine="fused")
+        fresh = stalling_query(0.02).plan.optimized(2)
+        assert fused_program(fresh) is not None
+
+    def test_injected_fault_in_fused_probe_does_not_demote_the_shape(
+        self, fresh_verdicts
+    ):
+        with pytest.raises(InjectedFault):
+            flaky_query().samples(16, rng=0, engine="fused")
+        fresh = flaky_query(armed=False).plan.optimized(2)
+        assert fused_program(fresh) is not None
+
+    def test_cancelled_ledger_probe_writes_no_replay_verdict(self, fresh_verdicts):
+        with evaluation_config(sample_cache=True, engine="numpy"):
+            token = CancellationToken.with_timeout(0.005)
+            with cancellation.scope(token), pytest.raises(EvaluationCancelled):
+                stalling_query(0.02).samples(16, rng=0)
+            assert ledger_stats()["verdicts"] == {}
+            stalling_query(0.02).samples(16, rng=0)
+        assert list(ledger_stats()["verdicts"].values()) == ["stream"]
+
+    def test_injected_fault_in_ledger_probe_writes_no_replay_verdict(
+        self, fresh_verdicts
+    ):
+        with evaluation_config(sample_cache=True, engine="numpy"):
+            with pytest.raises(InjectedFault):
+                flaky_query().samples(16, rng=0)
+            assert ledger_stats()["verdicts"] == {}
+            flaky_query(armed=False).samples(16, rng=0)
+        assert list(ledger_stats()["verdicts"].values()) == ["stream"]
 
 
 class TestLatencyStormScenario:

@@ -21,10 +21,10 @@ class RecordingEngine(NumpyEngine):
         self.calls = 0
         self.samples_requested = 0
 
-    def run(self, plan, n, rng, memo=None, telemetry=None):
+    def run(self, plan, n, rng, memo=None):
         self.calls += 1
         self.samples_requested += int(n)
-        return super().run(plan, n, rng, memo=memo, telemetry=telemetry)
+        return super().run(plan, n, rng, memo=memo)
 
 
 @pytest.fixture()

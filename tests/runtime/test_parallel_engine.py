@@ -9,8 +9,8 @@ The contract under test (docs/runtime.md):
   chunk over the same layout and spawned seeds;
 - a crashed worker poisons the pool, unfinished chunks are retried once on
   a fresh pool, and a second crash surfaces as ``SamplingError``;
-- sample budgets and deadlines raise their dedicated errors, both on the
-  engine and through the ambient ``EvaluationConfig``.
+- the ambient ``EvaluationConfig``'s sample budget and deadline apply to
+  draws on this engine and raise their dedicated errors.
 """
 
 from __future__ import annotations
@@ -236,24 +236,30 @@ class TestCrashRecovery:
 
 class TestBudgetsAndDeadlines:
     def test_engine_sample_budget(self):
-        plan = diamond().plan
-        engine = ParallelEngine(workers=1, sample_budget=1_000)
+        value = diamond()
+        engine = ParallelEngine(workers=1)
         try:
-            engine.run(plan, 800, np.random.default_rng(0))
-            with pytest.raises(SampleBudgetExceeded):
-                engine.run(plan, 300, np.random.default_rng(0))
-            assert engine.samples_drawn == 800
+            with evaluation_config(sample_budget=1_000) as cfg:
+                value.samples(800, rng=0, engine=engine)
+                with pytest.raises(SampleBudgetExceeded):
+                    value.samples(300, rng=0, engine=engine)
+                assert cfg.samples_executed == 800
         finally:
             engine.shutdown()
 
     def test_engine_deadline(self):
-        value = Uncertain(SleepyGaussian(0.4)) + 0.0
-        engine = ParallelEngine(
-            workers=2, chunk_size=512, deadline=0.05, mp_context="fork"
-        )
+        # Every chunk sleeps past the deadline: the parent stops waiting
+        # on the pending chunks and discards the pool.
+        value = Uncertain(SleepyGaussian(0.5)) + 0.0
+        engine = ParallelEngine(workers=2, chunk_size=512, mp_context="fork")
         try:
-            with pytest.raises(DeadlineExceeded):
-                engine.run(value.plan, 4_096, np.random.default_rng(0))
+            with evaluation_config(deadline=0.2):
+                with pytest.raises(DeadlineExceeded, match="mid-draw") as err:
+                    value.samples(4_096, rng=0, engine=engine)
+            progress = err.value.__cause__.progress
+            assert progress["chunks"] == 8
+            assert progress["chunks_done"] < progress["chunks"]
+            assert engine._executor is None
         finally:
             engine.shutdown()
 
