@@ -1,6 +1,6 @@
 """Microbenchmark: static analysis must stay cheap enough for compile time.
 
-``EvaluationConfig.enable_plan_analysis()`` runs the abstract interpreter
+``evaluation_config(plan_analyzer=warn_on_diagnostics)`` runs the abstract interpreter
 once per freshly compiled plan, inside the sampling path.  For that to be
 a reasonable default to recommend, a full ``analyze_plan`` — interval
 *and* affine inference plus all rule checks — over a fig08-style

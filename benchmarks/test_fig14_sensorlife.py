@@ -39,7 +39,7 @@ def test_ablation_sprt_vs_fixed_sampling(benchmark):
                     is_alive, neighbor_states, default_rng(1)
                 )
                 wrong += outcome.will_be_alive != true_decision(is_alive, 3)
-            return wrong, cfg.samples_drawn
+            return wrong, cfg.accounting.samples_drawn
 
     sprt_wrong, sprt_samples = benchmark(lambda: run_with(None))
     fixed_wrong, fixed_samples = run_with(

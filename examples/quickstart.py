@@ -33,7 +33,7 @@ def main() -> None:
     # hypothesis test, drawing only as many samples as it needs.
     with evaluation_config(rng=default_rng(2)) as cfg:
         if speed > 2.0:
-            print(f"probably moving   ({cfg.samples_drawn} samples used)")
+            print(f"probably moving   ({cfg.accounting.samples_drawn} samples used)")
 
         # The explicit form lets you demand stronger evidence, trading
         # false positives for false negatives.

@@ -26,7 +26,8 @@ failure) so the runtime can skip its probe execution.
 
 Entry points: ``python -m repro.analysis`` (CLI),
 ``Uncertain.diagnose()`` (per-value), and
-``EvaluationConfig.enable_plan_analysis()`` (warn at compile time).
+``evaluation_config(plan_analyzer=warn_on_diagnostics)`` (warn at compile
+time).
 See ``docs/analysis.md`` for the full rule catalogue.
 """
 

@@ -5,12 +5,18 @@ hypothesis test or RNG, so the runtime carries an ambient
 :class:`EvaluationConfig`.  The :func:`evaluation_config` context manager
 scopes overrides, which the case studies use to instrument sample counts and
 to switch between SPRT / fixed / group-sequential testing.
+
+The configuration itself is frozen policy.  What changes while it is active
+— sample counters and the deadline clock — lives on the config's own
+:class:`Accounting` scope (``cfg.accounting``), which every draw path
+charges through :meth:`Accounting.admit`.
 """
 
 from __future__ import annotations
 
 import contextlib
 import dataclasses
+import threading
 from time import monotonic
 from typing import Iterator
 
@@ -24,9 +30,83 @@ from repro.resilience.policies import (
 )
 from repro.rng import default_rng
 from repro.runtime import metrics as _metrics
+from repro.runtime.cancellation import CancellationToken
 
 
-@dataclasses.dataclass
+class Accounting:
+    """The mutable bookkeeping of one evaluation scope.
+
+    Every :class:`EvaluationConfig` builds its own, so a fresh config
+    starts with zeroed counters and a restarted deadline clock.
+    :meth:`admit` is the one budget/deadline check every draw path uses.
+    Thread-safe: a service's worker threads share one scope.
+    """
+
+    __slots__ = (
+        "sample_budget", "deadline", "token", "_lock",
+        "samples_drawn", "conditionals_evaluated", "samples_executed",
+    )
+
+    def __init__(self, sample_budget: int | None, deadline: float | None) -> None:
+        self.sample_budget = sample_budget
+        self.deadline = deadline
+        #: The deadline as a cancellation token (``None`` without one),
+        #: which ``sampling._execute_plan`` installs around each draw.
+        self.token = (
+            CancellationToken(deadline_at=monotonic() + deadline)
+            if deadline is not None else None
+        )
+        self._lock = threading.Lock()
+        #: Bernoulli samples drawn by conditionals (telemetry for Figure
+        #: 14(b)); reset with :meth:`reset_sample_counter`.
+        self.samples_drawn = 0
+        #: Conditionals evaluated.
+        self.conditionals_evaluated = 0
+        #: Joint samples charged by :meth:`admit` (``sample_budget`` bounds it).
+        self.samples_executed = 0
+
+    def admit(self, n: int, *, charge: bool = True) -> None:
+        """Admit (and, if ``charge``, count) a draw of ``n`` joint samples.
+
+        Raises :class:`~repro.core.sampling.DeadlineExceeded` past the
+        deadline, :class:`~repro.core.sampling.SampleBudgetExceeded` if
+        ``n`` more samples would exceed the budget.
+        """
+        if self.token is not None and self.token.expired:
+            from repro.core.sampling import DeadlineExceeded
+
+            raise DeadlineExceeded(
+                f"evaluation deadline of {self.deadline}s expired before a "
+                f"draw of {n} samples"
+            )
+        with self._lock:
+            if (self.sample_budget is not None
+                    and self.samples_executed + n > self.sample_budget):
+                from repro.core.sampling import SampleBudgetExceeded
+
+                raise SampleBudgetExceeded(
+                    f"sample budget exhausted: {self.samples_executed} drawn + "
+                    f"{n} requested > budget {self.sample_budget}"
+                )
+            if charge:
+                self.samples_executed += n
+
+    def record(self, samples_used: int) -> None:
+        """Count one evaluated conditional that used ``samples_used``."""
+        with self._lock:
+            self.samples_drawn += samples_used
+            self.conditionals_evaluated += 1
+        sink = _metrics.active()
+        if sink is not None:
+            sink.record_conditional(samples_used)
+
+    def reset_sample_counter(self) -> None:
+        with self._lock:
+            self.samples_drawn = 0
+            self.conditionals_evaluated = 0
+
+
+@dataclasses.dataclass(frozen=True)
 class EvaluationConfig:
     """Ambient knobs for evaluating conditionals and expectations.
 
@@ -46,7 +126,8 @@ class EvaluationConfig:
     here too:
 
     - ``sample_budget`` — cumulative cap on joint samples drawn while this
-      config is active; exceeding it raises
+      config is active (counted in ``accounting.samples_executed``);
+      exceeding it raises
       :class:`~repro.core.sampling.SampleBudgetExceeded`.
     - ``deadline`` — wall-clock seconds, measured from the construction of
       this config, after which any further draw raises
@@ -60,6 +141,9 @@ class EvaluationConfig:
     - ``estimator_samples`` / ``ci_samples`` — shared default sample sizes
       for the moment estimators (``sd``/``var``) and the interval/density
       estimators (``ci``/``histogram``/``evidence``).
+
+    The config is frozen; derive variants with ``dataclasses.replace`` or
+    :func:`evaluation_config`.  Its counters live on ``accounting``.
     """
 
     alpha: float = 0.05
@@ -84,12 +168,13 @@ class EvaluationConfig:
     #: and memo-carrying draws (``SampleContext``) always run unoptimized.
     optimize: "bool | int" = True
     #: Optional static-analysis hook run once per freshly compiled plan
-    #: (``None`` = off).  Install the default analyzer — which warns with
+    #: (``None`` = off).  ``evaluation_config(plan_analyzer=
+    #: warn_on_diagnostics)`` (:mod:`repro.analysis`) warns with
     #: :class:`~repro.analysis.UncertaintyWarning` on UNC101-class
-    #: findings — via :meth:`enable_plan_analysis`.
+    #: findings, once per cached plan.
     plan_analyzer: "callable | None" = None
     #: Cumulative cap on joint samples drawn under this config (``None`` =
-    #: unlimited).  Enforced centrally by the sampling facade.
+    #: unlimited).  Enforced by ``accounting.admit`` on every draw path.
     sample_budget: int | None = None
     #: Wall-clock budget in seconds from this config's construction
     #: (``None`` = unlimited).
@@ -122,21 +207,17 @@ class EvaluationConfig:
     #: ``"warn"``, or ``"raise"``
     #: (:class:`~repro.resilience.InconclusiveError`).
     on_inconclusive: str = "best-guess"
-    #: Running count of Bernoulli samples drawn by conditionals (telemetry
-    #: for Figure 14(b)); reset with ``reset_sample_counter``.
-    samples_drawn: int = 0
-    #: Running count of conditionals evaluated.
-    conditionals_evaluated: int = 0
-    #: Running count of joint samples executed under this config (the
-    #: quantity ``sample_budget`` bounds).
-    samples_executed: int = 0
+    #: This config's counters and deadline clock (built fresh per config).
+    accounting: Accounting = dataclasses.field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         # The deadline clock starts when the config is built, so a
         # ``with evaluation_config(deadline=0.5):`` block bounds the whole
         # block's sampling, not each individual draw.
-        self.deadline_at = (
-            monotonic() + self.deadline if self.deadline is not None else None
+        object.__setattr__(
+            self, "accounting", Accounting(self.sample_budget, self.deadline)
         )
         validate_policy("on_nonfinite", self.on_nonfinite, NONFINITE_POLICIES)
         validate_policy(
@@ -171,32 +252,6 @@ class EvaluationConfig:
             max_samples=self.max_samples,
         )
 
-    def record(self, samples_used: int) -> None:
-        self.samples_drawn += samples_used
-        self.conditionals_evaluated += 1
-        sink = _metrics.active()
-        if sink is not None:
-            sink.record_conditional(samples_used)
-
-    def reset_sample_counter(self) -> None:
-        self.samples_drawn = 0
-        self.conditionals_evaluated = 0
-
-    def enable_plan_analysis(self) -> None:
-        """Warn (once per cached plan) on statically detectable bugs.
-
-        Installs :func:`repro.analysis.warn_on_diagnostics` as the
-        compile-time hook: every fresh plan compile runs the interval
-        abstract interpreter, and error-severity findings — division by a
-        zero-crossing support (UNC101), domain violations (UNC102) —
-        surface as :class:`~repro.analysis.UncertaintyWarning`.  Cache
-        hits never re-analyze, so the overhead is one sub-millisecond
-        pass per distinct graph.
-        """
-        from repro.analysis.diagnostics import warn_on_diagnostics
-
-        self.plan_analyzer = warn_on_diagnostics
-
 
 _active_config = EvaluationConfig()
 
@@ -223,17 +278,12 @@ def evaluation_config(**overrides) -> Iterator[EvaluationConfig]:
         with evaluation_config(alpha=0.01, rng=default_rng(7)) as cfg:
             if speed > 4:
                 ...
-            print(cfg.samples_drawn)
+            print(cfg.accounting.samples_drawn)
+
+    The scoped config is ``dataclasses.replace(get_config(), **overrides)``:
+    it inherits the enclosing policy but starts its own accounting.
     """
-    base = get_config()
-    fields = {
-        f.name: getattr(base, f.name)
-        for f in dataclasses.fields(EvaluationConfig)
-        if f.name
-        not in ("samples_drawn", "conditionals_evaluated", "samples_executed")
-    }
-    fields.update(overrides)
-    fresh = EvaluationConfig(**fields)
+    fresh = dataclasses.replace(get_config(), **overrides)
     previous = set_config(fresh)
     try:
         yield fresh

@@ -21,7 +21,7 @@ from scipy import stats
 
 from repro.core import conditionals as _cond
 from repro.core.plan import compile_plan
-from repro.core.sampling import _execute_plan
+from repro.core.sampling import _execute_plan, sequential_draw
 from repro.rng import ensure_rng
 from repro.runtime import metrics as _metrics
 from repro.runtime import trace as _trace
@@ -120,26 +120,11 @@ def expected_value_adaptive(
     total = 0.0
     total_sq = 0.0
     count = 0
-    config = _cond.get_config()
-    window = None
-    if config.sample_cache:
-        from repro.core.ledger import LEDGER
-
-        window = LEDGER.open_window(plan, rng, None, config)
-
-    def _draw(k: int) -> np.ndarray:
-        # Growing batches must read disjoint stream windows, never the
-        # same ledger prefix twice (see sampling._execute_plan).
-        if window is not None:
-            rows = window.draw(k)
-            if rows is not None:
-                return rows
-        return _execute_plan(plan, k, rng, use_ledger=False)
-
+    draw = sequential_draw(plan, rng, float)
     with _trace.span("expectation.adaptive", tolerance=tolerance) as span_attrs:
         while count < max_samples:
             k = min(batch_size, max_samples - count)
-            values = np.asarray(_draw(k), dtype=float)
+            values = draw(k)
             total += float(values.sum())
             total_sq += float((values**2).sum())
             count += k

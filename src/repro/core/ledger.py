@@ -59,15 +59,15 @@ opaque plans (no structural hash), memo-carrying draws, the parallel
 engine (chunk-seeded streams are not prefix-stable by construction),
 unknown engines, exotic bit generators without a seed sequence, and any
 draw under ``on_nonfinite="resample"`` (row repair consumes extra stream)
-all bypass the ledger.  Budget/deadline admission mirrors
-``sampling._execute_plan`` but charges only newly drawn suffix rows.
+all bypass the ledger.  Budget/deadline admission goes through the same
+``config.accounting.admit`` as ``sampling._execute_plan`` but charges only
+newly drawn suffix rows.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from time import monotonic
 
 import numpy as np
 
@@ -202,30 +202,6 @@ def _base_generator(base_spec: tuple) -> np.random.Generator:
         spawn_key=tuple(spawn_key) + (_LEDGER_SPAWN_TAG,),
     )
     return np.random.default_rng(seed_seq)
-
-
-def _admit(config, n: int) -> None:
-    """Budget/deadline admission for ``n`` *newly drawn* rows.
-
-    Same semantics as ``sampling._execute_plan`` — served-from-cache rows
-    are free (only the deadline is re-checked), drawn rows are charged.
-    """
-    from repro.core.sampling import DeadlineExceeded, SampleBudgetExceeded
-
-    if config.deadline is not None and monotonic() > config.deadline_at:
-        raise DeadlineExceeded(
-            f"evaluation deadline of {config.deadline}s expired before a "
-            f"draw of {n} samples"
-        )
-    if n <= 0:
-        return
-    if config.sample_budget is not None:
-        if config.samples_executed + n > config.sample_budget:
-            raise SampleBudgetExceeded(
-                f"sample budget exhausted: {config.samples_executed} drawn + "
-                f"{n} requested > budget {config.sample_budget}"
-            )
-    config.samples_executed += n
 
 
 def _record(**counters) -> None:
@@ -585,7 +561,7 @@ class SampleLedger:
         have = entry.count
         if needed > have:
             d = needed - have
-            _admit(config, d)
+            config.accounting.admit(d)
             rows = self._fill(entry, eng, d, entry.gen)
             rows = np.asarray(rows)
             if entry.column is None:
@@ -603,7 +579,7 @@ class SampleLedger:
             _record(bytes_now=self.total_bytes(),
                     entries_now=len(self._entries))
         else:
-            _admit(config, 0)  # deadline still applies to cached serves
+            config.accounting.admit(0)  # the deadline still applies to cached serves
             _record(hits=1, rows_reused=n)
         return entry.column[start:needed].copy()
 
@@ -611,7 +587,7 @@ class SampleLedger:
                       config) -> np.ndarray:
         column = entry.runs.get(n)
         if column is None:
-            _admit(config, n)
+            config.accounting.admit(n)
             gen = _base_generator(entry.base_spec)
             column = np.asarray(self._fill(entry, eng, n, gen))
             entry.runs[n] = column
@@ -621,7 +597,7 @@ class SampleLedger:
             _record(bytes_now=self.total_bytes(),
                     entries_now=len(self._entries))
         else:
-            _admit(config, 0)
+            config.accounting.admit(0)
             _record(hits=1, rows_reused=n)
         return column.copy()
 

@@ -309,7 +309,7 @@ def compile_plan(
     cache hits) with the new plan — the hook
     :mod:`repro.analysis` uses to surface UNC101-class diagnostics exactly
     once per cached plan (see
-    :meth:`~repro.core.conditionals.EvaluationConfig.enable_plan_analysis`).
+    :attr:`~repro.core.conditionals.EvaluationConfig.plan_analyzer`).
     Its return value is ignored; exceptions propagate to the caller.
     """
     plan = root._compiled_plan

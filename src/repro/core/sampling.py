@@ -29,8 +29,6 @@ draws (Section 4.3) consume.  A single sample is a batch of one.
 
 from __future__ import annotations
 
-from time import monotonic
-
 import numpy as np
 
 from repro.core import conditionals as _cond
@@ -69,19 +67,17 @@ def _execute_plan(
 ) -> np.ndarray:
     """Internal, warning-free plan execution used by every runtime caller.
 
-    Enforces the active configuration's ``sample_budget`` and ``deadline``
-    (every draw in the process funnels through here), resolves the engine
-    (explicit argument beats the ambient config), and delegates to the
-    engine's instrumented ``sample``.
+    Admits the draw through the active configuration's
+    :meth:`~repro.core.conditionals.Accounting.admit` (every draw in the
+    process funnels through here), resolves the engine (explicit argument
+    beats the ambient config), and delegates to the engine's instrumented
+    ``sample``.
 
     When ``config.sample_cache`` is enabled, eligible draws are served
     from the cross-query :class:`~repro.core.ledger.SampleLedger` (cached
     prefix + freshly drawn suffix; admission charged inside the ledger
-    for the suffix only).  Sequential-batch callers — the SPRT loop,
-    adaptive expectation — must pass ``use_ledger=False`` and read
-    through a :meth:`~repro.core.ledger.SampleLedger.open_window` handle
-    instead, because a ledger prefix read would hand every batch the
-    *same* rows.
+    for the suffix only).  Sequential-batch callers go through
+    :func:`sequential_draw` instead, which passes ``use_ledger=False``.
     """
     if n <= 0:
         raise ValueError(f"batch size must be positive, got {n}")
@@ -93,35 +89,48 @@ def _execute_plan(
         rows = LEDGER.serve(plan, n, rng, engine, config)
         if rows is not None:
             return rows
-    if config.deadline is not None and monotonic() > config.deadline_at:
-        raise DeadlineExceeded(
-            f"evaluation deadline of {config.deadline}s expired before a "
-            f"draw of {n} samples"
-        )
-    if config.sample_budget is not None:
-        if config.samples_executed + n > config.sample_budget:
-            raise SampleBudgetExceeded(
-                f"sample budget exhausted: {config.samples_executed} drawn + "
-                f"{n} requested > budget {config.sample_budget}"
-            )
-    config.samples_executed += n
+    accounting = config.accounting
+    accounting.admit(n)
     eng = get_engine(engine if engine is not None else config.engine)
-    if config.deadline is not None and _cancel.current() is None:
-        # The pre-draw check above only catches a deadline that expired
-        # *between* draws; installing a deadline token lets the engines
-        # stop a long draw at their next batch boundary too.  An already-
-        # installed token (the service tier's per-request one) wins.
-        with _cancel.scope(_cancel.CancellationToken(
-            deadline_at=config.deadline_at
-        )):
-            try:
-                return eng.sample(plan, n, ensure_rng(rng), memo=memo)
-            except _cancel.EvaluationCancelled as exc:
-                raise DeadlineExceeded(
-                    f"evaluation deadline of {config.deadline}s expired "
-                    f"mid-draw at {exc.progress or 'start'}"
-                ) from exc
-    return eng.sample(plan, n, ensure_rng(rng), memo=memo)
+    if accounting.token is None or _cancel.current() is not None:
+        # No deadline, or an installed token (the service's per-request
+        # one) wins.
+        return eng.sample(plan, n, ensure_rng(rng), memo=memo)
+    # Admission only catches a deadline that expired between draws; the
+    # token also stops a long draw at the engine's next batch boundary.
+    with _cancel.scope(accounting.token):
+        try:
+            return eng.sample(plan, n, ensure_rng(rng), memo=memo)
+        except _cancel.EvaluationCancelled as exc:
+            raise DeadlineExceeded(
+                f"evaluation deadline of {config.deadline}s expired "
+                f"mid-draw at {exc.progress or 'start'}"
+            ) from exc
+
+
+def sequential_draw(plan: EvaluationPlan, rng, dtype):
+    """The draw-``k`` callable of a sequential loop (SPRT, adaptive ``E``).
+
+    Successive calls return *disjoint* ``dtype`` batches, the repeated
+    batched sampling of Section 4.3.  With ``sample_cache`` on they read
+    consecutive ledger windows
+    (:meth:`~repro.core.ledger.SampleLedger.open_window`), never the same
+    prefix twice; otherwise each call is a fresh draw.
+    """
+    config = _cond.get_config()
+    window = None
+    if config.sample_cache:
+        from repro.core.ledger import LEDGER
+
+        window = LEDGER.open_window(plan, rng, None, config)
+
+    def draw(k: int) -> np.ndarray:
+        rows = window.draw(k) if window is not None else None
+        if rows is None:
+            rows = _execute_plan(plan, k, rng, use_ledger=False)
+        return np.asarray(rows, dtype=dtype)
+
+    return draw
 
 
 class SampleContext:
@@ -173,30 +182,3 @@ class SampleContext:
                 plan, self.n, self.rng, memo=self._values, engine=engine
             )
         return batch
-
-
-def bernoulli_sampler(root: Node, rng: np.random.Generator):
-    """Adapt a boolean-valued node into the draw-k callable the tests use.
-
-    Each call draws a fresh batch of joint samples — exactly the repeated
-    batched sampling loop of Section 4.3.  The plan is compiled once, up
-    front, so the SPRT's sequential batches amortise traversal to zero.
-    """
-    config = _cond.get_config()
-    plan = compile_plan(root, analyze=config.plan_analyzer)
-    window = None
-    if config.sample_cache:
-        from repro.core.ledger import LEDGER
-
-        window = LEDGER.open_window(plan, rng, None, config)
-
-    def draw(k: int) -> np.ndarray:
-        if window is not None:
-            rows = window.draw(k)
-            if rows is not None:
-                return np.asarray(rows, dtype=bool)
-        return np.asarray(
-            _execute_plan(plan, k, rng, use_ledger=False), dtype=bool
-        )
-
-    return draw

@@ -33,7 +33,7 @@ from repro.core.graph import (
     UnaryOpNode,
 )
 from repro.core.plan import EvaluationPlan, compile_plan
-from repro.core.sampling import SampleContext, _execute_plan
+from repro.core.sampling import SampleContext, _execute_plan, sequential_draw
 from repro.core.sprt import HypothesisTest, TestDecision, TestResult
 from repro.dists.base import Distribution
 from repro.dists.empirical import Empirical
@@ -619,28 +619,9 @@ class UncertainBool(Uncertain):
         config = _cond.get_config()
         if test is None:
             test = config.make_test(threshold)
-        rng = self._resolve_rng(rng)
-        plan = self.plan
-        window = None
-        if config.sample_cache:
-            from repro.core.ledger import LEDGER
-
-            window = LEDGER.open_window(plan, rng, None, config)
-
-        def draw(k: int) -> np.ndarray:
-            # Sequential batches read disjoint windows of one ledger
-            # stream; a plain ledger read would hand every batch the
-            # same prefix rows and wreck the test's statistics.
-            if window is not None:
-                rows = window.draw(k)
-                if rows is not None:
-                    return np.asarray(rows, dtype=bool)
-            return np.asarray(
-                _execute_plan(plan, k, rng, use_ledger=False), dtype=bool
-            )
-
+        draw = sequential_draw(self.plan, self._resolve_rng(rng), bool)
         result = test.run(draw)
-        config.record(result.samples_used)
+        config.accounting.record(result.samples_used)
         if result.decision is TestDecision.INCONCLUSIVE:
             self._apply_inconclusive_policy(config, result)
         return result

@@ -91,8 +91,8 @@ class _UncertainRuleMixin:
         Python's short-circuit ``and`` on the crisp ``is_alive`` flag means
         only the relevant hypothesis tests execute, matching the C# code.
         """
-        config = get_config()
-        before = config.samples_drawn
+        accounting = get_config().accounting
+        before = accounting.samples_drawn
         will_be_alive = is_alive
         if is_alive and (num_live < 2):
             will_be_alive = False
@@ -102,7 +102,7 @@ class _UncertainRuleMixin:
             will_be_alive = False
         elif not is_alive and ((2.5 < num_live) & (num_live < 3.5)):
             will_be_alive = True
-        return will_be_alive, config.samples_drawn - before
+        return will_be_alive, accounting.samples_drawn - before
 
 
 class SensorLife(_UncertainRuleMixin, LifeVariant):

@@ -82,7 +82,7 @@ def run_alarm_comparison(
     phone_working = UncertainBool(Bernoulli(exact_phone_working_posterior()))
     with evaluation_config(rng=rng) as cfg:
         decision = bool(phone_working)
-        samples_used = cfg.samples_drawn
+        samples_used = cfg.accounting.samples_drawn
 
     return AlarmComparison(
         rejection=rejection,

@@ -1,7 +1,7 @@
 """Cooperative cancellation for in-flight evaluations.
 
 Deadlines and budgets are enforced *between* draws by
-:func:`repro.core.sampling._execute_plan`, but a draw that is already
+:meth:`repro.core.conditionals.Accounting.admit`, but a draw that is already
 executing on a worker thread used to run to completion no matter what —
 an expired per-request deadline or a disconnected client kept burning a
 thread.  This module closes that gap with the standard cooperative
@@ -19,8 +19,9 @@ Tokens trip two ways:
   abandoning a request actually frees the worker thread;
 - **by deadline** — ``CancellationToken(deadline_at=...)`` (or
   :meth:`CancellationToken.with_timeout`) trips once ``monotonic()``
-  passes the given instant; ``_execute_plan`` derives one from the
-  active config's ``deadline`` so ambient deadlines stop mid-run too.
+  passes the given instant; each config's accounting holds one for its
+  ``deadline``, which ``_execute_plan`` installs so ambient deadlines stop
+  mid-run too.
 
 Cancellation never consumes or perturbs the sampling RNG stream: a check
 is a flag read plus (for deadline tokens) a clock read, so a run that is

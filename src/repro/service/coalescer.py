@@ -38,7 +38,6 @@ Given a batch of :class:`~repro.service.requests.QueryRequest` objects it:
 from __future__ import annotations
 
 import dataclasses
-import time
 from collections import defaultdict
 from typing import Sequence
 
@@ -105,27 +104,6 @@ def _draw(plan, n: int, rng, engine) -> np.ndarray:
     return get_engine(engine).sample(plan, int(n), rng)
 
 
-def _admit(config, n: int) -> None:
-    """Admission control: the existing budget/deadline semantics.
-
-    Reuses :class:`EvaluationConfig`'s ``sample_budget`` / ``deadline``
-    accounting (the same fields ``_execute_plan`` enforces) so a service
-    shares one vocabulary with solo evaluation.
-    """
-    if config.deadline is not None and time.monotonic() > config.deadline_at:
-        raise DeadlineExceeded(
-            f"evaluation deadline of {config.deadline}s expired before a "
-            f"draw of {n} samples"
-        )
-    if config.sample_budget is not None:
-        if config.samples_executed + n > config.sample_budget:
-            raise SampleBudgetExceeded(
-                f"sample budget exhausted: {config.samples_executed} drawn + "
-                f"{n} requested > budget {config.sample_budget}"
-            )
-    config.samples_executed += n
-
-
 def evaluate_request(
     request: QueryRequest,
     *,
@@ -154,7 +132,7 @@ def evaluate_request(
     plan = _plan if _plan is not None else request.value.plan
     decision = degrade if degrade is not None else NO_DEGRADATION
     n, record = decision.apply(request.resolve_samples(config))
-    _admit(config, n)
+    config.accounting.admit(n)
     if request.seed is not None:
         rng = request.rng()
     elif rng is None:
@@ -270,7 +248,7 @@ def _evaluate_group(
             # and never touches its batchmates' streams.
             for i, req in seeded:
                 n, record = degraded(req)
-                _admit(config, n)
+                config.accounting.admit(n)
                 try:
                     with _cancel.scope(token_for(i)):
                         values = _draw(plan, n, req.rng(), engine)
@@ -299,7 +277,7 @@ def _evaluate_group(
                 if rows is not None:
                     stats.ledger_served += total
                 else:
-                    _admit(config, total)
+                    config.accounting.admit(total)
                     try:
                         with _cancel.scope(_pool_token(pooled, tokens)):
                             rows = _draw(plan, total, pool_rng, engine)

@@ -37,6 +37,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 
 from repro.core import conditionals as _cond
+from repro.core.sampling import DeadlineExceeded, SampleBudgetExceeded
 from repro.core.uncertain import Uncertain
 from repro.rng import ensure_rng
 from repro.runtime.metrics import (
@@ -253,20 +254,12 @@ class Service:
         if not self._closed:
             return self
         # A private config with the service's budgets layered over the
-        # ambient defaults; the deadline clock starts here, at start().
-        base = _cond.get_config()
-        fields = {
-            f.name: getattr(base, f.name)
-            for f in dataclasses.fields(_cond.EvaluationConfig)
-            if f.name not in (
-                "samples_drawn", "conditionals_evaluated", "samples_executed"
-            )
-        }
-        fields["sample_budget"] = self._budget
-        fields["deadline"] = self._deadline
-        if self.engine is not None:
-            fields["engine"] = self.engine
-        self._config = _cond.EvaluationConfig(**fields)
+        # ambient defaults; its accounting (and deadline clock) starts here.
+        overrides = {"engine": self.engine} if self.engine is not None else {}
+        self._config = dataclasses.replace(
+            _cond.get_config(), sample_budget=self._budget,
+            deadline=self._deadline, **overrides,
+        )
         self._queue = asyncio.Queue()
         self._executor = ThreadPoolExecutor(
             max_workers=self.workers, thread_name_prefix="repro-service"
@@ -302,25 +295,15 @@ class Service:
         return self._queue.qsize() if self._queue is not None else 0
 
     def _admission_check(self, request: QueryRequest) -> None:
-        config = self._config
-        from repro.core.sampling import DeadlineExceeded, SampleBudgetExceeded
-
-        if config.deadline is not None and time.monotonic() > config.deadline_at:
-            self.metrics.record_rejected()
-            raise DeadlineExceeded(
-                f"service deadline of {config.deadline}s expired"
+        # Reserve nothing here — the coalescer charges the accounting when
+        # it actually draws — but reject requests that cannot fit.
+        try:
+            self._config.accounting.admit(
+                request.resolve_samples(self._config), charge=False
             )
-        n = request.resolve_samples(config)
-        if config.sample_budget is not None:
-            # Reserve nothing here — the coalescer charges the config when
-            # it actually draws — but reject requests that cannot fit.
-            if config.samples_executed + n > config.sample_budget:
-                self.metrics.record_rejected()
-                raise SampleBudgetExceeded(
-                    f"service sample budget exhausted: "
-                    f"{config.samples_executed} drawn + {n} requested > "
-                    f"budget {config.sample_budget}"
-                )
+        except (DeadlineExceeded, SampleBudgetExceeded):
+            self.metrics.record_rejected()
+            raise
 
     # -- the request path ----------------------------------------------------
 
@@ -550,7 +533,8 @@ class Service:
         snap = self.metrics.snapshot()
         snap["queue_depth"] = self.queue_depth
         snap["samples_executed"] = (
-            self._config.samples_executed if self._config is not None else 0
+            self._config.accounting.samples_executed
+            if self._config is not None else 0
         )
         snap["degradation"] = {
             "status": self.health()["status"],

@@ -1,6 +1,6 @@
 """Positive and negative tests for every graph rule (UNC101-UNC105),
 plus the library wiring: ``Uncertain.diagnose()``, the ``analyze=``
-compile hook, and ``EvaluationConfig.enable_plan_analysis()``."""
+compile hook, and ``evaluation_config(plan_analyzer=warn_on_diagnostics)``."""
 
 from __future__ import annotations
 
@@ -295,8 +295,7 @@ class TestCompileHook:
         assert [d.rule for d in diags] == ["UNC103"]
 
     def test_enable_plan_analysis_end_to_end(self):
-        with evaluation_config() as cfg:
-            cfg.enable_plan_analysis()
+        with evaluation_config(plan_analyzer=warn_on_diagnostics):
             bad = Uncertain(Uniform(0, 10)) / Uncertain(Gaussian(1, 1))
             with pytest.warns(UncertaintyWarning, match="UNC101"):
                 bad.samples(10)
@@ -305,10 +304,9 @@ class TestCompileHook:
                 bad.samples(10)
 
     def test_enable_plan_analysis_covers_conditional_path(self):
-        # bool() samples through bernoulli_sampler, not Uncertain.plan —
-        # the analyzer must be wired through that compile site too.
-        with evaluation_config() as cfg:
-            cfg.enable_plan_analysis()
+        # bool() compiles its plan inside the SPRT path, not in a
+        # samples() call — the analyzer must fire on that compile too.
+        with evaluation_config(plan_analyzer=warn_on_diagnostics):
             cond = Uncertain(Uniform(0, 10)) / Uncertain(Gaussian(1, 1)) > 0.0
             with pytest.warns(UncertaintyWarning, match="UNC101"):
                 bool(cond)

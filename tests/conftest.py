@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import zlib
+
 import numpy as np
 import pytest
 
@@ -10,9 +12,12 @@ from repro.rng import default_rng
 
 @pytest.fixture
 def rng(request) -> np.random.Generator:
-    """Deterministic per-test generator (seeded from the test's node id)."""
-    seed = abs(hash(request.node.nodeid)) % (2**31)
-    return default_rng(seed)
+    """Deterministic per-test generator (seeded from the test's node id).
+
+    CRC-32, not ``hash()``: string hashes are salted per process, which
+    would give every run a different stream.
+    """
+    return default_rng(zlib.crc32(request.node.nodeid.encode()))
 
 
 @pytest.fixture

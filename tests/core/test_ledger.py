@@ -109,13 +109,13 @@ class TestSampleEconomics:
         u = certified_value()
         with evaluation_config(sample_cache=True) as cfg:
             u.samples(100, rng=5)
-            assert cfg.samples_executed == 100
+            assert cfg.accounting.samples_executed == 100
             u.samples(250, rng=5)  # 100 cached + 150 drawn
-            assert cfg.samples_executed == 250
+            assert cfg.accounting.samples_executed == 250
             u.samples(250, rng=5)  # fully cached
-            assert cfg.samples_executed == 250
+            assert cfg.accounting.samples_executed == 250
             u.samples(40, rng=5)  # prefix read
-            assert cfg.samples_executed == 250
+            assert cfg.accounting.samples_executed == 250
 
     def test_budget_still_enforced_on_the_suffix(self):
         u = certified_value()

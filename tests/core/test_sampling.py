@@ -11,7 +11,7 @@ from repro.core.plan import compile_plan
 from repro.core.sampling import (
     SampleContext,
     SamplingError,
-    bernoulli_sampler,
+    sequential_draw,
 )
 from repro.dists import Gaussian
 from repro.dists.sampling_function import FunctionDistribution
@@ -113,12 +113,12 @@ class TestSampleBatch:
         assert sample_batch(leaf, 8, rng).shape == (8, 2)
 
 
-class TestBernoulliSampler:
+class TestSequentialDraw:
     def test_draws_requested_count(self, rng):
         cond = BinaryOpNode(
             operator.gt, LeafNode(Gaussian(1.0, 1.0)), PointMassNode(0.0), ">"
         )
-        draw = bernoulli_sampler(cond, rng)
+        draw = sequential_draw(compile_plan(cond), rng, bool)
         out = draw(25)
         assert out.shape == (25,) and out.dtype == bool
 
@@ -126,6 +126,6 @@ class TestBernoulliSampler:
         cond = BinaryOpNode(
             operator.gt, LeafNode(Gaussian(0.0, 1.0)), PointMassNode(0.0), ">"
         )
-        draw = bernoulli_sampler(cond, fixed_rng)
+        draw = sequential_draw(compile_plan(cond), fixed_rng, bool)
         a, b = draw(100), draw(100)
         assert not np.array_equal(a, b)

@@ -38,7 +38,7 @@ class TestDegenerateDistributions:
         constant = Uncertain(Gaussian(5.0, 0.0))
         with evaluation_config(rng=default_rng(0)) as cfg:
             assert bool(constant > 4.0)
-            assert cfg.samples_drawn <= 2 * cfg.batch_size
+            assert cfg.accounting.samples_drawn <= 2 * cfg.batch_size
 
     def test_zero_variance_expected_value(self, rng):
         assert Uncertain(Gaussian(5.0, 0.0)).expected_value(10, rng) == 5.0
@@ -56,7 +56,7 @@ class TestSamplerExhaustion:
             rng=default_rng(1), max_samples=200, epsilon=0.01
         ) as cfg:
             assert coin.pr(0.5) is False
-            assert cfg.samples_drawn == 200
+            assert cfg.accounting.samples_drawn == 200
 
     def test_inconclusive_decision_surfaces_in_diagnostics(self):
         coin = Uncertain(Gaussian(0.0, 1.0)) > 0.0

@@ -181,7 +181,7 @@ class TestFacadeSurface:
         assert config.sample_budget == 10
         assert config.deadline == 1.0
         assert config.metrics is False
-        assert config.deadline_at is not None
+        assert config.accounting.token.deadline_at is not None
 
     def test_facade_quickstart(self):
         # The docstring's shape: configure, draw, estimate, observe.

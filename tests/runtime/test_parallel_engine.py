@@ -243,7 +243,7 @@ class TestBudgetsAndDeadlines:
                 value.samples(800, rng=0, engine=engine)
                 with pytest.raises(SampleBudgetExceeded):
                     value.samples(300, rng=0, engine=engine)
-                assert cfg.samples_executed == 800
+                assert cfg.accounting.samples_executed == 800
         finally:
             engine.shutdown()
 

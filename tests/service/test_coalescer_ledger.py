@@ -95,4 +95,4 @@ class TestPooledLedger:
                 )
                 assert all(not isinstance(o, Exception) for o in out)
             # 4 requests x 500 samples, paid exactly once.
-            assert cfg.samples_executed == 2000
+            assert cfg.accounting.samples_executed == 2000

@@ -70,7 +70,7 @@ class TestAlternativeTestsEndToEnd:
             test_factory=lambda t: GroupSequentialTest(t, looks=5, group_size=100),
         ) as cfg:
             assert cond.pr(0.5)
-            assert cfg.samples_drawn <= 500
+            assert cfg.accounting.samples_drawn <= 500
 
     def test_fixed_single_sample_reproduces_naivety_in_life(self):
         # Wiring FixedSampleTest(n=1) into SensorLife makes it behave like
