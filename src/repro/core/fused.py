@@ -519,11 +519,11 @@ def _verify(kernel, plan: EvaluationPlan, reference) -> bool:
 class _BoundKernel:
     """A shape's kernel bound to one plan's node objects."""
 
-    __slots__ = ("kernel", "program")
+    __slots__ = ("kernel", "spec")
 
-    def __init__(self, kernel, program):
+    def __init__(self, kernel, spec):
         self.kernel = kernel
-        self.program = program
+        self.spec = spec
 
 
 def _attach_certification(plan: EvaluationPlan, record) -> None:
@@ -563,11 +563,25 @@ def clear_kernel_cache() -> None:
 
 
 def fused_program(plan: EvaluationPlan) -> FusedProgram | None:
-    """The fused program bound to ``plan``, or ``None`` if it falls back."""
+    """The fused program bound to ``plan``, or ``None`` if it falls back.
+
+    Built on each call: the introspection objects are for debugging, so
+    the draw path never pays for them.
+    """
     bound = plan._fused
     if bound is None:
         bound = _prepare(plan)
-    return None if bound is _FALLBACK else bound.program
+    if bound is _FALLBACK:
+        return None
+    steps = plan.steps
+    return FusedProgram(
+        plan.structural_hash,
+        bound.spec.source,
+        [
+            FusedStep(steps[slot].node, slot, parent_slots, ops)
+            for slot, parent_slots, ops in bound.spec.steps_meta
+        ],
+    )
 
 
 def _prepare(plan: EvaluationPlan):
@@ -681,16 +695,7 @@ def _prepare(plan: EvaluationPlan):
     elif metrics is not None:
         metrics.record_fused(kernel_hits=1)
     _attach_certification(plan, spec.certification)
-    steps = plan.steps
-    program = FusedProgram(
-        digest,
-        spec.source,
-        [
-            FusedStep(steps[slot].node, slot, parent_slots, ops)
-            for slot, parent_slots, ops in spec.steps_meta
-        ],
-    )
-    bound = _BoundKernel(kernel, program)
+    bound = _BoundKernel(kernel, spec)
     plan._fused = bound
     return bound
 

@@ -34,12 +34,12 @@ import weakref
 from typing import Callable, Iterator
 
 from repro.core.graph import BinaryOpNode, Node, UnaryOpNode, iter_nodes
-from repro.core.structural import STRUCTURAL_CACHE
+from repro.core.structural import STRUCTURAL_CACHE, ShapeEntry
 from repro.runtime import metrics as _metrics
 from repro.runtime import trace as _trace
 
-#: Sentinel distinguishing "structural hash not computed yet" from the
-#: legitimate ``None`` result of an opaque (unshareable) plan.
+#: Sentinel distinguishing "shape not registered yet" from the legitimate
+#: ``None`` result of an opaque (unshareable) plan.
 _UNSET = object()
 
 
@@ -104,7 +104,7 @@ class EvaluationPlan:
         "optimization_level",
         "provenance",
         "_program",
-        "_structural",
+        "_shape",
         "_optimized",
         "_fused",
         "__weakref__",
@@ -132,7 +132,7 @@ class EvaluationPlan:
         #: from the static stream-safety certifier (rewrite + kernel).
         self.provenance: tuple = ()
         self._program = None
-        self._structural = _UNSET
+        self._shape = _UNSET
         self._optimized = None
         self._fused = None
 
@@ -173,26 +173,36 @@ class EvaluationPlan:
     # -- compiler pipeline ---------------------------------------------------
 
     @property
-    def structural_hash(self) -> str | None:
-        """Canonical structural key of this plan's shape (lazy, cached).
+    def shape(self) -> ShapeEntry | None:
+        """This plan's shared :class:`~repro.core.structural.ShapeEntry`.
 
-        ``None`` marks an opaque plan (lambdas, user sampling functions)
-        that can never be shared structurally.  Computed through the
-        process-global :class:`~repro.core.structural.StructuralCache`,
-        so equal shapes across sessions resolve to the same key.
+        Registered lazily in the process-global
+        :class:`~repro.core.structural.StructuralCache` (``compile_plan``
+        registers eagerly), so equal shapes across sessions resolve to the
+        same entry.  ``None`` marks an opaque plan (lambdas, user sampling
+        functions) that can never be shared structurally.
         """
-        if self._structural is _UNSET:
-            key, _hit = STRUCTURAL_CACHE.key_for(self)
-            self._structural = key
-        return self._structural
+        if self._shape is _UNSET:
+            self._shape, _hit = STRUCTURAL_CACHE.entry_for(self)
+        return self._shape
+
+    @property
+    def structural_hash(self) -> str | None:
+        """Canonical structural key of this plan's shape (``None`` if opaque)."""
+        shape = self.shape
+        return None if shape is None else shape.key
 
     def optimized(self, level: int = 2) -> "EvaluationPlan":
         """This plan lowered through the optimizer pipeline at ``level``.
 
-        Cached per level; returns ``self`` when ``level`` is 0, when this
-        plan is already at (or above) the requested level, or when no
-        pass changes the graph.  See :mod:`repro.core.optimizer` for the
-        pass order and the bit-identity contract.
+        Cached per level and per shape; returns ``self`` when ``level`` is
+        0, when this plan is already at (or above) the requested level, or
+        when no pass changes the graph.  A shape the optimizer left
+        unchanged or rejected keeps that verdict on its shape entry, so a
+        later isomorphic plan returns itself with the same records and
+        runs no pass; shapes the passes rewrite are optimized per plan.
+        See :mod:`repro.core.optimizer` for the pass order and the
+        bit-identity contract.
         """
         if not level or self.optimization_level >= level:
             return self
@@ -201,11 +211,18 @@ class EvaluationPlan:
             cache = self._optimized = {}
         plan = cache.get(level)
         if plan is None:
-            from repro.core.optimizer import optimize_plan
+            shape = self.shape
+            records = None if shape is None else shape.verdicts.get(level)
+            if records is not None:
+                plan = self
+            else:
+                from repro.core.optimizer import optimize_plan
 
-            plan, records = optimize_plan(self, level)
-            if plan is not self:
-                plan.optimization_level = level
+                plan, records = optimize_plan(self, level)
+                if plan is not self:
+                    plan.optimization_level = level
+                elif shape is not None:
+                    shape.verdicts[level] = records
             plan.provenance = records
             cache[level] = plan
         return plan
@@ -252,11 +269,11 @@ class EvaluationPlan:
         # lowering is cheap and deterministic, and shipping the graph keeps
         # the payload small (no steps/program/bound methods).  This is what
         # lets ParallelEngine send a plan to worker processes once.  The
-        # optimization level and structural hash travel along so an
-        # optimized plan does not silently unpickle as a raw one (the
-        # optimized *root* is shipped, so no pass re-runs on load) and
-        # receivers key their per-shape caches identically to the sender.
-        return (_rebuild_plan, (self.root, self.optimization_level, self.structural_hash))
+        # optimization level travels along so an optimized plan does not
+        # silently unpickle as a raw one (the optimized *root* is shipped,
+        # so no pass re-runs on load).  The receiver registers the shape
+        # in its own structural cache, which yields the sender's key.
+        return (_rebuild_plan, (self.root, self.optimization_level))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -265,20 +282,14 @@ class EvaluationPlan:
         )
 
 
-def _rebuild_plan(
-    root: Node, optimization_level: int = 0, structural_hash=_UNSET
-) -> "EvaluationPlan":
+def _rebuild_plan(root: Node, optimization_level: int = 0) -> "EvaluationPlan":
     """Unpickle target: recompile (and re-cache) the plan for ``root``.
 
-    The sender's optimization level and structural key are re-seeded on
-    the rebuilt plan: the shipped root already *is* the optimized root,
-    so marking the level prevents engines from re-running the passes, and
-    adopting the sender's structural key lets hash-keyed caches (fused
-    kernels, worker-side plan caches) hit without re-fingerprinting.
+    The sender's optimization level is re-seeded on the rebuilt plan: the
+    shipped root already *is* the optimized root, so marking the level
+    prevents engines from re-running the passes.
     """
     plan = compile_plan(root)
-    if structural_hash is not _UNSET:
-        plan._structural = structural_hash
     if optimization_level and plan.optimization_level < optimization_level:
         plan.optimization_level = optimization_level
     return plan
@@ -323,15 +334,16 @@ def compile_plan(
         span_attrs["slots"] = len(plan.steps)
         # Stage 2: register the plan's shape in the structural cache.  A
         # hit means an isomorphic plan (possibly from another session)
-        # already compiled — the signal the structural counters expose.
-        key, structural_hit = STRUCTURAL_CACHE.key_for(plan)
-        plan._structural = key
-        span_attrs["structural_hash"] = key
+        # already compiled — the signal the structural counters expose —
+        # and hands this plan that shape's entry and optimizer verdicts.
+        shape, structural_hit = STRUCTURAL_CACHE.entry_for(plan)
+        plan._shape = shape
+        span_attrs["structural_hash"] = None if shape is None else shape.key
     root._compiled_plan = plan
     _PLANNED_ROOTS.add(root)
     if metrics is not None:
         metrics.record_compile()
-        if key is not None:
+        if shape is not None:
             metrics.record_structural(structural_hit)
     if analyze is not None:
         analyze(plan)

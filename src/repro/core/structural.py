@@ -3,12 +3,12 @@
 Stage 2 of the plan compiler: two plans that describe the *same shape* of
 Bayesian network — identical op kinds, arities, distribution parameters
 and sharing topology, regardless of which session built the node objects —
-get the same **structural hash**.  The hash keys the process-wide
-:class:`StructuralCache` (a bounded LRU alongside the per-root cache of
-:mod:`repro.core.plan`) and the fused-kernel cache of
-:mod:`repro.core.fused`, so many sessions compiling the paper's
-``(y + x) + x``-shaped GPS plan share one compilation and one generated
-kernel.
+get the same **structural hash**.  They share one entry of the
+process-wide :class:`StructuralCache` (a bounded LRU alongside the
+per-root cache of :mod:`repro.core.plan`), and the hash keys the
+fused-kernel cache of :mod:`repro.core.fused`, so many sessions compiling
+the paper's ``(y + x) + x``-shaped GPS plan share one optimizer verdict
+and one generated kernel.
 
 Canonical form
 --------------
@@ -29,15 +29,27 @@ lambdas, closures, bound methods, ``FunctionDistribution``, hardened
 enters the structural cache, and downstream consumers (fused codegen,
 worker-side payload sharing) fall back to per-plan behaviour.
 
+Shape entries
+-------------
+
+Each registered shape owns one :class:`ShapeEntry`, and every plan of
+that shape holds a reference to it (never its own copy of the
+fingerprint).  The entry carries the shape's structural key and the
+optimizer's verdict per optimize level for shapes the optimizer leaves
+unchanged or rejects, so a later isomorphic graph skips the passes (see
+:meth:`repro.core.plan.EvaluationPlan.optimized`).  Node objects are
+never shared: each graph executes its own nodes.
+
 Collisions
 ----------
 
-The digest is a 128-bit BLAKE2b over the fingerprint's canonical repr.
-The cache nevertheless refuses to trust the digest alone: on a digest
-hit it compares the stored fingerprint for full structural equality and,
-if the fingerprints differ (a true hash collision), assigns the newcomer
-a salted variant key (``<digest>#1``, ``#2``, ...) so colliding shapes
-never share cache entries or kernels.
+The cache is keyed by the fingerprint tuple itself, so a hit is one dict
+lookup with full structural equality and never trusts a hash.  The
+128-bit BLAKE2b digest of the fingerprint's canonical repr is computed
+only when a new shape registers; it becomes the shape's key.  If a live
+shape already holds that key (a true hash collision), the newcomer gets
+a salted variant (``<digest>#1``, ``#2``, ...) so colliding shapes never
+share kernels or ledger entries.
 """
 
 from __future__ import annotations
@@ -69,22 +81,32 @@ class StructuralOpaque(Exception):
 # ---------------------------------------------------------------------------
 
 
+def _scalar_type(value) -> str:
+    """``"py"`` for a Python scalar, else the NumPy scalar's dtype name.
+
+    The type is structural: CSE merges point masses per type, and under
+    NEP 50 a Python scalar promotes weakly where a NumPy scalar does not.
+    """
+    return value.dtype.name if isinstance(value, np.generic) else "py"
+
+
 def canonical_value(value):
     """A hashable, repr-stable token for ``value``, or ``StructuralOpaque``.
 
-    Floats canonicalise through ``repr`` (exact round-trip, stable across
-    processes); arrays through a content digest; nested distributions
-    recurse.  Callables and unknown objects are opaque — equality of
-    behaviour cannot be derived from structure.
+    Scalars keep their type (``2.0``, ``np.float64(2.0)`` and
+    ``np.float32(2.0)`` differ); floats canonicalise through ``repr``
+    (exact round-trip, stable across processes); arrays through a content
+    digest; nested distributions recurse.  Callables and unknown objects
+    are opaque — equality of behaviour cannot be derived from structure.
     """
     if value is None:
         return ("none",)
     if isinstance(value, (bool, np.bool_)):
-        return ("b", bool(value))
+        return ("b", _scalar_type(value), bool(value))
     if isinstance(value, (int, np.integer)):
-        return ("i", int(value))
+        return ("i", _scalar_type(value), int(value))
     if isinstance(value, (float, np.floating)):
-        return ("f", repr(float(value)))
+        return ("f", _scalar_type(value), repr(float(value)))
     if isinstance(value, str):
         return ("s", value)
     if isinstance(value, (tuple, list)):
@@ -216,58 +238,75 @@ def fingerprint_digest(fingerprint: tuple) -> str:
 # ---------------------------------------------------------------------------
 
 
-class StructuralCache:
-    """Bounded LRU of plan shapes keyed by structural digest.
+class ShapeEntry:
+    """One registered plan shape, shared by every plan of that shape.
 
-    ``key_for(plan)`` returns ``(key, hit)``: the plan's structural key
-    (``None`` for opaque plans, which are never cached) and whether a
-    structurally *equal* plan was already registered.  Digest collisions
-    fall back to full fingerprint equality before any reuse is reported;
-    genuinely colliding shapes receive salted variant keys.
+    ``key`` is the shape's structural key.  ``verdicts`` maps an optimize
+    level to the ``PassRecord`` trail of a run that left the shape
+    unchanged or rejected its rewrite; rewritten shapes record nothing.
+    """
+
+    __slots__ = ("key", "verdicts")
+
+    def __init__(self, key: str) -> None:
+        self.key = key
+        self.verdicts: dict[int, tuple] = {}
+
+
+class StructuralCache:
+    """Bounded LRU of plan shapes keyed by fingerprint.
+
+    ``entry_for(plan)`` returns ``(entry, hit)``: the plan's
+    :class:`ShapeEntry` (``None`` for opaque plans, which are never
+    cached) and whether a structurally *equal* plan was already
+    registered.  Evicting or clearing a shape drops its verdicts: the next
+    plan of that shape registers a fresh entry.
     """
 
     def __init__(self, limit: int = 512) -> None:
         self.limit = int(limit)
         self._lock = threading.Lock()
-        # digest -> list of (fingerprint, key) variants sharing that digest.
-        self._entries: OrderedDict[str, list[tuple[tuple, str]]] = OrderedDict()
+        self._entries: OrderedDict[tuple, ShapeEntry] = OrderedDict()
+        # Keys of the live entries, for salting colliding digests.
+        self._keys: set[str] = set()
         self.hits = 0
         self.misses = 0
         self.collisions = 0
 
-    def key_for(self, plan) -> tuple[str | None, bool]:
+    def entry_for(self, plan) -> tuple[ShapeEntry | None, bool]:
         fingerprint = plan_fingerprint(plan)
         if fingerprint is None:
             return None, False
-        digest = fingerprint_digest(fingerprint)
         with self._lock:
-            variants = self._entries.get(digest)
-            if variants is None:
-                self._entries[digest] = [(fingerprint, digest)]
-                self.misses += 1
-                while len(self._entries) > self.limit:
-                    self._entries.popitem(last=False)
-                return digest, False
-            self._entries.move_to_end(digest)
-            for stored, key in variants:
-                if stored == fingerprint:
-                    self.hits += 1
-                    return key, True
-            # True digest collision: same digest, different structure.
-            key = f"{digest}#{len(variants)}"
-            variants.append((fingerprint, key))
-            self.collisions += 1
+            entry = self._entries.get(fingerprint)
+            if entry is not None:
+                self._entries.move_to_end(fingerprint)
+                self.hits += 1
+                return entry, True
+            digest = fingerprint_digest(fingerprint)
+            key, salt = digest, 0
+            while key in self._keys:
+                # True digest collision: same digest, different structure.
+                salt += 1
+                key = f"{digest}#{salt}"
+            if salt:
+                self.collisions += 1
+            entry = self._entries[fingerprint] = ShapeEntry(key)
+            self._keys.add(key)
             self.misses += 1
-            return key, False
+            while len(self._entries) > self.limit:
+                _, evicted = self._entries.popitem(last=False)
+                self._keys.discard(evicted.key)
+            return entry, False
 
     def __len__(self) -> int:
         with self._lock:
-            return sum(len(v) for v in self._entries.values())
+            return len(self._entries)
 
     def stats(self) -> dict:
         with self._lock:
             return {
-                "entries": sum(len(v) for v in self._entries.values()),
+                "entries": len(self._entries),
                 "hits": self.hits,
                 "misses": self.misses,
                 "collisions": self.collisions,
@@ -277,6 +316,7 @@ class StructuralCache:
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
+            self._keys.clear()
             self.hits = 0
             self.misses = 0
             self.collisions = 0
@@ -292,12 +332,13 @@ def structural_cache_stats() -> dict:
 
 
 def clear_structural_cache() -> None:
-    """Drop every registered plan shape (counters reset too)."""
+    """Drop every registered shape and its optimizer verdicts; reset counters."""
     STRUCTURAL_CACHE.clear()
 
 
 __all__ = [
     "STRUCTURAL_CACHE",
+    "ShapeEntry",
     "StructuralCache",
     "StructuralOpaque",
     "callable_token",

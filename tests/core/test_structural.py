@@ -9,8 +9,11 @@ hash cannot capture (lambdas, closures, stateful sources) are opaque.
 import numpy as np
 import pytest
 
+from repro.core import optimizer, structural
+from repro.core.conditionals import evaluation_config
 from repro.core.plan import compile_plan
 from repro.core.structural import (
+    STRUCTURAL_CACHE,
     StructuralCache,
     canonical_value,
     clear_structural_cache,
@@ -21,6 +24,8 @@ from repro.core.uncertain import Uncertain
 from repro.dists.exponential import Exponential
 from repro.dists.gaussian import Gaussian
 from repro.dists.uniform import Uniform
+from repro.evaluate import clear_caches
+from repro.resilience.chaos import ChaosDistribution
 
 
 @pytest.fixture(autouse=True)
@@ -106,30 +111,29 @@ class TestCollisionHandling:
     def test_hit_requires_full_fingerprint_equality(self):
         cache = StructuralCache()
         p1 = compile_plan(gps_speed(mu=1.5).node)
-        key1, hit1 = cache.key_for(p1)
+        entry1, hit1 = cache.entry_for(p1)
         assert not hit1
-        # Another plan with an equal fingerprint hits the same key only
-        # after the stored fingerprint compares equal in full.
+        # Another plan with an equal fingerprint hits the same entry: the
+        # cache is keyed by the fingerprint itself.
         p2 = compile_plan(gps_speed(mu=1.5).node)
-        key2, hit2 = cache.key_for(p2)
-        assert (key2, hit2) == (key1, True)
+        entry2, hit2 = cache.entry_for(p2)
+        assert hit2
+        assert entry2 is entry1
 
-    def test_true_digest_collision_gets_salted_key(self):
+    def test_true_digest_collision_gets_salted_key(self, monkeypatch):
+        # Simulate a BLAKE2b collision: every shape digests to "d".  The
+        # second shape must get a salted key rather than alias the first.
+        monkeypatch.setattr(structural, "fingerprint_digest", lambda fp: "d")
         cache = StructuralCache()
-        p1 = compile_plan(gps_speed(mu=1.5).node)
-        key1, _ = cache.key_for(p1)
-        # Simulate a BLAKE2b collision: replace the stored fingerprint
-        # under p1's digest with a different structure.  The cache must
-        # notice the mismatch and salt p1's key rather than alias it.
-        cache._entries[key1] = [(("bogus",), key1)]
-        key1b, hit1b = cache.key_for(p1)
-        assert key1b == f"{key1}#1"
-        assert not hit1b
+        first, _ = cache.entry_for(compile_plan(gps_speed(mu=1.5).node))
+        second, _ = cache.entry_for(compile_plan(gps_speed(mu=2.5).node))
+        assert (first.key, second.key) == ("d", "d#1")
+        # Each shape still hits its own key.
+        again1, hit1 = cache.entry_for(compile_plan(gps_speed(mu=1.5).node))
+        again2, hit2 = cache.entry_for(compile_plan(gps_speed(mu=2.5).node))
+        assert (again1.key, hit1) == ("d", True)
+        assert (again2.key, hit2) == ("d#1", True)
         assert cache.stats()["collisions"] == 1
-        # The salted variant is now registered: the same shape hits it.
-        p2 = compile_plan(gps_speed(mu=1.5).node)
-        key2, hit2 = cache.key_for(p2)
-        assert (key2, hit2) == (key1b, True)
 
     def test_reuse_requires_identical_fingerprints(self):
         p1 = compile_plan(gps_speed(mu=1.5).node)
@@ -143,7 +147,7 @@ class TestCacheBounds:
         cache = StructuralCache(limit=4)
         for i in range(10):
             plan = compile_plan((Uncertain(Gaussian(float(i), 1.0)) + float(i)).node)
-            cache.key_for(plan)
+            cache.entry_for(plan)
         assert len(cache) <= 4
 
     def test_global_stats_shape(self):
@@ -155,9 +159,109 @@ class TestCacheBounds:
 class TestCanonicalValues:
     def test_scalars_and_arrays_round_trip(self):
         assert canonical_value(1.5) == canonical_value(1.5)
-        assert canonical_value(np.float64(1.5)) == canonical_value(1.5)
+        assert canonical_value(np.float64(1.5)) == canonical_value(np.float64(1.5))
         assert canonical_value(True) != canonical_value(1)
         a = canonical_value(np.arange(3))
         b = canonical_value(np.arange(3))
         assert a == b
         assert canonical_value(np.arange(3)) != canonical_value(np.arange(4))
+
+    def test_scalar_tokens_keep_their_type(self):
+        tokens = [
+            canonical_value(v)
+            for v in (2.0, np.float64(2.0), np.float32(2.0), 3, np.int32(3),
+                      True, np.bool_(True))
+        ]
+        assert len(set(tokens)) == len(tokens)
+
+    def test_python_and_numpy_scalar_operands_get_different_keys(self):
+        # CSE merges point masses per type and NEP 50 promotes a Python
+        # scalar weakly, so both verdicts differ between these shapes.
+        x = Uncertain(Gaussian(0.0, 1.0))
+        assert (
+            compile_plan((x * 2.0).node).structural_hash
+            != compile_plan((x * np.float32(2.0)).node).structural_hash
+        )
+
+
+def counting_optimizer(monkeypatch):
+    """Count ``optimize_plan`` calls (looked up per call by ``optimized``)."""
+    calls = []
+    original = optimizer.optimize_plan
+
+    def wrapper(plan, level=2):
+        calls.append(plan)
+        return original(plan, level)
+
+    monkeypatch.setattr(optimizer, "optimize_plan", wrapper)
+    return calls
+
+
+def chaos_speed(seed=3):
+    leaf = ChaosDistribution(Gaussian(1.5, 0.3), seed=seed)
+    return Uncertain(leaf) * 2.0 + Uncertain(Uniform(0.5, 2.0)), leaf
+
+
+class TestSharedOptimizerVerdict:
+    def test_isomorphic_graph_runs_no_pass(self, monkeypatch):
+        calls = counting_optimizer(monkeypatch)
+        first = compile_plan(gps_speed().node).optimized(2)
+        assert len(calls) == 1
+        second = compile_plan(gps_speed().node)
+        assert second.optimized(2) is second
+        assert len(calls) == 1
+        assert second.provenance == first.provenance
+        assert second.shape is first.shape
+
+    @pytest.mark.parametrize("engine", ["numpy", "fused"])
+    def test_shared_verdict_keeps_bit_identity(self, engine, monkeypatch):
+        calls = counting_optimizer(monkeypatch)
+        gps_speed().samples(16, np.random.default_rng(0))
+        value = gps_speed()
+        with evaluation_config(engine=engine):
+            got = value.samples(64, np.random.default_rng(7))
+        assert len(calls) == 1
+        with evaluation_config(engine="interpreter"):
+            expected = value.samples(64, np.random.default_rng(7))
+        np.testing.assert_array_equal(got, expected)
+
+    @pytest.mark.parametrize("engine", ["numpy", "fused"])
+    def test_graphs_keep_their_own_stateful_leaves(self, engine):
+        (u1, leaf1), (u2, leaf2) = chaos_speed(), chaos_speed()
+        p1, p2 = compile_plan(u1.node), compile_plan(u2.node)
+        assert p1.shape is not None and p2.shape is p1.shape
+        with evaluation_config(engine=engine):
+            u1.samples(8, np.random.default_rng(1))
+            # The fused engine's first plan of a shape also runs the probe.
+            first_calls = leaf1.calls
+            assert first_calls >= 1 and leaf2.calls == 0
+            u2.samples(8, np.random.default_rng(1))
+        assert (leaf1.calls, leaf2.calls) == (first_calls, 1)
+
+    def test_clear_caches_drops_the_verdict(self, monkeypatch):
+        calls = counting_optimizer(monkeypatch)
+        compile_plan(gps_speed().node).optimized(2)
+        clear_caches()
+        compile_plan(gps_speed().node).optimized(2)
+        assert len(calls) == 2
+
+    def test_eviction_drops_the_verdict(self, monkeypatch):
+        calls = counting_optimizer(monkeypatch)
+        monkeypatch.setattr(STRUCTURAL_CACHE, "limit", 1)
+        compile_plan(gps_speed(mu=1.5).node).optimized(2)
+        compile_plan(gps_speed(mu=2.5).node)  # evicts the first shape
+        compile_plan(gps_speed(mu=1.5).node).optimized(2)
+        assert len(calls) == 2
+
+    def test_rewritten_shape_is_optimized_per_graph(self, monkeypatch):
+        calls = counting_optimizer(monkeypatch)
+
+        def duplicated():
+            x = Uncertain(Gaussian(0.0, 1.0))
+            return (x + 1.0) * (x + 1.0)
+
+        plans = [compile_plan(duplicated().node) for _ in range(3)]
+        assert plans[0].shape is not None and plans[1].shape is plans[0].shape
+        for plan in plans:
+            assert plan.optimized(2) is not plan
+        assert len(calls) == 3
