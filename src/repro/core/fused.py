@@ -1,12 +1,16 @@
 """Stage 3 of the plan compiler: the fused-kernel execution backend.
 
-For every plan *shape* (structural hash, see :mod:`repro.core.structural`)
-this module generates one flat numpy Python source — a single function that
-evaluates the whole optimized program without the per-step dispatch loop of
-:class:`~repro.core.engines.NumpyEngine` — compiles it once, and caches it
-process-wide.  Isomorphic plans compiled later (fresh graphs per session,
-worker processes, re-built roots) rebind the same generated code to their
-own node objects instead of re-generating anything.
+For every *hot* plan shape (structural hash, see
+:mod:`repro.core.structural`) this module generates one flat numpy Python
+source — a single function that evaluates the whole optimized program
+without the per-step dispatch loop of
+:class:`~repro.core.engines.NumpyEngine` — and keeps it, with its
+accept/reject verdict, on the shape's
+:class:`~repro.core.structural.ShapeEntry`, so structural-cache eviction
+drops both.  Isomorphic plans compiled later rebind the same code to their
+own node objects.  Like a tiered JIT, the engine compiles only hot code:
+a shape's first ``_HOT_RUNS - 1`` runs execute on the NumPy engine, the
+bit-identical reference, and the ``_HOT_RUNS``-th builds the kernel.
 
 What the generated kernel fuses:
 
@@ -50,7 +54,7 @@ in runtime metrics and the :class:`CertificationRecord` attached to
 :mod:`repro.core.optimizer` is therefore enforced three ways: by
 construction, by proof, and by test.
 
-A verdict is a property of the plan shape, so it is cached per shape.  A
+A verdict is a property of the plan shape, so it is kept per shape.  A
 run that fails for a reason outside the shape — cancellation or an
 injected chaos fault during the probe — fails the caller's draw and
 caches nothing.
@@ -59,9 +63,7 @@ caches nothing.
 from __future__ import annotations
 
 import operator
-import threading
 import warnings
-from collections import OrderedDict
 
 import numpy as np
 
@@ -119,7 +121,9 @@ _SCALAR_TYPES = (int, float, bool, np.integer, np.floating, np.bool_)
 _VERIFY_SEEDS = (12345, 67890)
 _VERIFY_SIZES = (3, 17)
 
-_KERNEL_CACHE_LIMIT = 256
+#: The run of a shape that builds its kernel; earlier runs use the NumPy
+#: engine.  Chosen from shape_zoo's Zipf stream (docs/performance.md).
+_HOT_RUNS = 3
 
 
 def _chk(values, n):
@@ -258,6 +262,8 @@ def _generate(plan: EvaluationPlan) -> _KernelSpec:
     # -- classify ----------------------------------------------------------
     # const slots that must materialise as np.full (mirroring the engine):
     # the root, operands of generic/unknown calls, operands of unary ops,
+    # operands of ``**`` (numpy special-cases a scalar exponent, e.g. 0.5
+    # as sqrt, which rounds differently from the engine's array exponent),
     # and one side of a const-const binary.
     const_slot = {}
     for step in steps:
@@ -273,7 +279,11 @@ def _generate(plan: EvaluationPlan) -> _KernelSpec:
     for step in steps:
         kind = type(step.node)
         parents = step.parent_slots
-        if kind is BinaryOpNode and step.node.op in _INFIX_BINARY:
+        if (
+            kind is BinaryOpNode
+            and step.node.op in _INFIX_BINARY
+            and step.node.op is not operator.pow
+        ):
             a, b = parents
             if a in const_slot and b in const_slot:
                 const_slot[a] = False  # materialise one side; b stays scalar
@@ -529,8 +539,8 @@ class _BoundKernel:
 def _attach_certification(plan: EvaluationPlan, record) -> None:
     """Append the kernel's CertificationRecord to ``plan.provenance``.
 
-    Identity comparison, not equality: this runs on every kernel-cache
-    hit, and a structural compare of the draw sequence would cost more
+    Identity comparison, not equality: this runs on every kernel rebind,
+    and a structural compare of the draw sequence would cost more
     than the dispatch it decorates.
     """
     if record is not None and not any(r is record for r in plan.provenance):
@@ -540,33 +550,13 @@ def _attach_certification(plan: EvaluationPlan, record) -> None:
 #: Sentinel: this plan cannot be fused; always use the inner engine.
 _FALLBACK = object()
 
-_kernel_cache: "OrderedDict[str, _KernelSpec]" = OrderedDict()
-_kernel_lock = threading.Lock()
-
-
-def kernel_cache_stats() -> dict:
-    with _kernel_lock:
-        return {
-            "size": len(_kernel_cache),
-            "limit": _KERNEL_CACHE_LIMIT,
-            "verified": sum(1 for s in _kernel_cache.values() if s.verified),
-            "certified": sum(
-                1 for s in _kernel_cache.values()
-                if s.certification is not None and s.certification.certified
-            ),
-        }
-
-
-def clear_kernel_cache() -> None:
-    with _kernel_lock:
-        _kernel_cache.clear()
-
 
 def fused_program(plan: EvaluationPlan) -> FusedProgram | None:
     """The fused program bound to ``plan``, or ``None`` if it falls back.
 
-    Built on each call: the introspection objects are for debugging, so
-    the draw path never pays for them.
+    Builds the shape's kernel now, however cold the shape.  The
+    introspection objects are built on each call, so the draw path never
+    pays for them.
     """
     bound = plan._fused
     if bound is None:
@@ -584,108 +574,86 @@ def fused_program(plan: EvaluationPlan) -> FusedProgram | None:
     )
 
 
+def _reject(plan: EvaluationPlan, spec: _KernelSpec, detail: str, metrics):
+    """Record ``spec`` as rejected on the shape; the plan falls back."""
+    warnings.warn(
+        f"fused kernel for plan {plan.structural_hash} rejected ({detail}); "
+        "falling back to numpy",
+        FusedFallbackWarning,
+        stacklevel=4,
+    )
+    if metrics is not None:
+        metrics.record_fused(rejected=1)
+    spec.verified = False
+    plan.shape.kernel = spec
+    _attach_certification(plan, spec.certification)
+    plan._fused = _FALLBACK
+    return _FALLBACK
+
+
 def _prepare(plan: EvaluationPlan):
-    """Build (or rebind) and verify the kernel for ``plan``; cache on it."""
+    """Build (or rebind) and admit the kernel for ``plan``; cache on it.
+
+    The kernel spec and its verdict are stored on ``plan.shape``, so every
+    later plan of the shape rebinds it (or falls back, if rejected).
+    """
     metrics = _metrics.active()
-    digest = plan.structural_hash
-    if digest is None:
+    shape = plan.shape
+    if shape is None:
         plan._fused = _FALLBACK
         return _FALLBACK
-    reference = get_engine("numpy")
-    with _kernel_lock:
-        spec = _kernel_cache.get(digest)
-        if spec is not None:
-            _kernel_cache.move_to_end(digest)
+    spec = shape.kernel
     fresh = spec is None
     if fresh:
         try:
             spec = _generate(plan)
         except Exception as exc:
-            warnings.warn(
-                f"fused kernel generation failed for plan {digest}: "
-                f"{type(exc).__name__}: {exc}; falling back to numpy",
-                FusedFallbackWarning,
-                stacklevel=3,
+            return _reject(
+                plan, _KernelSpec(),
+                f"generation failed: {type(exc).__name__}: {exc}", metrics,
             )
-            if metrics is not None:
-                metrics.record_fused(rejected=1)
-            plan._fused = _FALLBACK
-            return _FALLBACK
-    if not fresh and not spec.verified:
-        # A previous plan of this shape failed verification: don't retry.
-        _attach_certification(plan, spec.certification)
-        plan._fused = _FALLBACK
-        return _FALLBACK
-    if fresh:
         # Static stream-safety certification (UNC401): a certified kernel
         # provably consumes the RNG stream exactly as the reference engine
         # and skips the probe run; a "probe" verdict falls through to the
         # dynamic bit-identity check below.
         from repro.analysis.certify import certify_kernel
 
-        spec.certification = certify_kernel(spec, plan)
-        if spec.certification.status == "rejected":
-            reasons = "; ".join(spec.certification.reasons)
-            warnings.warn(
-                f"fused kernel for plan {digest} rejected "
-                f"({spec.certification.rule}: {reasons}); "
-                "falling back to numpy",
-                FusedFallbackWarning,
-                stacklevel=3,
-            )
-            if metrics is not None:
-                metrics.record_fused(rejected=1)
-            spec.verified = False
-            with _kernel_lock:
-                _kernel_cache[digest] = spec
-                while len(_kernel_cache) > _KERNEL_CACHE_LIMIT:
-                    _kernel_cache.popitem(last=False)
-            _attach_certification(plan, spec.certification)
-            plan._fused = _FALLBACK
-            return _FALLBACK
-    certified = spec.certification is not None and spec.certification.certified
+        record = spec.certification = certify_kernel(spec, plan)
+        if record.status == "rejected":
+            reasons = "; ".join(record.reasons)
+            return _reject(plan, spec, f"{record.rule}: {reasons}", metrics)
+    elif not spec.verified:
+        # A previous plan of this shape was rejected: don't retry.
+        _attach_certification(plan, spec.certification)
+        plan._fused = _FALLBACK
+        return _FALLBACK
+    record = spec.certification
+    certified = record.certified
     try:
         S, F, G, K, R = _binding_args(spec, plan)
         kernel = spec.factory(np, _chk, S, F, G, K, R)
-        if fresh and not certified and not _verify(kernel, plan, reference):
-            raise _VerificationFailed(digest)
+        diverged = (
+            fresh
+            and not certified
+            and not _verify(kernel, plan, get_engine("numpy"))
+        )
     except (_cancel.EvaluationCancelled, InjectedFault):
         # The probe run failed, not the kernel: propagate to the caller
         # and cache no verdict, so the next plan of this shape probes anew.
         raise
     except Exception as exc:
-        if isinstance(exc, _VerificationFailed):
-            detail = "UNC401: output diverged from the numpy engine"
-            record = spec.certification
-            if record is not None and record.reasons:
-                detail += (
-                    "; static certification had deferred to the probe: "
-                    + "; ".join(record.reasons)
-                )
-        else:
-            detail = f"{type(exc).__name__}: {exc}"
-        warnings.warn(
-            f"fused kernel for plan {digest} rejected ({detail}); "
-            "falling back to numpy",
-            FusedFallbackWarning,
-            stacklevel=3,
-        )
-        if metrics is not None:
-            metrics.record_fused(rejected=1)
-        spec.verified = False
-        with _kernel_lock:
-            _kernel_cache[digest] = spec
-            while len(_kernel_cache) > _KERNEL_CACHE_LIMIT:
-                _kernel_cache.popitem(last=False)
-        _attach_certification(plan, spec.certification)
-        plan._fused = _FALLBACK
-        return _FALLBACK
+        return _reject(plan, spec, f"{type(exc).__name__}: {exc}", metrics)
+    if diverged:
+        detail = "UNC401: output diverged from the numpy engine"
+        if record.reasons:
+            detail += (
+                "; static certification had deferred to the probe: "
+                + "; ".join(record.reasons)
+            )
+        return _reject(plan, spec, detail, metrics)
     if fresh:
         spec.verified = True
-        with _kernel_lock:
-            _kernel_cache[digest] = spec
-            while len(_kernel_cache) > _KERNEL_CACHE_LIMIT:
-                _kernel_cache.popitem(last=False)
+        shape.kernel = spec
         if metrics is not None:
             metrics.record_fused(
                 built=1,
@@ -694,23 +662,20 @@ def _prepare(plan: EvaluationPlan):
             )
     elif metrics is not None:
         metrics.record_fused(kernel_hits=1)
-    _attach_certification(plan, spec.certification)
+    _attach_certification(plan, record)
     bound = _BoundKernel(kernel, spec)
     plan._fused = bound
     return bound
 
 
-class _VerificationFailed(Exception):
-    pass
-
-
 class FusedEngine(ExecutionEngine):
-    """Execute plans through per-shape generated numpy kernels.
+    """Execute hot plan shapes through per-shape generated numpy kernels.
 
     Drop-in engine (``evaluation_config(engine="fused")``): memo-carrying
-    draws and unfusable plans delegate to the numpy engine, so semantics
-    are always exactly the reference engines' — the kernel path is taken
-    only after bit-identity verification.
+    draws, unfusable plans and the first ``_HOT_RUNS - 1`` runs of a shape
+    delegate to the numpy engine, so semantics are always exactly the
+    reference engines' — the kernel path is taken only once the shape is
+    hot and its kernel has passed certification or bit-identity probing.
     """
 
     name = "fused"
@@ -727,6 +692,14 @@ class FusedEngine(ExecutionEngine):
             return self.inner.run(plan, n, rng, memo=memo)
         bound = plan._fused
         if bound is None:
+            shape = plan.shape
+            if shape is not None and shape.kernel is None:
+                # Unlocked: a lost update only delays the build, and two
+                # threads may both build; either kernel is bit-identical.
+                shape.runs += 1
+                if shape.runs < _HOT_RUNS:
+                    # Cold shape: the reference engine gives the same answer.
+                    return self.inner.run(plan, n, rng)
             bound = _prepare(plan)
         if bound is _FALLBACK:
             # The inner engine polls the ambient token per program step.
@@ -747,7 +720,5 @@ __all__ = [
     "FusedFallbackWarning",
     "FusedProgram",
     "FusedStep",
-    "clear_kernel_cache",
     "fused_program",
-    "kernel_cache_stats",
 ]

@@ -5,10 +5,9 @@ Bayesian network — identical op kinds, arities, distribution parameters
 and sharing topology, regardless of which session built the node objects —
 get the same **structural hash**.  They share one entry of the
 process-wide :class:`StructuralCache` (a bounded LRU alongside the
-per-root cache of :mod:`repro.core.plan`), and the hash keys the
-fused-kernel cache of :mod:`repro.core.fused`, so many sessions compiling
+per-root cache of :mod:`repro.core.plan`), so many sessions compiling
 the paper's ``(y + x) + x``-shaped GPS plan share one optimizer verdict
-and one generated kernel.
+and, once the shape is hot, one generated kernel.
 
 Canonical form
 --------------
@@ -34,11 +33,12 @@ Shape entries
 
 Each registered shape owns one :class:`ShapeEntry`, and every plan of
 that shape holds a reference to it (never its own copy of the
-fingerprint).  The entry carries the shape's structural key and the
+fingerprint).  The entry carries the shape's structural key, the
 optimizer's verdict per optimize level for shapes the optimizer leaves
 unchanged or rejects, so a later isomorphic graph skips the passes (see
-:meth:`repro.core.plan.EvaluationPlan.optimized`).  Node objects are
-never shared: each graph executes its own nodes.
+:meth:`repro.core.plan.EvaluationPlan.optimized`), and the shape's fused
+kernel (see :mod:`repro.core.fused`).  Node objects are never shared:
+each graph executes its own nodes.
 
 Collisions
 ----------
@@ -244,13 +244,18 @@ class ShapeEntry:
     ``key`` is the shape's structural key.  ``verdicts`` maps an optimize
     level to the ``PassRecord`` trail of a run that left the shape
     unchanged or rejected its rewrite; rewritten shapes record nothing.
+    ``runs`` counts the fused engine's runs of the shape before it has a
+    kernel, and ``kernel`` is the fused engine's kernel spec once built:
+    ``kernel.verified`` is its accept/reject verdict.
     """
 
-    __slots__ = ("key", "verdicts")
+    __slots__ = ("key", "verdicts", "runs", "kernel")
 
     def __init__(self, key: str) -> None:
         self.key = key
         self.verdicts: dict[int, tuple] = {}
+        self.runs = 0
+        self.kernel = None
 
 
 class StructuralCache:
@@ -259,8 +264,8 @@ class StructuralCache:
     ``entry_for(plan)`` returns ``(entry, hit)``: the plan's
     :class:`ShapeEntry` (``None`` for opaque plans, which are never
     cached) and whether a structurally *equal* plan was already
-    registered.  Evicting or clearing a shape drops its verdicts: the next
-    plan of that shape registers a fresh entry.
+    registered.  Evicting or clearing a shape drops its verdicts and its
+    kernel: the next plan of that shape registers a fresh entry.
     """
 
     def __init__(self, limit: int = 512) -> None:
@@ -305,12 +310,21 @@ class StructuralCache:
 
     def stats(self) -> dict:
         with self._lock:
+            kernels = [
+                e.kernel for e in self._entries.values()
+                if e.kernel is not None
+            ]
             return {
                 "entries": len(self._entries),
                 "hits": self.hits,
                 "misses": self.misses,
                 "collisions": self.collisions,
                 "limit": self.limit,
+                "kernels": len(kernels),
+                "kernels_verified": sum(k.verified for k in kernels),
+                "kernels_certified": sum(
+                    k.verified and k.certification.certified for k in kernels
+                ),
             }
 
     def clear(self) -> None:
@@ -327,12 +341,12 @@ STRUCTURAL_CACHE = StructuralCache()
 
 
 def structural_cache_stats() -> dict:
-    """Hit/miss/collision counters of the process-global structural cache."""
+    """Counters of the process-global structural cache and its kernels."""
     return STRUCTURAL_CACHE.stats()
 
 
 def clear_structural_cache() -> None:
-    """Drop every registered shape and its optimizer verdicts; reset counters."""
+    """Drop every registered shape with its verdicts and kernel; reset counters."""
     STRUCTURAL_CACHE.clear()
 
 

@@ -97,19 +97,17 @@ def clear_caches() -> None:
 
     Clears, in dependency order: the per-root compiled-plan cache and the
     sample-ledger entries it keys (:func:`repro.core.plan.clear_plan_cache`),
-    the structural plan LRU, the fused-kernel cache, and — explicitly, in
-    case entries outlive their plans — the cross-query sample ledger.
-    After this call no evaluation state survives: every future draw
-    recompiles, regenerates kernels, and redraws samples.
+    the structural plan LRU with the fused kernels its shape entries hold,
+    and — explicitly, in case entries outlive their plans — the cross-query
+    sample ledger.  After this call no evaluation state survives: every
+    future draw recompiles, regenerates kernels, and redraws samples.
     """
-    from repro.core.fused import clear_kernel_cache
     from repro.core.ledger import clear_ledger
     from repro.core.plan import clear_plan_cache
     from repro.core.structural import clear_structural_cache
 
     clear_plan_cache()
     clear_structural_cache()
-    clear_kernel_cache()
     clear_ledger()
 
 

@@ -29,15 +29,17 @@ from repro.analysis.demos import CERTIFY_CORPUS
 from repro.core import fused as fused_mod
 from repro.core.engines import get_engine
 from repro.core.plan import compile_plan
+from repro.core.structural import clear_structural_cache
 from repro.core.uncertain import Uncertain
 from repro.dists import Exponential, Gaussian, Uniform
+from tests.kernel_path import kernel_ran
 
 
 @pytest.fixture(autouse=True)
 def _fresh_kernels():
-    fused_mod.clear_kernel_cache()
+    clear_structural_cache()
     yield
-    fused_mod.clear_kernel_cache()
+    clear_structural_cache()
 
 
 def _certified_kernel_passes_probe(value: Uncertain) -> tuple[str, bool]:
@@ -245,14 +247,18 @@ class TestCertifyValue:
 
 class TestRuntimeIntegration:
     def test_certified_kernel_skips_probe_and_counts(self):
+        # The kernel is built, and certified, on the shape's hot run; the
+        # cold runs before it certify nothing.
         from repro.core.conditionals import evaluation_config
         from repro.runtime.metrics import RuntimeMetrics
 
         metrics = RuntimeMetrics()
-        value = Uncertain(Gaussian(0, 1)) + Uncertain(Exponential(1.0))
-        plan = compile_plan(value.node).optimized(2)
-        with evaluation_config(metrics=metrics):
-            get_engine("fused").run(plan, 8, np.random.default_rng(0))
+        for seed in range(fused_mod._HOT_RUNS):
+            value = Uncertain(Gaussian(0, 1)) + Uncertain(Exponential(1.0))
+            plan = compile_plan(value.node).optimized(2)
+            assert metrics.snapshot()["fused"]["kernels_certified"] == 0
+            with evaluation_config(metrics=metrics):
+                get_engine("fused").run(plan, 8, np.random.default_rng(seed))
         snap = metrics.snapshot()["fused"]
         assert snap["kernels_certified"] == 1
         assert snap["kernels_probed"] == 0
@@ -260,17 +266,13 @@ class TestRuntimeIntegration:
         assert any(r.subject == "fused-kernel" and r.certified
                    for r in records)
 
-    def test_untrusted_kernel_still_probes(self):
-        from repro.core.conditionals import evaluation_config
-        from repro.runtime.metrics import RuntimeMetrics
-
+    def test_untrusted_kernel_still_probes(self, hot_kernels):
         class HonestCustom(Gaussian):
             pass
 
-        metrics = RuntimeMetrics()
         value = Uncertain(HonestCustom(0.0, 1.0)) + 1.0
         plan = compile_plan(value.node).optimized(2)
-        with evaluation_config(metrics=metrics):
+        with kernel_ran() as metrics:
             out = get_engine("fused").run(
                 plan, 8, np.random.default_rng(0))[plan.root_slot]
         ref = get_engine("numpy").run(

@@ -24,3 +24,17 @@ def rng(request) -> np.random.Generator:
 def fixed_rng() -> np.random.Generator:
     """A generator with a fixed, test-independent seed."""
     return default_rng(12345)
+
+
+@pytest.fixture
+def hot_kernels(monkeypatch):
+    """Build a shape's fused kernel on its first run instead of on its
+    ``repro.core.fused._HOT_RUNS``-th.
+
+    Below the threshold the fused engine runs the NumPy engine, so a suite
+    comparing one fused draw with the reference engines would otherwise
+    compare NumPy with itself.  Pair it with ``tests.kernel_path.kernel_ran``.
+    """
+    from repro.core import fused
+
+    monkeypatch.setattr(fused, "_HOT_RUNS", 1)

@@ -12,9 +12,12 @@ exactly, and check the frequency properties the estimator promises.
 import math
 
 import numpy as np
+import pytest
 from scipy import stats
 
+from repro.core.conditionals import evaluation_config
 from repro.core.expectation import expected_value_adaptive
+from repro.core.sprt import TestDecision
 from repro.core.uncertain import Uncertain
 from repro.dists import Gaussian
 
@@ -50,3 +53,22 @@ def test_confidence_interval_reaches_nominal_coverage():
         lo, hi = s.confidence_interval(0.9, samples=2000, rng=seed)
         mass.append(truth.cdf(hi) - truth.cdf(lo))
     assert abs(np.mean(mass) - 0.90) <= 0.01
+
+
+@pytest.mark.parametrize(
+    "p, right",
+    [(0.6, TestDecision.ACCEPT_ALTERNATIVE), (0.4, TestDecision.ACCEPT_NULL)],
+)
+def test_sprt_error_rates_through_a_plan(p, right):
+    # t puts the exact Pr[s > t] at 0.5 ± 0.10, outside the ε = 0.05
+    # indifference region around the 0.5 threshold, where Wald's bounds
+    # promise wrong decisions at most α = β = 0.05 of the time; 0.10
+    # leaves room for 200 seeds.  Inconclusive counts as wrong.
+    t = MU + SIGMA * stats.norm.isf(p)
+    assert stats.norm(MU, SIGMA).sf(t) == pytest.approx(p)
+    question = linear_gaussian_sum() > t
+    wrong = 0
+    with evaluation_config(alpha=0.05, beta=0.05, epsilon=0.05):
+        for seed in SEEDS:
+            wrong += question.test(0.5, rng=seed).decision is not right
+    assert wrong / len(SEEDS) <= 0.10

@@ -3,34 +3,50 @@
 The acceptance property: for any plan the fused engine either produces a
 bit-identical stream to the reference engines (verified kernel) or falls
 back to the inner numpy engine — never a silently different stream.
+
+Every class but ``TestTieredKernels`` builds kernels on a shape's first
+run (the ``hot_kernels`` fixture), so its comparisons exercise a kernel;
+``TestTieredKernels`` checks the real threshold.
 """
+
+import sys
+import threading
+import warnings
 
 import numpy as np
 import pytest
 
+from repro.analysis import certify
+from repro.core import fused
 from repro.core.conditionals import evaluation_config
 from repro.core.engines import InterpreterEngine, NumpyEngine, get_engine
+from repro.core.expectation import expected_value_adaptive
 from repro.core.fused import (
     FusedFallbackWarning,
     FusedProgram,
-    clear_kernel_cache,
     fused_program,
-    kernel_cache_stats,
 )
 from repro.core.joint import correlated_gaussians
 from repro.core.plan import compile_plan
+from repro.core.structural import (
+    STRUCTURAL_CACHE,
+    clear_structural_cache,
+    structural_cache_stats,
+)
 from repro.core.uncertain import Uncertain
 from repro.dists.exponential import Exponential
 from repro.dists.gaussian import Gaussian
 from repro.dists.uniform import Uniform
+from repro.evaluate import clear_caches
 from repro.runtime.metrics import RuntimeMetrics
+from tests.kernel_path import kernel_ran
 
 
 @pytest.fixture(autouse=True)
 def _fresh_kernels():
-    clear_kernel_cache()
+    clear_structural_cache()
     yield
-    clear_kernel_cache()
+    clear_structural_cache()
 
 
 def fig08_plan():
@@ -54,6 +70,13 @@ def gps_speed():
     return dist / dt
 
 
+class LyingGaussian(Gaussian):
+    def bulk_draw_spec(self):
+        # Claims an affine reduction that does NOT reproduce sample_n:
+        # verification must catch the divergence.
+        return ("standard_normal", self.mu + 100.0, self.sigma)
+
+
 def run_all_engines(plan, n, seed):
     opt = plan.optimized(2)
     out_f = get_engine("fused").run(opt, n, np.random.default_rng(seed))[
@@ -68,26 +91,30 @@ def run_all_engines(plan, n, seed):
     return out_f, out_n, out_i
 
 
+@pytest.mark.usefixtures("hot_kernels")
 class TestEquivalence:
     def test_fig08_bit_identical_across_backends(self):
         plan = fig08_plan()
-        for seed in (0, 12345, 2026):
-            out_f, out_n, out_i = run_all_engines(plan, 257, seed)
-            np.testing.assert_array_equal(out_f, out_n)
-            np.testing.assert_array_equal(out_f, out_i)
-            assert out_f.dtype == out_n.dtype
+        with kernel_ran():
+            for seed in (0, 12345, 2026):
+                out_f, out_n, out_i = run_all_engines(plan, 257, seed)
+                np.testing.assert_array_equal(out_f, out_n)
+                np.testing.assert_array_equal(out_f, out_i)
+                assert out_f.dtype == out_n.dtype
 
     def test_mixed_distributions_and_ufunc_apply(self):
         plan = compile_plan(gps_speed().node)
-        for seed in (7, 99):
-            out_f, out_n, out_i = run_all_engines(plan, 64, seed)
-            np.testing.assert_array_equal(out_f, out_n)
-            np.testing.assert_array_equal(out_f, out_i)
+        with kernel_ran():
+            for seed in (7, 99):
+                out_f, out_n, out_i = run_all_engines(plan, 64, seed)
+                np.testing.assert_array_equal(out_f, out_n)
+                np.testing.assert_array_equal(out_f, out_i)
 
     def test_comparison_roots_produce_bool_batches(self):
         y = gps_speed() > 4.0
         plan = compile_plan(y.node)
-        out_f, out_n, out_i = run_all_engines(plan, 100, 3)
+        with kernel_ran():
+            out_f, out_n, out_i = run_all_engines(plan, 100, 3)
         assert out_f.dtype == np.bool_
         np.testing.assert_array_equal(out_f, out_n)
         np.testing.assert_array_equal(out_f, out_i)
@@ -97,7 +124,8 @@ class TestEquivalence:
             [0.0, 0.0], np.array([[1.0, 0.8], [0.8, 1.0]])
         )
         plan = compile_plan((a + b).node)
-        out_f, out_n, out_i = run_all_engines(plan, 50, 17)
+        with kernel_ran():
+            out_f, out_n, out_i = run_all_engines(plan, 50, 17)
         np.testing.assert_array_equal(out_f, out_n)
         np.testing.assert_array_equal(out_f, out_i)
 
@@ -105,9 +133,25 @@ class TestEquivalence:
         zero = Uncertain(Gaussian(0.0, 0.0))  # degenerate: always 0
         y = Uncertain(Gaussian(1.0, 1.0)) / zero
         plan = compile_plan(y.node)
-        out_f, out_n, _ = run_all_engines(plan, 16, 5)
+        with kernel_ran():
+            out_f, out_n, _ = run_all_engines(plan, 16, 5)
         np.testing.assert_array_equal(out_f, out_n)
         assert np.all(np.isinf(out_f) | np.isnan(out_f))
+
+    @pytest.mark.parametrize("exponent", [0.5, 2.0, -1.0, 2, 3.0])
+    def test_scalar_exponent_matches_the_engines_array_exponent(
+        self, exponent
+    ):
+        # numpy computes ``a ** 0.5`` as sqrt(a), ``a ** 2.0`` as a*a and
+        # ``a ** -1.0`` as 1/a, which round differently from the general
+        # power loop the engine runs against its materialised exponent.
+        # The kernel must materialise the exponent too.
+        x = Uncertain(Gaussian(4.0, 3.0))
+        plan = compile_plan(((x * x + 1.0) ** exponent).node)
+        with kernel_ran():
+            out_f, out_n, out_i = run_all_engines(plan, 20_000, 4)
+        np.testing.assert_array_equal(out_f, out_n)
+        np.testing.assert_array_equal(out_f, out_i)
 
     def test_sequential_batches_advance_the_stream_identically(self):
         # The SPRT draws many small batches through one generator; the
@@ -117,15 +161,16 @@ class TestEquivalence:
         rng_n = np.random.default_rng(21)
         eng = get_engine("fused")
         ref = NumpyEngine()
-        for n in (10, 10, 7, 33, 10):
-            np.testing.assert_array_equal(
-                eng.run(plan, n, rng_f)[plan.root_slot],
-                ref.run(plan, n, rng_n)[plan.root_slot],
-            )
+        with kernel_ran():
+            for n in (10, 10, 7, 33, 10):
+                np.testing.assert_array_equal(
+                    eng.run(plan, n, rng_f)[plan.root_slot],
+                    ref.run(plan, n, rng_n)[plan.root_slot],
+                )
 
     def test_sample_facade_with_fused_engine_config(self):
         y = gps_speed()
-        with evaluation_config(engine="fused"):
+        with kernel_ran(), evaluation_config(engine="fused"):
             got = y.samples(40, rng=np.random.default_rng(8))
         want = NumpyEngine().run(
             y.plan.optimized(2), 40, np.random.default_rng(8)
@@ -133,6 +178,7 @@ class TestEquivalence:
         np.testing.assert_array_equal(got, want)
 
 
+@pytest.mark.usefixtures("hot_kernels")
 class TestFallbacks:
     def test_opaque_plan_falls_back_to_inner(self):
         x = Uncertain(Gaussian(0.0, 1.0))
@@ -147,12 +193,6 @@ class TestFallbacks:
         assert fused_program(plan) is None
 
     def test_lying_bulk_draw_spec_is_rejected_not_trusted(self):
-        class LyingGaussian(Gaussian):
-            def bulk_draw_spec(self):
-                # Claims an affine reduction that does NOT reproduce
-                # sample_n: verification must catch the divergence.
-                return ("standard_normal", self.mu + 100.0, self.sigma)
-
         y = Uncertain(LyingGaussian(0.0, 1.0)) + 1.0
         plan = compile_plan(y.node)
         metrics = RuntimeMetrics()
@@ -198,6 +238,7 @@ class TestFallbacks:
         assert set(memo) == {step.node for step in plan.steps}
 
 
+@pytest.mark.usefixtures("hot_kernels")
 class TestKernelCache:
     def test_isomorphic_plans_share_one_kernel(self):
         metrics = RuntimeMetrics()
@@ -215,9 +256,10 @@ class TestKernelCache:
         # certifies statically and the probe run is skipped entirely.
         assert snap["kernels_certified"] == 1
         assert snap["kernels_probed"] == 0
-        assert kernel_cache_stats()["size"] == 1
-        assert kernel_cache_stats()["verified"] == 1
-        assert kernel_cache_stats()["certified"] == 1
+        stats = structural_cache_stats()
+        assert stats["kernels"] == 1
+        assert stats["kernels_verified"] == 1
+        assert stats["kernels_certified"] == 1
 
     def test_kernel_reused_across_batches_without_rebuild(self):
         metrics = RuntimeMetrics()
@@ -230,6 +272,7 @@ class TestKernelCache:
         assert metrics.snapshot()["fused"]["kernels_built"] == 1
 
 
+@pytest.mark.usefixtures("hot_kernels")
 class TestIntrospection:
     def test_program_renders_coalesced_draws_and_chains(self):
         plan = compile_plan(gps_speed().node).optimized(2)
@@ -254,3 +297,187 @@ class TestIntrospection:
         plan = compile_plan((Uncertain(Gaussian(0, 1)) + 1.0).node)
         assert "PlanStep" in repr(plan.steps[0])
         assert plan.op_histogram()  # per-kind histogram still works
+
+
+def speed_plan():
+    """A fresh optimized graph of the gps_speed shape."""
+    return compile_plan(gps_speed().node).optimized(2)
+
+
+def run_fused(plan, n=16, seed=0):
+    return get_engine("fused").run(plan, n, np.random.default_rng(seed))[
+        plan.root_slot
+    ]
+
+
+def run_numpy(plan, n=16, seed=0):
+    return NumpyEngine().run(plan, n, np.random.default_rng(seed))[
+        plan.root_slot
+    ]
+
+
+class TestTieredKernels:
+    """The real threshold: a shape's kernel is built on its
+    ``_HOT_RUNS``-th run, and its earlier runs are the NumPy engine's."""
+
+    def test_threshold_is_a_tier(self):
+        assert fused._HOT_RUNS > 1
+
+    def test_cold_runs_build_nothing_and_match_numpy(self, monkeypatch):
+        calls = []
+        real = certify.certify_kernel
+        monkeypatch.setattr(
+            certify,
+            "certify_kernel",
+            lambda spec, plan: calls.append(plan) or real(spec, plan),
+        )
+        metrics = RuntimeMetrics()
+        with evaluation_config(metrics=metrics):
+            for seed in range(fused._HOT_RUNS - 1):
+                plan = speed_plan()
+                got, want = run_fused(plan, 64, seed), run_numpy(plan, 64, seed)
+                np.testing.assert_array_equal(got, want)
+                assert got.dtype == want.dtype
+        assert calls == []
+        snap = metrics.snapshot()["fused"]
+        assert snap["kernels_built"] == snap["kernel_hits"] == 0
+        assert structural_cache_stats()["kernels"] == 0
+        assert plan._fused is None
+        run_fused(speed_plan())  # the hot run certifies
+        assert len(calls) == 1
+
+    def test_runs_are_counted_per_shape_across_graphs(self):
+        for seed in range(fused._HOT_RUNS - 1):
+            run_fused(speed_plan(), seed=seed)
+            run_fused(fig08_plan().optimized(2), seed=seed)
+        speed, fig08 = speed_plan(), fig08_plan().optimized(2)
+        assert speed.shape is not fig08.shape
+        assert speed.shape.runs == fig08.shape.runs == fused._HOT_RUNS - 1
+        assert structural_cache_stats()["kernels"] == 0
+
+    def test_kth_run_builds_and_later_graphs_hit(self):
+        metrics = RuntimeMetrics()
+        with evaluation_config(metrics=metrics):
+            for seed in range(fused._HOT_RUNS):
+                assert metrics.snapshot()["fused"]["kernels_built"] == 0
+                plan = speed_plan()
+                run_fused(plan, seed=seed)
+            assert metrics.snapshot()["fused"]["kernels_built"] == 1
+            later = speed_plan()
+            got = run_fused(later, seed=9)
+        snap = metrics.snapshot()["fused"]
+        assert (snap["kernels_built"], snap["kernel_hits"]) == (1, 1)
+        assert later.shape.kernel is plan.shape.kernel
+        assert structural_cache_stats()["kernels_verified"] == 1
+        np.testing.assert_array_equal(got, run_numpy(later, seed=9))
+
+    def test_sprt_crossing_the_switch_matches_numpy(self):
+        # Pr[x > 0.1] is about 0.46, close enough to 0.5 that the SPRT
+        # draws many 10-row batches: the first run NumPy, later a kernel.
+        def question():
+            return Uncertain(Gaussian(0.0, 1.0)) > 0.1
+
+        with evaluation_config(engine="numpy"):
+            want = question().test(0.5, rng=3)
+        metrics = RuntimeMetrics()
+        with evaluation_config(engine="fused", metrics=metrics):
+            got = question().test(0.5, rng=3)
+        assert metrics.snapshot()["fused"]["kernels_built"] == 1
+        assert got.samples_used > 10 * fused._HOT_RUNS
+        assert got == want
+
+    def test_adaptive_expectation_crossing_the_switch_matches_numpy(self):
+        with evaluation_config(engine="numpy"):
+            want = expected_value_adaptive(gps_speed(), tolerance=0.2, rng=4)
+        metrics = RuntimeMetrics()
+        with evaluation_config(engine="fused", metrics=metrics):
+            got = expected_value_adaptive(gps_speed(), tolerance=0.2, rng=4)
+        assert metrics.snapshot()["fused"]["kernels_built"] == 1
+        assert got[1] > 100 * fused._HOT_RUNS
+        assert got == want
+
+    def make_hot(self):
+        for seed in range(fused._HOT_RUNS):
+            plan = speed_plan()
+            run_fused(plan, seed=seed)
+        assert plan.shape.kernel.verified
+        return plan
+
+    def test_eviction_drops_the_kernel_with_its_entry(self, monkeypatch):
+        hot = self.make_hot()
+        monkeypatch.setattr(STRUCTURAL_CACHE, "limit", 1)
+        fig08_plan()  # a new shape evicts the hot one
+        metrics = RuntimeMetrics()
+        with evaluation_config(metrics=metrics):
+            fresh = speed_plan()
+            run_fused(fresh)
+        assert fresh.shape is not hot.shape
+        assert fresh.shape.kernel is None
+        assert metrics.snapshot()["fused"]["kernels_built"] == 0
+
+    def test_clear_caches_drops_the_kernel(self):
+        self.make_hot()
+        assert structural_cache_stats()["kernels"] == 1
+        clear_caches()
+        assert structural_cache_stats()["kernels"] == 0
+        fresh = speed_plan()
+        assert fresh.shape.kernel is None and fresh.shape.runs == 0
+
+    def test_rejected_verdict_stays_on_the_entry(self):
+        metrics = RuntimeMetrics()
+        with evaluation_config(metrics=metrics), warnings.catch_warnings(
+            record=True
+        ) as caught:
+            warnings.simplefilter("always", FusedFallbackWarning)
+            for seed in range(fused._HOT_RUNS + 2):
+                plan = compile_plan((Uncertain(LyingGaussian(0, 1)) + 1.0).node)
+                got = run_fused(plan, 20, seed)
+                np.testing.assert_array_equal(got, run_numpy(plan, 20, seed))
+        assert len(caught) == 1
+        snap = metrics.snapshot()["fused"]
+        assert (snap["kernels_rejected"], snap["kernels_built"]) == (1, 0)
+        stats = structural_cache_stats()
+        assert (stats["kernels"], stats["kernels_verified"]) == (1, 0)
+        assert not plan.shape.kernel.verified
+
+    def test_fused_program_builds_on_demand(self):
+        plan = speed_plan()
+        metrics = RuntimeMetrics()
+        with evaluation_config(metrics=metrics):
+            assert isinstance(fused_program(plan), FusedProgram)
+            run_fused(speed_plan())
+        assert plan.shape.runs == 0
+        snap = metrics.snapshot()["fused"]
+        assert (snap["kernels_built"], snap["kernel_hits"]) == (1, 1)
+
+    def test_concurrent_cold_and_hot_runs_match_numpy(self):
+        # The run count is unlocked: a lost update delays a build and two
+        # threads may both build, but every answer must still be NumPy's.
+        failures = []
+
+        def worker(index):
+            try:
+                for i in range(12):
+                    plan = speed_plan() if i % 2 else fig08_plan().optimized(2)
+                    seed = 100 * index + i
+                    got, want = run_fused(plan, 32, seed), run_numpy(plan, 32, seed)
+                    if not np.array_equal(got, want):
+                        failures.append((index, i))
+            except Exception as exc:  # surfaced by the assertion below
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(k,)) for k in range(6)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        assert structural_cache_stats()["kernels_verified"] == 2

@@ -46,6 +46,7 @@ def replay_value() -> Uncertain:
     return Uncertain(Gaussian(0.0, 1.0)) + Uncertain(Uniform(0.0, 1.0))
 
 
+@pytest.mark.usefixtures("hot_kernels")
 class TestBitIdentity:
     """Ledger-on must equal ledger-off, seed-for-seed (acceptance suite)."""
 

@@ -50,6 +50,7 @@ from repro.dists import (
     Weibull,
 )
 from repro.rng import default_rng
+from tests.kernel_path import kernel_ran_if_fused
 
 #: Every public Distribution family with a representative instance and
 #: whether a split draw must be bit-identical to a full draw.  A family
@@ -150,6 +151,7 @@ class TestFamilySplitDraw:
         )
 
 
+@pytest.mark.usefixtures("hot_kernels")
 class TestEngineSplitRun:
     """The same property at the level the ledger operates on: full plans."""
 
@@ -157,7 +159,7 @@ class TestEngineSplitRun:
     def test_single_draw_plan_extends(self, engine):
         u = Uncertain(Gaussian(5.0, 2.0)) * 1.5 + 3.0
         plan = compile_plan(u.node)
-        with evaluation_config(engine=engine):
+        with kernel_ran_if_fused(engine), evaluation_config(engine=engine):
             eng = get_engine(engine)
             full = eng.sample(plan, 40, default_rng(3))
             rng = default_rng(3)
@@ -170,7 +172,7 @@ class TestEngineSplitRun:
         z = Uncertain(Gaussian(0.0, 1.0))
         u = z + z  # one stochastic draw feeding two plan references
         plan = compile_plan(u.node)
-        with evaluation_config(engine=engine):
+        with kernel_ran_if_fused(engine), evaluation_config(engine=engine):
             eng = get_engine(engine)
             full = eng.sample(plan, 40, default_rng(5))
             rng = default_rng(5)
@@ -182,7 +184,7 @@ class TestEngineSplitRun:
     def test_two_leaf_plan_does_not_extend(self, engine):
         u = Uncertain(Gaussian(0.0, 1.0)) + Uncertain(Uniform(0.0, 1.0))
         plan = compile_plan(u.node)
-        with evaluation_config(engine=engine):
+        with kernel_ran_if_fused(engine), evaluation_config(engine=engine):
             eng = get_engine(engine)
             full = eng.sample(plan, 40, default_rng(7))
             rng = default_rng(7)

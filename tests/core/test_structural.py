@@ -26,6 +26,7 @@ from repro.dists.gaussian import Gaussian
 from repro.dists.uniform import Uniform
 from repro.evaluate import clear_caches
 from repro.resilience.chaos import ChaosDistribution
+from tests.kernel_path import kernel_ran_if_fused
 
 
 @pytest.fixture(autouse=True)
@@ -214,11 +215,13 @@ class TestSharedOptimizerVerdict:
         assert second.shape is first.shape
 
     @pytest.mark.parametrize("engine", ["numpy", "fused"])
-    def test_shared_verdict_keeps_bit_identity(self, engine, monkeypatch):
+    def test_shared_verdict_keeps_bit_identity(
+        self, engine, monkeypatch, hot_kernels
+    ):
         calls = counting_optimizer(monkeypatch)
         gps_speed().samples(16, np.random.default_rng(0))
         value = gps_speed()
-        with evaluation_config(engine=engine):
+        with kernel_ran_if_fused(engine), evaluation_config(engine=engine):
             got = value.samples(64, np.random.default_rng(7))
         assert len(calls) == 1
         with evaluation_config(engine="interpreter"):
@@ -226,7 +229,7 @@ class TestSharedOptimizerVerdict:
         np.testing.assert_array_equal(got, expected)
 
     @pytest.mark.parametrize("engine", ["numpy", "fused"])
-    def test_graphs_keep_their_own_stateful_leaves(self, engine):
+    def test_graphs_keep_their_own_stateful_leaves(self, engine, hot_kernels):
         (u1, leaf1), (u2, leaf2) = chaos_speed(), chaos_speed()
         p1, p2 = compile_plan(u1.node), compile_plan(u2.node)
         assert p1.shape is not None and p2.shape is p1.shape

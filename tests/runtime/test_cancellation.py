@@ -21,10 +21,10 @@ from repro import Uncertain, evaluation_config
 from repro.core.engines import get_engine
 from repro.core.fused import (
     FusedFallbackWarning,
-    clear_kernel_cache,
     fused_program,
 )
 from repro.core.ledger import clear_ledger, ledger_stats
+from repro.core.structural import clear_structural_cache
 from repro.dists import Gaussian
 from repro.dists.base import Distribution
 from repro.resilience.chaos import ChaosDistribution, InjectedFault, latency_storm
@@ -73,12 +73,13 @@ def flaky_query(armed: bool = True) -> Uncertain:
 
 
 @pytest.fixture()
-def fresh_verdicts():
-    """Empty kernel cache and ledger, so per-shape verdicts start unset."""
-    clear_kernel_cache()
+def fresh_verdicts(hot_kernels):
+    """Empty structural cache and ledger, so per-shape verdicts start
+    unset; a shape's first fused run builds (and probes) its kernel."""
+    clear_structural_cache()
     clear_ledger()
     yield
-    clear_kernel_cache()
+    clear_structural_cache()
     clear_ledger()
 
 
@@ -152,7 +153,7 @@ class TestEngineBoundaries:
                 )
         assert err.value.reason == "deadline"
 
-    def test_fused_checks_before_the_kernel(self):
+    def test_fused_checks_before_the_kernel(self, hot_kernels):
         value = speed_query()  # clean, fusable shape
         token = CancellationToken()
         token.cancel("client-disconnected")

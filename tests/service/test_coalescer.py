@@ -23,6 +23,7 @@ from repro.service import (
     evaluate_batch,
     evaluate_request,
 )
+from tests.kernel_path import kernel_ran
 
 
 def speed_query(mean: float = 4.0) -> Uncertain:
@@ -124,26 +125,29 @@ class TestSeededDeterminism:
         large = evaluate_batch(noise + [probe], engine="numpy")[-1]
         assert np.array_equal(small.value, large.value)
 
-    def test_fused_engine_batched_equals_fused_solo(self):
-        # The determinism contract is per-engine: fused batched answers
-        # are bit-identical to fused solo answers (numpy may differ from
-        # fused by an ULP on transcendental lowerings).
+    def test_fused_engine_batched_equals_fused_solo(self, hot_kernels):
+        # Fused batched answers are bit-identical to fused solo answers.
         value = speed_query()
         reqs = [
             QueryRequest(value=value, kind="samples", samples=64, seed=s)
             for s in range(4)
         ]
-        solo = [evaluate_request(r, engine="fused") for r in reqs]
-        batch = evaluate_batch(reqs, engine="fused")
+        with kernel_ran():
+            solo = [evaluate_request(r, engine="fused") for r in reqs]
+            batch = evaluate_batch(reqs, engine="fused")
         for s, b in zip(solo, batch):
             assert np.array_equal(s.value, b.value)
 
-    def test_fused_engine_close_to_numpy(self):
+    def test_fused_engine_equals_numpy(self, hot_kernels):
+        # ``** 0.5`` included: the kernel materialises the exponent as the
+        # engine does, so numpy's scalar sqrt shortcut cannot round it
+        # differently.
         value = speed_query()
-        req = QueryRequest(value=value, kind="samples", samples=64, seed=3)
+        req = QueryRequest(value=value, kind="samples", samples=4096, seed=3)
         a = evaluate_request(req, engine="numpy")
-        b = evaluate_request(req, engine="fused")
-        np.testing.assert_allclose(a.value, b.value, rtol=1e-12)
+        with kernel_ran():
+            b = evaluate_request(req, engine="fused")
+        assert np.array_equal(a.value, b.value)
 
 
 class TestPooledRequests:

@@ -1,23 +1,26 @@
 """Cache-lifecycle audit: ``evaluate.clear_caches()`` leaves no residue.
 
-Four process-global caches accumulate state across evaluations — the
-per-root compiled-plan cache, the structural plan LRU, the fused-kernel
-cache, and the cross-query sample ledger.  One call must clear them all,
-and clearing must not leak entries *between* caches (a plan surviving in
-one cache must not resurrect stale entries in another).
+Three process-global caches accumulate state across evaluations — the
+per-root compiled-plan cache, the structural plan LRU (whose shape entries
+hold the fused kernels), and the cross-query sample ledger.  One call must
+clear them all, and clearing must not leak entries *between* caches (a
+plan surviving in one cache must not resurrect stale entries in another).
 """
 
 import numpy as np
+import pytest
 
 from repro import evaluate
 from repro.core.conditionals import evaluation_config
-from repro.core.fused import kernel_cache_stats
 from repro.core.ledger import ledger_stats
 from repro.core.plan import compile_plan, plan_cache_size
 from repro.core.structural import structural_cache_stats
 from repro.core.uncertain import Uncertain
 from repro.dists.gaussian import Gaussian
 from repro.dists.uniform import Uniform
+
+# A shape's first fused draw builds its kernel, so one draw fills every cache.
+pytestmark = pytest.mark.usefixtures("hot_kernels")
 
 
 def _populate():
@@ -35,13 +38,13 @@ class TestClearCaches:
         _populate()
         assert plan_cache_size() > 0
         assert ledger_stats()["entries"] > 0
-        assert kernel_cache_stats()["size"] > 0
+        assert structural_cache_stats()["kernels"] > 0
 
         evaluate.clear_caches()
 
         assert plan_cache_size() == 0
         assert structural_cache_stats()["entries"] == 0
-        assert kernel_cache_stats()["size"] == 0
+        assert structural_cache_stats()["kernels"] == 0
         stats = ledger_stats()
         assert stats["entries"] == 0
         assert stats["bytes"] == 0
