@@ -138,6 +138,43 @@ class EngineStats:
         }
 
 
+#: Every ``RuntimeMetrics`` counter, by ``snapshot()`` section.  The value
+#: of ``key`` lives in the attribute ``f"{section}_{key}"``; ``by_*`` keys
+#: are per-label dicts, every other key an integer.  ``engines`` is the one
+#: section outside the table: one :class:`EngineStats` per engine name.
+_SCHEMA = {
+    "plans": ("compiled", "cache_hits", "structural_hits", "structural_misses"),
+    "fused": (
+        "kernels_built", "kernels_rejected", "kernel_hits",
+        "kernels_certified", "kernels_probed",
+    ),
+    "tests": (
+        "runs", "sprt_steps", "samples", "by_kind",
+        "inconclusive", "inconclusive_by_policy",
+    ),
+    "expectations": ("runs", "samples", "adaptive_runs"),
+    "conditionals": ("runs", "samples"),
+    "parallel": (
+        "chunks", "retries", "worker_crashes", "serial_fallbacks",
+        "serial_rescues", "payload_skips", "payload_misses", "auto_serial",
+    ),
+    "ledger": (
+        "hits", "misses", "suffix_extensions", "rows_reused", "rows_drawn",
+        "evictions", "probes", "certified", "rejections", "bypasses",
+        "invalidations", "bytes", "entries",
+    ),
+    "health": ("nonfinite_batches", "nonfinite_rows", "resamples", "by_policy"),
+    "sources": (
+        "retries", "failures", "fallbacks", "breaker_trips",
+        "breaker_recoveries",
+    ),
+}
+
+
+def _copy(value):
+    return dict(value) if isinstance(value, dict) else value
+
+
 class RuntimeMetrics:
     """Counter registry for the sampling runtime.
 
@@ -159,14 +196,14 @@ class RuntimeMetrics:
         self.plans_compiled += 1
 
     def record_cache_hit(self) -> None:
-        self.plan_cache_hits += 1
+        self.plans_cache_hits += 1
 
     def record_structural(self, hit: bool) -> None:
         """One fresh compile checked against the structural plan cache."""
         if hit:
-            self.structural_hits += 1
+            self.plans_structural_hits += 1
         else:
-            self.structural_misses += 1
+            self.plans_structural_misses += 1
 
     def record_fused(
         self, built: int = 0, rejected: int = 0, kernel_hits: int = 0,
@@ -193,20 +230,20 @@ class RuntimeMetrics:
 
     def record_test(self, kind: str, steps: int, samples: int) -> None:
         """One hypothesis-test run: ``steps`` batch draws, ``samples`` total."""
-        self.sprt_tests += 1
-        self.sprt_steps += int(steps)
-        self.sprt_samples += int(samples)
+        self.tests_runs += 1
+        self.tests_sprt_steps += int(steps)
+        self.tests_samples += int(samples)
         self.tests_by_kind[kind] = self.tests_by_kind.get(kind, 0) + 1
 
     def record_expectation(self, kind: str, samples: int) -> None:
-        self.expectations += 1
-        self.expectation_samples += int(samples)
+        self.expectations_runs += 1
+        self.expectations_samples += int(samples)
         if kind == "adaptive":
-            self.adaptive_expectations += 1
+            self.expectations_adaptive_runs += 1
 
     def record_conditional(self, samples_used: int) -> None:
-        self.conditionals += 1
-        self.conditional_samples += int(samples_used)
+        self.conditionals_runs += 1
+        self.conditionals_samples += int(samples_used)
 
     def record_parallel(
         self, chunks: int = 0, retries: int = 0, crashes: int = 0,
@@ -216,8 +253,8 @@ class RuntimeMetrics:
     ) -> None:
         self.parallel_chunks += chunks
         self.parallel_retries += retries
-        self.worker_crashes += crashes
-        self.parallel_fallbacks += fallbacks
+        self.parallel_worker_crashes += crashes
+        self.parallel_serial_fallbacks += fallbacks
         self.parallel_serial_rescues += serial_rescues
         self.parallel_payload_skips += payload_skips
         self.parallel_payload_misses += payload_misses
@@ -259,208 +296,56 @@ class RuntimeMetrics:
         self, policy: str, rows: int = 0, resamples: int = 0
     ) -> None:
         """One batch containing non-finite samples, handled under ``policy``."""
-        self.nonfinite_batches += 1
-        self.nonfinite_rows += int(rows)
-        self.nonfinite_resamples += int(resamples)
-        self.nonfinite_by_policy[policy] = (
-            self.nonfinite_by_policy.get(policy, 0) + 1
-        )
+        self.health_nonfinite_batches += 1
+        self.health_nonfinite_rows += int(rows)
+        self.health_resamples += int(resamples)
+        self.health_by_policy[policy] = self.health_by_policy.get(policy, 0) + 1
 
     def record_source(
         self, retries: int = 0, failures: int = 0, fallbacks: int = 0,
         trips: int = 0, recoveries: int = 0,
     ) -> None:
         """ResilientSource events: retries, breaker trips, fallback draws."""
-        self.source_retries += retries
-        self.source_failures += failures
-        self.source_fallbacks += fallbacks
-        self.breaker_trips += trips
-        self.breaker_recoveries += recoveries
-
-    def record_degradation(
-        self, transitions: int = 0, degraded: int = 0, shed: int = 0,
-        cancelled: int = 0, bulkhead_rejections: int = 0,
-        level_now: int | None = None, breakers_open_now: int | None = None,
-    ) -> None:
-        """Overload-control events from the service tier.
-
-        Counters accumulate (brownout level transitions, requests
-        answered degraded, shed at the queue bound, cancelled mid-flight,
-        refused by a group bulkhead); ``level_now`` and
-        ``breakers_open_now`` are gauges overwritten with the current
-        brownout level / count of non-closed group breakers.
-        """
-        self.degradation_transitions += transitions
-        self.degraded_requests += degraded
-        self.shed_requests += shed
-        self.cancelled_evaluations += cancelled
-        self.bulkhead_rejections += bulkhead_rejections
-        if level_now is not None:
-            self.degradation_level = int(level_now)
-        if breakers_open_now is not None:
-            self.group_breakers_open = int(breakers_open_now)
+        self.sources_retries += retries
+        self.sources_failures += failures
+        self.sources_fallbacks += fallbacks
+        self.sources_breaker_trips += trips
+        self.sources_breaker_recoveries += recoveries
 
     def record_inconclusive(self, policy: str) -> None:
         """One truncated hypothesis test, handled under ``policy``."""
-        self.inconclusive_tests += 1
-        self.inconclusive_by_policy[policy] = (
-            self.inconclusive_by_policy.get(policy, 0) + 1
+        self.tests_inconclusive += 1
+        self.tests_inconclusive_by_policy[policy] = (
+            self.tests_inconclusive_by_policy.get(policy, 0) + 1
         )
 
     # -- lifecycle ----------------------------------------------------------
 
     def reset(self) -> None:
         with self._lock:
-            self.plans_compiled = 0
-            self.plan_cache_hits = 0
-            self.structural_hits = 0
-            self.structural_misses = 0
-            self.fused_kernels_built = 0
-            self.fused_kernels_rejected = 0
-            self.fused_kernel_hits = 0
-            self.fused_kernels_certified = 0
-            self.fused_kernels_probed = 0
+            for section, keys in _SCHEMA.items():
+                for key in keys:
+                    setattr(self, f"{section}_{key}", {} if "by_" in key else 0)
             self.engines: dict[str, EngineStats] = {}
-            self.sprt_tests = 0
-            self.sprt_steps = 0
-            self.sprt_samples = 0
-            self.tests_by_kind: dict[str, int] = {}
-            self.expectations = 0
-            self.expectation_samples = 0
-            self.adaptive_expectations = 0
-            self.conditionals = 0
-            self.conditional_samples = 0
-            self.parallel_chunks = 0
-            self.parallel_retries = 0
-            self.worker_crashes = 0
-            self.parallel_fallbacks = 0
-            self.parallel_serial_rescues = 0
-            self.parallel_payload_skips = 0
-            self.parallel_payload_misses = 0
-            self.parallel_auto_serial = 0
-            self.ledger_hits = 0
-            self.ledger_misses = 0
-            self.ledger_suffix_extensions = 0
-            self.ledger_rows_reused = 0
-            self.ledger_rows_drawn = 0
-            self.ledger_evictions = 0
-            self.ledger_probes = 0
-            self.ledger_certified = 0
-            self.ledger_rejections = 0
-            self.ledger_bypasses = 0
-            self.ledger_invalidations = 0
-            self.ledger_bytes = 0
-            self.ledger_entries = 0
-            self.nonfinite_batches = 0
-            self.nonfinite_rows = 0
-            self.nonfinite_resamples = 0
-            self.nonfinite_by_policy: dict[str, int] = {}
-            self.source_retries = 0
-            self.source_failures = 0
-            self.source_fallbacks = 0
-            self.breaker_trips = 0
-            self.breaker_recoveries = 0
-            self.inconclusive_tests = 0
-            self.inconclusive_by_policy: dict[str, int] = {}
-            self.degradation_transitions = 0
-            self.degraded_requests = 0
-            self.shed_requests = 0
-            self.cancelled_evaluations = 0
-            self.bulkhead_rejections = 0
-            self.degradation_level = 0
-            self.group_breakers_open = 0
 
     def snapshot(self) -> dict:
         """A consistent, JSON-serialisable copy of every counter.
 
-        Schema (see ``docs/runtime.md``): top-level keys ``plans``,
-        ``engines``, ``tests``, ``expectations``, ``conditionals``,
-        ``parallel``, ``ledger``, ``health``, ``sources``, and
-        ``degradation``.
+        Schema (see ``docs/runtime.md``): the ``engines`` section plus one
+        section per :data:`_SCHEMA` entry.
         """
         with self._lock:
-            return {
-                "plans": {
-                    "compiled": self.plans_compiled,
-                    "cache_hits": self.plan_cache_hits,
-                    "structural_hits": self.structural_hits,
-                    "structural_misses": self.structural_misses,
-                },
-                "fused": {
-                    "kernels_built": self.fused_kernels_built,
-                    "kernels_rejected": self.fused_kernels_rejected,
-                    "kernel_hits": self.fused_kernel_hits,
-                    "kernels_certified": self.fused_kernels_certified,
-                    "kernels_probed": self.fused_kernels_probed,
-                },
-                "engines": {
-                    name: stats.as_dict() for name, stats in self.engines.items()
-                },
-                "tests": {
-                    "runs": self.sprt_tests,
-                    "sprt_steps": self.sprt_steps,
-                    "samples": self.sprt_samples,
-                    "by_kind": dict(self.tests_by_kind),
-                    "inconclusive": self.inconclusive_tests,
-                    "inconclusive_by_policy": dict(self.inconclusive_by_policy),
-                },
-                "expectations": {
-                    "runs": self.expectations,
-                    "samples": self.expectation_samples,
-                    "adaptive_runs": self.adaptive_expectations,
-                },
-                "conditionals": {
-                    "runs": self.conditionals,
-                    "samples": self.conditional_samples,
-                },
-                "parallel": {
-                    "chunks": self.parallel_chunks,
-                    "retries": self.parallel_retries,
-                    "worker_crashes": self.worker_crashes,
-                    "serial_fallbacks": self.parallel_fallbacks,
-                    "serial_rescues": self.parallel_serial_rescues,
-                    "payload_skips": self.parallel_payload_skips,
-                    "payload_misses": self.parallel_payload_misses,
-                    "auto_serial": self.parallel_auto_serial,
-                },
-                "ledger": {
-                    "hits": self.ledger_hits,
-                    "misses": self.ledger_misses,
-                    "suffix_extensions": self.ledger_suffix_extensions,
-                    "rows_reused": self.ledger_rows_reused,
-                    "rows_drawn": self.ledger_rows_drawn,
-                    "evictions": self.ledger_evictions,
-                    "probes": self.ledger_probes,
-                    "certified": self.ledger_certified,
-                    "rejections": self.ledger_rejections,
-                    "bypasses": self.ledger_bypasses,
-                    "invalidations": self.ledger_invalidations,
-                    "bytes": self.ledger_bytes,
-                    "entries": self.ledger_entries,
-                },
-                "health": {
-                    "nonfinite_batches": self.nonfinite_batches,
-                    "nonfinite_rows": self.nonfinite_rows,
-                    "resamples": self.nonfinite_resamples,
-                    "by_policy": dict(self.nonfinite_by_policy),
-                },
-                "sources": {
-                    "retries": self.source_retries,
-                    "failures": self.source_failures,
-                    "fallbacks": self.source_fallbacks,
-                    "breaker_trips": self.breaker_trips,
-                    "breaker_recoveries": self.breaker_recoveries,
-                },
-                "degradation": {
-                    "transitions": self.degradation_transitions,
-                    "degraded_requests": self.degraded_requests,
-                    "shed_requests": self.shed_requests,
-                    "cancelled_evaluations": self.cancelled_evaluations,
-                    "bulkhead_rejections": self.bulkhead_rejections,
-                    "level": self.degradation_level,
-                    "group_breakers_open": self.group_breakers_open,
-                },
+            snap = {
+                section: {
+                    key: _copy(getattr(self, f"{section}_{key}"))
+                    for key in keys
+                }
+                for section, keys in _SCHEMA.items()
             }
+            snap["engines"] = {
+                name: stats.as_dict() for name, stats in self.engines.items()
+            }
+            return snap
 
     def total_samples(self) -> int:
         """Samples drawn across every engine (convenience for budgets)."""
@@ -544,15 +429,18 @@ def render_prometheus(snapshot: dict, prefix: str = "repro") -> str:
     lines: list[str] = []
     for section, payload in snapshot.items():
         if section == "engines":
+            # One contiguous group per family, engines inside it: the
+            # exposition format forbids interleaving families.
             base = f"{prefix}_engine"
+            engines = [({"engine": e}, s) for e, s in sorted(payload.items())]
+            for key in ("batches", "samples", "seconds"):
+                lines.extend(
+                    f"{base}_{key}{_format_labels(labels)} "
+                    f"{_format_value(stats[key])}"
+                    for labels, stats in engines
+                )
             lines.append(f"# TYPE {base}_latency_seconds histogram")
-            for engine, stats in sorted(payload.items()):
-                labels = {"engine": engine}
-                for key in ("batches", "samples", "seconds"):
-                    lines.append(
-                        f"{base}_{key}{_format_labels(labels)} "
-                        f"{_format_value(stats[key])}"
-                    )
+            for labels, stats in engines:
                 lines.extend(
                     render_histogram(
                         f"{base}_latency_seconds", stats["latency"], labels

@@ -48,7 +48,6 @@ from collections import OrderedDict
 from time import monotonic
 
 from repro.resilience.source import CircuitBreaker
-from repro.runtime import metrics as _metrics
 from repro.runtime import trace as _trace
 from repro.service.errors import BulkheadRejected
 
@@ -251,9 +250,6 @@ class BrownoutController:
             self._last_escalation = now
         else:
             self._recoveries += 1
-        sink = _metrics.active()
-        if sink is not None:
-            sink.record_degradation(transitions=1, level_now=new)
         _trace.event(
             f"service.brownout.{kind}",
             level=new,

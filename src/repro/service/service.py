@@ -60,88 +60,30 @@ __all__ = ["Service", "ServiceClosed", "ServiceOverloaded"]
 _OCCUPANCY_BOUNDS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
 
 
-class _ServiceMetrics:
-    """Thread-safe service-level counters and histograms."""
+#: Coalescer totals that ``Service.stats()`` reports at its top level.
+_BATCH_TOTALS = (
+    "failures", "groups", "coalesced_requests", "pooled_requests",
+    "engine_runs", "samples_drawn", "group_fallbacks",
+)
 
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self.requests_by_kind: dict[str, int] = {}
-        self.shed = 0
-        self.rejected = 0
-        self.failures = 0
-        self.batches = 0
-        self.groups = 0
-        self.coalesced = 0
-        self.pooled = 0
-        self.engine_runs = 0
-        self.samples_drawn = 0
-        self.group_fallbacks = 0
-        self.degraded = 0
-        self.cancelled = 0
-        self.bulkhead_rejected = 0
-        self.batch_occupancy = LatencyHistogram(bounds=_OCCUPANCY_BOUNDS)
-        self.latency: dict[str, LatencyHistogram] = {}
-
-    def admit(self, kind: str) -> None:
-        with self._lock:
-            self.requests_by_kind[kind] = self.requests_by_kind.get(kind, 0) + 1
-
-    def record_shed(self) -> None:
-        with self._lock:
-            self.shed += 1
-
-    def record_rejected(self) -> None:
-        with self._lock:
-            self.rejected += 1
-
-    def record_batch(self, size: int, stats: CoalescerStats) -> None:
-        with self._lock:
-            self.batches += 1
-            self.batch_occupancy.observe(size)
-            self.groups += stats.groups
-            self.coalesced += stats.coalesced_requests
-            self.pooled += stats.pooled_requests
-            self.engine_runs += stats.engine_runs
-            self.samples_drawn += stats.samples_drawn
-            self.group_fallbacks += stats.group_fallbacks
-            self.failures += stats.failures
-            self.degraded += stats.degraded_requests
-            self.cancelled += stats.cancelled
-            self.bulkhead_rejected += stats.bulkhead_rejections
-
-    def record_latency(self, kind: str, seconds: float) -> None:
-        with self._lock:
-            hist = self.latency.get(kind)
-            if hist is None:
-                hist = self.latency[kind] = LatencyHistogram(
-                    bounds=DEFAULT_LATENCY_BOUNDS
-                )
-            hist.observe(seconds)
-
-    def snapshot(self) -> dict:
-        with self._lock:
-            return {
-                "requests_by_kind": dict(self.requests_by_kind),
-                "requests_total": sum(self.requests_by_kind.values()),
-                "shed": self.shed,
-                "rejected": self.rejected,
-                "failures": self.failures,
-                "batches": self.batches,
-                "groups": self.groups,
-                "coalesced_requests": self.coalesced,
-                "pooled_requests": self.pooled,
-                "engine_runs": self.engine_runs,
-                "samples_drawn": self.samples_drawn,
-                "group_fallbacks": self.group_fallbacks,
-                "degraded_requests": self.degraded,
-                "cancelled": self.cancelled,
-                "bulkhead_rejected": self.bulkhead_rejected,
-                "batch_occupancy": self.batch_occupancy.as_dict(),
-                "latency_by_kind": {
-                    kind: hist.as_dict()
-                    for kind, hist in self.latency.items()
-                },
-            }
+#: Counters exported as ``<prefix>_service_<key>_total``: key -> help text.
+_COUNTERS = {
+    "shed": "Requests shed at the max_pending bound.",
+    "rejected": "Requests rejected by budget/deadline admission.",
+    "failures": "Requests that failed during evaluation.",
+    "batches": "Coalesced batches evaluated.",
+    "groups": "Structural groups across all batches.",
+    "coalesced_requests": "Requests that shared a multi-request group.",
+    "pooled_requests":
+        "Seedless requests answered from one pooled engine run.",
+    "engine_runs": "Engine runs issued by the coalescer.",
+    "samples_drawn": "Joint samples drawn by the coalescer.",
+    "group_fallbacks":
+        "Bulk evaluations that fell back to per-request evaluation.",
+    "degraded_requests": "Requests answered at a brownout level > 0.",
+    "cancelled": "Requests cancelled mid-flight (deadline / disconnect).",
+    "bulkhead_rejected": "Requests refused by a group bulkhead.",
+}
 
 
 class Service:
@@ -175,10 +117,6 @@ class Service:
         coalescer falls back to per-request evaluation.
     pool_seed:
         Seed for the coalescer's pooled (seedless-request) stream.
-    metrics:
-        The :class:`~repro.runtime.RuntimeMetrics` sink whose engine
-        histograms ``render_metrics`` exports; defaults to the
-        process-global sink.
     brownout:
         Graceful-degradation controller: ``True`` for a default
         :class:`~repro.service.degradation.BrownoutController`, an
@@ -210,7 +148,6 @@ class Service:
         deadline: "float | None" = None,
         retries: int = 1,
         pool_seed: "int | None" = None,
-        metrics=METRICS,
         brownout: "BrownoutController | bool | None" = None,
         bulkheads: "BulkheadRegistry | bool | None" = None,
     ) -> None:
@@ -229,8 +166,18 @@ class Service:
         self.workers = int(workers)
         self.retries = int(retries)
         self._pool_rng = ensure_rng(pool_seed)
-        self._runtime_metrics = metrics
-        self.metrics = _ServiceMetrics()
+        # Every count below changes once, under ``_lock``.  The coalescer
+        # fills one CoalescerStats per batch (workers evaluate batches
+        # concurrently); ``_totals`` is their running sum.  The rest are
+        # events the coalescer never sees.
+        self._lock = threading.Lock()
+        self._totals = CoalescerStats()
+        self._requests_by_kind: dict[str, int] = {}
+        self._shed = 0
+        self._rejected = 0
+        self._batches = 0
+        self._occupancy = LatencyHistogram(bounds=_OCCUPANCY_BOUNDS)
+        self._latency: dict[str, LatencyHistogram] = {}
         if brownout is True:
             brownout = BrownoutController()
         self.brownout: "BrownoutController | None" = brownout or None
@@ -302,7 +249,8 @@ class Service:
                 request.resolve_samples(self._config), charge=False
             )
         except (DeadlineExceeded, SampleBudgetExceeded):
-            self.metrics.record_rejected()
+            with self._lock:
+                self._rejected += 1
             raise
 
     # -- the request path ----------------------------------------------------
@@ -322,15 +270,17 @@ class Service:
             # the softer response, shedding the last resort above it.
             self.brownout.observe(pending, self.max_pending)
         if pending >= self.max_pending:
-            self.metrics.record_shed()
-            self._runtime_metrics.record_degradation(shed=1)
+            with self._lock:
+                self._shed += 1
             raise ServiceOverloaded(
                 pending=pending,
                 max_pending=self.max_pending,
                 retry_after_hint=self._drain_hint(pending),
             )
         self._admission_check(request)
-        self.metrics.admit(request.kind)
+        with self._lock:
+            kinds = self._requests_by_kind
+            kinds[request.kind] = kinds.get(request.kind, 0) + 1
         loop = asyncio.get_running_loop()
         future: "asyncio.Future[QueryResult]" = loop.create_future()
         token = CancellationToken.with_timeout(request.deadline)
@@ -389,28 +339,35 @@ class Service:
                 )
             except BaseException as exc:  # defensive: executor-level failure
                 outcomes = [exc] * len(batch)
-            self.metrics.record_batch(len(batch), stats)
-            self._runtime_metrics.record_degradation(
-                degraded=stats.degraded_requests,
-                cancelled=stats.cancelled,
-                bulkhead_rejections=stats.bulkhead_rejections,
-                level_now=decision.level if decision is not None else None,
-                breakers_open_now=(
-                    self.bulkheads.open_groups()
-                    if self.bulkheads is not None else None
-                ),
-            )
             done = time.perf_counter()
+            self._record_batch(batch, stats, done)
             for (req, future, enqueued, _), outcome in zip(batch, outcomes):
                 if future.cancelled():
                     continue
                 latency = done - enqueued
-                self.metrics.record_latency(req.kind, latency)
                 if isinstance(outcome, BaseException):
                     future.set_exception(outcome)
                 else:
                     outcome.latency_s = latency
                     future.set_result(outcome)
+
+    def _record_batch(self, batch, stats: CoalescerStats, done: float) -> None:
+        totals = self._totals
+        with self._lock:
+            self._batches += 1
+            self._occupancy.observe(len(batch))
+            for field in dataclasses.fields(stats):
+                name = field.name
+                setattr(totals, name, getattr(totals, name) + getattr(stats, name))
+            for req, future, enqueued, _ in batch:
+                if future.cancelled():
+                    continue
+                hist = self._latency.get(req.kind)
+                if hist is None:
+                    hist = self._latency[req.kind] = LatencyHistogram(
+                        bounds=DEFAULT_LATENCY_BOUNDS
+                    )
+                hist.observe(done - enqueued)
 
     def _evaluate(self, requests, stats, decision=None, tokens=None) -> list:
         """Thread-pool entry: run the coalescer with the service config."""
@@ -530,7 +487,26 @@ class Service:
 
     def stats(self) -> dict:
         """Service-level snapshot (counters, occupancy, latency by kind)."""
-        snap = self.metrics.snapshot()
+        with self._lock:
+            totals = self._totals
+            snap = {
+                "requests_by_kind": dict(self._requests_by_kind),
+                "requests_total": sum(self._requests_by_kind.values()),
+                "shed": self._shed,
+                "rejected": self._rejected,
+                "batches": self._batches,
+                **{key: getattr(totals, key) for key in _BATCH_TOTALS},
+                "batch_occupancy": self._occupancy.as_dict(),
+                "latency_by_kind": {
+                    kind: hist.as_dict() for kind, hist in self._latency.items()
+                },
+            }
+            degraded = {
+                "degraded_requests": totals.degraded_requests,
+                "cancelled": totals.cancelled,
+                "bulkhead_rejected": totals.bulkhead_rejections,
+                "shed": self._shed,
+            }
         snap["queue_depth"] = self.queue_depth
         snap["samples_executed"] = (
             self._config.accounting.samples_executed
@@ -541,10 +517,7 @@ class Service:
             "brownout": (
                 self.brownout.snapshot() if self.brownout is not None else None
             ),
-            "degraded_requests": snap.pop("degraded_requests"),
-            "cancelled": snap.pop("cancelled"),
-            "bulkhead_rejected": snap.pop("bulkhead_rejected"),
-            "shed": snap["shed"],
+            **degraded,
             "groups": (
                 self.bulkheads.states() if self.bulkheads is not None else {}
             ),
@@ -559,53 +532,26 @@ class Service:
         ``histogram_quantile``), and everything the runtime sink already
         tracks — including per-engine latency histograms.
         """
-        snap = self.metrics.snapshot()
+        snap = self.stats()
+        # Counter values by key; the overload counters sit in "degradation".
+        values = {**snap["degradation"], **snap}
         lines: list[str] = []
 
-        def counter(name: str, value, help_text: str, labels: str = "") -> None:
+        def family(name: str, kind: str, help_text: str, value) -> None:
             lines.append(f"# HELP {prefix}_service_{name} {help_text}")
-            kind = "gauge" if name.endswith("depth") else "counter"
             lines.append(f"# TYPE {prefix}_service_{name} {kind}")
-            lines.append(f"{prefix}_service_{name}{labels} {value}")
+            lines.append(f"{prefix}_service_{name} {value}")
 
-        counter("queue_depth", self.queue_depth, "Requests awaiting a worker.")
-        counter("shed_total", snap["shed"],
-                "Requests shed at the max_pending bound.")
-        counter("rejected_total", snap["rejected"],
-                "Requests rejected by budget/deadline admission.")
-        counter("failures_total", snap["failures"],
-                "Requests that failed during evaluation.")
-        counter("batches_total", snap["batches"], "Coalesced batches evaluated.")
-        counter("groups_total", snap["groups"],
-                "Structural groups across all batches.")
-        counter("coalesced_requests_total", snap["coalesced_requests"],
-                "Requests that shared a multi-request group.")
-        counter("pooled_requests_total", snap["pooled_requests"],
-                "Seedless requests answered from one pooled engine run.")
-        counter("engine_runs_total", snap["engine_runs"],
-                "Engine runs issued by the coalescer.")
-        counter("samples_drawn_total", snap["samples_drawn"],
-                "Joint samples drawn by the coalescer.")
-        counter("group_fallbacks_total", snap["group_fallbacks"],
-                "Bulk evaluations that fell back to per-request evaluation.")
-        counter("degraded_requests_total", snap["degraded_requests"],
-                "Requests answered at a brownout level > 0.")
-        counter("cancelled_total", snap["cancelled"],
-                "Requests cancelled mid-flight (deadline / disconnect).")
-        counter("bulkhead_rejected_total", snap["bulkhead_rejected"],
-                "Requests refused by a group bulkhead.")
-        level = self.brownout.level if self.brownout is not None else 0
-        lines.append(f"# HELP {prefix}_service_degradation_level "
-                     "Current brownout level (0 = nominal).")
-        lines.append(f"# TYPE {prefix}_service_degradation_level gauge")
-        lines.append(f"{prefix}_service_degradation_level {level}")
-        open_breakers = (
-            self.bulkheads.open_groups() if self.bulkheads is not None else 0
-        )
-        lines.append(f"# HELP {prefix}_service_open_breakers "
-                     "Structural groups with a non-closed circuit breaker.")
-        lines.append(f"# TYPE {prefix}_service_open_breakers gauge")
-        lines.append(f"{prefix}_service_open_breakers {open_breakers}")
+        family("queue_depth", "gauge", "Requests awaiting a worker.",
+               snap["queue_depth"])
+        for key, help_text in _COUNTERS.items():
+            family(f"{key}_total", "counter", help_text, values[key])
+        family("degradation_level", "gauge",
+               "Current brownout level (0 = nominal).",
+               self.brownout.level if self.brownout is not None else 0)
+        family("open_breakers", "gauge",
+               "Structural groups with a non-closed circuit breaker.",
+               self.bulkheads.open_groups() if self.bulkheads is not None else 0)
         for kind in QUERY_KINDS:
             count = snap["requests_by_kind"].get(kind, 0)
             if count:
@@ -621,4 +567,4 @@ class Service:
                 labels={"kind": kind},
             ))
         body = "\n".join(lines) + "\n"
-        return body + self._runtime_metrics.render_prometheus(prefix=prefix)
+        return body + METRICS.render_prometheus(prefix=prefix)

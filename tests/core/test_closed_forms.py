@@ -20,6 +20,8 @@ from repro.core.expectation import expected_value_adaptive
 from repro.core.sprt import TestDecision
 from repro.core.uncertain import Uncertain
 from repro.dists import Gaussian
+from repro.service import QueryRequest, evaluate_request
+from repro.service.degradation import DEFAULT_LEVELS, DegradationDecision
 
 MU = -0.5
 SIGMA = math.sqrt(4 * 2.0**2 + 1.5**2)
@@ -72,3 +74,27 @@ def test_sprt_error_rates_through_a_plan(p, right):
         for seed in SEEDS:
             wrong += question.test(0.5, rng=seed).decision is not right
     assert wrong / len(SEEDS) <= 0.10
+
+
+@pytest.mark.parametrize("level", range(len(DEFAULT_LEVELS)))
+def test_browned_out_means_stay_inside_their_wider_intervals(level):
+    # A request answered at a brownout level draws fewer samples, so its
+    # 95% interval widens to 1.96·σ/√effective.  The answer must land in
+    # that interval in 95% of runs at every level; an interval computed
+    # from the nominal count would be too narrow at every level > 0.
+    factor = DEFAULT_LEVELS[level]
+    decision = DegradationDecision(level, factor, 16)
+    nominal = 400
+    s = linear_gaussian_sum()
+    seeds = range(400)
+    hits = 0
+    for seed in seeds:
+        request = QueryRequest(
+            value=s, kind="expected_value", samples=nominal, seed=seed
+        )
+        result = evaluate_request(request, engine="numpy", degrade=decision)
+        assert result.samples_used == decision.effective(nominal)
+        half_width = 1.96 * SIGMA / math.sqrt(result.samples_used)
+        hits += abs(result.value - MU) <= half_width
+    tolerance = 3 * math.sqrt(0.95 * 0.05 / len(seeds))
+    assert abs(hits / len(seeds) - 0.95) <= tolerance

@@ -177,3 +177,38 @@ class TestPrometheusRendering:
             name, _, value = line.rpartition(" ")
             assert name, line
             float(value)  # parses as a number
+
+    def test_each_family_is_contiguous_and_typed_once(self):
+        # The exposition format requires all samples of one metric family
+        # in one group, under at most one TYPE line.  Two engines used to
+        # interleave the per-engine families.
+        import repro
+        from repro.dists import Gaussian
+
+        metrics = RuntimeMetrics()
+        value = repro.uncertain(Gaussian(0.0, 1.0)) + 1.0
+        for engine in ("numpy", "interpreter"):
+            with repro.evaluation_config(metrics=metrics, engine=engine, rng=0):
+                value.samples(64)
+        text = metrics.render_prometheus()
+        assert set(metrics.snapshot()["engines"]) == {"numpy", "interpreter"}
+
+        typed: dict[str, str] = {}
+        families: list[str] = []
+        for line in text.strip().splitlines():
+            if line.startswith("# TYPE "):
+                _, _, family, kind = line.split(" ")
+                assert family not in typed, f"second TYPE line for {family}"
+                typed[family] = kind
+                families.append(family)
+                continue
+            name = line.split("{")[0].split(" ")[0]
+            stem = name.rsplit("_", 1)[0]
+            if typed.get(stem) == "histogram" and name.endswith(
+                ("_bucket", "_sum", "_count")
+            ):
+                name = stem
+            families.append(name)
+        runs = [f for i, f in enumerate(families) if i == 0 or f != families[i - 1]]
+        split = {f for f in runs if runs.count(f) > 1}
+        assert not split, f"families split into several groups: {sorted(split)}"

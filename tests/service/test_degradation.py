@@ -27,6 +27,7 @@ from repro.service.degradation import (
     NO_DEGRADATION,
     DegradationDecision,
 )
+from repro.service.errors import BulkheadRejected
 
 
 def speed_query() -> Uncertain:
@@ -319,6 +320,40 @@ class TestServiceBrownoutIntegration:
         assert health["status"] in ("ok", "degraded")
         assert health["http"] == 200
         assert "degradation_level" in health
+
+    def test_each_event_is_counted_exactly_once(self):
+        # Every degraded answer, shed and bulkhead refusal the callers see
+        # appears once in Service.stats(): no counter misses one, none
+        # counts one twice.
+        value = speed_query()
+
+        async def scenario():
+            async with Service(
+                engine="numpy",
+                window=0.005,
+                max_pending=32,
+                workers=2,
+                brownout=True,
+                bulkheads=True,
+            ) as svc:
+                outcomes = await asyncio.gather(*[
+                    svc.samples(value, 128, seed=s) for s in range(96)
+                ], return_exceptions=True)
+                return outcomes, svc.stats()
+
+        outcomes, stats = run(scenario())
+        section = stats["degradation"]
+        overloaded = [o for o in outcomes if isinstance(o, ServiceOverloaded)]
+        bulkheaded = [o for o in overloaded if isinstance(o, BulkheadRejected)]
+        answered = [o for o in outcomes if not isinstance(o, Exception)]
+        assert section["degraded_requests"] == sum(r.degraded for r in answered)
+        assert section["degraded_requests"] > 0
+        assert section["shed"] + section["bulkhead_rejected"] == len(overloaded)
+        assert section["bulkhead_rejected"] == len(bulkheaded)
+        assert stats["shed"] == section["shed"] > 0
+        admitted = len(outcomes) - section["shed"]
+        assert stats["requests_total"] == admitted
+        assert stats["rejected"] == 0
 
     def test_brownout_true_builds_a_default_controller(self):
         async def scenario():
