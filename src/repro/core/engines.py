@@ -102,6 +102,7 @@ class ExecutionEngine:
         n: int,
         rng: np.random.Generator,
         memo: dict[Node, np.ndarray] | None = None,
+        config: "_cond.EvaluationConfig | None" = None,
     ) -> np.ndarray:
         """Batch of ``n`` joint samples of the plan's root.
 
@@ -111,10 +112,12 @@ class ExecutionEngine:
         ``engine.<name>.sample`` span, and with a non-default
         ``on_nonfinite`` policy it runs the numerical-health check of
         :mod:`repro.resilience.health` over the batch (per-slot NaN/Inf
-        attribution, warn/raise/resample).  ``run`` stays raw for callers
-        that benchmark or need every slot.
+        attribution, warn/raise/resample).  ``optimize``, ``on_nonfinite``
+        and ``metrics`` come from ``config`` (default: the ambient one).
+        ``run`` stays raw for callers that benchmark or need every slot.
         """
-        config = _cond.get_config()
+        if config is None:
+            config = _cond.get_config()
         if memo is None and self.supports_optimized:
             # Memo-carrying draws (SampleContext) stay on the unoptimized
             # plan: memo keys are the *user's* node objects, and rewritten
@@ -123,7 +126,7 @@ class ExecutionEngine:
             if level:
                 plan = plan.optimized(level)
         propagate = config.on_nonfinite == "propagate"
-        metrics = _metrics.active()
+        metrics = _metrics.resolve(config.metrics)
         tracer = _trace.get_tracer()
         if metrics is None and tracer is None and propagate:
             return self.run(plan, n, rng, memo=memo)[plan.root_slot]

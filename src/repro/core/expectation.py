@@ -43,6 +43,39 @@ def _resolve(uncertain, rng):
     return plan, ensure_rng(rng)
 
 
+def reduce_samples(
+    kind: str, values, *, level: float = 0.95, divisions: int = 100
+) -> Any:
+    """The one reduction of a sample batch per estimator, shared by the
+    ``Uncertain`` methods and the service's ``reduce_query``.
+
+    ``"expected_value"`` is per component for vector rows and ``+`` then
+    ``/ n`` from the first row for object rows (``GeoCoordinate``);
+    ``"evidence"`` is the truthy share; ``"percentiles"`` and
+    ``"confidence_interval"`` are the quantile grid and central interval.
+    """
+    if kind == "expected_value":
+        values = np.asarray(values)
+        if values.dtype == object:
+            total = values[0]
+            for v in values[1:]:
+                total = total + v
+            return total / len(values)
+        return float(np.mean(values)) if values.ndim == 1 else values.mean(axis=0)
+    if kind == "evidence":
+        return float(np.asarray(values, dtype=bool).mean())
+    values = np.asarray(values, dtype=float)
+    if kind == "percentiles":
+        return np.quantile(values, np.linspace(0.0, 1.0, int(divisions) + 1))
+    if kind == "confidence_interval":
+        tail = (1.0 - level) / 2.0
+        return (
+            float(np.quantile(values, tail)),
+            float(np.quantile(values, 1.0 - tail)),
+        )
+    raise ValueError(f"unknown reduction {kind!r}")
+
+
 def expected_value(
     uncertain,
     n: int | None = None,
@@ -54,7 +87,8 @@ def expected_value(
 
     Works for any base type with ``+`` and ``/`` (numbers, vectors,
     ``GeoCoordinate``), because the mean of objects is their sample sum
-    scaled by ``1/n``.
+    scaled by ``1/n``; a vector value's mean is per component
+    (:func:`reduce_samples`).
 
     With ``adaptive=True`` the fixed sample size is replaced by the
     CLT stopping rule of :func:`expected_value_adaptive` (keyword options
@@ -86,12 +120,7 @@ def expected_value(
         sink = _metrics.active()
         if sink is not None:
             sink.record_expectation("fixed", n)
-        if values.dtype == object:
-            total = values[0]
-            for v in values[1:]:
-                total = total + v
-            return total / n
-        return float(np.mean(values))
+        return reduce_samples("expected_value", values)
 
 
 def expected_value_adaptive(

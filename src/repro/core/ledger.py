@@ -71,7 +71,6 @@ from collections import OrderedDict
 
 import numpy as np
 
-from repro.core import conditionals as _cond
 from repro.core.engines import ExecutionEngine, get_engine
 from repro.core.optimizer import resolve_level
 from repro.resilience.chaos import InjectedFault
@@ -249,20 +248,21 @@ class LedgerWindow:
     test.
     """
 
-    __slots__ = ("_ledger", "_plan", "_rng_spec", "_engine", "_offset")
+    __slots__ = ("_ledger", "_plan", "_rng_spec", "_engine", "_config", "_offset")
 
-    def __init__(self, ledger: "SampleLedger", plan, rng_spec, engine) -> None:
+    def __init__(self, ledger: "SampleLedger", plan, rng_spec, engine, config) -> None:
         self._ledger = ledger
         self._plan = plan
         self._rng_spec = rng_spec
         self._engine = engine
+        self._config = config
         self._offset = 0
 
     def draw(self, k: int) -> "np.ndarray | None":
         """Rows ``[offset, offset + k)``, or ``None`` to signal fallback."""
         rows = self._ledger.serve(
             self._plan, int(k), self._rng_spec, self._engine,
-            _cond.get_config(), start=self._offset, windowed=True,
+            self._config, start=self._offset, windowed=True,
         )
         if rows is not None:
             self._offset += int(k)
@@ -361,7 +361,7 @@ class SampleLedger:
             if entry.mode != "stream":
                 _record(bypasses=1)
                 return None
-        return LedgerWindow(self, plan, rng_spec, engine)
+        return LedgerWindow(self, plan, rng_spec, engine, config)
 
     def invalidate_entries(self, plan) -> int:
         """Drop every entry for ``plan``'s shape (and its optimized
@@ -540,7 +540,7 @@ class SampleLedger:
 
     # -- serving ------------------------------------------------------------
 
-    def _fill(self, entry: LedgerEntry, eng, k: int, gen) -> np.ndarray:
+    def _fill(self, entry: LedgerEntry, eng, k: int, gen, config) -> np.ndarray:
         """One instrumented engine run for the entry's stream.
 
         Uses the engine's ``sample`` entry point so metrics, tracing and
@@ -550,7 +550,7 @@ class SampleLedger:
         serve another query.
         """
         try:
-            return eng.sample(entry.plan, k, gen)
+            return eng.sample(entry.plan, k, gen, config=config)
         except BaseException:
             self._drop(entry.key)
             raise
@@ -562,7 +562,7 @@ class SampleLedger:
         if needed > have:
             d = needed - have
             config.accounting.admit(d)
-            rows = self._fill(entry, eng, d, entry.gen)
+            rows = self._fill(entry, eng, d, entry.gen, config)
             rows = np.asarray(rows)
             if entry.column is None:
                 entry.column = rows
@@ -589,7 +589,7 @@ class SampleLedger:
         if column is None:
             config.accounting.admit(n)
             gen = _base_generator(entry.base_spec)
-            column = np.asarray(self._fill(entry, eng, n, gen))
+            column = np.asarray(self._fill(entry, eng, n, gen, config))
             entry.runs[n] = column
             entry.nbytes += column.nbytes
             _record(misses=1, rows_drawn=n)

@@ -51,12 +51,6 @@ class DeadlineExceeded(SamplingError):
     """A configured wall-clock ``deadline`` expired before this draw."""
 
 
-def _resolve_engine(engine: "str | ExecutionEngine | None") -> ExecutionEngine:
-    if engine is None:
-        engine = _cond.get_config().engine
-    return get_engine(engine)
-
-
 def _execute_plan(
     plan: EvaluationPlan,
     n: int,
@@ -64,14 +58,16 @@ def _execute_plan(
     memo: dict[Node, np.ndarray] | None = None,
     engine: "str | ExecutionEngine | None" = None,
     use_ledger: bool = True,
+    config: "_cond.EvaluationConfig | None" = None,
 ) -> np.ndarray:
     """Internal, warning-free plan execution used by every runtime caller.
 
-    Admits the draw through the active configuration's
+    Admits the draw through ``config``'s
     :meth:`~repro.core.conditionals.Accounting.admit` (every draw in the
     process funnels through here), resolves the engine (explicit argument
-    beats the ambient config), and delegates to the engine's instrumented
-    ``sample``.
+    beats the config), and delegates to the engine's instrumented
+    ``sample`` under the same config.  ``config`` defaults to the ambient
+    one; the service passes its own.
 
     When ``config.sample_cache`` is enabled, eligible draws are served
     from the cross-query :class:`~repro.core.ledger.SampleLedger` (cached
@@ -82,7 +78,8 @@ def _execute_plan(
     if n <= 0:
         raise ValueError(f"batch size must be positive, got {n}")
     n = int(n)
-    config = _cond.get_config()
+    if config is None:
+        config = _cond.get_config()
     if use_ledger and memo is None and config.sample_cache:
         from repro.core.ledger import LEDGER
 
@@ -95,12 +92,12 @@ def _execute_plan(
     if accounting.token is None or _cancel.current() is not None:
         # No deadline, or an installed token (the service's per-request
         # one) wins.
-        return eng.sample(plan, n, ensure_rng(rng), memo=memo)
+        return eng.sample(plan, n, ensure_rng(rng), memo=memo, config=config)
     # Admission only catches a deadline that expired between draws; the
     # token also stops a long draw at the engine's next batch boundary.
     with _cancel.scope(accounting.token):
         try:
-            return eng.sample(plan, n, ensure_rng(rng), memo=memo)
+            return eng.sample(plan, n, ensure_rng(rng), memo=memo, config=config)
         except _cancel.EvaluationCancelled as exc:
             raise DeadlineExceeded(
                 f"evaluation deadline of {config.deadline}s expired "
@@ -127,7 +124,7 @@ def sequential_draw(plan: EvaluationPlan, rng, dtype):
     def draw(k: int) -> np.ndarray:
         rows = window.draw(k) if window is not None else None
         if rows is None:
-            rows = _execute_plan(plan, k, rng, use_ledger=False)
+            rows = _execute_plan(plan, k, rng, use_ledger=False, config=config)
         return np.asarray(rows, dtype=dtype)
 
     return draw

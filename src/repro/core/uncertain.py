@@ -23,6 +23,8 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.core import conditionals as _cond
+from repro.core.expectation import expected_value as _expected
+from repro.core.expectation import reduce_samples
 from repro.core.graph import (
     ApplyNode,
     BinaryOpNode,
@@ -288,8 +290,6 @@ class Uncertain:
         :meth:`E` is this method under the paper's name — the same
         attribute, not a wrapper.
         """
-        from repro.core.expectation import expected_value as _expected
-
         return _expected(self, n=n, rng=rng, adaptive=adaptive, **adaptive_options)
 
     # C#-flavoured name used throughout the paper's listings: a true alias
@@ -324,19 +324,8 @@ class Uncertain:
     def ci(
         self, level: float = 0.95, n: int | None = None, rng=None
     ) -> tuple[float, float]:
-        """Central credible interval estimated from ``n`` samples.
-
-        ``n`` defaults to the active configuration's ``ci_samples``.
-        """
-        if not 0 < level < 1:
-            raise ValueError(f"level must be in (0, 1), got {level}")
-        n = self._estimator_n(n, "ci_samples")
-        values = np.asarray(self.samples(n, rng), dtype=float)
-        tail = (1.0 - level) / 2.0
-        return (
-            float(np.quantile(values, tail)),
-            float(np.quantile(values, 1.0 - tail)),
-        )
+        """:meth:`confidence_interval` with ``n`` as its sample count."""
+        return self.confidence_interval(level, samples=n, rng=rng)
 
     def percentiles(
         self,
@@ -363,10 +352,8 @@ class Uncertain:
         if n < 1:
             raise ValueError(f"percentile divisions must be >= 1, got {n}")
         samples = self._estimator_n(samples, "ci_samples")
-        values = np.asarray(
-            self.samples(samples, rng, engine=engine), dtype=float
-        )
-        return np.quantile(values, np.linspace(0.0, 1.0, int(n) + 1))
+        values = self.samples(samples, rng, engine=engine)
+        return reduce_samples("percentiles", values, divisions=n)
 
     def confidence_interval(
         self,
@@ -387,14 +374,8 @@ class Uncertain:
         if not 0 < level < 1:
             raise ValueError(f"level must be in (0, 1), got {level}")
         samples = self._estimator_n(samples, "ci_samples")
-        values = np.asarray(
-            self.samples(samples, rng, engine=engine), dtype=float
-        )
-        tail = (1.0 - level) / 2.0
-        return (
-            float(np.quantile(values, tail)),
-            float(np.quantile(values, 1.0 - tail)),
-        )
+        values = self.samples(samples, rng, engine=engine)
+        return reduce_samples("confidence_interval", values, level=level)
 
     def is_probable(
         self,
@@ -681,8 +662,7 @@ class UncertainBool(Uncertain):
         defaults to the active configuration's ``ci_samples``.
         """
         n = self._estimator_n(n, "ci_samples")
-        values = np.asarray(self.samples(n, rng), dtype=bool)
-        return float(values.mean())
+        return reduce_samples("evidence", self.samples(n, rng))
 
 
 def uncertain(source: Any, label: str | None = None) -> Uncertain:

@@ -20,8 +20,11 @@ mechanisms, all deterministic given their seeds:
 The breaker is *call-count based*, not wall-clock based: reproducibility
 is a design constraint of this codebase (the chaos suite replays failure
 scenarios bit-for-bit), and wall-clock state would break that.  All
-events — retries, trips, fallbacks, probes, recoveries — are counted in
-:mod:`repro.runtime.metrics` and emitted as trace events.
+events — retries, trips, fallbacks, probes, recoveries — are emitted as
+trace events; a :class:`ResilientSource`'s are also counted in the
+``sources`` section of :mod:`repro.runtime.metrics`.  A bare breaker (the
+service's group bulkheads reuse it) keeps only its own ``trips`` and
+``recoveries``.
 """
 
 from __future__ import annotations
@@ -117,9 +120,6 @@ class CircuitBreaker:
             self.state = CLOSED
             self.recoveries += 1
             self._outcomes = []
-            sink = _metrics.active()
-            if sink is not None:
-                sink.record_source(recoveries=1)
             _trace.event("resilience.breaker.close")
             return
         self._push(False)
@@ -141,9 +141,6 @@ class CircuitBreaker:
             self.state = OPEN
             self.trips += 1
             self._open_draws = 0
-            sink = _metrics.active()
-            if sink is not None:
-                sink.record_source(trips=1)
             _trace.event(
                 "resilience.breaker.trip",
                 failures=sum(self._outcomes),
@@ -275,11 +272,19 @@ class ResilientSource(Distribution):
                     delay *= 2.0
             else:
                 if breaker is not None:
+                    recoveries = breaker.recoveries
                     breaker.record_success()
+                    sink = _metrics.active()
+                    if sink is not None and breaker.recoveries != recoveries:
+                        sink.record_source(recoveries=1)
                 return out
         # Retries exhausted for this draw.
         if breaker is not None:
+            trips = breaker.trips
             breaker.record_failure()
+            sink = _metrics.active()
+            if sink is not None and breaker.trips != trips:
+                sink.record_source(trips=1)
             if probing:
                 # The probe failed; serve this draw degraded like the
                 # OPEN state would have.

@@ -485,9 +485,11 @@ def active() -> RuntimeMetrics | None:
 
     ``None`` means recording is disabled for the active evaluation scope.
     """
-    if _resolver is None:
-        return METRICS
-    selection = _resolver()
+    return METRICS if _resolver is None else resolve(_resolver())
+
+
+def resolve(selection) -> RuntimeMetrics | None:
+    """The sink a config's ``metrics`` selection names (``None`` = off)."""
     if selection is True:
         return METRICS
     if not selection:

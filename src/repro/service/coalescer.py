@@ -15,9 +15,8 @@ Given a batch of :class:`~repro.service.requests.QueryRequest` objects it:
 
    - Seeded requests each own the stream ``default_rng(SeedSequence(seed))``
      (the request-level analogue of the parallel engine's chunk streams),
-     so the group runs the shared plan once per seeded request.  The solo
-     path (:func:`evaluate_request`) derives the identical stream from the
-     identical seed and runs the identical plan program — batched answers
+     so the group runs the shared plan once per seeded request through
+     the solo path itself (:func:`evaluate_request`) — batched answers
      are bit-identical to solo answers *by construction*, not by test.
    - Seedless requests pool: the group draws ``sum(n_i)`` rows in **one**
      engine run from the coalescer's stream and slices the rows across
@@ -44,8 +43,8 @@ from typing import Sequence
 import numpy as np
 
 from repro.core import conditionals as _cond
-from repro.core.engines import ExecutionEngine, get_engine
-from repro.core.sampling import DeadlineExceeded, SampleBudgetExceeded
+from repro.core.engines import ExecutionEngine
+from repro.core.sampling import DeadlineExceeded, SampleBudgetExceeded, _execute_plan
 from repro.rng import ensure_rng
 from repro.runtime import cancellation as _cancel
 from repro.runtime.cancellation import CancellationToken, EvaluationCancelled
@@ -99,11 +98,6 @@ def _engine_name(engine: "str | ExecutionEngine") -> str:
     return engine if isinstance(engine, str) else type(engine).__name__
 
 
-def _draw(plan, n: int, rng, engine) -> np.ndarray:
-    """One instrumented engine run of the shared plan."""
-    return get_engine(engine).sample(plan, int(n), rng)
-
-
 def evaluate_request(
     request: QueryRequest,
     *,
@@ -112,7 +106,6 @@ def evaluate_request(
     rng: "np.random.Generator | None" = None,
     token: "CancellationToken | None" = None,
     degrade: "DegradationDecision | None" = None,
-    _batched: bool = False,
     _batch_size: int = 1,
     _plan=None,
 ) -> QueryResult:
@@ -125,32 +118,20 @@ def evaluate_request(
     same level (the effective sample count is pure in ``(nominal,
     level)``).  ``rng`` is only accepted for seedless requests (callers
     that want solo evaluation with an external stream); ``token``
-    installs a cooperative cancellation scope around the draw.
+    installs a cooperative cancellation scope around the draw, which
+    runs through ``_execute_plan`` under ``config``.
     """
     config = config if config is not None else _cond.get_config()
     engine = engine if engine is not None else config.engine
     plan = _plan if _plan is not None else request.value.plan
     decision = degrade if degrade is not None else NO_DEGRADATION
     n, record = decision.apply(request.resolve_samples(config))
-    config.accounting.admit(n)
     if request.seed is not None:
         rng = request.rng()
-    elif rng is None:
-        rng = ensure_rng(None)
     with _cancel.scope(token):
-        values = _draw(plan, n, rng, engine)
+        values = _execute_plan(plan, n, rng, engine=engine, use_ledger=False, config=config)
     answer, extra = reduce_query(request, values)
-    return QueryResult(
-        request=request,
-        value=answer,
-        samples_used=n,
-        batched=_batched,
-        batch_size=_batch_size,
-        latency_s=0.0,
-        engine=_engine_name(engine),
-        extra=extra,
-        degradation=record,
-    )
+    return _result(request, answer, extra, n, _batch_size, engine, record)
 
 
 def _pool_token(members, tokens) -> "CancellationToken | None":
@@ -205,12 +186,6 @@ def _evaluate_group(
         outcomes[i] = exc
         stats.cancelled += 1
 
-    def degraded(req) -> "tuple[int, object]":
-        n, record = decision.apply(req.resolve_samples(config))
-        if record is not None:
-            stats.degraded_requests += 1
-        return n, record
-
     # Requests whose token already tripped while queued (expired deadline,
     # disconnected client) are answered without drawing anything.
     live: "list[tuple[int, QueryRequest]]" = []
@@ -247,18 +222,16 @@ def _evaluate_group(
             # stops that request's run at the next engine batch boundary
             # and never touches its batchmates' streams.
             for i, req in seeded:
-                n, record = degraded(req)
-                config.accounting.admit(n)
                 try:
-                    with _cancel.scope(token_for(i)):
-                        values = _draw(plan, n, req.rng(), engine)
+                    outcomes[i] = evaluate_request(
+                        req, engine=engine, config=config, token=token_for(i),
+                        degrade=decision, _batch_size=size, _plan=plan,
+                    )
                 except EvaluationCancelled as exc:
                     mark_cancelled(i, exc)
                     continue
                 stats.engine_runs += 1
-                stats.samples_drawn += n
-                answer, extra = reduce_query(req, values)
-                outcomes[i] = _result(req, answer, extra, n, size, engine, record)
+                stats.samples_drawn += outcomes[i].samples_used
             # Seedless requests: ONE pooled run sliced across requests.
             # With the sample ledger on, the pooled run is served from
             # (and feeds) the cross-query cache — repeated same-shape
@@ -266,7 +239,7 @@ def _evaluate_group(
             # above deliberately bypass the ledger: their per-request
             # streams are the solo bit-identity contract.
             if pooled:
-                sizing = [degraded(r) for _, r in pooled]
+                sizing = [decision.apply(r.resolve_samples(config)) for _, r in pooled]
                 counts = [n for n, _ in sizing]
                 total = int(sum(counts))
                 rows = None
@@ -277,10 +250,12 @@ def _evaluate_group(
                 if rows is not None:
                     stats.ledger_served += total
                 else:
-                    config.accounting.admit(total)
                     try:
                         with _cancel.scope(_pool_token(pooled, tokens)):
-                            rows = _draw(plan, total, pool_rng, engine)
+                            rows = _execute_plan(
+                                plan, total, pool_rng, engine=engine,
+                                use_ledger=False, config=config,
+                            )
                     except EvaluationCancelled as exc:
                         # Every member's deadline has passed: the whole
                         # pooled cohort is cancelled, not faulted.
@@ -329,8 +304,7 @@ def _evaluate_group(
                 try:
                     outcomes[i] = evaluate_request(
                         req, engine=engine, config=config, rng=pool_rng,
-                        token=token_for(i), degrade=decision,
-                        _batched=size > 1, _batch_size=size,
+                        token=token_for(i), degrade=decision, _batch_size=size,
                     )
                     stats.engine_runs += 1
                     stats.samples_drawn += outcomes[i].samples_used
@@ -419,4 +393,7 @@ def evaluate_batch(
                 if outcomes[i] is None:
                     outcomes[i] = exc
                     stats.failures += 1
+    stats.degraded_requests += sum(
+        isinstance(o, QueryResult) and o.degraded for o in outcomes
+    )
     return outcomes

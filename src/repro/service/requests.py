@@ -31,6 +31,7 @@ from typing import Any
 
 import numpy as np
 
+from repro.core.expectation import reduce_samples
 from repro.core.uncertain import Uncertain
 
 #: The blessed query kinds, mirroring the ``Uncertain`` method surface.
@@ -189,29 +190,15 @@ def reduce_query(request: QueryRequest, values: np.ndarray) -> tuple[Any, dict]:
     This is the *one* reduction used by every path — solo, per-request
     batched, and pooled — which is what makes batched answers bit-identical
     to solo ones: given the same sample array, the answer is the same
-    object math.
+    object math — :func:`~repro.core.expectation.reduce_samples`, the
+    same arithmetic the ``Uncertain`` methods use.
     """
     kind = request.kind
     if kind in ("pr", "is_probable"):
-        evidence = float(np.asarray(values, dtype=bool).mean())
+        evidence = reduce_samples("evidence", values)
         return bool(evidence > request.threshold), {"evidence": evidence}
-    if kind == "expected_value":
-        arr = np.asarray(values)
-        if arr.dtype == object:
-            return sum(values) / len(values), {}
-        return float(arr.mean()) if arr.ndim == 1 else arr.mean(axis=0), {}
     if kind == "sample":
         return values[0], {}
     if kind == "samples":
         return np.asarray(values), {}
-    if kind == "percentiles":
-        grid = np.linspace(0.0, 1.0, request.divisions + 1)
-        return np.quantile(np.asarray(values, dtype=float), grid), {}
-    if kind == "confidence_interval":
-        arr = np.asarray(values, dtype=float)
-        tail = (1.0 - request.level) / 2.0
-        return (
-            float(np.quantile(arr, tail)),
-            float(np.quantile(arr, 1.0 - tail)),
-        ), {}
-    raise ValueError(f"unknown query kind {kind!r}")  # pragma: no cover
+    return reduce_samples(kind, values, level=request.level, divisions=request.divisions), {}

@@ -19,7 +19,7 @@ from repro.core.conditionals import evaluation_config
 from repro.core.expectation import expected_value_adaptive
 from repro.core.sprt import TestDecision
 from repro.core.uncertain import Uncertain
-from repro.dists import Gaussian
+from repro.dists import Gaussian, MultivariateGaussian
 from repro.service import QueryRequest, evaluate_request
 from repro.service.degradation import DEFAULT_LEVELS, DegradationDecision
 
@@ -55,6 +55,42 @@ def test_confidence_interval_reaches_nominal_coverage():
         lo, hi = s.confidence_interval(0.9, samples=2000, rng=seed)
         mass.append(truth.cdf(hi) - truth.cdf(lo))
     assert abs(np.mean(mass) - 0.90) <= 0.01
+
+
+def test_interval_mass_matches_the_level():
+    # X = 2 + 3Z: the exact Gaussian mass between the endpoints of each 90%
+    # interval, averaged over 400 seeds, must equal the mass the estimator
+    # promises within 3 standard errors.  Linearly interpolated sample
+    # quantiles of n rows cover (n − 1)/(n + 1) of the level in expectation
+    # (0.8991 here, not 0.90: 3.5 standard errors below it over 400
+    # seeds); an interval whose tails were 1 − level each would hold 0.80.
+    n, level = 2000, 0.9
+    x = 2 + 3 * Uncertain(Gaussian(0.0, 1.0))
+    truth = stats.norm(2.0, 3.0)
+    mass = []
+    for seed in range(400):
+        lo, hi = x.confidence_interval(level, samples=n, rng=seed)
+        mass.append(truth.cdf(hi) - truth.cdf(lo))
+    standard_error = np.std(mass, ddof=1) / math.sqrt(len(mass))
+    expected = level * (n - 1) / (n + 1)
+    assert abs(np.mean(mass) - expected) <= 3 * standard_error
+
+
+def test_vector_expectation_is_per_component():
+    # E of a vector value is the vector of component means: each component
+    # of a 400-sample mean lies within 1.96·σᵢ/√n of μᵢ in 95% of seeds.
+    mu = np.array([1.0, -4.0, 100.0])
+    sigma = np.array([0.5, 2.0, 10.0])
+    x = Uncertain(MultivariateGaussian(mu, np.diag(sigma**2)))
+    n = 400
+    seeds = range(400)
+    hits = np.zeros(mu.size)
+    for seed in seeds:
+        mean = x.expected_value(n, rng=seed)
+        assert mean.shape == mu.shape
+        hits += np.abs(mean - mu) <= 1.96 * sigma / math.sqrt(n)
+    tolerance = 3 * math.sqrt(0.95 * 0.05 / len(seeds))
+    assert np.all(np.abs(hits / len(seeds) - 0.95) <= tolerance)
 
 
 @pytest.mark.parametrize(

@@ -212,6 +212,25 @@ class TestIntegration:
         assert stats["fallbacks"] > 0
         assert stats["breaker_trips"] == 1
 
+    def test_bulkhead_trips_are_not_source_trips(self):
+        from repro.service.degradation import BulkheadRegistry
+
+        sink = RuntimeMetrics()
+        with evaluation_config(metrics=sink):
+            bulkhead = BulkheadRegistry(
+                breaker_factory=lambda: CircuitBreaker(
+                    window=4, min_calls=2, recovery_calls=1
+                )
+            ).get("group")
+            for outcome in (False, False, None, True):
+                assert bulkhead.try_enter() is None
+                bulkhead.exit(outcome)
+        assert bulkhead.breaker.trips == 1
+        assert bulkhead.breaker.recoveries == 1
+        stats = sink.snapshot()["sources"]
+        assert stats["breaker_trips"] == 0
+        assert stats["breaker_recoveries"] == 0
+
     def test_distribution_resilient_convenience(self):
         source = Gaussian(5.0, 1.0).resilient(max_retries=1)
         assert isinstance(source, ResilientSource)

@@ -254,6 +254,23 @@ class TestAdmission:
         outcomes = evaluate_batch([req], engine="numpy", config=config)
         assert isinstance(outcomes[0], repro.DeadlineExceeded)
 
+    @pytest.mark.parametrize("seed", [0, None])
+    def test_deadline_stops_a_draw_without_a_request_token(self, seed):
+        # The config's deadline expires while the draw sleeps; the next
+        # engine step stops it, as it stops a solo draw.
+        import time
+
+        def slow(values):
+            time.sleep(0.2)
+            return values
+
+        value = Uncertain(Gaussian(0.0, 1.0)).map(slow, vectorized=True) + 1.0
+        config = EvaluationConfig(deadline=0.1)
+        req = QueryRequest(value=value, kind="samples", samples=8, seed=seed)
+        outcomes = evaluate_batch([req], engine="numpy", config=config)
+        assert isinstance(outcomes[0], repro.DeadlineExceeded)
+        assert "mid-draw" in str(outcomes[0])
+
 
 class TestRequestValidation:
     def test_kind_validation(self):
