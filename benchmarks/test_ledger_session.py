@@ -24,8 +24,9 @@ import numpy as np
 from benchmarks._host import stamp_host
 from benchmarks.test_plan_compilation import _fig08_root
 from repro.core.conditionals import evaluation_config
-from repro.core.ledger import clear_ledger, ledger_stats
+from repro.core.ledger import clear_ledger
 from repro.core.uncertain import Uncertain, UncertainBool
+from repro.runtime import stats
 from repro.runtime.metrics import RuntimeMetrics
 
 RESULT_PATH = Path(__file__).resolve().parents[1] / "BENCH_ledger.json"
@@ -71,15 +72,14 @@ def _run_sessions(sample_cache: bool):
         for _ in range(SESSIONS):
             sessions.append(_analyst_session(walking, speed))
     elapsed = time.perf_counter() - start
-    snap = metrics.snapshot()
-    stats = ledger_stats()
+    state = stats()["ledger"]
     clear_ledger()
-    return sessions, elapsed, snap["ledger"], stats
+    return sessions, elapsed, metrics.snapshot()["ledger"], state
 
 
 def test_ledger_analyst_session():
     off_sessions, off_seconds, _, _ = _run_sessions(sample_cache=False)
-    on_sessions, on_seconds, on_ledger, on_stats = _run_sessions(sample_cache=True)
+    on_sessions, on_seconds, on_ledger, on_state = _run_sessions(sample_cache=True)
 
     # Bit-identity: the ledger changes when samples are drawn, never
     # what they are.  Every session's verdict, mean, interval, and
@@ -103,8 +103,8 @@ def test_ledger_analyst_session():
         "ledger_on": {
             "seconds": on_seconds,
             "metrics": on_ledger,
-            "entries": on_stats["entries"],
-            "modes": on_stats["modes"],
+            "entries": on_state["entries"],
+            "modes": on_state["modes"],
         },
         "speedup": speedup,
         "min_speedup": MIN_SPEEDUP,

@@ -37,7 +37,6 @@ from repro.core.plan import (
     clear_plan_cache,
     compile_plan,
     invalidate_plan,
-    plan_cache_size,
 )
 from repro.core.engines import (
     ExecutionEngine,
@@ -83,7 +82,6 @@ __all__ = [
     "compile_plan",
     "invalidate_plan",
     "clear_plan_cache",
-    "plan_cache_size",
     "ExecutionEngine",
     "NumpyEngine",
     "InterpreterEngine",

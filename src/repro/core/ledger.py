@@ -15,7 +15,8 @@ Bit-identity contract
 Every row range the ledger serves is bit-identical to the same range of a
 single fresh engine run from the entry's lineage stream start.  Two entry
 modes uphold that contract, chosen by a certify-or-probe gate at entry
-creation (the PR 6 certifier pattern, sticky per plan shape × engine):
+creation (the static certifier's pattern), sticky per plan shape × engine
+on the shape's :class:`~repro.core.structural.ShapeEntry`:
 
 - **stream** — the plan's RNG consumption is *prefix-stable*: running
   ``n`` rows and then ``N − n`` more on the same generator equals one
@@ -84,7 +85,6 @@ __all__ = [
     "SampleLedger",
     "LEDGER",
     "clear_ledger",
-    "ledger_stats",
 ]
 
 #: Byte budget used when ``sample_cache=True`` (no explicit budget).
@@ -281,10 +281,6 @@ class SampleLedger:
     def __init__(self, max_bytes: int = DEFAULT_MAX_BYTES) -> None:
         self._lock = threading.Lock()
         self._entries: "OrderedDict[tuple, LedgerEntry]" = OrderedDict()
-        #: Sticky certify-or-probe verdicts per (structural hash, engine):
-        #: ``(mode, reason)``.  Deterministic in the plan shape, so they
-        #: survive entry eviction.
-        self._modes: dict[tuple, tuple[str, str]] = {}
         self.max_bytes = int(max_bytes)
 
     # -- public API ---------------------------------------------------------
@@ -383,35 +379,28 @@ class SampleLedger:
             for k in doomed:
                 self._drop(k)
         if doomed:
-            _record(invalidations=len(doomed),
-                    bytes_now=self.total_bytes(), entries_now=len(self._entries))
+            _record(invalidations=len(doomed))
         return len(doomed)
 
     def clear(self) -> None:
-        """Drop every entry and every sticky probe verdict."""
+        """Drop every entry (verdicts stay on the shape entries)."""
         with self._lock:
             self._entries.clear()
-            self._modes.clear()
-        _record(bytes_now=0, entries_now=0)
 
     def total_bytes(self) -> int:
         return sum(e.nbytes for e in self._entries.values())
 
-    def stats(self) -> dict:
-        """Snapshot of the ledger's contents (diagnostics/tests)."""
+    def state(self) -> dict:
+        """What the ledger holds now: entries, bytes, budget, entry modes."""
         with self._lock:
             modes: dict[str, int] = {}
             for entry in self._entries.values():
                 modes[entry.mode] = modes.get(entry.mode, 0) + 1
             return {
                 "entries": len(self._entries),
-                "bytes": sum(e.nbytes for e in self._entries.values()),
+                "bytes": self.total_bytes(),
                 "max_bytes": self.max_bytes,
                 "modes": modes,
-                "verdicts": {
-                    f"{shash[:12]}@{engine}": mode
-                    for (shash, engine), (mode, _r) in self._modes.items()
-                },
             }
 
     # -- resolution ---------------------------------------------------------
@@ -458,11 +447,13 @@ class SampleLedger:
         if entry is not None:
             self._entries.move_to_end(key)
             return entry
-        mode_key = (key[0], eng.name)
-        verdict = self._modes.get(mode_key)
+        shape = exec_plan.shape  # never None: the key holds its hash
+        if shape.ledger is None:
+            shape.ledger = {}
+        verdict = shape.ledger.get(eng.name)
         if verdict is None:
             verdict = self._certify_or_probe(exec_plan, eng)
-            self._modes[mode_key] = verdict
+            shape.ledger[eng.name] = verdict
         mode, reason = verdict
         _trace.event("ledger.entry", mode=mode, reason=reason,
                      engine=eng.name, structural_hash=key[0])
@@ -576,8 +567,6 @@ class SampleLedger:
                 misses=int(have == 0), hits=int(have > 0 and have > start),
             )
             self._evict(keep=entry.key)
-            _record(bytes_now=self.total_bytes(),
-                    entries_now=len(self._entries))
         else:
             config.accounting.admit(0)  # the deadline still applies to cached serves
             _record(hits=1, rows_reused=n)
@@ -594,8 +583,6 @@ class SampleLedger:
             entry.nbytes += column.nbytes
             _record(misses=1, rows_drawn=n)
             self._evict(keep=entry.key)
-            _record(bytes_now=self.total_bytes(),
-                    entries_now=len(self._entries))
         else:
             config.accounting.admit(0)
             _record(hits=1, rows_reused=n)
@@ -627,11 +614,9 @@ class SampleLedger:
 LEDGER = SampleLedger()
 
 
+_metrics.register_gauges("ledger", LEDGER.state)
+
+
 def clear_ledger() -> None:
-    """Drop every cached sample column and probe verdict."""
+    """Drop every cached sample column (verdicts stay on the shapes)."""
     LEDGER.clear()
-
-
-def ledger_stats() -> dict:
-    """Contents snapshot of the process-global ledger."""
-    return LEDGER.stats()

@@ -387,6 +387,6 @@ def clear_plan_cache() -> None:
     _PLANNED_ROOTS.clear()
 
 
-def plan_cache_size() -> int:
-    """Number of live cached plans (diagnostics)."""
-    return sum(1 for node in _PLANNED_ROOTS if node._compiled_plan is not None)
+# Every registered root holds its plan (invalidation unregisters it), so
+# the registry's size is the number of live cached plans.
+_metrics.register_gauges("plans", lambda: {"cached": len(_PLANNED_ROOTS)})

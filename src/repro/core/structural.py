@@ -36,9 +36,10 @@ that shape holds a reference to it (never its own copy of the
 fingerprint).  The entry carries the shape's structural key, the
 optimizer's verdict per optimize level for shapes the optimizer leaves
 unchanged or rejects, so a later isomorphic graph skips the passes (see
-:meth:`repro.core.plan.EvaluationPlan.optimized`), and the shape's fused
-kernel (see :mod:`repro.core.fused`).  Node objects are never shared:
-each graph executes its own nodes.
+:meth:`repro.core.plan.EvaluationPlan.optimized`), the shape's fused
+kernel (see :mod:`repro.core.fused`), and the sample ledger's
+stream/replay verdict per engine (see :mod:`repro.core.ledger`).  Node
+objects are never shared: each graph executes its own nodes.
 
 Collisions
 ----------
@@ -70,6 +71,7 @@ from repro.core.graph import (
     UnaryOpNode,
 )
 from repro.dists.base import Distribution, Support
+from repro.runtime import metrics as _metrics
 
 
 class StructuralOpaque(Exception):
@@ -246,16 +248,19 @@ class ShapeEntry:
     unchanged or rejected its rewrite; rewritten shapes record nothing.
     ``runs`` counts the fused engine's runs of the shape before it has a
     kernel, and ``kernel`` is the fused engine's kernel spec once built:
-    ``kernel.verified`` is its accept/reject verdict.
+    ``kernel.verified`` is its accept/reject verdict.  ``ledger`` maps an
+    engine name to the sample ledger's ``(mode, reason)`` verdict, once
+    the ledger meets the shape.
     """
 
-    __slots__ = ("key", "verdicts", "runs", "kernel")
+    __slots__ = ("key", "verdicts", "runs", "kernel", "ledger")
 
     def __init__(self, key: str) -> None:
         self.key = key
         self.verdicts: dict[int, tuple] = {}
         self.runs = 0
         self.kernel = None
+        self.ledger: dict[str, tuple[str, str]] | None = None
 
 
 class StructuralCache:
@@ -266,6 +271,7 @@ class StructuralCache:
     cached) and whether a structurally *equal* plan was already
     registered.  Evicting or clearing a shape drops its verdicts and its
     kernel: the next plan of that shape registers a fresh entry.
+    ``compile_plan`` counts the lookups; :meth:`state` reports the contents.
     """
 
     def __init__(self, limit: int = 512) -> None:
@@ -274,8 +280,6 @@ class StructuralCache:
         self._entries: OrderedDict[tuple, ShapeEntry] = OrderedDict()
         # Keys of the live entries, for salting colliding digests.
         self._keys: set[str] = set()
-        self.hits = 0
-        self.misses = 0
         self.collisions = 0
 
     def entry_for(self, plan) -> tuple[ShapeEntry | None, bool]:
@@ -286,7 +290,6 @@ class StructuralCache:
             entry = self._entries.get(fingerprint)
             if entry is not None:
                 self._entries.move_to_end(fingerprint)
-                self.hits += 1
                 return entry, True
             digest = fingerprint_digest(fingerprint)
             key, salt = digest, 0
@@ -298,17 +301,12 @@ class StructuralCache:
                 self.collisions += 1
             entry = self._entries[fingerprint] = ShapeEntry(key)
             self._keys.add(key)
-            self.misses += 1
             while len(self._entries) > self.limit:
                 _, evicted = self._entries.popitem(last=False)
                 self._keys.discard(evicted.key)
             return entry, False
 
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def stats(self) -> dict:
+    def state(self) -> dict:
         with self._lock:
             kernels = [
                 e.kernel for e in self._entries.values()
@@ -316,8 +314,6 @@ class StructuralCache:
             ]
             return {
                 "entries": len(self._entries),
-                "hits": self.hits,
-                "misses": self.misses,
                 "collisions": self.collisions,
                 "limit": self.limit,
                 "kernels": len(kernels),
@@ -331,22 +327,16 @@ class StructuralCache:
         with self._lock:
             self._entries.clear()
             self._keys.clear()
-            self.hits = 0
-            self.misses = 0
             self.collisions = 0
 
 
 #: Process-global structural cache consulted by ``compile_plan``.
 STRUCTURAL_CACHE = StructuralCache()
-
-
-def structural_cache_stats() -> dict:
-    """Counters of the process-global structural cache and its kernels."""
-    return STRUCTURAL_CACHE.stats()
+_metrics.register_gauges("structural", STRUCTURAL_CACHE.state)
 
 
 def clear_structural_cache() -> None:
-    """Drop every registered shape with its verdicts and kernel; reset counters."""
+    """Drop every registered shape with its verdicts and kernel."""
     STRUCTURAL_CACHE.clear()
 
 
@@ -362,5 +352,4 @@ __all__ = [
     "fingerprint_digest",
     "node_token",
     "plan_fingerprint",
-    "structural_cache_stats",
 ]

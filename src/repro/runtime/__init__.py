@@ -23,6 +23,7 @@ lazily via module ``__getattr__``.
 from __future__ import annotations
 
 from repro.runtime.cancellation import CancellationToken, EvaluationCancelled
+from repro.runtime import metrics as _metrics
 from repro.runtime.metrics import (
     METRICS,
     EngineStats,
@@ -54,18 +55,24 @@ __all__ = [
 
 
 def stats() -> dict:
-    """Snapshot of the process-global runtime counters.
+    """The process-global runtime counters, plus the caches' state read now.
 
     Answers "what did this process spend its sampling time on": plans
     compiled vs cache hits, samples/batches/wall-time per engine, SPRT
     steps and samples, expectation and conditional activity, and parallel
-    chunk/crash/retry counts.  Schema in ``docs/runtime.md``.
+    chunk/crash/retry counts; and "what is cached" (``plans.cached``, the
+    ``structural`` section, the ledger's footprint).  See ``docs/runtime.md``.
     """
-    return METRICS.snapshot()
+    import repro.core.ledger  # noqa: F401 - registers the ledger's state
+
+    snap = METRICS.snapshot()
+    for section, read in _metrics.GAUGES.items():
+        snap.setdefault(section, {}).update(read())
+    return snap
 
 
 def reset_stats() -> None:
-    """Zero the process-global runtime counters."""
+    """Zero the process-global runtime counters (cache state is kept)."""
     METRICS.reset()
 
 

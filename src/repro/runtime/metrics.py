@@ -8,8 +8,8 @@ conditionals consumed.  The counters live in a single process-global
 on by default — recording is plain attribute arithmetic on the hot path,
 locking only on snapshot/reset.
 
-``repro.runtime.stats()`` returns a snapshot; selection is governed by
-``EvaluationConfig.metrics``:
+``repro.runtime.stats()`` returns a snapshot with the caches' state merged
+in (:func:`register_gauges`); the sink is governed by ``EvaluationConfig.metrics``:
 
 - ``True`` (default) — record into the global registry;
 - ``False``/``None`` — record nothing;
@@ -103,13 +103,15 @@ class LatencyHistogram:
         for n in self.counts[:-1]:
             running += n
             cumulative.append(running)
+        empty = self.count == 0
         return {
             "count": self.count,
             "sum": self.sum,
             "bounds": list(self.bounds),
             "cumulative": cumulative,  # per-bound cumulative counts (le=)
-            "p50": self.quantile(0.5),
-            "p99": self.quantile(0.99),
+            # Strict JSON has no NaN: an empty histogram has no quantiles.
+            "p50": None if empty else self.quantile(0.5),
+            "p99": None if empty else self.quantile(0.99),
         }
 
 
@@ -161,7 +163,7 @@ _SCHEMA = {
     "ledger": (
         "hits", "misses", "suffix_extensions", "rows_reused", "rows_drawn",
         "evictions", "probes", "certified", "rejections", "bypasses",
-        "invalidations", "bytes", "entries",
+        "invalidations",
     ),
     "health": ("nonfinite_batches", "nonfinite_rows", "resamples", "by_policy"),
     "sources": (
@@ -265,15 +267,10 @@ class RuntimeMetrics:
         rows_reused: int = 0, rows_drawn: int = 0, evictions: int = 0,
         probes: int = 0, certified: int = 0, rejections: int = 0,
         bypasses: int = 0, invalidations: int = 0,
-        bytes_now: int | None = None, entries_now: int | None = None,
     ) -> None:
-        """Sample-ledger events (``repro.core.ledger``).
-
-        Counters accumulate (cache hits, suffix extensions, reused vs
-        freshly drawn rows, evictions, certify-or-probe outcomes);
-        ``bytes_now``/``entries_now`` are gauges overwritten with the
-        ledger's current footprint after each mutation.
-        """
+        """Sample-ledger events (``repro.core.ledger``): cache hits, suffix
+        extensions, reused vs freshly drawn rows, evictions and
+        certify-or-probe outcomes."""
         self.ledger_hits += hits
         self.ledger_misses += misses
         self.ledger_suffix_extensions += suffix_extensions
@@ -285,10 +282,6 @@ class RuntimeMetrics:
         self.ledger_rejections += rejections
         self.ledger_bypasses += bypasses
         self.ledger_invalidations += invalidations
-        if bytes_now is not None:
-            self.ledger_bytes = int(bytes_now)
-        if entries_now is not None:
-            self.ledger_entries = int(entries_now)
 
     # -- resilience layer ---------------------------------------------------
 
@@ -351,10 +344,6 @@ class RuntimeMetrics:
         """Samples drawn across every engine (convenience for budgets)."""
         return sum(stats.samples for stats in self.engines.values())
 
-    def render_prometheus(self, prefix: str = "repro") -> str:
-        """This registry's counters in Prometheus text exposition format."""
-        return render_prometheus(self.snapshot(), prefix=prefix)
-
 
 # ---------------------------------------------------------------------------
 # Prometheus text exposition (format version 0.0.4).  Stdlib-only by design:
@@ -412,11 +401,12 @@ _LABELLED_KEYS = {
     "by_kind": "kind",
     "by_policy": "policy",
     "inconclusive_by_policy": "policy",
+    "modes": "mode",
 }
 
 
 def render_prometheus(snapshot: dict, prefix: str = "repro") -> str:
-    """Flatten a :meth:`RuntimeMetrics.snapshot` into Prometheus text.
+    """Flatten a :meth:`RuntimeMetrics.snapshot` or ``stats()`` into Prometheus text.
 
     Naming scheme: section and counter join with underscores
     (``repro_plans_compiled``), per-engine counters carry an
@@ -463,6 +453,16 @@ def render_prometheus(snapshot: dict, prefix: str = "repro") -> str:
 
 #: The process-global registry that ``repro.runtime.stats()`` reads.
 METRICS = RuntimeMetrics()
+
+
+#: State readers of the process-global caches, one per ``stats()`` section:
+#: a cache's state is read from the cache itself, never copied into counters.
+GAUGES: dict[str, Callable[[], dict]] = {}
+
+
+def register_gauges(section: str, read: Callable[[], dict]) -> None:
+    """Merge ``read()`` into section ``section`` of every ``stats()``."""
+    GAUGES[section] = read
 
 
 # ---------------------------------------------------------------------------

@@ -40,11 +40,12 @@ from repro.core import conditionals as _cond
 from repro.core.sampling import DeadlineExceeded, SampleBudgetExceeded
 from repro.core.uncertain import Uncertain
 from repro.rng import ensure_rng
+from repro.runtime import stats as runtime_stats
 from repro.runtime.metrics import (
-    METRICS,
     DEFAULT_LATENCY_BOUNDS,
     LatencyHistogram,
     render_histogram,
+    render_prometheus,
 )
 
 from repro.runtime.cancellation import CancellationToken
@@ -63,7 +64,7 @@ _OCCUPANCY_BOUNDS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
 #: Coalescer totals that ``Service.stats()`` reports at its top level.
 _BATCH_TOTALS = (
     "failures", "groups", "coalesced_requests", "pooled_requests",
-    "engine_runs", "samples_drawn", "group_fallbacks",
+    "engine_runs", "samples_drawn", "group_fallbacks", "ledger_served",
 )
 
 #: Counters exported as ``<prefix>_service_<key>_total``: key -> help text.
@@ -80,6 +81,7 @@ _COUNTERS = {
     "samples_drawn": "Joint samples drawn by the coalescer.",
     "group_fallbacks":
         "Bulk evaluations that fell back to per-request evaluation.",
+    "ledger_served": "Pooled seedless rows served from the sample ledger.",
     "degraded_requests": "Requests answered at a brownout level > 0.",
     "cancelled": "Requests cancelled mid-flight (deadline / disconnect).",
     "bulkhead_rejected": "Requests refused by a group bulkhead.",
@@ -529,8 +531,8 @@ class Service:
 
         Covers queue depth, batch occupancy, shed/reject counts,
         per-kind request latency histograms (p50/p99 derivable via
-        ``histogram_quantile``), and everything the runtime sink already
-        tracks — including per-engine latency histograms.
+        ``histogram_quantile``), and all of ``repro.runtime.stats()``:
+        process counters, per-engine latency histograms and cache state.
         """
         snap = self.stats()
         # Counter values by key; the overload counters sit in "degradation".
@@ -558,13 +560,16 @@ class Service:
                 lines.append(
                     f'{prefix}_service_requests_total{{kind="{kind}"}} {count}'
                 )
+        lines.append(f"# TYPE {prefix}_service_batch_occupancy histogram")
         lines.extend(render_histogram(
             f"{prefix}_service_batch_occupancy", snap["batch_occupancy"]
         ))
+        # One TYPE line makes the per-kind series one contiguous family.
+        lines.append(f"# TYPE {prefix}_service_request_latency_seconds histogram")
         for kind, hist in snap["latency_by_kind"].items():
             lines.extend(render_histogram(
                 f"{prefix}_service_request_latency_seconds", hist,
                 labels={"kind": kind},
             ))
         body = "\n".join(lines) + "\n"
-        return body + METRICS.render_prometheus(prefix=prefix)
+        return body + render_prometheus(runtime_stats(), prefix=prefix)

@@ -31,13 +31,13 @@ from repro.core.plan import compile_plan
 from repro.core.structural import (
     STRUCTURAL_CACHE,
     clear_structural_cache,
-    structural_cache_stats,
 )
 from repro.core.uncertain import Uncertain
 from repro.dists.exponential import Exponential
 from repro.dists.gaussian import Gaussian
 from repro.dists.uniform import Uniform
 from repro.evaluate import clear_caches
+from repro.runtime import stats
 from repro.runtime.metrics import RuntimeMetrics
 from tests.kernel_path import kernel_ran
 
@@ -47,6 +47,10 @@ def _fresh_kernels():
     clear_structural_cache()
     yield
     clear_structural_cache()
+
+
+def structural_state() -> dict:
+    return stats()["structural"]
 
 
 def fig08_plan():
@@ -256,10 +260,10 @@ class TestKernelCache:
         # certifies statically and the probe run is skipped entirely.
         assert snap["kernels_certified"] == 1
         assert snap["kernels_probed"] == 0
-        stats = structural_cache_stats()
-        assert stats["kernels"] == 1
-        assert stats["kernels_verified"] == 1
-        assert stats["kernels_certified"] == 1
+        state = structural_state()
+        assert state["kernels"] == 1
+        assert state["kernels_verified"] == 1
+        assert state["kernels_certified"] == 1
 
     def test_kernel_reused_across_batches_without_rebuild(self):
         metrics = RuntimeMetrics()
@@ -341,7 +345,7 @@ class TestTieredKernels:
         assert calls == []
         snap = metrics.snapshot()["fused"]
         assert snap["kernels_built"] == snap["kernel_hits"] == 0
-        assert structural_cache_stats()["kernels"] == 0
+        assert structural_state()["kernels"] == 0
         assert plan._fused is None
         run_fused(speed_plan())  # the hot run certifies
         assert len(calls) == 1
@@ -353,7 +357,7 @@ class TestTieredKernels:
         speed, fig08 = speed_plan(), fig08_plan().optimized(2)
         assert speed.shape is not fig08.shape
         assert speed.shape.runs == fig08.shape.runs == fused._HOT_RUNS - 1
-        assert structural_cache_stats()["kernels"] == 0
+        assert structural_state()["kernels"] == 0
 
     def test_kth_run_builds_and_later_graphs_hit(self):
         metrics = RuntimeMetrics()
@@ -368,7 +372,7 @@ class TestTieredKernels:
         snap = metrics.snapshot()["fused"]
         assert (snap["kernels_built"], snap["kernel_hits"]) == (1, 1)
         assert later.shape.kernel is plan.shape.kernel
-        assert structural_cache_stats()["kernels_verified"] == 1
+        assert structural_state()["kernels_verified"] == 1
         np.testing.assert_array_equal(got, run_numpy(later, seed=9))
 
     def test_sprt_crossing_the_switch_matches_numpy(self):
@@ -417,9 +421,9 @@ class TestTieredKernels:
 
     def test_clear_caches_drops_the_kernel(self):
         self.make_hot()
-        assert structural_cache_stats()["kernels"] == 1
+        assert structural_state()["kernels"] == 1
         clear_caches()
-        assert structural_cache_stats()["kernels"] == 0
+        assert structural_state()["kernels"] == 0
         fresh = speed_plan()
         assert fresh.shape.kernel is None and fresh.shape.runs == 0
 
@@ -436,8 +440,8 @@ class TestTieredKernels:
         assert len(caught) == 1
         snap = metrics.snapshot()["fused"]
         assert (snap["kernels_rejected"], snap["kernels_built"]) == (1, 0)
-        stats = structural_cache_stats()
-        assert (stats["kernels"], stats["kernels_verified"]) == (1, 0)
+        state = structural_state()
+        assert (state["kernels"], state["kernels_verified"]) == (1, 0)
         assert not plan.shape.kernel.verified
 
     def test_fused_program_builds_on_demand(self):
@@ -480,4 +484,4 @@ class TestTieredKernels:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert failures == []
-        assert structural_cache_stats()["kernels_verified"] == 2
+        assert structural_state()["kernels_verified"] == 2

@@ -11,20 +11,17 @@ import numpy as np
 import pytest
 
 from repro.core.conditionals import evaluation_config
-from repro.core.ledger import (
-    LEDGER,
-    SampleLedger,
-    clear_ledger,
-    ledger_stats,
-)
+from repro.core.ledger import LEDGER, SampleLedger, clear_ledger
 from repro.core.plan import clear_plan_cache, compile_plan, invalidate_plan
 from repro.core.sampling import SampleBudgetExceeded
+from repro.core.structural import STRUCTURAL_CACHE, clear_structural_cache
 from repro.core.uncertain import Uncertain
 from repro.dists.gaussian import Gaussian
 from repro.dists.categorical import PointMass
 from repro.dists.uniform import Uniform
 from repro.resilience import NonFiniteError
-from repro.runtime.metrics import RuntimeMetrics
+from repro.runtime import reset_stats, stats
+from repro.runtime.metrics import RuntimeMetrics, render_prometheus
 
 ENGINES = ["numpy", "fused"]
 
@@ -44,6 +41,15 @@ def certified_value() -> Uncertain:
 def replay_value() -> Uncertain:
     """Two stochastic leaves: interleaved draws force replay mode."""
     return Uncertain(Gaussian(0.0, 1.0)) + Uncertain(Uniform(0.0, 1.0))
+
+
+def ledger_state() -> dict:
+    return stats()["ledger"]
+
+
+def verdicts(value: Uncertain) -> dict:
+    """The ledger's verdicts on ``value``'s executed (optimized) shape."""
+    return value.plan.optimized(2).shape.ledger or {}
 
 
 @pytest.mark.usefixtures("hot_kernels")
@@ -145,7 +151,7 @@ class TestSampleEconomics:
         assert np.array_equal(a, b)
         assert scoped.ledger_hits >= 1
         assert scoped.ledger_rows_drawn == 400
-        assert ledger_stats()["modes"] == {"replay": 1}
+        assert ledger_state()["modes"] == {"replay": 1}
 
 
 class TestStreamSemantics:
@@ -192,9 +198,9 @@ class TestEvictionAndRebuild:
         with evaluation_config(sample_cache=4000):
             for v in values:
                 v.samples(200, rng=77)
-            stats = ledger_stats()
-            assert stats["bytes"] <= 4000
-            assert stats["entries"] < 3
+            state = ledger_state()
+            assert state["bytes"] <= 4000
+            assert state["entries"] < 3
             # Evicted entries rebuild bit-identically on demand.
             rebuilt = [v.samples(200, rng=77) for v in values]
         for ref, re in zip(reference, rebuilt):
@@ -204,11 +210,13 @@ class TestEvictionAndRebuild:
         u = certified_value()
         with evaluation_config(sample_cache=True):
             u.samples(100, rng=1)
-        assert ledger_stats()["entries"] == 1
+        assert ledger_state()["entries"] == 1
         clear_ledger()
-        stats = ledger_stats()
-        assert stats["entries"] == 0 and stats["bytes"] == 0
-        assert stats["verdicts"] == {}
+        state = ledger_state()
+        assert state["entries"] == 0 and state["bytes"] == 0
+        assert state["modes"] == {}
+        # The verdict belongs to the shape, not to the ledger: it survives.
+        assert verdicts(u)["numpy"][0] == "stream"
 
 
 class TestInvalidation:
@@ -216,17 +224,17 @@ class TestInvalidation:
         u = certified_value()
         with evaluation_config(sample_cache=True):
             u.samples(100, rng=1)
-        assert ledger_stats()["entries"] == 1
+        assert ledger_state()["entries"] == 1
         invalidate_plan(u.node)
-        assert ledger_stats()["entries"] == 0
+        assert ledger_state()["entries"] == 0
 
     def test_clear_plan_cache_drops_ledger_entries(self):
         u = certified_value()
         with evaluation_config(sample_cache=True):
             u.samples(100, rng=1)
-        assert ledger_stats()["entries"] == 1
+        assert ledger_state()["entries"] == 1
         clear_plan_cache()
-        assert ledger_stats()["entries"] == 0
+        assert ledger_state()["entries"] == 0
 
     def test_health_repair_poisons_nothing(self):
         # An always-infinite plan: cached under the default policy, then
@@ -236,11 +244,11 @@ class TestInvalidation:
         with evaluation_config(sample_cache=True):
             rows = bad.samples(50, rng=1)
             assert np.all(~np.isfinite(rows))
-        assert ledger_stats()["entries"] == 1
+        assert ledger_state()["entries"] == 1
         with evaluation_config(on_nonfinite="resample", nonfinite_retries=2):
             with pytest.raises(NonFiniteError):
                 bad.samples(50, rng=1)
-        assert ledger_stats()["entries"] == 0
+        assert ledger_state()["entries"] == 0
 
     def test_resample_policy_bypasses_the_ledger(self):
         u = certified_value()
@@ -249,7 +257,7 @@ class TestInvalidation:
             sample_cache=True, on_nonfinite="resample", metrics=scoped
         ):
             u.samples(100, rng=1)
-        assert ledger_stats()["entries"] == 0
+        assert ledger_state()["entries"] == 0
         assert scoped.ledger_bypasses >= 1
 
 
@@ -261,18 +269,18 @@ class TestGating:
             a = u.samples(100, rng=1)
             b = u.samples(100, rng=1)
         assert np.array_equal(a, b)  # fresh generator per call either way
-        assert ledger_stats()["entries"] == 0
+        assert ledger_state()["entries"] == 0
 
     def test_parallel_engine_bypasses(self):
         u = certified_value()
         with evaluation_config(sample_cache=True, engine="parallel"):
             u.samples(100, rng=1)
-        assert ledger_stats()["entries"] == 0
+        assert ledger_state()["entries"] == 0
 
     def test_off_by_default(self):
         u = certified_value()
         u.samples(100, rng=1)
-        assert ledger_stats()["entries"] == 0
+        assert ledger_state()["entries"] == 0
 
     def test_shared_context_draws_bypass(self):
         from repro.core.sampling import SampleContext
@@ -281,7 +289,7 @@ class TestGating:
         with evaluation_config(sample_cache=True):
             ctx = SampleContext(64, rng=5)
             ctx.value_of(u.node)
-        assert ledger_stats()["entries"] == 0
+        assert ledger_state()["entries"] == 0
 
     def test_certify_verdicts_are_sticky_per_shape(self):
         u = certified_value()
@@ -289,16 +297,15 @@ class TestGating:
         with evaluation_config(sample_cache=True):
             u.samples(50, rng=1)
             m.samples(50, rng=1)
-        stats = ledger_stats()
-        assert sorted(stats["verdicts"].values()) == ["replay", "stream"]
-        # Clearing entries alone (eviction) keeps verdicts; full clear drops.
-        assert ledger_stats()["modes"] == {"replay": 1, "stream": 1}
+        assert verdicts(u)["numpy"][0] == "stream"
+        assert verdicts(m)["numpy"][0] == "replay"
+        assert ledger_state()["modes"] == {"replay": 1, "stream": 1}
 
     def test_fill_failure_drops_the_entry(self):
         u = certified_value()
         with evaluation_config(sample_cache=True):
             u.samples(50, rng=1)
-            assert ledger_stats()["entries"] == 1
+            assert ledger_state()["entries"] == 1
             with evaluation_config(sample_cache=True, on_nonfinite="raise"):
                 # force an extension failure via a poisoned plan sharing
                 # nothing with u: the entry for u must survive...
@@ -307,9 +314,75 @@ class TestGating:
                 )
                 with pytest.raises(NonFiniteError):
                     bad.samples(10, rng=2)
-            stats = ledger_stats()
             # ...and the poisoned plan's half-built entry must not.
-            assert stats["entries"] == 1
+            assert ledger_state()["entries"] == 1
+
+
+class TestLiveState:
+    """``stats()["ledger"]`` reads the ledger itself, so resets, scoped
+    sinks and disabled metrics cannot make it disagree with the ledger."""
+
+    def test_state_survives_reset_stats(self):
+        with evaluation_config(sample_cache=True):
+            certified_value().samples(100, rng=1)
+        reset_stats()
+        state = ledger_state()
+        assert (state["entries"], state["bytes"]) == (1, 800)
+        assert state["hits"] == state["misses"] == 0  # counters do reset
+
+    def test_scoped_sink_draws_show_in_the_process_state(self):
+        scoped = RuntimeMetrics()
+        with evaluation_config(sample_cache=True, metrics=scoped):
+            certified_value().samples(100, rng=1)
+            replay_value().samples(100, rng=1)
+        state = ledger_state()
+        assert (state["entries"], state["bytes"]) == (2, 1600)
+        assert state["modes"] == {"replay": 1, "stream": 1}
+        assert not {"entries", "bytes"} & set(scoped.snapshot()["ledger"])
+
+    def test_clear_without_metrics_empties_the_state(self):
+        with evaluation_config(sample_cache=True):
+            certified_value().samples(100, rng=1)
+        with evaluation_config(metrics=False):
+            clear_ledger()
+        state = ledger_state()
+        assert (state["entries"], state["bytes"]) == (0, 0)
+
+
+class TestVerdictsLiveOnShapes:
+    """The stream/replay verdict is kept on the shape entry, so the
+    structural cache's limit bounds it and its clear drops it."""
+
+    @pytest.fixture(autouse=True)
+    def _fresh_shapes(self):
+        clear_structural_cache()
+        yield
+        clear_structural_cache()
+
+    @staticmethod
+    def _certifications(value, seed) -> int:
+        scoped = RuntimeMetrics()
+        with evaluation_config(sample_cache=True, metrics=scoped):
+            value.samples(10, rng=seed)
+        return scoped.ledger_certified
+
+    def test_evicted_shapes_take_their_verdicts(self, monkeypatch):
+        monkeypatch.setattr(STRUCTURAL_CACHE, "limit", 4)
+        shapes = [lambda i=i: Uncertain(Gaussian(float(i), 1.0)) * 2.0
+                  for i in range(12)]
+        assert sum(self._certifications(make(), 1) for make in shapes) == 12
+        # The first shape was evicted: a new lineage of it re-certifies.
+        assert self._certifications(shapes[0](), 2) == 1
+        # A live shape keeps its verdict: no second certification.
+        assert self._certifications(shapes[-1](), 3) == 0
+        live = [e for e in STRUCTURAL_CACHE._entries.values() if e.ledger]
+        assert len(live) <= 4
+
+    def test_clear_structural_cache_drops_the_verdict(self):
+        assert self._certifications(certified_value(), 1) == 1
+        assert self._certifications(certified_value(), 2) == 0
+        clear_structural_cache()
+        assert self._certifications(certified_value(), 3) == 1
 
 
 class TestMetricsExposition:
@@ -319,10 +392,14 @@ class TestMetricsExposition:
         with evaluation_config(sample_cache=True, metrics=scoped):
             u.samples(100, rng=1)
             u.samples(100, rng=1)
-        text = scoped.render_prometheus()
+        text = render_prometheus(scoped.snapshot())
         assert "repro_ledger_hits" in text
         assert "repro_ledger_suffix_extensions" in text
-        assert "repro_ledger_bytes" in text
+        # The footprint is the ledger's state, not a scoped sink's count.
+        assert "repro_ledger_bytes" not in text
+        state = render_prometheus(stats())
+        assert "repro_ledger_bytes 800" in state
+        assert 'repro_ledger_modes{mode="stream"} 1' in state
         snap = scoped.snapshot()["ledger"]
         assert snap["hits"] >= 1
         assert snap["rows_drawn"] == 100
@@ -330,5 +407,5 @@ class TestMetricsExposition:
 
     def test_instance_isolated_from_global(self):
         ledger = SampleLedger(max_bytes=10)
-        assert ledger.stats()["entries"] == 0
+        assert ledger.state()["entries"] == 0
         assert ledger is not LEDGER

@@ -34,14 +34,13 @@ from repro.core.plan import (
     clear_plan_cache,
     compile_plan,
     invalidate_plan,
-    plan_cache_size,
 )
 from repro.core.sampling import SampleContext
 from repro.core.uncertain import Uncertain
 from repro.dists import Gaussian, Uniform
 from repro.dists.sampling_function import FunctionDistribution
 from repro.rng import default_rng
-from repro.runtime import RuntimeMetrics
+from repro.runtime import RuntimeMetrics, stats
 
 ENGINES = ["numpy", "interpreter"]
 
@@ -90,12 +89,12 @@ class TestPlanCompilation:
         clear_plan_cache()
         root = every_node_kind_graph()
         compile_plan(root)
-        assert plan_cache_size() == 1
+        assert stats()["plans"]["cached"] == 1
         del root
         import gc
 
         gc.collect()
-        assert plan_cache_size() == 0
+        assert stats()["plans"]["cached"] == 0
 
     def test_slots_are_topologically_ordered(self):
         plan = compile_plan(every_node_kind_graph())

@@ -18,7 +18,6 @@ from repro.core.structural import (
     canonical_value,
     clear_structural_cache,
     plan_fingerprint,
-    structural_cache_stats,
 )
 from repro.core.uncertain import Uncertain
 from repro.dists.exponential import Exponential
@@ -26,6 +25,7 @@ from repro.dists.gaussian import Gaussian
 from repro.dists.uniform import Uniform
 from repro.evaluate import clear_caches
 from repro.resilience.chaos import ChaosDistribution
+from repro.runtime import reset_stats, stats
 from tests.kernel_path import kernel_ran_if_fused
 
 
@@ -105,7 +105,7 @@ class TestOpacity:
     def test_opaque_plans_do_not_pollute_the_cache(self):
         x = Uncertain(Gaussian(0.0, 1.0))
         compile_plan(x.map(lambda v: v, vectorized=True).node)
-        assert structural_cache_stats()["entries"] == 0
+        assert stats()["structural"]["entries"] == 0
 
 
 class TestCollisionHandling:
@@ -134,7 +134,7 @@ class TestCollisionHandling:
         again2, hit2 = cache.entry_for(compile_plan(gps_speed(mu=2.5).node))
         assert (again1.key, hit1) == ("d", True)
         assert (again2.key, hit2) == ("d#1", True)
-        assert cache.stats()["collisions"] == 1
+        assert cache.state()["collisions"] == 1
 
     def test_reuse_requires_identical_fingerprints(self):
         p1 = compile_plan(gps_speed(mu=1.5).node)
@@ -149,12 +149,27 @@ class TestCacheBounds:
         for i in range(10):
             plan = compile_plan((Uncertain(Gaussian(float(i), 1.0)) + float(i)).node)
             cache.entry_for(plan)
-        assert len(cache) <= 4
+        assert cache.state()["entries"] <= 4
 
     def test_global_stats_shape(self):
         compile_plan(gps_speed().node)
-        stats = structural_cache_stats()
-        assert set(stats) >= {"entries", "hits", "misses", "collisions"}
+        state = stats()["structural"]
+        assert set(state) == {
+            "entries", "limit", "collisions", "kernels", "kernels_verified",
+            "kernels_certified",
+        }
+        assert (state["entries"], state["limit"]) == (1, STRUCTURAL_CACHE.limit)
+
+    def test_lookups_are_counted_once(self):
+        # compile_plan counts each lookup in plans.structural_*; the cache
+        # reports what it holds, not a second hit/miss count.
+        reset_stats()
+        compile_plan(gps_speed().node)
+        compile_plan(gps_speed().node).optimized(2)
+        plans = stats()["plans"]
+        assert (plans["structural_hits"], plans["structural_misses"]) == (1, 1)
+        assert not {"hits", "misses"} & set(stats()["structural"])
+        assert not hasattr(STRUCTURAL_CACHE, "hits")
 
 
 class TestCanonicalValues:

@@ -83,10 +83,22 @@ class TestMetricsScoping:
         assert METRICS.total_samples() == 0
 
     def test_reset_stats_zeroes_everything(self):
+        # Every counter; the caches' state is not a counter and stays.
         Uncertain(Gaussian(0.0, 1.0)).samples(50, rng=0)
-        assert runtime.stats() != RuntimeMetrics().snapshot()
+        assert METRICS.snapshot() != RuntimeMetrics().snapshot()
         runtime.reset_stats()
-        assert runtime.stats() == RuntimeMetrics().snapshot()
+        assert METRICS.snapshot() == RuntimeMetrics().snapshot()
+
+    def test_reset_stats_keeps_the_cache_state(self):
+        value = Uncertain(Gaussian(0.0, 1.0)) + 1.0
+        value.samples(50, rng=0)
+        before = runtime.stats()
+        runtime.reset_stats()
+        after = runtime.stats()
+        assert after["plans"]["compiled"] == 0
+        assert after["plans"]["cached"] == before["plans"]["cached"] >= 1
+        assert after["structural"] == before["structural"]
+        assert after["structural"]["entries"] >= 1
 
     def test_parallel_counters(self):
         from repro.runtime.parallel import ParallelEngine

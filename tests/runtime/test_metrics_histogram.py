@@ -73,7 +73,7 @@ class TestBucketMath:
     def test_empty_histogram_is_nan(self):
         hist = LatencyHistogram()
         assert math.isnan(hist.quantile(0.5))
-        assert math.isnan(hist.as_dict()["p50"])
+        assert hist.as_dict()["p50"] is None
 
     def test_quantile_validates_range(self):
         with pytest.raises(ValueError):
@@ -160,7 +160,7 @@ class TestPrometheusRendering:
     def test_snapshot_renders_engine_labels(self):
         metrics = RuntimeMetrics()
         metrics.record_engine("fused", 4096, 0.002)
-        text = metrics.render_prometheus()
+        text = render_prometheus(metrics.snapshot())
         assert 'repro_engine_samples{engine="fused"} 4096' in text
         assert 'repro_engine_latency_seconds_bucket{engine="fused",le="+Inf"} 1' in text
         assert text.endswith("\n")
@@ -181,18 +181,35 @@ class TestPrometheusRendering:
     def test_each_family_is_contiguous_and_typed_once(self):
         # The exposition format requires all samples of one metric family
         # in one group, under at most one TYPE line.  Two engines used to
-        # interleave the per-engine families.
+        # interleave the per-engine families.  The service's whole
+        # /metrics body (its own families, then the runtime's counters and
+        # cache state) must hold to the same rule.
+        import asyncio
+
         import repro
         from repro.dists import Gaussian
+        from repro.service import Service
 
         metrics = RuntimeMetrics()
         value = repro.uncertain(Gaussian(0.0, 1.0)) + 1.0
         for engine in ("numpy", "interpreter"):
             with repro.evaluation_config(metrics=metrics, engine=engine, rng=0):
                 value.samples(64)
-        text = metrics.render_prometheus()
         assert set(metrics.snapshot()["engines"]) == {"numpy", "interpreter"}
 
+        async def service_body():
+            async with Service(engine="numpy") as svc:
+                await svc.samples(value, 16, seed=1)
+                await svc.expected_value(value, samples=64)  # via the ledger
+                return svc.render_metrics()
+
+        with repro.evaluation_config(sample_cache=True):
+            body = asyncio.run(service_body())
+        for text in (render_prometheus(metrics.snapshot()), body):
+            self._assert_families_contiguous(text)
+
+    @staticmethod
+    def _assert_families_contiguous(text: str) -> None:
         typed: dict[str, str] = {}
         families: list[str] = []
         for line in text.strip().splitlines():
@@ -201,6 +218,8 @@ class TestPrometheusRendering:
                 assert family not in typed, f"second TYPE line for {family}"
                 typed[family] = kind
                 families.append(family)
+                continue
+            if line.startswith("#"):  # HELP text precedes its TYPE line
                 continue
             name = line.split("{")[0].split(" ")[0]
             stem = name.rsplit("_", 1)[0]

@@ -9,14 +9,22 @@ their batched-equals-solo bit-identity contract stays intact.
 
 from __future__ import annotations
 
+import asyncio
+
 import numpy as np
 
-from repro import Uncertain
+from repro import Uncertain, runtime
 from repro.core.conditionals import evaluation_config
-from repro.core.ledger import clear_ledger, ledger_stats
+from repro.core.ledger import clear_ledger
 from repro.dists import Gaussian
 from repro.rng import default_rng
-from repro.service import CoalescerStats, QueryRequest, evaluate_batch, evaluate_request
+from repro.service import (
+    CoalescerStats,
+    QueryRequest,
+    Service,
+    evaluate_batch,
+    evaluate_request,
+)
 
 
 def speed_value() -> Uncertain:
@@ -58,7 +66,7 @@ class TestPooledLedger:
         assert second.samples_drawn == 0
         # Same pooled stream start, same rows: identical answers.
         assert [o.value for o in out1] == [o.value for o in out2]
-        assert ledger_stats()["entries"] == 1
+        assert runtime.stats()["ledger"]["entries"] == 1
 
     def test_seeded_requests_keep_solo_bit_identity(self):
         value = speed_value()
@@ -83,7 +91,7 @@ class TestPooledLedger:
         )
         assert stats.ledger_served == 0
         assert stats.engine_runs == 1
-        assert ledger_stats()["entries"] == 0
+        assert runtime.stats()["ledger"]["entries"] == 0
 
     def test_budget_charged_once_for_repeated_floods(self):
         value = speed_value()
@@ -96,3 +104,23 @@ class TestPooledLedger:
                 assert all(not isinstance(o, Exception) for o in out)
             # 4 requests x 500 samples, paid exactly once.
             assert cfg.accounting.samples_executed == 2000
+
+    def test_service_reports_ledger_served(self):
+        value = speed_value()
+
+        async def scenario():
+            async with Service(engine="numpy", pool_seed=9) as svc:
+                for _ in range(2):
+                    await asyncio.gather(*(
+                        svc.expected_value(value, samples=500)
+                        for _ in range(4)
+                    ))
+                return svc.stats(), svc.render_metrics()
+
+        with evaluation_config(sample_cache=True):
+            stats, text = asyncio.run(scenario())
+        assert stats["ledger_served"] > 0
+        assert (
+            f"repro_service_ledger_served_total {stats['ledger_served']}"
+            in text.splitlines()
+        )

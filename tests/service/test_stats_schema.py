@@ -10,6 +10,8 @@ from __future__ import annotations
 import asyncio
 import json
 import re
+import subprocess
+import sys
 import urllib.request
 
 import repro
@@ -37,7 +39,7 @@ RUNTIME_SCHEMA = {
     "ledger": {
         "hits", "misses", "suffix_extensions", "rows_reused", "rows_drawn",
         "evictions", "probes", "certified", "rejections", "bypasses",
-        "invalidations", "bytes", "entries",
+        "invalidations",
     },
     "health": {"nonfinite_batches", "nonfinite_rows", "resamples", "by_policy"},
     "sources": {
@@ -46,10 +48,22 @@ RUNTIME_SCHEMA = {
     },
 }
 
+#: State keys ``repro.runtime.stats()`` reads from the caches themselves;
+#: a scoped ``RuntimeMetrics`` snapshot holds counters only.
+STATE_SCHEMA = {
+    "plans": {"cached"},
+    "structural": {
+        "entries", "limit", "collisions", "kernels", "kernels_verified",
+        "kernels_certified",
+    },
+    "ledger": {"entries", "bytes", "max_bytes", "modes"},
+}
+
 SERVICE_KEYS = {
     "requests_by_kind", "requests_total", "shed", "rejected", "failures",
     "batches", "groups", "coalesced_requests", "pooled_requests",
-    "engine_runs", "samples_drawn", "group_fallbacks", "batch_occupancy",
+    "engine_runs", "samples_drawn", "group_fallbacks", "ledger_served",
+    "batch_occupancy",
     "latency_by_kind", "queue_depth", "samples_executed", "degradation",
 }
 
@@ -70,6 +84,7 @@ SERVICE_SERIES = {
     "repro_service_engine_runs_total",
     "repro_service_samples_drawn_total",
     "repro_service_group_fallbacks_total",
+    "repro_service_ledger_served_total",
     "repro_service_degraded_requests_total",
     "repro_service_cancelled_total",
     "repro_service_bulkhead_rejected_total",
@@ -107,7 +122,40 @@ def test_runtime_stats_sections_and_keys():
     assert set(snap["engines"]["numpy"]) == {
         "batches", "samples", "seconds", "latency",
     }
-    assert set(repro.runtime.stats()) == set(snap)
+
+
+def _key_sets(stats: dict) -> dict:
+    return {
+        section: sorted(stats[section])
+        for section in stats if section != "engines"
+    }
+
+
+def test_process_stats_are_counters_plus_cache_state():
+    stats = repro.runtime.stats()
+    assert set(stats) == set(RUNTIME_SCHEMA) | set(STATE_SCHEMA) | {"engines"}
+    for section in set(RUNTIME_SCHEMA) | set(STATE_SCHEMA):
+        expected = RUNTIME_SCHEMA.get(section, set()) | STATE_SCHEMA.get(
+            section, set()
+        )
+        assert set(stats[section]) == expected, section
+
+
+def test_process_stats_keys_do_not_depend_on_imports():
+    # A fresh interpreter that never touched the sample ledger reports the
+    # same sections and keys as this one, which has.
+    script = (
+        "import json, sys, repro\n"
+        "assert 'repro.core.ledger' not in sys.modules\n"
+        "stats = repro.runtime.stats()\n"
+        "print(json.dumps({k: sorted(v) for k, v in stats.items()"
+        " if k != 'engines'}))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        check=True, timeout=120,
+    ).stdout
+    assert json.loads(out) == _key_sets(repro.runtime.stats())
 
 
 def test_service_stats_http_stats_and_series():
@@ -128,3 +176,25 @@ def test_service_stats_http_stats_and_series():
     assert _series(text, "repro_service_") == SERVICE_SERIES
     assert not _series(text, "repro_degradation_")
     assert "repro_engine_samples" in _series(text, "repro_engine_")
+    # The process caches' state rides along in the runtime half.
+    assert {
+        "repro_plans_cached", "repro_ledger_bytes", "repro_ledger_entries",
+        "repro_structural_entries", "repro_structural_kernels",
+    } <= _series(text, "repro_")
+
+
+def test_fresh_service_stats_are_strict_json():
+    # An empty histogram has no quantiles: /stats reports null, not NaN.
+    def reject(constant):
+        raise ValueError(f"non-JSON constant {constant}")
+
+    async def scenario():
+        async with Service(engine="numpy") as svc:
+            with serve_metrics(svc) as server:
+                with urllib.request.urlopen(server.url + "/stats", timeout=5) as r:
+                    return r.read().decode()
+
+    served = json.loads(asyncio.run(scenario()), parse_constant=reject)
+    assert served["batch_occupancy"]["count"] == 0
+    assert served["batch_occupancy"]["p50"] is None
+    assert served["batch_occupancy"]["p99"] is None

@@ -12,12 +12,11 @@ import pytest
 
 from repro import evaluate
 from repro.core.conditionals import evaluation_config
-from repro.core.ledger import ledger_stats
-from repro.core.plan import compile_plan, plan_cache_size
-from repro.core.structural import structural_cache_stats
+from repro.core.plan import compile_plan
 from repro.core.uncertain import Uncertain
 from repro.dists.gaussian import Gaussian
 from repro.dists.uniform import Uniform
+from repro.runtime import stats
 
 # A shape's first fused draw builds its kernel, so one draw fills every cache.
 pytestmark = pytest.mark.usefixtures("hot_kernels")
@@ -35,20 +34,23 @@ def _populate():
 
 class TestClearCaches:
     def test_every_cache_is_emptied(self):
-        _populate()
-        assert plan_cache_size() > 0
-        assert ledger_stats()["entries"] > 0
-        assert structural_cache_stats()["kernels"] > 0
+        u, _ = _populate()
+        before = stats()
+        assert before["plans"]["cached"] > 0
+        assert before["ledger"]["entries"] > 0
+        assert before["structural"]["kernels"] > 0
+        assert u.plan.optimized(2).shape.ledger
 
         evaluate.clear_caches()
 
-        assert plan_cache_size() == 0
-        assert structural_cache_stats()["entries"] == 0
-        assert structural_cache_stats()["kernels"] == 0
-        stats = ledger_stats()
-        assert stats["entries"] == 0
-        assert stats["bytes"] == 0
-        assert stats["verdicts"] == {}  # sticky probe verdicts drop too
+        after = stats()
+        assert after["plans"]["cached"] == 0
+        assert after["structural"]["entries"] == 0
+        assert after["structural"]["kernels"] == 0
+        assert after["ledger"]["entries"] == 0
+        assert after["ledger"]["bytes"] == 0
+        # Sticky ledger verdicts drop with the shape entries that hold them.
+        assert compile_plan(u.node).optimized(2).shape.ledger is None
 
     def test_no_cross_cache_leak_after_clear(self):
         u, v = _populate()
@@ -67,8 +69,8 @@ class TestClearCaches:
     def test_clear_caches_is_idempotent(self):
         evaluate.clear_caches()
         evaluate.clear_caches()
-        assert plan_cache_size() == 0
-        assert ledger_stats()["entries"] == 0
+        assert stats()["plans"]["cached"] == 0
+        assert stats()["ledger"]["entries"] == 0
 
     def test_exported_from_facade(self):
         assert "clear_caches" in evaluate.__all__
