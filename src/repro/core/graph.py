@@ -30,6 +30,22 @@ from repro.dists.base import Distribution
 _node_ids = itertools.count()
 
 
+_STATE_NAMES: dict[type, tuple[str, ...]] = {}
+
+
+def _state_names(kind: type) -> tuple[str, ...]:
+    """The slots that make up a node's state (all but its cached plan)."""
+    names = _STATE_NAMES.get(kind)
+    if names is None:
+        names = _STATE_NAMES[kind] = tuple(dict.fromkeys(
+            name
+            for klass in kind.__mro__
+            for name in getattr(klass, "__slots__", ())
+            if name not in ("_compiled_plan", "__weakref__")
+        ))
+    return names
+
+
 class Node:
     """Abstract node of the computation graph.
 
@@ -56,19 +72,26 @@ class Node:
     ) -> np.ndarray:
         raise NotImplementedError
 
+    def with_parents(self, parents: tuple["Node", ...]) -> "Node":
+        """A copy of this node rewired to ``parents`` (no cached plan).
+
+        The optimizer's rewrites and the binding of a shape's slot
+        program re-parent nodes this way; the original is never mutated.
+        """
+        clone = object.__new__(type(self))
+        for name in _state_names(type(self)):
+            setattr(clone, name, getattr(self, name))
+        clone.parents = parents
+        clone._compiled_plan = None
+        return clone
+
     # Nodes pickle without their cached plan: the plan is a per-process
     # lowering artifact (it holds bound methods and a weakly registered
     # root), and receivers — ParallelEngine workers — recompile in one
     # pass.  Pickle's memo preserves shared-subexpression identity, so a
     # diamond DAG stays a diamond on the other side.
     def __getstate__(self):
-        state = {}
-        for klass in type(self).__mro__:
-            for name in getattr(klass, "__slots__", ()):
-                if name in ("_compiled_plan", "__weakref__"):
-                    continue
-                state[name] = getattr(self, name)
-        return state
+        return {name: getattr(self, name) for name in _state_names(type(self))}
 
     def __setstate__(self, state):
         self._compiled_plan = None

@@ -282,6 +282,9 @@ class SampleLedger:
         self._lock = threading.Lock()
         self._entries: "OrderedDict[tuple, LedgerEntry]" = OrderedDict()
         self.max_bytes = int(max_bytes)
+        # Running sum of the entries' ``nbytes``, kept wherever an entry
+        # grows or leaves, so a fill never sums over every entry.
+        self._bytes = 0
 
     # -- public API ---------------------------------------------------------
 
@@ -386,9 +389,7 @@ class SampleLedger:
         """Drop every entry (verdicts stay on the shape entries)."""
         with self._lock:
             self._entries.clear()
-
-    def total_bytes(self) -> int:
-        return sum(e.nbytes for e in self._entries.values())
+            self._bytes = 0
 
     def state(self) -> dict:
         """What the ledger holds now: entries, bytes, budget, entry modes."""
@@ -398,7 +399,7 @@ class SampleLedger:
                 modes[entry.mode] = modes.get(entry.mode, 0) + 1
             return {
                 "entries": len(self._entries),
-                "bytes": self.total_bytes(),
+                "bytes": self._bytes,
                 "max_bytes": self.max_bytes,
                 "modes": modes,
             }
@@ -462,7 +463,9 @@ class SampleLedger:
         return entry
 
     def _drop(self, key) -> None:
-        self._entries.pop(key, None)
+        entry = self._entries.pop(key, None)
+        if entry is not None:
+            self._bytes -= entry.nbytes
 
     def _certify_or_probe(self, exec_plan, eng) -> tuple[str, str]:
         """Is suffix extension provably bit-identical for this plan shape
@@ -560,6 +563,7 @@ class SampleLedger:
             else:
                 entry.column = np.concatenate([entry.column, rows])
             entry.count = needed
+            self._bytes += entry.column.nbytes - entry.nbytes
             entry.nbytes = entry.column.nbytes
             _record(
                 suffix_extensions=1, rows_drawn=d,
@@ -581,6 +585,7 @@ class SampleLedger:
             column = np.asarray(self._fill(entry, eng, n, gen, config))
             entry.runs[n] = column
             entry.nbytes += column.nbytes
+            self._bytes += column.nbytes
             _record(misses=1, rows_drawn=n)
             self._evict(keep=entry.key)
         else:
@@ -595,18 +600,14 @@ class SampleLedger:
         a single column larger than the whole budget therefore survives
         until another entry displaces it.
         """
-        if self.max_bytes <= 0:
-            return
-        total = self.total_bytes()
-        if total <= self.max_bytes:
+        if self.max_bytes <= 0 or self._bytes <= self.max_bytes:
             return
         for key in list(self._entries):
             if key == keep:
                 continue
-            entry = self._entries.pop(key)
-            total -= entry.nbytes
+            self._drop(key)
             _record(evictions=1)
-            if total <= self.max_bytes:
+            if self._bytes <= self.max_bytes:
                 break
 
 

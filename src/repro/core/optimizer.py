@@ -21,7 +21,12 @@ together with a pass-by-pass :class:`PassRecord` provenance trail:
    consumed RNG stream.
 3. **dead-slot-elim** — the optimized graph is re-lowered from its root,
    which retains exactly the reachable slots; this pass records the net
-   slot reduction and enforces the safety gate below.
+   slot reduction and the raw slot each kept slot came from
+   (``origins``), and enforces the safety gate below.
+
+The passes run once per plan *shape*: :meth:`EvaluationPlan.optimized
+<repro.core.plan.EvaluationPlan.optimized>` turns the result into the
+shape's slot program, and every later graph of the shape binds to it.
 
 Bit-identity contract
 ---------------------
@@ -38,7 +43,6 @@ silently applied.
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 
 import numpy as np
@@ -75,6 +79,9 @@ class PassRecord:
     rewrites: tuple[str, ...] = ()
     #: Rewrites the pass declined, with reasons (fold barriers, guards).
     rejected: tuple[str, ...] = ()
+    #: dead-slot-elim of an accepted rewrite: per optimized slot, the raw
+    #: slot it came from, or ``None`` for a folded constant.
+    origins: tuple[int | None, ...] = ()
 
     def as_dict(self) -> dict:
         return {
@@ -83,6 +90,7 @@ class PassRecord:
             "nodes_after": self.nodes_after,
             "rewrites": list(self.rewrites),
             "rejected": list(self.rejected),
+            "origins": list(self.origins),
         }
 
 
@@ -110,14 +118,16 @@ def is_stochastic(node: Node) -> bool:
     return not node.parents and type(node) is not PointMassNode
 
 
-def _clone_with_parents(node: Node, parents: tuple[Node, ...]) -> Node:
-    """A copy of ``node`` rewired to ``parents`` (plan cache not copied)."""
-    clone = copy.copy(node)
-    clone.parents = parents
+def _reparent(node: Node, parents: tuple[Node, ...], origin) -> Node:
+    """``node`` rewired to ``parents``; ``origin`` (when given) maps each
+    clone to the input graph's node it stands for."""
+    clone = node.with_parents(parents)
+    if origin is not None:
+        origin[clone] = origin.get(node, node)
     return clone
 
 
-def _rebuild(root: Node, replacement: "dict[int, Node]") -> Node:
+def _rebuild(root: Node, replacement: "dict[int, Node]", origin) -> Node:
     """Rebuild the graph from ``root`` applying ``replacement`` (id-keyed).
 
     Nodes outside the replacement map are kept by identity unless a parent
@@ -134,7 +144,7 @@ def _rebuild(root: Node, replacement: "dict[int, Node]") -> Node:
         if new_parents == node.parents:
             new_of[id(node)] = node
         else:
-            new_of[id(node)] = _clone_with_parents(node, new_parents)
+            new_of[id(node)] = _reparent(node, new_parents, origin)
     return new_of[id(root)]
 
 
@@ -164,8 +174,11 @@ def _fold_value(node: Node):
         return np.asarray(ev(node))[0]
 
 
-def constant_fold(root: Node) -> tuple[Node, PassRecord]:
-    """Replace maximal point-mass-only sub-DAGs with single point masses."""
+def constant_fold(root: Node, origin=None) -> tuple[Node, PassRecord]:
+    """Replace maximal point-mass-only sub-DAGs with single point masses.
+
+    ``origin``, when given, is filled as in :func:`_reparent`.
+    """
     order = list(iter_nodes(root))
     before = len(order)
     constant: dict[int, bool] = {}
@@ -209,7 +222,7 @@ def constant_fold(root: Node) -> tuple[Node, PassRecord]:
             continue
         replacement[id(node)] = PointMassNode(value)
         rewrites.append(f"folded constant sub-DAG at {node.label!r} -> {value!r}")
-    new_root = _rebuild(root, replacement) if replacement else root
+    new_root = _rebuild(root, replacement, origin) if replacement else root
     after = sum(1 for _ in iter_nodes(new_root)) if replacement else before
     return new_root, PassRecord(
         "constant-fold", before, after, tuple(rewrites), tuple(rejected)
@@ -246,8 +259,13 @@ def _cse_key(node: Node, new_parents: tuple[Node, ...]):
     return None
 
 
-def eliminate_common_subexpressions(root: Node) -> tuple[Node, PassRecord]:
-    """Merge structurally identical deterministic nodes over shared inputs."""
+def eliminate_common_subexpressions(
+    root: Node, origin=None
+) -> tuple[Node, PassRecord]:
+    """Merge structurally identical deterministic nodes over shared inputs.
+
+    ``origin``, when given, is filled as in :func:`_reparent`.
+    """
     order = list(iter_nodes(root))
     before = len(order)
     canon: dict[object, Node] = {}
@@ -267,7 +285,7 @@ def eliminate_common_subexpressions(root: Node) -> tuple[Node, PassRecord]:
         if new_parents == node.parents:
             rebuilt = node
         else:
-            rebuilt = _clone_with_parents(node, new_parents)
+            rebuilt = _reparent(node, new_parents, origin)
         if key is not None:
             canon[key] = rebuilt
         new_of[id(node)] = rebuilt
@@ -294,11 +312,12 @@ def optimize_plan(plan, level: int = 2):
 
     records: list[PassRecord] = []
     root = plan.root
+    origin: dict[Node, Node] = {}
     if level >= 1:
-        root, record = constant_fold(root)
+        root, record = constant_fold(root, origin)
         records.append(record)
     if level >= 2:
-        root, record = eliminate_common_subexpressions(root)
+        root, record = eliminate_common_subexpressions(root, origin)
         records.append(record)
     if root is plan.root:
         records.append(
@@ -331,6 +350,7 @@ def optimize_plan(plan, level: int = 2):
         )
         records.append(certificate)
         return plan, tuple(records)
+    slot_of = plan.slot_of
     records.append(
         PassRecord(
             "dead-slot-elim",
@@ -339,6 +359,10 @@ def optimize_plan(plan, level: int = 2):
             rewrites=(
                 f"{len(plan.steps) - len(optimized.steps)} slot(s) "
                 "eliminated by re-lowering from the rewritten root",
+            ),
+            origins=tuple(
+                slot_of.get(origin.get(step.node, step.node))
+                for step in optimized.steps
             ),
         )
     )

@@ -33,8 +33,13 @@ from __future__ import annotations
 import weakref
 from typing import Callable, Iterator
 
-from repro.core.graph import BinaryOpNode, Node, UnaryOpNode, iter_nodes
-from repro.core.structural import STRUCTURAL_CACHE, ShapeEntry
+from repro.core.graph import BinaryOpNode, Node, PointMassNode, UnaryOpNode
+from repro.core.structural import (
+    STRUCTURAL_CACHE,
+    ShapeEntry,
+    StructuralOpaque,
+    node_token,
+)
 from repro.runtime import metrics as _metrics
 from repro.runtime import trace as _trace
 
@@ -110,15 +115,17 @@ class EvaluationPlan:
         "__weakref__",
     )
 
-    def __init__(self, root: Node) -> None:
+    def __init__(
+        self,
+        root: Node,
+        steps: "list[PlanStep] | None" = None,
+        slot_of: "dict[Node, int] | None" = None,
+    ) -> None:
+        # ``steps``/``slot_of``, when given, are ``root``'s lowering
+        # (compile_plan's walk, or a slot program bound to a graph).
         self.root = root
-        slot_of: dict[Node, int] = {}
-        steps: list[PlanStep] = []
-        for node in iter_nodes(root):
-            slot = len(steps)
-            parent_slots = tuple(slot_of[p] for p in node.parents)
-            steps.append(PlanStep(node, slot, parent_slots))
-            slot_of[node] = slot
+        if steps is None:
+            steps, slot_of, _ = _lower(root)
         self.steps: tuple[PlanStep, ...] = tuple(steps)
         self.slot_of = slot_of
         self.root_slot = slot_of[root]
@@ -195,14 +202,15 @@ class EvaluationPlan:
     def optimized(self, level: int = 2) -> "EvaluationPlan":
         """This plan lowered through the optimizer pipeline at ``level``.
 
-        Cached per level and per shape; returns ``self`` when ``level`` is
-        0, when this plan is already at (or above) the requested level, or
-        when no pass changes the graph.  A shape the optimizer left
-        unchanged or rejected keeps that verdict on its shape entry, so a
-        later isomorphic plan returns itself with the same records and
-        runs no pass; shapes the passes rewrite are optimized per plan.
-        See :mod:`repro.core.optimizer` for the pass order and the
-        bit-identity contract.
+        Cached per level on the plan and per shape: the first plan of a
+        shape runs :func:`~repro.core.optimizer.optimize_plan` (and its
+        stream certification) and records the result on the shape entry
+        as a :class:`SlotProgram`; every plan of the shape, the first one
+        included, is then bound to that program, so a later isomorphic
+        graph runs no pass.  Returns ``self`` when ``level`` is 0, when
+        this plan is already at (or above) the requested level, or when no
+        pass changes the graph.  See :mod:`repro.core.optimizer` for the
+        pass order and the bit-identity contract.
         """
         if not level or self.optimization_level >= level:
             return self
@@ -212,19 +220,15 @@ class EvaluationPlan:
         plan = cache.get(level)
         if plan is None:
             shape = self.shape
-            records = None if shape is None else shape.verdicts.get(level)
-            if records is not None:
-                plan = self
-            else:
-                from repro.core.optimizer import optimize_plan
+            program = None if shape is None else shape.optimized.get(level)
+            if program is None:
+                from repro.core import optimizer
 
-                plan, records = optimize_plan(self, level)
-                if plan is not self:
-                    plan.optimization_level = level
-                elif shape is not None:
-                    shape.verdicts[level] = records
-            plan.provenance = records
-            cache[level] = plan
+                result, records = optimizer.optimize_plan(self, level)
+                program = SlotProgram.derive(self, result, records)
+                if shape is not None:
+                    shape.optimized[level] = program
+            plan = cache[level] = program.bind(self, level)
         return plan
 
     def certification_records(self) -> tuple:
@@ -282,6 +286,129 @@ class EvaluationPlan:
         )
 
 
+def _lower(root: Node):
+    """One walk over ``root``'s DAG: ``(steps, slot_of, fingerprint)``.
+
+    The walk that lowers the graph also yields the shape's fingerprint
+    tokens (:func:`~repro.core.structural.plan_fingerprint`'s format), so
+    ``compile_plan`` never passes over the steps twice.  The fingerprint
+    is ``None`` for an opaque plan.
+    """
+    slot_of: dict[Node, int] = {}
+    steps: list[PlanStep] = []
+    tokens: list | None = []
+    # iter_nodes' post-order walk, inlined with ``slot_of`` as the seen set.
+    stack: list[tuple[Node, bool]] = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if node in slot_of:
+            continue
+        if not expanded:
+            stack.append((node, True))
+            stack.extend([(p, False) for p in node.parents if p not in slot_of])
+            continue
+        slot = len(steps)
+        parent_slots = tuple([slot_of[p] for p in node.parents])
+        steps.append(PlanStep(node, slot, parent_slots))
+        slot_of[node] = slot
+        if tokens is not None:
+            try:
+                tokens.append(node_token(node, parent_slots))
+            except StructuralOpaque:
+                tokens = None
+    if tokens is None:
+        return steps, slot_of, None
+    tokens.append(("root", slot_of[root]))
+    return steps, slot_of, tuple(tokens)
+
+
+#: Sources of a slot program's slots.
+_KEEP = 0  # the raw slot's node, by identity
+_REPARENT = 1  # the raw slot's node, cloned onto new parent slots
+_CONST = 2  # a folded constant: a fresh point mass of the recorded value
+
+
+class SlotProgram:
+    """A shape's optimizer result at one level, as slots of the raw shape.
+
+    Lives on the raw shape's :class:`~repro.core.structural.ShapeEntry`
+    (``entry.optimized[level]``) and holds no node, so it never keeps a
+    graph alive.  ``records`` is the ``PassRecord``/``CertificationRecord``
+    trail of the run that made it.  ``slots`` is ``None`` when the passes
+    left the shape unchanged or their rewrite was rejected (the plan is
+    its own optimized plan); otherwise, per optimized slot, one of
+    ``(_KEEP, raw_slot, parent_slots)``, ``(_REPARENT, raw_slot,
+    parent_slots)`` or ``(_CONST, value, ())``.  ``fingerprint`` is the
+    optimized shape's fingerprint: the key of its live entry.
+    """
+
+    __slots__ = ("records", "slots", "root_slot", "fingerprint")
+
+    def __init__(self, records, slots=None, root_slot=None, fingerprint=None):
+        self.records = records
+        self.slots = slots
+        self.root_slot = root_slot
+        self.fingerprint = fingerprint
+
+    @classmethod
+    def derive(cls, raw: "EvaluationPlan", result: "EvaluationPlan",
+               records: tuple) -> "SlotProgram":
+        """The program of ``optimize_plan(raw)``'s ``(result, records)``."""
+        if result is raw:
+            return cls(records)
+        (origins,) = [r.origins for r in records if r.name == "dead-slot-elim"]
+        raw_steps = raw.steps
+        slots = []
+        for step, origin in zip(result.steps, origins):
+            if origin is None:
+                slots.append((_CONST, step.node.value, ()))
+            elif raw_steps[origin].node is step.node:
+                slots.append((_KEEP, origin, step.parent_slots))
+            else:
+                slots.append((_REPARENT, origin, step.parent_slots))
+        shape = result.shape
+        return cls(
+            records,
+            tuple(slots),
+            result.root_slot,
+            None if shape is None else shape.fingerprint,
+        )
+
+    def bind(self, raw: "EvaluationPlan", level: int) -> "EvaluationPlan":
+        """This program instantiated over ``raw``'s own node objects.
+
+        No pass, certification, graph walk or fingerprint runs: kept
+        slots reuse ``raw``'s nodes, re-parented slots clone them onto
+        the bound parents, and folded constants become fresh point
+        masses.  The plan's shape is the optimized shape's live entry
+        (re-registered if it was evicted).
+        """
+        if self.slots is None:
+            raw.provenance = self.records
+            return raw
+        raw_steps = raw.steps
+        nodes: list[Node] = []
+        steps: list[PlanStep] = []
+        slot_of: dict[Node, int] = {}
+        for slot, (source, arg, parent_slots) in enumerate(self.slots):
+            if source == _KEEP:
+                node = raw_steps[arg].node
+            elif source == _REPARENT:
+                node = raw_steps[arg].node.with_parents(
+                    tuple([nodes[p] for p in parent_slots])
+                )
+            else:
+                node = PointMassNode(arg)
+            nodes.append(node)
+            steps.append(PlanStep(node, slot, parent_slots))
+            slot_of[node] = slot
+        plan = EvaluationPlan(nodes[self.root_slot], steps, slot_of)
+        plan.optimization_level = level
+        plan.provenance = self.records
+        plan._shape = STRUCTURAL_CACHE.register(self.fingerprint)[0]
+        return plan
+
+
 def _rebuild_plan(root: Node, optimization_level: int = 0) -> "EvaluationPlan":
     """Unpickle target: recompile (and re-cache) the plan for ``root``.
 
@@ -330,13 +457,14 @@ def compile_plan(
             metrics.record_cache_hit()
         return plan
     with _trace.span("plan.compile", root=root.label) as span_attrs:
-        plan = EvaluationPlan(root)
-        span_attrs["slots"] = len(plan.steps)
+        steps, slot_of, fingerprint = _lower(root)
+        plan = EvaluationPlan(root, steps, slot_of)
+        span_attrs["slots"] = len(steps)
         # Stage 2: register the plan's shape in the structural cache.  A
         # hit means an isomorphic plan (possibly from another session)
         # already compiled — the signal the structural counters expose —
-        # and hands this plan that shape's entry and optimizer verdicts.
-        shape, structural_hit = STRUCTURAL_CACHE.entry_for(plan)
+        # and hands this plan that shape's entry and slot programs.
+        shape, structural_hit = STRUCTURAL_CACHE.register(fingerprint)
         plan._shape = shape
         span_attrs["structural_hash"] = None if shape is None else shape.key
     root._compiled_plan = plan

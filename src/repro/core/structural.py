@@ -6,7 +6,7 @@ and sharing topology, regardless of which session built the node objects —
 get the same **structural hash**.  They share one entry of the
 process-wide :class:`StructuralCache` (a bounded LRU alongside the
 per-root cache of :mod:`repro.core.plan`), so many sessions compiling
-the paper's ``(y + x) + x``-shaped GPS plan share one optimizer verdict
+the paper's ``(y + x) + x``-shaped GPS plan share one optimizer result
 and, once the shape is hot, one generated kernel.
 
 Canonical form
@@ -34,8 +34,8 @@ Shape entries
 Each registered shape owns one :class:`ShapeEntry`, and every plan of
 that shape holds a reference to it (never its own copy of the
 fingerprint).  The entry carries the shape's structural key, the
-optimizer's verdict per optimize level for shapes the optimizer leaves
-unchanged or rejects, so a later isomorphic graph skips the passes (see
+optimizer's result per optimize level as a slot program, so a later
+isomorphic graph binds its own nodes to it and runs no pass (see
 :meth:`repro.core.plan.EvaluationPlan.optimized`), the shape's fused
 kernel (see :mod:`repro.core.fused`), and the sample ledger's
 stream/replay verdict per engine (see :mod:`repro.core.ledger`).  Node
@@ -101,6 +101,8 @@ def canonical_value(value):
     digest; nested distributions recurse.  Callables and unknown objects
     are opaque — equality of behaviour cannot be derived from structure.
     """
+    if type(value) is float:  # the common case (distribution parameters)
+        return ("f", "py", repr(value))
     if value is None:
         return ("none",)
     if isinstance(value, (bool, np.bool_)):
@@ -243,9 +245,11 @@ def fingerprint_digest(fingerprint: tuple) -> str:
 class ShapeEntry:
     """One registered plan shape, shared by every plan of that shape.
 
-    ``key`` is the shape's structural key.  ``verdicts`` maps an optimize
-    level to the ``PassRecord`` trail of a run that left the shape
-    unchanged or rejected its rewrite; rewritten shapes record nothing.
+    ``key`` is the shape's structural key and ``fingerprint`` the cache's
+    own key object (a reference, not a copy).  ``optimized`` maps an
+    optimize level to the shape's
+    :class:`~repro.core.plan.SlotProgram`: the optimizer's result as
+    slots of this shape, which every later plan of the shape binds to.
     ``runs`` counts the fused engine's runs of the shape before it has a
     kernel, and ``kernel`` is the fused engine's kernel spec once built:
     ``kernel.verified`` is its accept/reject verdict.  ``ledger`` maps an
@@ -253,11 +257,12 @@ class ShapeEntry:
     the ledger meets the shape.
     """
 
-    __slots__ = ("key", "verdicts", "runs", "kernel", "ledger")
+    __slots__ = ("key", "fingerprint", "optimized", "runs", "kernel", "ledger")
 
-    def __init__(self, key: str) -> None:
+    def __init__(self, key: str, fingerprint: tuple) -> None:
         self.key = key
-        self.verdicts: dict[int, tuple] = {}
+        self.fingerprint = fingerprint
+        self.optimized: dict = {}
         self.runs = 0
         self.kernel = None
         self.ledger: dict[str, tuple[str, str]] | None = None
@@ -266,12 +271,14 @@ class ShapeEntry:
 class StructuralCache:
     """Bounded LRU of plan shapes keyed by fingerprint.
 
-    ``entry_for(plan)`` returns ``(entry, hit)``: the plan's
-    :class:`ShapeEntry` (``None`` for opaque plans, which are never
-    cached) and whether a structurally *equal* plan was already
-    registered.  Evicting or clearing a shape drops its verdicts and its
-    kernel: the next plan of that shape registers a fresh entry.
-    ``compile_plan`` counts the lookups; :meth:`state` reports the contents.
+    ``register(fingerprint)`` returns ``(entry, hit)``: the shape's
+    :class:`ShapeEntry` (``None`` for an opaque plan's ``None``
+    fingerprint; opaque plans are never cached) and whether a
+    structurally *equal* plan was already registered;
+    ``entry_for(plan)`` fingerprints ``plan`` first.  Evicting or
+    clearing a shape drops its slot programs, verdicts and kernel: the
+    next plan of that shape registers a fresh entry.  ``compile_plan``
+    counts the lookups; :meth:`state` reports the contents.
     """
 
     def __init__(self, limit: int = 512) -> None:
@@ -283,7 +290,9 @@ class StructuralCache:
         self.collisions = 0
 
     def entry_for(self, plan) -> tuple[ShapeEntry | None, bool]:
-        fingerprint = plan_fingerprint(plan)
+        return self.register(plan_fingerprint(plan))
+
+    def register(self, fingerprint: tuple | None) -> tuple[ShapeEntry | None, bool]:
         if fingerprint is None:
             return None, False
         with self._lock:
@@ -299,7 +308,7 @@ class StructuralCache:
                 key = f"{digest}#{salt}"
             if salt:
                 self.collisions += 1
-            entry = self._entries[fingerprint] = ShapeEntry(key)
+            entry = self._entries[fingerprint] = ShapeEntry(key, fingerprint)
             self._keys.add(key)
             while len(self._entries) > self.limit:
                 _, evicted = self._entries.popitem(last=False)
@@ -336,7 +345,7 @@ _metrics.register_gauges("structural", STRUCTURAL_CACHE.state)
 
 
 def clear_structural_cache() -> None:
-    """Drop every registered shape with its verdicts and kernel."""
+    """Drop every registered shape with its slot programs and kernel."""
     STRUCTURAL_CACHE.clear()
 
 

@@ -20,6 +20,7 @@ from repro.dists.gaussian import Gaussian
 from repro.dists.categorical import PointMass
 from repro.dists.uniform import Uniform
 from repro.resilience import NonFiniteError
+from repro.resilience.chaos import ChaosDistribution, InjectedFault
 from repro.runtime import reset_stats, stats
 from repro.runtime.metrics import RuntimeMetrics, render_prometheus
 
@@ -347,6 +348,54 @@ class TestLiveState:
             clear_ledger()
         state = ledger_state()
         assert (state["entries"], state["bytes"]) == (0, 0)
+
+
+class TestRunningByteTotal:
+    """The ledger keeps its byte total as it goes instead of summing every
+    entry on each fill; the total must track the entries exactly."""
+
+    def test_total_tracks_serves_evictions_invalidation_and_failures(
+        self, monkeypatch
+    ):
+        def actual():
+            return sum(e.nbytes for e in LEDGER._entries.values())
+
+        evictions = []
+        evict = SampleLedger._evict
+
+        def checked_evict(self, keep):  # runs under the ledger's lock
+            evict(self, keep)
+            evictions.append(self._bytes)
+            assert self._bytes == actual() <= self.max_bytes
+
+        monkeypatch.setattr(SampleLedger, "_evict", checked_evict)
+        leaf = ChaosDistribution(Gaussian(0.0, 1.0), seed=1)
+        flaky = Uncertain(leaf) * 2.0
+        steps = [
+            lambda: certified_value().samples(200, rng=1),  # stream: 1600
+            lambda: certified_value().samples(300, rng=1),  # suffix: +800
+            lambda: replay_value().samples(100, rng=1),  # replay: 800
+            lambda: replay_value().samples(150, rng=1),  # another N: +1200
+            lambda: flaky.samples(100, rng=1),  # stream: 800
+            # A new shape over the 5000-byte budget evicts the oldest.
+            lambda: (Uncertain(Gaussian(9.0, 1.0)) + 1.0).samples(100, rng=1),
+            lambda: invalidate_plan(replay_value().node),
+        ]
+        with evaluation_config(sample_cache=5000):
+            for step in steps:
+                step()
+                assert ledger_state()["bytes"] == actual()
+            assert evictions and ledger_state()["entries"] >= 2
+            # A failed extension drops the entry and its bytes.
+            leaf.error_rate = 1.0
+            with pytest.raises(InjectedFault):
+                flaky.samples(300, rng=1)
+            assert not any(
+                e.plan is flaky.plan.optimized(2) for e in LEDGER._entries.values()
+            )
+            assert ledger_state()["bytes"] == actual() > 0
+        clear_ledger()
+        assert ledger_state()["bytes"] == actual() == 0
 
 
 class TestVerdictsLiveOnShapes:

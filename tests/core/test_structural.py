@@ -271,7 +271,7 @@ class TestSharedOptimizerVerdict:
         compile_plan(gps_speed(mu=1.5).node).optimized(2)
         assert len(calls) == 2
 
-    def test_rewritten_shape_is_optimized_per_graph(self, monkeypatch):
+    def test_rewritten_shape_is_optimized_once(self, monkeypatch):
         calls = counting_optimizer(monkeypatch)
 
         def duplicated():
@@ -280,6 +280,11 @@ class TestSharedOptimizerVerdict:
 
         plans = [compile_plan(duplicated().node) for _ in range(3)]
         assert plans[0].shape is not None and plans[1].shape is plans[0].shape
-        for plan in plans:
-            assert plan.optimized(2) is not plan
-        assert len(calls) == 3
+        bound = [plan.optimized(2) for plan in plans]
+        assert len(calls) == 1
+        assert len({id(b) for b in bound}) == 3
+        for plan, opt in zip(plans, bound):
+            assert opt is not plan
+            assert opt.shape is bound[0].shape
+        first = {id(s.node) for p in (plans[0], bound[0]) for s in p.steps}
+        assert not first & {id(s.node) for s in bound[2].steps}
