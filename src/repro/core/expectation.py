@@ -17,7 +17,6 @@ import math
 from typing import Any
 
 import numpy as np
-from scipy import stats
 
 from repro.core import conditionals as _cond
 from repro.core.plan import compile_plan
@@ -69,10 +68,8 @@ def reduce_samples(
         return np.quantile(values, np.linspace(0.0, 1.0, int(divisions) + 1))
     if kind == "confidence_interval":
         tail = (1.0 - level) / 2.0
-        return (
-            float(np.quantile(values, tail)),
-            float(np.quantile(values, 1.0 - tail)),
-        )
+        low, high = np.quantile(values, [tail, 1.0 - tail])
+        return float(low), float(high)
     raise ValueError(f"unknown reduction {kind!r}")
 
 
@@ -145,6 +142,8 @@ def expected_value_adaptive(
     if batch_size < 2 or max_samples < batch_size:
         raise ValueError("need batch_size >= 2 and max_samples >= batch_size")
     plan, rng = _resolve(uncertain, rng)
+    from scipy import stats
+
     z = float(stats.norm.isf((1.0 - confidence) / 2.0))
     total = 0.0
     total_sq = 0.0

@@ -32,7 +32,6 @@ import math
 from typing import Callable
 
 import numpy as np
-from scipy import stats
 
 from repro.resilience.policies import Inconclusive
 from repro.runtime import metrics as _metrics
@@ -239,6 +238,8 @@ class FixedSampleTest(HypothesisTest):
                 else TestDecision.ACCEPT_NULL
             )
             return TestResult(decision, self.n, successes), 1
+        from scipy import stats
+
         p_upper = stats.binom.sf(successes - 1, self.n, self.threshold)
         p_lower = stats.binom.cdf(successes, self.n, self.threshold)
         if p_upper <= self.significance:
@@ -288,6 +289,8 @@ class GroupSequentialTest(HypothesisTest):
         nominal = self._POCOCK_NOMINAL.get(min(self.looks, 10), 0.0106)
         # Scale the tabulated alpha=0.05 constants for other overall levels.
         self.nominal_level = nominal * (self.alpha / 0.05)
+        from scipy import stats
+
         self._z_crit = float(stats.norm.isf(self.nominal_level / 2))
 
     @property

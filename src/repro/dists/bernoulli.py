@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special
 
 from repro.dists.base import Distribution, Support
 
@@ -75,10 +74,12 @@ class Binomial(Distribution):
             target = self.trials * self.p
             with np.errstate(divide="ignore"):
                 return np.where(valid & (k == target), 0.0, -np.inf)
+        from scipy.special import gammaln
+
         log_comb = (
-            special.gammaln(self.trials + 1)
-            - special.gammaln(k + 1)
-            - special.gammaln(self.trials - k + 1)
+            gammaln(self.trials + 1)
+            - gammaln(k + 1)
+            - gammaln(self.trials - k + 1)
         )
         lp = log_comb + k * math.log(self.p) + (self.trials - k) * math.log1p(-self.p)
         return np.where(valid, lp, -np.inf)

@@ -8,7 +8,6 @@ results"; we include Beta so that ablation is runnable.
 from __future__ import annotations
 
 import numpy as np
-from scipy import special
 
 from repro.dists.base import Distribution, Support, UNIT_INTERVAL
 
@@ -26,18 +25,22 @@ class Beta(Distribution):
         return rng.beta(self.a, self.b, size=n)
 
     def log_pdf(self, x):
+        from scipy.special import betaln
+
         x = np.asarray(x, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):
             lp = (
                 (self.a - 1) * np.log(x)
                 + (self.b - 1) * np.log1p(-x)
-                - special.betaln(self.a, self.b)
+                - betaln(self.a, self.b)
             )
         return np.where((x > 0) & (x < 1), lp, -np.inf)
 
     def cdf(self, x):
+        from scipy.special import betainc
+
         x = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
-        return special.betainc(self.a, self.b, x)
+        return betainc(self.a, self.b, x)
 
     @property
     def mean(self) -> float:

@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special
 
 from repro.dists.base import Distribution, NON_NEGATIVE, Support
 
@@ -60,19 +59,23 @@ class Gamma(Distribution):
         return rng.gamma(self.shape, 1.0 / self.rate, size=n)
 
     def log_pdf(self, x):
+        from scipy.special import gammaln
+
         x = np.asarray(x, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):
             lp = (
                 self.shape * math.log(self.rate)
-                - special.gammaln(self.shape)
+                - gammaln(self.shape)
                 + (self.shape - 1) * np.log(x)
                 - self.rate * x
             )
         return np.where(x > 0, lp, -np.inf)
 
     def cdf(self, x):
+        from scipy.special import gammainc
+
         x = np.asarray(x, dtype=float)
-        return np.where(x > 0, special.gammainc(self.shape, self.rate * x), 0.0)
+        return np.where(x > 0, gammainc(self.shape, self.rate * x), 0.0)
 
     @property
     def mean(self) -> float:

@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import stats
 
 from repro.dists.base import Distribution, REAL_LINE, Support
 
@@ -82,6 +81,8 @@ class TruncatedGaussian(Distribution):
         self.upper = float(upper)
         self._a = (self.lower - self.mu) / self.sigma
         self._b = (self.upper - self.mu) / self.sigma
+        from scipy import stats
+
         self._dist = stats.truncnorm(self._a, self._b, loc=self.mu, scale=self.sigma)
 
     # The frozen scipy distribution is derived state; these four define it.
@@ -141,6 +142,8 @@ class MultivariateGaussian(Distribution):
         return self.sample_n(1, rng)[0]
 
     def log_pdf(self, x):
+        from scipy import stats
+
         return stats.multivariate_normal(self.mu, self.cov).logpdf(x)
 
     @property

@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special
 
 from repro.dists.base import Distribution, NON_NEGATIVE, Support
 
@@ -30,7 +29,9 @@ class Poisson(Distribution):
         if self.lam == 0.0:
             with np.errstate(divide="ignore"):
                 return np.where(valid & (k == 0), 0.0, -np.inf)
-        lp = k * math.log(self.lam) - self.lam - special.gammaln(k + 1)
+        from scipy.special import gammaln
+
+        lp = k * math.log(self.lam) - self.lam - gammaln(k + 1)
         return np.where(valid, lp, -np.inf)
 
     @property

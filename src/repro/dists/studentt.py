@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special, stats
 
 from repro.dists.base import Distribution, REAL_LINE, Support
 
@@ -30,19 +29,23 @@ class StudentT(Distribution):
         return self.loc + self.scale * rng.standard_t(self.df, size=n)
 
     def log_pdf(self, x):
+        from scipy.special import gammaln
+
         z = (np.asarray(x, dtype=float) - self.loc) / self.scale
         df = self.df
         return (
-            special.gammaln((df + 1) / 2)
-            - special.gammaln(df / 2)
+            gammaln((df + 1) / 2)
+            - gammaln(df / 2)
             - 0.5 * math.log(df * math.pi)
             - math.log(self.scale)
             - (df + 1) / 2 * np.log1p(z * z / df)
         )
 
     def cdf(self, x):
+        from scipy.stats import t
+
         z = (np.asarray(x, dtype=float) - self.loc) / self.scale
-        return stats.t.cdf(z, self.df)
+        return t.cdf(z, self.df)
 
     @property
     def mean(self) -> float:

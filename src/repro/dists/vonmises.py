@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special
 
 from repro.dists.base import Distribution, Support
 
@@ -28,11 +27,13 @@ class VonMises(Distribution):
         return rng.vonmises(self.mu, self.kappa, size=n)
 
     def log_pdf(self, x):
+        from scipy.special import i0
+
         x = np.asarray(x, dtype=float)
         return (
             self.kappa * np.cos(x - self.mu)
             - math.log(2 * math.pi)
-            - np.log(special.i0(self.kappa))
+            - np.log(i0(self.kappa))
         )
 
     @property
@@ -45,7 +46,9 @@ class VonMises(Distribution):
         """Circular variance 1 - I1(k)/I0(k)."""
         if self.kappa == 0:
             return 1.0
-        return 1.0 - float(special.i1(self.kappa) / special.i0(self.kappa))
+        from scipy.special import i0, i1
+
+        return 1.0 - float(i1(self.kappa) / i0(self.kappa))
 
     @property
     def support(self) -> Support:

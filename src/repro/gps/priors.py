@@ -8,13 +8,14 @@ select and combine them rather than writing statistics.
 from __future__ import annotations
 
 import math
-from typing import Iterable
-
-import networkx as nx
+from typing import TYPE_CHECKING, Iterable
 
 from repro.core.bayes import Prior
 from repro.dists.gaussian import TruncatedGaussian
 from repro.gps.geo import GeoCoordinate
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 def walking_speed_prior(
@@ -45,6 +46,8 @@ def driving_speed_prior(
 
 def build_road_graph(segments: Iterable[tuple[GeoCoordinate, GeoCoordinate]]) -> nx.Graph:
     """A road network as a graph whose edges carry segment geometry."""
+    import networkx as nx
+
     graph = nx.Graph()
     for i, (a, b) in enumerate(segments):
         ka, kb = (a.latitude, a.longitude), (b.latitude, b.longitude)

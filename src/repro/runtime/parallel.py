@@ -382,20 +382,28 @@ class ParallelEngine(ExecutionEngine):
                 chunk_payload = payload if send_payload else None
                 if chunk_payload is None and metric is not None:
                     metric.record_parallel(payload_skips=len(todo))
-                futures = {
-                    i: self._pool().submit(
-                        _run_chunk,
-                        plan_key,
-                        chunk_payload,
-                        chunks[i],
-                        seeds[i],
-                        self.inner,
-                    )
-                    for i in todo
-                }
+                futures = {}
                 failed: list[int] = []
                 missed: list[int] = []
                 broken = False
+                for pos, i in enumerate(todo):
+                    try:
+                        futures[i] = self._pool().submit(
+                            _run_chunk,
+                            plan_key,
+                            chunk_payload,
+                            chunks[i],
+                            seeds[i],
+                            self.inner,
+                        )
+                    except BrokenExecutor as exc:
+                        # A worker died mid-submission: the pool takes no
+                        # more work, so the chunks not yet submitted fail
+                        # like chunks whose futures break.
+                        broken = True
+                        failed.extend(todo[pos:])
+                        last_error = exc
+                        break
                 for i, future in futures.items():
                     _cancel_check()
                     timeout = None
@@ -441,9 +449,8 @@ class ParallelEngine(ExecutionEngine):
                     if not self.serial_fallback:
                         raise SamplingError(
                             f"{len(failed)} sampling chunk(s) crashed the worker "
-                            f"pool {rounds} times (chunk indices {failed}); giving "
-                            "up after max_retries="
-                            f"{self.max_retries}"
+                            f"pool {rounds} times (chunk indices {sorted(failed)}); "
+                            f"giving up after max_retries={self.max_retries}"
                         ) from last_error
                     # Graceful degradation: run the still-failed chunks
                     # serially in-process with their original spawned

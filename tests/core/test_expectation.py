@@ -1,9 +1,14 @@
 """Tests for the expected-value operator (fixed and adaptive)."""
 
+import numpy as np
 import pytest
 
 from repro.core.conditionals import evaluation_config
-from repro.core.expectation import expected_value, expected_value_adaptive
+from repro.core.expectation import (
+    expected_value,
+    expected_value_adaptive,
+    reduce_samples,
+)
 from repro.core.uncertain import Uncertain
 from repro.dists import Gaussian, PointMass
 from repro.rng import default_rng
@@ -90,3 +95,29 @@ class TestAdaptiveExpectation:
             u, tolerance=0.01, batch_size=50, rng=default_rng(5)
         )
         assert n < 1_000  # the fixed default
+
+
+class TestConfidenceIntervalReduction:
+    def test_one_quantile_call_matches_two(self):
+        # Both tails come from one ``np.quantile`` call; pin that it is
+        # bit-identical to quantiling each tail on its own, on arrays with
+        # ties, NaN and infinities.
+        rng = np.random.default_rng(2014)
+        for _ in range(500):
+            n = int(rng.integers(1, 60))
+            values = rng.normal(size=n)
+            if rng.random() < 0.5:
+                values = np.round(values, 1)
+            for special in (np.nan, np.inf, -np.inf):
+                if rng.random() < 0.15:
+                    values[rng.integers(0, n)] = special
+            level = float(rng.choice([0.5, 0.9, 0.95, 0.99, rng.random()]))
+            tail = (1.0 - level) / 2.0
+            with np.errstate(invalid="ignore"):  # inf - inf interpolates to NaN
+                expected = (
+                    float(np.quantile(values, tail)),
+                    float(np.quantile(values, 1.0 - tail)),
+                )
+                got = reduce_samples("confidence_interval", values, level=level)
+            np.testing.assert_array_equal(got, expected)
+            assert all(type(bound) is float for bound in got)

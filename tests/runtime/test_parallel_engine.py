@@ -17,6 +17,9 @@ from __future__ import annotations
 
 import os
 import time
+from collections import OrderedDict
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -31,6 +34,8 @@ from repro import (
 from repro.core.engines import NumpyEngine, get_engine
 from repro.dists import Gaussian
 from repro.dists.base import Distribution
+from repro.runtime import parallel as parallel_module
+from repro.runtime.metrics import RuntimeMetrics
 from repro.runtime.parallel import (
     MIN_CHUNK,
     ParallelEngine,
@@ -232,6 +237,96 @@ class TestCrashRecovery:
         finally:
             engine.shutdown()
             sentinel.unlink(missing_ok=True)
+
+
+class InProcessPool:
+    """Executor stand-in that runs chunks in this process.
+
+    ``submit`` raises ``BrokenProcessPool`` on its ``break_on``-th call
+    and on every call after it, as a real pool does once a worker died
+    between two submissions; no process is ever killed.
+    """
+
+    def __init__(self, break_on: int | None) -> None:
+        self.break_on = break_on
+        self.calls = 0
+
+    def submit(self, fn, *args):
+        self.calls += 1
+        if self.break_on is not None and self.calls >= self.break_on:
+            raise BrokenProcessPool("a worker died before this submission")
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+    def shutdown(self, wait=True, cancel_futures=False) -> None:
+        pass
+
+
+class TestSubmitTimeBreakage:
+    """A pool that breaks while chunks are still being submitted."""
+
+    N, CHUNK, SEED = 4_096, 512, 11
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """Each pool the engine builds breaks on the submission given by
+        the next entry of the returned list (``None``: healthy)."""
+        schedule: list = []
+        built: list = []
+
+        def factory(**_):
+            built.append(InProcessPool(schedule.pop(0) if schedule else None))
+            return built[-1]
+
+        monkeypatch.setattr(parallel_module, "ProcessPoolExecutor", factory)
+        # The chunks run here, so keep their worker-side plan cache out of
+        # the pools that later tests fork from this process.
+        monkeypatch.setattr(parallel_module, "_worker_plans", OrderedDict())
+        return schedule, built
+
+    def draw(self, engine, value):
+        out = engine.run(value.plan, self.N, np.random.default_rng(self.SEED))
+        return out[value.plan.root_slot]
+
+    def reference(self, value):
+        return chunked_numpy_reference(value.plan, self.N, self.SEED, self.CHUNK)
+
+    def test_unsubmitted_chunks_are_retried_on_a_fresh_pool(self, pools):
+        schedule, built = pools
+        schedule.append(2)
+        value = diamond()
+        engine = ParallelEngine(workers=2, chunk_size=self.CHUNK)
+        sink = RuntimeMetrics()
+        with evaluation_config(metrics=sink):
+            root = self.draw(engine, value)
+        assert np.array_equal(root, self.reference(value))
+        assert len(built) == 2 and engine._executor is built[1]
+        parallel = sink.snapshot()["parallel"]
+        assert parallel["worker_crashes"] == 1
+        assert parallel["retries"] == self.N // self.CHUNK - 1
+
+    def test_persistent_breakage_raises_then_the_engine_recovers(self, pools):
+        schedule, built = pools
+        schedule.extend([2, 2])
+        value = diamond()
+        engine = ParallelEngine(workers=2, chunk_size=self.CHUNK)
+        with pytest.raises(SamplingError, match="crashed the worker pool 2 times"):
+            self.draw(engine, value)
+        # The broken pool was discarded, so the next draw builds a healthy one.
+        assert engine._executor is None
+        assert np.array_equal(self.draw(engine, value), self.reference(value))
+        assert len(built) == 3
+
+    def test_persistent_breakage_is_rescued_serially(self, pools):
+        schedule, _ = pools
+        schedule.extend([2, 2])
+        value = diamond()
+        engine = ParallelEngine(workers=2, chunk_size=self.CHUNK, serial_fallback=True)
+        with pytest.warns(RuntimeWarning, match="serially in-process"):
+            root = self.draw(engine, value)
+        assert np.array_equal(root, self.reference(value))
+        assert np.array_equal(self.draw(engine, value), self.reference(value))
 
 
 class TestBudgetsAndDeadlines:
