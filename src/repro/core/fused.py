@@ -17,17 +17,21 @@ What the generated kernel fuses:
 - **Coalesced leaf draws.**  Runs of adjacent stochastic leaves whose
   distributions declare an affine reduction
   (:meth:`~repro.dists.base.Distribution.bulk_draw_spec`) collapse into a
-  single base-generator call plus a broadcast affine::
+  single base-generator call plus a broadcast affine, applied in place to
+  the generator's fresh array::
 
-      _d0 = (_loc0 + _scale0
-             * rng.standard_normal(4 * n).reshape(4, n))
+      _d0 = rng.standard_normal(4 * n).reshape(4, n)
+      _d0 *= _scale0
+      _d0 += _loc0
 
   This is bit-identical to the four sequential ``rng.normal(...)`` calls
   the reference engines make — numpy's distribution methods compute
   ``loc + scale * draw`` per value from the same underlying stream, so
-  chunking the stream differently does not reorder it.  Adjacency is in
-  *RNG-consumption order*: point masses and deterministic interior ops
-  never draw, so they do not break a run.
+  chunking the stream differently does not reorder it.  IEEE
+  multiplication and addition commute exactly, so scaling in place
+  changes no value, and a run allocates one block instead of two.
+  Adjacency is in *RNG-consumption order*: point masses and
+  deterministic interior ops never draw, so they do not break a run.
 - **Operator chains.**  Deterministic interior ops become native infix
   expressions; single-use intermediates are inlined into their consumer,
   so ``sqrt(dx*dx + dy*dy) / dt > 4`` becomes one line of numpy instead
@@ -359,6 +363,9 @@ def _generate(plan: EvaluationPlan) -> _KernelSpec:
                 if r not in drawn_runs:
                     drawn_runs.add(r)
                     k = len(slots)
+                    # Scaled and shifted in place: the same IEEE multiply
+                    # and add per value as ``loc + scale * draw``, with no
+                    # second block.
                     if k == 1:
                         # Identity terms are dropped: ``0.0 + x`` and
                         # ``1.0 * x`` cannot change any value the base
@@ -366,18 +373,18 @@ def _generate(plan: EvaluationPlan) -> _KernelSpec:
                         # every plan sharing this source shares them).
                         spec_row = node.dist.bulk_draw_spec()
                         loc, scale = float(spec_row[1]), float(spec_row[2])
-                        text = f"rng.{family}(n)"
+                        body.append(f"v{slot} = rng.{family}(n)")
                         if scale != 1.0:
-                            text = f"_scale{r} * {text}"
+                            body.append(f"v{slot} *= _scale{r}")
                         if loc != 0.0:
-                            text = f"_loc{r} + {text}"
-                        body.append(f"v{slot} = ({text})")
+                            body.append(f"v{slot} += _loc{r}")
                         steps_meta.append((slot, (), (family,)))
                     else:
                         body.append(
-                            f"_d{r} = (_loc{r} + _scale{r}"
-                            f" * rng.{family}({k} * n).reshape({k}, n))"
+                            f"_d{r} = rng.{family}({k} * n).reshape({k}, n)"
                         )
+                        body.append(f"_d{r} *= _scale{r}")
+                        body.append(f"_d{r} += _loc{r}")
                         body.append(
                             ", ".join(f"v{s}" for s in slots) + f" = _d{r}"
                         )

@@ -9,6 +9,13 @@ columns per (plan structural hash × seed lineage × engine) and serves a
 query needing ``N`` rows by reusing the cached prefix of length ``n`` and
 drawing only the ``N − n`` suffix.
 
+Entries are keyed and filled per *shape*, not per graph: any plan of an
+entry's shape draws the same rows (the contract that lets isomorphic
+sessions share one entry), so each serve fills the entry through the
+plan of the query it serves.  An entry holds its columns, its lineage
+recipe and, in stream mode, a live generator — never a plan or a node —
+so dropping a query's graph frees it while its rows stay cached.
+
 Bit-identity contract
 ---------------------
 
@@ -210,17 +217,19 @@ def _record(**counters) -> None:
 
 
 class LedgerEntry:
-    """One cached sample stream: plan shape × lineage × engine."""
+    """One cached sample stream: plan shape × lineage × engine.
+
+    Holds no plan: each serve fills it through the plan it serves.
+    """
 
     __slots__ = (
-        "key", "plan", "engine_name", "mode", "base_spec",
+        "key", "engine_name", "mode", "base_spec",
         "column", "count", "gen", "cursor", "runs", "nbytes",
     )
 
-    def __init__(self, key, plan, engine_name: str, mode: str,
+    def __init__(self, key, engine_name: str, mode: str,
                  base_spec: tuple) -> None:
         self.key = key
-        self.plan = plan  # the executed (optimized) plan object
         self.engine_name = engine_name
         self.mode = mode  # "stream" | "replay"
         self.base_spec = base_spec
@@ -246,26 +255,41 @@ class LedgerWindow:
     from cache.  Only stream-mode entries support windows: replaying
     overlapping fresh runs would hand correlated rows to a sequential
     test.
+
+    The engine, executed plan, key and base spec are resolved once, when
+    the window opens, so a batch goes straight to its entry.  An entry
+    evicted mid-test is re-created from the same key and base spec.
     """
 
-    __slots__ = ("_ledger", "_plan", "_rng_spec", "_engine", "_config", "_offset")
+    __slots__ = ("_ledger", "_plan", "_engine", "_key", "_base_spec",
+                 "_config", "_offset")
 
-    def __init__(self, ledger: "SampleLedger", plan, rng_spec, engine, config) -> None:
+    def __init__(self, ledger: "SampleLedger", exec_plan, eng, key,
+                 base_spec, config) -> None:
         self._ledger = ledger
-        self._plan = plan
-        self._rng_spec = rng_spec
-        self._engine = engine
+        self._plan = exec_plan
+        self._engine = eng
+        self._key = key
+        self._base_spec = base_spec
         self._config = config
         self._offset = 0
 
     def draw(self, k: int) -> "np.ndarray | None":
         """Rows ``[offset, offset + k)``, or ``None`` to signal fallback."""
-        rows = self._ledger.serve(
-            self._plan, int(k), self._rng_spec, self._engine,
-            self._config, start=self._offset, windowed=True,
-        )
-        if rows is not None:
-            self._offset += int(k)
+        k = int(k)
+        ledger = self._ledger
+        with ledger._lock:
+            entry = ledger._entry_for(
+                self._key, self._plan, self._engine, self._base_spec
+            )
+            if entry.mode != "stream":
+                _record(bypasses=1)
+                return None
+            rows = ledger._serve_stream(
+                entry, self._plan, self._engine, self._offset, k,
+                self._config,
+            )
+        self._offset += k
         return rows
 
 
@@ -295,52 +319,42 @@ class SampleLedger:
         rng_spec,
         engine: "str | ExecutionEngine | None",
         config,
-        *,
-        start: int | None = None,
-        windowed: bool = False,
     ) -> "np.ndarray | None":
         """Serve ``n`` rows for ``plan``, or ``None`` to signal fallback.
 
         ``None`` means the caller must draw fresh (opaque plan, untracked
-        engine/lineage, resample policy, replay-mode window, ...).  A
-        returned array is always a private copy — callers may mutate it.
+        engine/lineage, resample policy, ...).  A returned array is
+        always a private copy — callers may mutate it.
 
-        ``start`` selects an explicit row range (window reads); ``None``
-        picks the entry's default read semantics: prefix rows ``[0, n)``
-        for reductions, or cursor rows for single-sample draws under a
-        live-generator lineage (where the ledger-off behaviour is also a
-        fresh value per call).
+        Reductions read prefix rows ``[0, n)``; single-sample draws under
+        a live-generator lineage read cursor rows (the ledger-off
+        behaviour is also a fresh value per call).  Sequential batches
+        read through :meth:`open_window` instead.
         """
         resolved = self._resolve(plan, rng_spec, engine, config)
         if resolved is None:
             _record(bypasses=1)
             return None
         eng, exec_plan, key, base_spec = resolved
-        budget = config.sample_cache
-        if budget is not True:
-            self.max_bytes = int(budget)
+        self._apply_budget(config)
+        fresh_per_call = key[2][0] != "seed" and n == 1
         with self._lock:
             entry = self._entry_for(key, exec_plan, eng, base_spec)
             if entry.mode == "replay":
-                if windowed or (start or 0) != 0:
-                    # Sequential windows need one logical run; replay
-                    # columns are independent fresh runs per N.
-                    _record(bypasses=1)
-                    return None
-                if key[2][0] != "seed" and n == 1:
+                if fresh_per_call:
                     # A live-generator single draw expects a fresh value
                     # per call; replay mode cannot provide that.
                     _record(bypasses=1)
                     return None
-                return self._serve_replay(entry, eng, n, config)
-            if start is None:
-                if key[2][0] != "seed" and n == 1:
-                    start = entry.cursor
-                    rows = self._serve_stream(entry, eng, start, n, config)
-                    entry.cursor = start + n
-                    return rows
-                start = 0
-            return self._serve_stream(entry, eng, int(start), n, config)
+                return self._serve_replay(entry, exec_plan, eng, n, config)
+            if fresh_per_call:
+                start = entry.cursor
+                rows = self._serve_stream(
+                    entry, exec_plan, eng, start, n, config
+                )
+                entry.cursor = start + n
+                return rows
+            return self._serve_stream(entry, exec_plan, eng, 0, n, config)
 
     def open_window(
         self, plan, rng_spec, engine, config
@@ -355,12 +369,13 @@ class SampleLedger:
             _record(bypasses=1)
             return None
         eng, exec_plan, key, base_spec = resolved
+        self._apply_budget(config)
         with self._lock:
             entry = self._entry_for(key, exec_plan, eng, base_spec)
             if entry.mode != "stream":
                 _record(bypasses=1)
                 return None
-        return LedgerWindow(self, plan, rng_spec, engine, config)
+        return LedgerWindow(self, exec_plan, eng, key, base_spec, config)
 
     def invalidate_entries(self, plan) -> int:
         """Drop every entry for ``plan``'s shape (and its optimized
@@ -405,6 +420,11 @@ class SampleLedger:
             }
 
     # -- resolution ---------------------------------------------------------
+
+    def _apply_budget(self, config) -> None:
+        budget = config.sample_cache
+        if budget is not True:
+            self.max_bytes = int(budget)
 
     def _resolve(self, plan, rng_spec, engine, config):
         """Common eligibility gate: ``(engine, exec_plan, key, base_spec)``
@@ -458,7 +478,7 @@ class SampleLedger:
         mode, reason = verdict
         _trace.event("ledger.entry", mode=mode, reason=reason,
                      engine=eng.name, structural_hash=key[0])
-        entry = LedgerEntry(key, exec_plan, eng.name, mode, base_spec)
+        entry = LedgerEntry(key, eng.name, mode, base_spec)
         self._entries[key] = entry
         return entry
 
@@ -534,8 +554,10 @@ class SampleLedger:
 
     # -- serving ------------------------------------------------------------
 
-    def _fill(self, entry: LedgerEntry, eng, k: int, gen, config) -> np.ndarray:
-        """One instrumented engine run for the entry's stream.
+    def _fill(self, entry: LedgerEntry, exec_plan, eng, k: int, gen,
+              config) -> np.ndarray:
+        """One instrumented engine run of ``exec_plan`` for the entry's
+        stream (any plan of the entry's shape draws the same rows).
 
         Uses the engine's ``sample`` entry point so metrics, tracing and
         the (non-mutating) health policies apply exactly as on a fresh
@@ -544,19 +566,19 @@ class SampleLedger:
         serve another query.
         """
         try:
-            return eng.sample(entry.plan, k, gen, config=config)
+            return eng.sample(exec_plan, k, gen, config=config)
         except BaseException:
             self._drop(entry.key)
             raise
 
-    def _serve_stream(self, entry: LedgerEntry, eng, start: int, n: int,
-                      config) -> np.ndarray:
+    def _serve_stream(self, entry: LedgerEntry, exec_plan, eng, start: int,
+                      n: int, config) -> np.ndarray:
         needed = start + n
         have = entry.count
         if needed > have:
             d = needed - have
             config.accounting.admit(d)
-            rows = self._fill(entry, eng, d, entry.gen, config)
+            rows = self._fill(entry, exec_plan, eng, d, entry.gen, config)
             rows = np.asarray(rows)
             if entry.column is None:
                 entry.column = rows
@@ -576,13 +598,15 @@ class SampleLedger:
             _record(hits=1, rows_reused=n)
         return entry.column[start:needed].copy()
 
-    def _serve_replay(self, entry: LedgerEntry, eng, n: int,
+    def _serve_replay(self, entry: LedgerEntry, exec_plan, eng, n: int,
                       config) -> np.ndarray:
         column = entry.runs.get(n)
         if column is None:
             config.accounting.admit(n)
             gen = _base_generator(entry.base_spec)
-            column = np.asarray(self._fill(entry, eng, n, gen, config))
+            column = np.asarray(
+                self._fill(entry, exec_plan, eng, n, gen, config)
+            )
             entry.runs[n] = column
             entry.nbytes += column.nbytes
             self._bytes += column.nbytes

@@ -11,12 +11,14 @@ run (the ``hot_kernels`` fixture), so its comparisons exercise a kernel;
 
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from repro.analysis import certify
+from repro.analysis.demos import _corpus_gps_window
 from repro.core import fused
 from repro.core.conditionals import evaluation_config
 from repro.core.engines import InterpreterEngine, NumpyEngine, get_engine
@@ -485,3 +487,53 @@ class TestTieredKernels:
         assert not any(thread.is_alive() for thread in threads)
         assert failures == []
         assert structural_state()["kernels_verified"] == 2
+
+
+#: Leaf makers with non-identity affine parameters, one per bulk family.
+_RUN_LEAVES = {
+    "gaussian": lambda i: Gaussian(1.5 + i, 0.5 + 0.25 * i),
+    "uniform": lambda i: Uniform(-2.0 + i, 3.0 + 2.0 * i),
+    "exponential": lambda i: Exponential(0.75 + i),
+}
+
+
+@pytest.mark.usefixtures("hot_kernels")
+class TestInPlaceDraws:
+    """Coalesced and single-leaf draws are scaled and shifted in place on
+    the generator's fresh array: the same values as the NumPy engine, and
+    no second block."""
+
+    @pytest.mark.parametrize("family", sorted(_RUN_LEAVES))
+    @pytest.mark.parametrize("leaves", [1, 3])
+    def test_in_place_emission_is_bit_identical(self, family, leaves):
+        make = _RUN_LEAVES[family]
+        xs = [Uncertain(make(i)) for i in range(leaves)]
+        value = xs[0] if leaves == 1 else (xs[0] * 3.0 - xs[1]) / xs[2]
+        plan = compile_plan(value.node).optimized(2)
+        with kernel_ran():
+            for seed in (0, 7, 12345):
+                for n in (1, 7, 2000):
+                    got = run_fused(plan, n, seed)
+                    want = run_numpy(plan, n, seed)
+                    assert got.dtype == want.dtype == np.float64
+                    np.testing.assert_array_equal(got, want)
+        source = fused_program(plan).source
+        assert "v0 *= _scale0" in source or "_d0 *= _scale0" in source
+        assert "_loc0 + _scale0 *" not in source
+
+    def test_coalesced_kernel_peak_stays_near_one_block(self):
+        plan = compile_plan(_corpus_gps_window().node).optimized(2)
+        eng = get_engine("fused")
+        eng.run(plan, 8, np.random.default_rng(0))  # build and admit
+        ops = [op for step in fused_program(plan).steps for op in step.ops]
+        assert "standard_normal ×18" in ops  # one 18-leaf coalesced run
+        n = 20_000
+        block = 18 * n * 8
+        rng = np.random.default_rng(1)
+        tracemalloc.start()
+        try:
+            eng.run(plan, n, rng)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.75 * block

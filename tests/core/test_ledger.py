@@ -7,10 +7,14 @@ engines — for raw samples, E, CI, percentiles, evidence, and full SPRT
 runs — while repeated queries stop paying for rows they already drew.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
-from repro.core.conditionals import evaluation_config
+from repro.core import ledger as ledger_module
+from repro.core.conditionals import evaluation_config, get_config
 from repro.core.ledger import LEDGER, SampleLedger, clear_ledger
 from repro.core.plan import clear_plan_cache, compile_plan, invalidate_plan
 from repro.core.sampling import SampleBudgetExceeded
@@ -23,6 +27,7 @@ from repro.resilience import NonFiniteError
 from repro.resilience.chaos import ChaosDistribution, InjectedFault
 from repro.runtime import reset_stats, stats
 from repro.runtime.metrics import RuntimeMetrics, render_prometheus
+from tests.kernel_path import kernel_ran_if_fused
 
 ENGINES = ["numpy", "fused"]
 
@@ -390,9 +395,8 @@ class TestRunningByteTotal:
             leaf.error_rate = 1.0
             with pytest.raises(InjectedFault):
                 flaky.samples(300, rng=1)
-            assert not any(
-                e.plan is flaky.plan.optimized(2) for e in LEDGER._entries.values()
-            )
+            flaky_hash = flaky.plan.optimized(2).structural_hash
+            assert not any(e.key[0] == flaky_hash for e in LEDGER._entries.values())
             assert ledger_state()["bytes"] == actual() > 0
         clear_ledger()
         assert ledger_state()["bytes"] == actual() == 0
@@ -458,3 +462,126 @@ class TestMetricsExposition:
         ledger = SampleLedger(max_bytes=10)
         assert ledger.state()["entries"] == 0
         assert ledger is not LEDGER
+
+
+class TestWindowsResolveOnce:
+    """A window resolves engine, plan, key and lineage when it opens;
+    each batch then goes straight to its entry."""
+
+    def _count_lineage(self, monkeypatch) -> list:
+        calls = []
+        real = ledger_module._lineage
+
+        def counted(rng_spec, config):
+            calls.append(rng_spec)
+            return real(rng_spec, config)
+
+        monkeypatch.setattr(ledger_module, "_lineage", counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "make_rng", [lambda: 21, lambda: np.random.default_rng(21)],
+        ids=["seed", "generator"],
+    )
+    def test_one_lineage_resolution_per_window(self, monkeypatch, make_rng):
+        b = certified_value() > 6.0
+        rng = make_rng()
+        calls = self._count_lineage(monkeypatch)
+        scoped = RuntimeMetrics()
+        with evaluation_config(sample_cache=True, metrics=scoped):
+            result = b.test(rng=rng)
+        assert result.samples_used > 10  # several batches
+        assert scoped.ledger_suffix_extensions > 1
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_window_rows_equal_a_ledger_off_run(self, engine):
+        u = certified_value()
+        with evaluation_config(engine=engine):
+            fresh = u.samples(30, rng=5)
+        with evaluation_config(engine=engine, sample_cache=True):
+            window = LEDGER.open_window(u.plan, 5, None, get_config())
+            rows = [window.draw(10) for _ in range(3)]
+        assert all(r.dtype == fresh.dtype for r in rows)
+        assert np.array_equal(np.concatenate(rows), fresh)
+
+    def test_entry_evicted_between_draws_is_recreated(self):
+        u = certified_value()
+        with evaluation_config():
+            fresh = u.samples(30, rng=5)
+        with evaluation_config(sample_cache=True):
+            window = LEDGER.open_window(u.plan, 5, None, get_config())
+            first = window.draw(10)
+            clear_ledger()
+            second = window.draw(10)
+            assert ledger_state()["entries"] == 1
+            clear_ledger()
+            third = window.draw(10)
+        assert np.array_equal(first, fresh[:10])
+        assert np.array_equal(second, fresh[10:20])
+        assert np.array_equal(third, fresh[20:30])
+
+
+def rewritten_value() -> Uncertain:
+    """A shape the optimizer rewrites (CSE): its plan is a slot program."""
+    x = Uncertain(Gaussian(0.0, 1.0))
+    return (x + 1.0) * (x + 1.0)
+
+
+class TestGraphLifetime:
+    """An entry holds columns, never a plan: dropping the graphs that
+    filled the ledger frees every node, and the rows stay cached for the
+    next isomorphic graph."""
+
+    @staticmethod
+    def _node_refs(value: Uncertain) -> list:
+        plan = value.plan
+        steps = plan.steps + plan.optimized(2).steps
+        return [weakref.ref(step.node) for step in steps]
+
+    @pytest.mark.usefixtures("hot_kernels")
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize(
+        "make, reads",
+        [
+            # Stream mode: a prefix, a suffix extension, an SPRT window.
+            (certified_value, ("samples", "extend", "test")),
+            # Replay mode: multi-leaf, one fresh run per N.
+            (replay_value, ("samples",)),
+            # Optimizer-rewritten shape: the plan is bound to a slot program.
+            (rewritten_value, ("samples", "extend", "test")),
+        ],
+        ids=["stream", "replay", "rewritten"],
+    )
+    def test_dropped_graphs_are_freed_and_their_rows_stay(
+        self, engine, make, reads
+    ):
+        with evaluation_config(engine=engine):
+            off = make().samples(250, rng=3)
+        value = make()
+        boolean = value > 0.5
+        if make is rewritten_value:
+            assert value.plan.optimized(2) is not value.plan
+        with kernel_ran_if_fused(engine), evaluation_config(
+            engine=engine, sample_cache=True
+        ):
+            first = value.samples(100 if "extend" in reads else 250, rng=3)
+            if "extend" in reads:
+                value.samples(250, rng=3)
+            if "test" in reads:
+                boolean.test(rng=4)
+        assert np.array_equal(first, off[: len(first)])
+        refs = self._node_refs(value) + self._node_refs(boolean)
+        entries = ledger_state()["entries"]
+        assert entries >= 1
+        del value, boolean
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+        assert ledger_state()["entries"] == entries
+        # An isomorphic fresh graph is served from the kept rows.
+        scoped = RuntimeMetrics()
+        with evaluation_config(engine=engine, sample_cache=True,
+                               metrics=scoped):
+            again = make().samples(250, rng=3)
+        assert np.array_equal(again, off)
+        assert scoped.ledger_hits == 1 and scoped.ledger_rows_drawn == 0
