@@ -41,6 +41,15 @@ kernel (see :mod:`repro.core.fused`), and the sample ledger's
 stream/replay verdict per engine (see :mod:`repro.core.ledger`).  Node
 objects are never shared: each graph executes its own nodes.
 
+The cache stores each distinct fingerprint *token* once.  When a new
+shape registers, each of its tokens is replaced by the equal token the
+cache already holds, so shapes of one program that differ only in a few
+readings (Fig 14's sensor sums, one per neighbour pattern) share every
+token they have in common.  The cache counts each token's occurrences
+over the live entries; evicting or clearing a shape releases its
+tokens, and a token whose count reaches 0 leaves the table.  Equal
+tokens have equal ``repr``s, so sharing them moves no structural key.
+
 Collisions
 ----------
 
@@ -246,8 +255,8 @@ class ShapeEntry:
     """One registered plan shape, shared by every plan of that shape.
 
     ``key`` is the shape's structural key and ``fingerprint`` the cache's
-    own key object (a reference, not a copy).  ``optimized`` maps an
-    optimize level to the shape's
+    own key object (a reference, not a copy, built of the cache's shared
+    tokens).  ``optimized`` maps an optimize level to the shape's
     :class:`~repro.core.plan.SlotProgram`: the optimizer's result as
     slots of this shape, which every later plan of the shape binds to.
     ``runs`` counts the fused engine's runs of the shape before it has a
@@ -287,6 +296,11 @@ class StructuralCache:
         self._entries: OrderedDict[tuple, ShapeEntry] = OrderedDict()
         # Keys of the live entries, for salting colliding digests.
         self._keys: set[str] = set()
+        # Each distinct token of the live fingerprints, held once, and its
+        # number of occurrences in them (by ``id``: the table keeps the
+        # token alive while it is counted).
+        self._tokens: dict[tuple, tuple] = {}
+        self._token_refs: dict[int, int] = {}
         self.collisions = 0
 
     def entry_for(self, plan) -> tuple[ShapeEntry | None, bool]:
@@ -300,6 +314,7 @@ class StructuralCache:
             if entry is not None:
                 self._entries.move_to_end(fingerprint)
                 return entry, True
+            fingerprint = self._intern(fingerprint)
             digest = fingerprint_digest(fingerprint)
             key, salt = digest, 0
             while key in self._keys:
@@ -311,9 +326,31 @@ class StructuralCache:
             entry = self._entries[fingerprint] = ShapeEntry(key, fingerprint)
             self._keys.add(key)
             while len(self._entries) > self.limit:
-                _, evicted = self._entries.popitem(last=False)
+                old, evicted = self._entries.popitem(last=False)
                 self._keys.discard(evicted.key)
+                self._release(old)
             return entry, False
+
+    def _intern(self, fingerprint: tuple) -> tuple:
+        """``fingerprint`` rebuilt from the table's tokens, counted."""
+        tokens, refs = self._tokens, self._token_refs
+        shared = []
+        for token in fingerprint:
+            token = tokens.setdefault(token, token)
+            refs[id(token)] = refs.get(id(token), 0) + 1
+            shared.append(token)
+        return tuple(shared)
+
+    def _release(self, fingerprint: tuple) -> None:
+        """Uncount an evicted fingerprint's tokens; drop those at 0."""
+        refs = self._token_refs
+        for token in fingerprint:
+            count = refs[id(token)] - 1
+            if count:
+                refs[id(token)] = count
+            else:
+                del refs[id(token)]
+                del self._tokens[token]
 
     def state(self) -> dict:
         with self._lock:
@@ -336,6 +373,8 @@ class StructuralCache:
         with self._lock:
             self._entries.clear()
             self._keys.clear()
+            self._tokens.clear()
+            self._token_refs.clear()
             self.collisions = 0
 
 

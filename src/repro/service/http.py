@@ -16,13 +16,15 @@ Usage::
     server = serve_metrics(service, port=0)   # port=0: pick a free port
     ...                                        # scrape http://host:server.port/metrics
     server.close()
+
+``http.server`` (and the ``email`` and ``http.client`` modules it pulls
+in) is imported when a server starts, not with :mod:`repro.service`.
 """
 
 from __future__ import annotations
 
 import json
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 __all__ = ["MetricsServer", "serve_metrics"]
 
@@ -30,6 +32,8 @@ _CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 
 def _make_handler(service):
+    from http.server import BaseHTTPRequestHandler
+
     class _Handler(BaseHTTPRequestHandler):
         def log_message(self, *args) -> None:  # silence per-request stderr
             pass
@@ -81,6 +85,8 @@ class MetricsServer:
     """A running metrics endpoint; close it when the scrape target retires."""
 
     def __init__(self, service, host: str = "127.0.0.1", port: int = 0) -> None:
+        from http.server import ThreadingHTTPServer
+
         self._httpd = ThreadingHTTPServer((host, port), _make_handler(service))
         self._httpd.daemon_threads = True
         self.host = host

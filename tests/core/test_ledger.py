@@ -15,7 +15,12 @@ import pytest
 
 from repro.core import ledger as ledger_module
 from repro.core.conditionals import evaluation_config, get_config
-from repro.core.ledger import LEDGER, SampleLedger, clear_ledger
+from repro.core.ledger import (
+    ENTRY_OVERHEAD_BYTES,
+    LEDGER,
+    SampleLedger,
+    clear_ledger,
+)
 from repro.core.plan import clear_plan_cache, compile_plan, invalidate_plan
 from repro.core.sampling import SampleBudgetExceeded
 from repro.core.structural import STRUCTURAL_CACHE, clear_structural_cache
@@ -200,17 +205,26 @@ class TestEvictionAndRebuild:
         with evaluation_config(sample_cache=True):
             reference = [v.samples(200, rng=77) for v in values]
         clear_ledger()
-        # ~1600 bytes per column; room for two entries only.
-        with evaluation_config(sample_cache=4000):
+        # 1600 bytes per column plus the per-entry overhead (3136 bytes
+        # an entry); room for two entries only.
+        with evaluation_config(sample_cache=8000):
             for v in values:
                 v.samples(200, rng=77)
             state = ledger_state()
-            assert state["bytes"] <= 4000
+            assert state["bytes"] <= 8000
             assert state["entries"] < 3
             # Evicted entries rebuild bit-identically on demand.
             rebuilt = [v.samples(200, rng=77) for v in values]
         for ref, re in zip(reference, rebuilt):
             assert np.array_equal(ref, re)
+
+    def test_true_restores_the_default_budget(self):
+        with evaluation_config(sample_cache=4000):
+            certified_value().samples(10, rng=1)
+        assert ledger_state()["max_bytes"] == 4000
+        with evaluation_config(sample_cache=True):
+            certified_value().samples(10, rng=1)
+        assert ledger_state()["max_bytes"] == ledger_module.DEFAULT_MAX_BYTES
 
     def test_clear_ledger_drops_everything(self):
         u = certified_value()
@@ -333,7 +347,7 @@ class TestLiveState:
             certified_value().samples(100, rng=1)
         reset_stats()
         state = ledger_state()
-        assert (state["entries"], state["bytes"]) == (1, 800)
+        assert (state["entries"], state["bytes"]) == (1, 800 + ENTRY_OVERHEAD_BYTES)
         assert state["hits"] == state["misses"] == 0  # counters do reset
 
     def test_scoped_sink_draws_show_in_the_process_state(self):
@@ -342,7 +356,9 @@ class TestLiveState:
             certified_value().samples(100, rng=1)
             replay_value().samples(100, rng=1)
         state = ledger_state()
-        assert (state["entries"], state["bytes"]) == (2, 1600)
+        assert (state["entries"], state["bytes"]) == (
+            2, 1600 + 2 * ENTRY_OVERHEAD_BYTES
+        )
         assert state["modes"] == {"replay": 1, "stream": 1}
         assert not {"entries", "bytes"} & set(scoped.snapshot()["ledger"])
 
@@ -451,7 +467,7 @@ class TestMetricsExposition:
         # The footprint is the ledger's state, not a scoped sink's count.
         assert "repro_ledger_bytes" not in text
         state = render_prometheus(stats())
-        assert "repro_ledger_bytes 800" in state
+        assert f"repro_ledger_bytes {800 + ENTRY_OVERHEAD_BYTES}" in state
         assert 'repro_ledger_modes{mode="stream"} 1' in state
         snap = scoped.snapshot()["ledger"]
         assert snap["hits"] >= 1

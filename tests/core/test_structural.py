@@ -6,6 +6,8 @@ topology — and plans containing anything whose sampling behaviour the
 hash cannot capture (lambdas, closures, stateful sources) are opaque.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from repro.core.structural import (
     StructuralCache,
     canonical_value,
     clear_structural_cache,
+    fingerprint_digest,
     plan_fingerprint,
 )
 from repro.core.uncertain import Uncertain
@@ -170,6 +173,75 @@ class TestCacheBounds:
         assert (plans["structural_hits"], plans["structural_misses"]) == (1, 1)
         assert not {"hits", "misses"} & set(stats()["structural"])
         assert not hasattr(STRUCTURAL_CACHE, "hits")
+
+
+class TestTokenSharing:
+    """The cache holds each distinct token of its live fingerprints once,
+    counted by its occurrences in them."""
+
+    @staticmethod
+    def shapes(count):
+        # Shapes that share leaves and constants, each holding its leaf
+        # token twice.
+        return [
+            Uncertain(Gaussian(float(i % 3), 1.0))
+            + Uncertain(Gaussian(float(i % 3), 1.0)) * float(i % 4)
+            for i in range(count)
+        ]
+
+    @staticmethod
+    def assert_table_is_live_tokens(cache):
+        live = Counter(token for fp in cache._entries for token in fp)
+        assert set(cache._tokens) == set(live)
+        assert len(cache._token_refs) == len(cache._tokens)
+        for token, count in live.items():
+            assert cache._token_refs[id(cache._tokens[token])] == count
+        assert all(
+            cache._tokens[token] is token
+            for fp in cache._entries for token in fp
+        )
+
+    def test_shapes_sharing_a_leaf_hold_one_token(self):
+        plans = [
+            compile_plan((Uncertain(Gaussian(0.0, 1.0)) + 1.0).node),
+            compile_plan((Uncertain(Gaussian(0.0, 1.0)) * 2.0).node),
+        ]
+        assert plans[0].structural_hash != plans[1].structural_hash
+        first, second = (
+            [t for t in p.shape.fingerprint if t[0] == "leaf"] for p in plans
+        )
+        assert len(first) == len(second) == 1
+        assert first[0] is second[0]
+
+    def test_table_tracks_live_entries_under_eviction(self):
+        cache = StructuralCache(limit=4)
+        for value in self.shapes(10):
+            cache.entry_for(compile_plan(value.node))
+            self.assert_table_is_live_tokens(cache)
+        assert cache.state()["entries"] == 4
+        occurrences = sum(len(fp) for fp in cache._entries)
+        assert len(cache._tokens) < occurrences
+        cache.clear()
+        assert cache._tokens == {} and cache._token_refs == {}
+
+    def test_keys_are_digests_of_fresh_fingerprints(self):
+        cache = StructuralCache(limit=4)
+        for value in self.shapes(10):
+            entry, hit = cache.entry_for(compile_plan(value.node))
+            assert not hit
+        for value in self.shapes(10)[-4:]:
+            fresh = plan_fingerprint(compile_plan(value.node))
+            entry, hit = cache.register(fresh)
+            assert hit and entry.fingerprint == fresh
+            assert entry.key == fingerprint_digest(fresh)
+
+    def test_clear_caches_empties_the_table(self):
+        for value in self.shapes(3):
+            compile_plan(value.node)
+        assert STRUCTURAL_CACHE._tokens
+        clear_caches()
+        assert STRUCTURAL_CACHE._tokens == {}
+        assert STRUCTURAL_CACHE._token_refs == {}
 
 
 class TestCanonicalValues:

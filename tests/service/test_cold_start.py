@@ -1,6 +1,7 @@
 """Cold start: ``import repro`` and the query paths the workloads run load
 neither SciPy nor networkx; the APIs that need them import them on first
-call.
+call.  ``http.server`` (with ``email``) loads only with the metrics
+endpoint.
 
 Both halves run in a fresh interpreter, because this one has long since
 imported SciPy through other suites.
@@ -75,6 +76,37 @@ def _python(script: str) -> str:
 
 def test_import_and_workload_queries_need_neither_scipy_nor_networkx():
     _python(REFUSE_SCIPY_AND_NETWORKX + COLD_PATH)
+
+
+METRICS_ENDPOINT = """
+import asyncio
+import sys
+
+import repro
+
+assert "http.server" not in sys.modules
+assert not [m for m in sys.modules if m.split(".")[0] == "email"]
+
+import urllib.request
+
+from repro.service import Service, serve_metrics
+
+
+async def scrape():
+    async with Service(engine="numpy") as svc:
+        with serve_metrics(svc) as server:
+            with urllib.request.urlopen(server.url + "/metrics", timeout=5.0) as resp:
+                return resp.status, resp.read().decode()
+
+
+status, body = asyncio.run(scrape())
+assert status == 200 and "repro_service_queue_depth 0" in body
+print(status)
+"""
+
+
+def test_http_server_loads_with_the_metrics_endpoint_only():
+    assert _python(METRICS_ENDPOINT).strip() == "200"
 
 
 #: Shared by the child interpreters and this process.
