@@ -6,9 +6,9 @@ a reasonable default to recommend, a full ``analyze_plan`` — interval
 *and* affine inference plus all rule checks — over a fig08-style
 shared-subexpression network has to complete in well under a millisecond.
 The same budget applies to the stream-safety certifier, which runs once
-per fresh kernel inside ``_prepare``: certifying a rewrite plus a fused
-kernel must also stay under a millisecond, or skipping the probe run
-would buy nothing.  This bench builds such a graph (~60 slots, heavy node
+per fresh kernel inside ``_prepare`` and is the kernel's only admission
+gate: certifying a rewrite plus a fused kernel must also stay under a
+millisecond.  This bench builds such a graph (~60 slots, heavy node
 sharing, a mix of arithmetic, comparisons, point masses and a division),
 measures both passes, asserts the <1 ms budgets, and records the numbers
 in the benchmark JSON.

@@ -22,7 +22,7 @@ correlation-aware rules (UNC106, UNC107) and the opt-in static bounds
 report (UNC100).  A third pass, **stream-safety certification**
 (:mod:`repro.analysis.certify`), proves optimizer rewrites and fused
 kernels RNG-stream-equivalent to the reference engine (UNC401 on
-failure) so the runtime can skip its probe execution.
+failure), so the runtime admits them without executing them.
 
 Entry points: ``python -m repro.analysis`` (CLI),
 ``Uncertain.diagnose()`` (per-value), and

@@ -1,12 +1,10 @@
 """Static stream-safety certification for the plan compiler (UNC401).
 
-PR 5's optimizer and fused-kernel backend promise *bit-identity*: an
+The optimizer and the fused-kernel backend promise *bit-identity*: an
 optimized plan or generated kernel must consume the RNG stream exactly as
-the reference numpy engine would and produce identical arrays.  Until
-now that promise was enforced only dynamically — probe-seed runs at
-first use.  This module proves it **symbolically** where possible, so the
-probe becomes a fallback for constructs the analysis cannot model rather
-than the only gate.
+the reference numpy engine would and produce identical arrays.  This
+module proves it **symbolically**, before anything executes; nothing is
+admitted by running it.
 
 The certifier performs a *draw-order effect analysis*: it computes the
 canonical RNG consumption sequence — which generator family draws, how
@@ -27,24 +25,33 @@ What is provable, and why:
   compute ``loc + scale * draw`` per element, so the chunking is
   value-identical *provided the leaf's distribution really is* the
   claimed affine reduction of that family.  ``bulk_draw_spec`` is a
-  claim, not a proof — so the certifier trusts it only for the exact
-  first-party distribution classes whose ``sample_n`` provably matches
-  (:data:`TRUSTED_BULK_FAMILIES`); subclasses and third-party
-  distributions fall back to the probe, which catches lying specs.
+  claim, not a proof — so it is trusted only for the exact first-party
+  distribution classes whose ``sample_n`` provably matches
+  (:data:`TRUSTED_BULK_FAMILIES`).  The kernel generator delegates every
+  other leaf to its own ``sample_n``.
 - **Delegated sources** (``_S``/``_G`` slots): the kernel calls the same
   ``evaluate_batch`` the engine would, at the same position in slot
   order — stream-identical by construction.
 - **Inlined scalar constants**: the engine materializes every constant
   as an ``np.full`` array while the kernel may keep it a Python scalar,
   and NEP 50 gives Python scalars *weak* promotion.  A small abstract
-  dtype analysis certifies the cases where both promotions provably
-  agree (see :func:`_scalar_obstacle`); everything else is probed.
+  dtype analysis finds the cases where both promotions provably agree
+  (see :func:`_scalar_obstacle`); the kernel generator materializes every
+  other constant, as the engine does.
 
+The kernel generator (:func:`repro.core.fused._generate`) consults the
+same predicates, so every kernel it emits certifies; a ``rejected``
+kernel is a generator bug, and the fused engine falls back to numpy.
 Every decision is emitted as a :class:`CertificationRecord` into
-``plan.provenance`` — ``certified`` (probe skipped), ``probe`` (dynamic
-fallback), or ``rejected`` (UNC401) — and the differential harness in
-``tests/analysis/test_certify.py`` asserts the certifier never accepts a
-kernel the probe run would reject.
+``plan.provenance`` — ``certified``, ``fallback`` (an opaque plan, or a
+kernel that could not be generated: the numpy engine runs it) or
+``rejected`` (UNC401) — and the differential harness in
+``tests/analysis/test_certify.py`` runs every certified kernel against
+the numpy engine.
+
+The sample ledger's stream mode rests on the same kind of proof:
+:func:`prefix_stable` names the leaves whose ``n`` rows followed by
+``N - n`` more equal one ``N``-row draw (:data:`PREFIX_STABLE_CLASSES`).
 """
 
 from __future__ import annotations
@@ -68,12 +75,14 @@ from repro.core.plan import OP_SOURCE, EvaluationPlan
 __all__ = [
     "CertificationRecord",
     "DrawEvent",
+    "PREFIX_STABLE_CLASSES",
     "TRUSTED_BULK_FAMILIES",
     "certification_records",
     "certify_kernel",
     "certify_rewrite",
     "certify_value",
     "plan_draw_sequence",
+    "prefix_stable",
 ]
 
 #: ``(module, qualname)`` of distribution classes whose ``sample_n`` is
@@ -85,6 +94,40 @@ TRUSTED_BULK_FAMILIES = {
     ("repro.dists.gaussian", "Gaussian"): "standard_normal",
     ("repro.dists.uniform", "Uniform"): "random",
     ("repro.dists.exponential", "Exponential"): "standard_exponential",
+}
+
+#: ``(module, qualname)`` of distribution classes whose ``sample_n`` makes
+#: one NumPy generator call per batch (or none) and whose row ``i`` does
+#: not depend on the batch size, so ``n`` rows then ``N - n`` more on one
+#: generator equal one ``N``-row draw (the sample ledger's stream mode).
+#: Read from each ``sample_n``, as :data:`TRUSTED_BULK_FAMILIES` is; NumPy's
+#: rejection samplers (gamma, beta, Student t, Poisson, binomial, von
+#: Mises) loop per element and keep no batch-sized state, so they belong.
+#: Exact types only.  Left out: ``TruncatedGaussian``, drawn by SciPy,
+#: whose sampler this table does not pin; ``MultivariateGaussian``, whose
+#: matrix product can round rows differently at different batch sizes
+#: (on a 2-CPU x86 host with NumPy 2, a 1 000-row draw split at 333 rows
+#: differed from the whole); multi-call
+#: samplers (``Mixture``, ``KernelDensity``) and user code
+#: (``FunctionDistribution``).
+PREFIX_STABLE_CLASSES = frozenset(TRUSTED_BULK_FAMILIES) | {
+    ("repro.dists.uniform", "DiscreteUniform"),
+    ("repro.dists.bernoulli", "Bernoulli"),
+    ("repro.dists.bernoulli", "Binomial"),
+    ("repro.dists.beta", "Beta"),
+    ("repro.dists.categorical", "Categorical"),
+    ("repro.dists.categorical", "PointMass"),
+    ("repro.dists.cauchy", "Cauchy"),
+    ("repro.dists.empirical", "Empirical"),
+    ("repro.dists.exponential", "Gamma"),
+    ("repro.dists.laplace", "Laplace"),
+    ("repro.dists.lognormal", "LogNormal"),
+    ("repro.dists.poisson", "Poisson"),
+    ("repro.dists.rayleigh", "Rayleigh"),
+    ("repro.dists.studentt", "StudentT"),
+    ("repro.dists.triangular", "Triangular"),
+    ("repro.dists.vonmises", "VonMises"),
+    ("repro.dists.weibull", "Weibull"),
 }
 
 
@@ -115,7 +158,7 @@ class CertificationRecord:
     """
 
     subject: str  # "optimizer-rewrite" | "fused-kernel"
-    status: str  # "certified" | "probe" | "rejected"
+    status: str  # "certified" | "fallback" | "rejected"
     structural_hash: str | None
     rule: str | None = None  # "UNC401" when rejected
     reasons: tuple[str, ...] = ()
@@ -145,6 +188,12 @@ class CertificationRecord:
 def _trusted_family(dist) -> str | None:
     kind = type(dist)
     return TRUSTED_BULK_FAMILIES.get((kind.__module__, kind.__qualname__))
+
+
+def prefix_stable(dist) -> bool:
+    """Is ``dist`` of a class in :data:`PREFIX_STABLE_CLASSES`?"""
+    kind = type(dist)
+    return (kind.__module__, kind.__qualname__) in PREFIX_STABLE_CLASSES
 
 
 def plan_draw_sequence(plan: EvaluationPlan) -> tuple[DrawEvent, ...]:
@@ -278,7 +327,7 @@ def _scalar_obstacle(value, other, symbol: str) -> str | None:
 
     The engine sees ``np.full(n, value)`` (strong, array-array
     promotion); the kernel sees the raw scalar (weak under NEP 50).
-    Returns a probe reason when the two can disagree in dtype or value.
+    Returns the reason when the two can disagree in dtype or value.
     """
     if isinstance(value, (np.integer, np.floating, np.bool_)):
         return None  # numpy scalars are strong: identical promotion.
@@ -301,15 +350,43 @@ def _scalar_obstacle(value, other, symbol: str) -> str | None:
             f"dtype {other}: weak-scalar promotion not provably identical")
 
 
+def _inline_obstacles(plan: EvaluationPlan, inlined):
+    """``(slot, reason)`` for each constant slot in ``inlined`` that an
+    infix op may not take as a Python scalar (:func:`_scalar_obstacle`).
+
+    The kernel generator materializes these slots; the certifier rejects
+    a kernel that inlines one.
+    """
+    if not inlined:
+        return
+    dtypes = _infer_dtypes(plan)
+    for step in plan.steps:
+        node = step.node
+        if not (isinstance(node, BinaryOpNode)
+                and len(step.parent_slots) == 2
+                and node.op in _fused._INFIX_BINARY):
+            continue
+        a, b = step.parent_slots
+        for const_slot, other_slot in ((a, b), (b, a)):
+            if const_slot not in inlined:
+                continue
+            obstacle = _scalar_obstacle(
+                plan.steps[const_slot].node.value,
+                dtypes[other_slot],
+                node.label,
+            )
+            if obstacle is not None:
+                yield const_slot, obstacle
+
+
 def certify_kernel(spec, plan: EvaluationPlan) -> CertificationRecord:
     """Certify a generated kernel (``fused._KernelSpec``) stream-safe.
 
-    Certified kernels skip the probe run entirely; ``probe`` means the
-    analysis could not model some construct and the dynamic bit-identity
-    check must decide; ``rejected`` (UNC401) means the kernel provably
-    consumes a different stream than the engine.
+    ``certified`` means the kernel provably consumes the engine's stream
+    and promotes as the engine does; ``rejected`` (UNC401) means it may
+    not.  The generator consults the same rules, so a rejection is a
+    generator bug.
     """
-    probe: list[str] = []
     rejected: list[str] = []
     events: list[DrawEvent] = []
 
@@ -322,36 +399,25 @@ def certify_kernel(spec, plan: EvaluationPlan) -> CertificationRecord:
         slot = step.slot
         if slot in run_starts:
             family, slots = run_starts[slot]
-            trusted = True
             for member in slots:
                 dist = plan.steps[member].node.dist
                 known = _trusted_family(dist)
-                if known is None:
+                if known != family:
                     kind = type(dist).__name__
-                    probe.append(
-                        f"slot {member}: {kind}.bulk_draw_spec claims family "
-                        f"{family!r} but {kind} is not a trusted first-party "
-                        "reduction; the claim must be probed"
-                    )
-                    trusted = False
-                elif known != family:
                     rejected.append(
-                        f"slot {member}: {type(dist).__name__} draws from "
-                        f"{known!r} but the kernel coalesces it into a "
-                        f"{family!r} run"
+                        f"slot {member}: the kernel coalesces {kind} into a "
+                        f"{family!r} run, but {kind} is "
+                        + ("not a trusted first-party reduction"
+                           if known is None else f"a {known!r} draw")
                     )
-                    trusted = False
-            events.append(
-                DrawEvent(family if trusted else f"untrusted:{family}",
-                          len(slots), tuple(slots))
-            )
+            events.append(DrawEvent(family, len(slots), tuple(slots)))
         elif slot in delegated:
             events.append(DrawEvent("delegated", 1, (slot,)))
 
     # Interleaving: a coalesced run draws its whole block at the position
     # of its first slot, which is stream-safe only if no other RNG
     # consumer sits between the run's slots.  _generate guarantees this
-    # by breaking runs at spec-less leaves; re-verify independently.
+    # by breaking runs at delegated leaves; re-verify independently.
     consumers = sorted(
         [slot for _f, slots in spec.runs for slot in slots] + list(delegated)
     )
@@ -368,33 +434,11 @@ def certify_kernel(spec, plan: EvaluationPlan) -> CertificationRecord:
     materialized = {slot for slot, _parents, ops in spec.steps_meta
                     if ops == ("const",)}
     inlined = set(spec.k_slots) - materialized
-    if inlined:
-        dtypes = _infer_dtypes(plan)
-        for step in plan.steps:
-            node = step.node
-            if not (isinstance(node, BinaryOpNode)
-                    and len(step.parent_slots) == 2):
-                continue
-            if node.op in _fused._NPFUNC_BINARY:
-                continue  # np.logical_* of a scalar: bool result either way.
-            if node.op not in _fused._INFIX_BINARY:
-                continue
-            a, b = step.parent_slots
-            for const_slot, other_slot in ((a, b), (b, a)):
-                if const_slot not in inlined:
-                    continue
-                obstacle = _scalar_obstacle(
-                    plan.steps[const_slot].node.value,
-                    dtypes[other_slot],
-                    node.label,
-                )
-                if obstacle is not None:
-                    probe.append(obstacle)
+    rejected.extend(reason for _slot, reason
+                    in _inline_obstacles(plan, inlined))
 
     if rejected:
-        status, rule, reasons = "rejected", "UNC401", tuple(rejected + probe)
-    elif probe:
-        status, rule, reasons = "probe", None, tuple(probe)
+        status, rule, reasons = "rejected", "UNC401", tuple(rejected)
     else:
         status, rule = "certified", None
         reasons = (
@@ -446,7 +490,7 @@ def certify_value(value) -> dict[str, Any]:
     elif optimized.structural_hash is None:
         records.append(CertificationRecord(
             subject="fused-kernel",
-            status="probe",
+            status="fallback",
             structural_hash=None,
             reasons=("plan is structurally opaque (lambdas or user "
                      "sampling functions): no kernel is generated and the "
@@ -458,7 +502,7 @@ def certify_value(value) -> dict[str, Any]:
         except Exception as exc:
             records.append(CertificationRecord(
                 subject="fused-kernel",
-                status="probe",
+                status="fallback",
                 structural_hash=optimized.structural_hash,
                 reasons=(f"kernel generation failed "
                          f"({type(exc).__name__}: {exc}); the fused "
@@ -466,13 +510,9 @@ def certify_value(value) -> dict[str, Any]:
             ))
         else:
             records.append(certify_kernel(spec, optimized))
-    worst = "certified"
-    for record in records:
-        if record.status == "rejected":
-            worst = "rejected"
-            break
-        if record.status == "probe":
-            worst = "probe"
+    statuses = {record.status for record in records}
+    worst = next(status for status in ("rejected", "fallback", "certified")
+                 if status in statuses)
     return {
         "structural_hash": optimized.structural_hash,
         "slots": len(optimized.steps),

@@ -53,10 +53,10 @@ def render_certification_text(reports: dict[str, dict]) -> str:
     ``reports`` maps target name to the dict produced by
     :func:`repro.analysis.certify.certify_value` (plus optional
     ``elapsed_ms``).  One block per target, one line per record, and a
-    closing tally of certified / probe / rejected verdicts.
+    closing tally of certified / fallback / rejected verdicts.
     """
     lines: list[str] = []
-    tally = {"certified": 0, "probe": 0, "rejected": 0}
+    tally = {"certified": 0, "fallback": 0, "rejected": 0}
     for name, report in reports.items():
         tally[report["status"]] = tally.get(report["status"], 0) + 1
         timing = (f", {report['elapsed_ms']:.3f} ms"
@@ -72,7 +72,7 @@ def render_certification_text(reports: dict[str, dict]) -> str:
                 + "; ".join(record["reasons"])
             )
     lines.append(
-        f"certified {tally['certified']}, probe {tally['probe']}, "
+        f"certified {tally['certified']}, fallback {tally['fallback']}, "
         f"rejected {tally['rejected']} of {len(reports)} plan(s)"
     )
     return "\n".join(lines)

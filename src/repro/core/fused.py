@@ -40,28 +40,21 @@ What the generated kernel fuses:
   constant-fold pass) are bound once at kernel-build time and used as
   scalars where broadcasting keeps the result identical.
 
-Safety: every freshly generated kernel is **admitted before first use**,
-now in two tiers.  First the static stream-safety certifier
-(:mod:`repro.analysis.certify`) tries to *prove* the kernel consumes the
-RNG stream exactly as the reference engine — trusted bulk-draw families,
-contiguous coalesced runs, delegated sources, NEP 50-safe inlined
-scalars.  A certified kernel skips probe execution entirely (counted as
-``kernels_certified``); a kernel the analysis cannot model is executed
-against :class:`~repro.core.engines.NumpyEngine` on the same plan for
-multiple seeds and batch sizes and required to produce bit-identical
-arrays, values *and* dtype (``kernels_probed``); a kernel the analysis
-*refutes* is rejected outright with rule UNC401.  A kernel that fails
-either gate — or a plan with no structural hash (lambdas, opaque
-sources) — falls back to the inner engine, with the rejection recorded
-in runtime metrics and the :class:`CertificationRecord` attached to
-``plan.provenance``.  The bit-identity contract of
-:mod:`repro.core.optimizer` is therefore enforced three ways: by
-construction, by proof, and by test.
-
-A verdict is a property of the plan shape, so it is kept per shape.  A
-run that fails for a reason outside the shape — cancellation or an
-injected chaos fault during the probe — fails the caller's draw and
-caches nothing.
+Safety: every freshly generated kernel is **admitted by proof, before
+first use**.  The generator coalesces a leaf only when its exact class
+is a trusted reduction of the family its ``bulk_draw_spec`` names, and
+delegates every other leaf to the leaf's own ``sample_n``; it inlines a
+scalar constant only where the static dtype analysis proves NEP 50 weak
+promotion changes nothing, and materializes every other constant as
+``np.full``, as the engine does.  The stream-safety certifier
+(:mod:`repro.analysis.certify`) then re-checks the kernel independently:
+draw sequence, contiguous runs, inlined scalars.  Nothing is executed to
+admit a kernel.  A kernel the certifier rejects (UNC401: a generator
+bug), or one that cannot be generated, is recorded on the shape, warned
+about with :class:`FusedFallbackWarning` and counted in runtime metrics;
+its plans, and plans with no structural hash (lambdas, opaque sources),
+run on the inner engine.  The :class:`CertificationRecord` is attached
+to ``plan.provenance`` either way.
 """
 
 from __future__ import annotations
@@ -80,7 +73,6 @@ from repro.core.graph import (
     UnaryOpNode,
 )
 from repro.core.plan import OP_SOURCE, EvaluationPlan, PlanStep
-from repro.resilience.chaos import InjectedFault
 from repro.runtime import cancellation as _cancel
 from repro.runtime import metrics as _metrics
 
@@ -119,11 +111,6 @@ _SAFE_SYMBOLS = frozenset(
 )
 
 _SCALAR_TYPES = (int, float, bool, np.integer, np.floating, np.bool_)
-
-#: Verification matrix: every fresh kernel must be bit-identical to the
-#: reference engine for each (seed, batch size) pair before first use.
-_VERIFY_SEEDS = (12345, 67890)
-_VERIFY_SIZES = (3, 17)
 
 #: The run of a shape that builds its kernel; earlier runs use the NumPy
 #: engine.  Chosen from shape_zoo's Zipf stream (docs/performance.md).
@@ -251,7 +238,9 @@ def _binding_args(spec: _KernelSpec, plan: EvaluationPlan):
 
 
 def _generate(plan: EvaluationPlan) -> _KernelSpec:
-    """Generate (but do not verify) the kernel source for ``plan``."""
+    """Generate (but do not certify) the kernel source for ``plan``."""
+    from repro.analysis.certify import _inline_obstacles, _trusted_family
+
     spec = _KernelSpec()
     steps = plan.steps
     root_slot = plan.root_slot
@@ -297,6 +286,11 @@ def _generate(plan: EvaluationPlan) -> _KernelSpec:
             for p in parents:
                 if p in const_slot:
                     const_slot[p] = False
+    # Also materialise any scalar whose weak (NEP 50) promotion may
+    # differ from the engine's array: the certifier's own rule.
+    inlined = {slot for slot, scalar in const_slot.items() if scalar}
+    for slot, _reason in _inline_obstacles(plan, inlined):
+        const_slot[slot] = False
 
     s_slots, f_slots, g_slots, k_slots, runs = [], [], [], [], []
     k_index = {}
@@ -307,7 +301,7 @@ def _generate(plan: EvaluationPlan) -> _KernelSpec:
         node = step.node
         if type(node) is LeafNode:
             draw = node.dist.bulk_draw_spec()
-            if draw is not None:
+            if draw is not None and draw[0] == _trusted_family(node.dist):
                 family = draw[0]
                 if pending_run is not None and pending_run[0] == family:
                     pending_run[1].append(step.slot)
@@ -316,8 +310,8 @@ def _generate(plan: EvaluationPlan) -> _KernelSpec:
                         runs.append((pending_run[0], tuple(pending_run[1])))
                     pending_run = (family, [step.slot])
                 continue
-            # A spec-less leaf consumes RNG through its own path: it ends
-            # any open run so draw order stays exactly the engines' order.
+            # Any other leaf draws through its own sample_n: it ends any
+            # open run so draw order stays exactly the engines' order.
             if pending_run is not None:
                 runs.append((pending_run[0], tuple(pending_run[1])))
                 pending_run = None
@@ -515,24 +509,6 @@ def _generate(plan: EvaluationPlan) -> _KernelSpec:
     return spec
 
 
-def _verify(kernel, plan: EvaluationPlan, reference) -> bool:
-    """Is ``kernel`` bit-identical to the reference engine on ``plan``?"""
-    for seed in _VERIFY_SEEDS:
-        for n in _VERIFY_SIZES:
-            expected = reference.run(
-                plan, n, np.random.default_rng(seed)
-            )[plan.root_slot]
-            got = kernel(n, np.random.default_rng(seed))
-            expected = np.asarray(expected)
-            got = np.asarray(got)
-            if got.dtype != expected.dtype or got.shape != expected.shape:
-                return False
-            equal_nan = expected.dtype.kind in "fc"
-            if not np.array_equal(got, expected, equal_nan=equal_nan):
-                return False
-    return True
-
-
 class _BoundKernel:
     """A shape's kernel bound to one plan's node objects."""
 
@@ -619,14 +595,11 @@ def _prepare(plan: EvaluationPlan):
                 plan, _KernelSpec(),
                 f"generation failed: {type(exc).__name__}: {exc}", metrics,
             )
-        # Static stream-safety certification (UNC401): a certified kernel
-        # provably consumes the RNG stream exactly as the reference engine
-        # and skips the probe run; a "probe" verdict falls through to the
-        # dynamic bit-identity check below.
+        # Static stream-safety certification (UNC401).
         from repro.analysis.certify import certify_kernel
 
         record = spec.certification = certify_kernel(spec, plan)
-        if record.status == "rejected":
+        if not record.certified:
             reasons = "; ".join(record.reasons)
             return _reject(plan, spec, f"{record.rule}: {reasons}", metrics)
     elif not spec.verified:
@@ -634,42 +607,19 @@ def _prepare(plan: EvaluationPlan):
         _attach_certification(plan, spec.certification)
         plan._fused = _FALLBACK
         return _FALLBACK
-    record = spec.certification
-    certified = record.certified
     try:
         S, F, G, K, R = _binding_args(spec, plan)
         kernel = spec.factory(np, _chk, S, F, G, K, R)
-        diverged = (
-            fresh
-            and not certified
-            and not _verify(kernel, plan, get_engine("numpy"))
-        )
-    except (_cancel.EvaluationCancelled, InjectedFault):
-        # The probe run failed, not the kernel: propagate to the caller
-        # and cache no verdict, so the next plan of this shape probes anew.
-        raise
     except Exception as exc:
         return _reject(plan, spec, f"{type(exc).__name__}: {exc}", metrics)
-    if diverged:
-        detail = "UNC401: output diverged from the numpy engine"
-        if record.reasons:
-            detail += (
-                "; static certification had deferred to the probe: "
-                + "; ".join(record.reasons)
-            )
-        return _reject(plan, spec, detail, metrics)
     if fresh:
         spec.verified = True
         shape.kernel = spec
         if metrics is not None:
-            metrics.record_fused(
-                built=1,
-                certified=1 if certified else 0,
-                probed=0 if certified else 1,
-            )
+            metrics.record_fused(built=1)
     elif metrics is not None:
         metrics.record_fused(kernel_hits=1)
-    _attach_certification(plan, record)
+    _attach_certification(plan, spec.certification)
     bound = _BoundKernel(kernel, spec)
     plan._fused = bound
     return bound
@@ -682,7 +632,7 @@ class FusedEngine(ExecutionEngine):
     draws, unfusable plans and the first ``_HOT_RUNS - 1`` runs of a shape
     delegate to the numpy engine, so semantics are always exactly the
     reference engines' — the kernel path is taken only once the shape is
-    hot and its kernel has passed certification or bit-identity probing.
+    hot and its kernel is certified.
     """
 
     name = "fused"

@@ -21,30 +21,25 @@ Bit-identity contract
 
 Every row range the ledger serves is bit-identical to the same range of a
 single fresh engine run from the entry's lineage stream start.  Two entry
-modes uphold that contract, chosen by a certify-or-probe gate at entry
-creation (the static certifier's pattern), sticky per plan shape × engine
-on the shape's :class:`~repro.core.structural.ShapeEntry`:
+modes uphold that contract, chosen from the executed plan alone when an
+entry is created; nothing is run to choose:
 
 - **stream** — the plan's RNG consumption is *prefix-stable*: running
   ``n`` rows and then ``N − n`` more on the same generator equals one
-  ``N``-row run (numpy bulk draws are sequential, so this holds whenever
-  the plan makes exactly one bulk draw call per batch).  The entry keeps
-  one growing column plus the live generator positioned after it; any
-  query is a slice, extension draws only the suffix.
-- **replay** — multi-draw plans interleave per-leaf streams differently
-  at different batch sizes, so suffix extension is impossible on *any*
-  engine that honours the reference stream.  The entry instead memoizes
-  one full fresh-from-lineage-start run per distinct ``N`` — each cached
-  column literally *is* a fresh ``N``-row run, so the contract holds
-  trivially and repeated exact-``N`` queries (the analyst-session shape)
-  are free.
-
-The gate certifies statically when the plan's canonical draw sequence
-(:func:`repro.analysis.certify.plan_draw_sequence`) is a single trusted
-bulk-family event (or empty), and otherwise runs a dynamic probe: a
-split run is compared against a full run across *every* plan slot —
-comparing only the root would pass vacuously on boolean plans whose
-output is constant.
+  ``N``-row run.  That is proven when the plan draws nothing, or draws
+  from exactly one leaf whose exact class is prefix-stable
+  (:func:`repro.analysis.certify.prefix_stable`: one generator call per
+  batch, row ``i`` independent of the batch size).  The entry keeps one
+  growing column plus the live generator positioned after it; any query
+  is a slice, extension draws only the suffix.
+- **replay** — every other plan.  Multi-draw plans interleave per-leaf
+  streams differently at different batch sizes, so suffix extension is
+  impossible on *any* engine that honours the reference stream, and a
+  single leaf outside the prefix-stable table is not proven to extend.
+  The entry instead memoizes one full fresh-from-lineage-start run per
+  distinct ``N`` — each cached column literally *is* a fresh ``N``-row
+  run, so the contract holds trivially and repeated exact-``N`` queries
+  (the analyst-session shape) are free.
 
 Seed lineage
 ------------
@@ -61,6 +56,10 @@ Seed lineage
   rows are reproducible and i.i.d. but are drawn from the derived
   stream, not from the advancing ambient one — the documented trade for
   cross-query reuse (``docs/performance.md``).
+- A single-sample draw from any generator bypasses the ledger and draws
+  from the caller's generator, so a loop of ``sample()`` calls gets what
+  it gets with the ledger off: a fresh value per call from a reused or
+  ambient generator, the same value from a fresh seeded one.
 
 Safety gating (always falls back to a fresh engine run, never errors):
 opaque plans (no structural hash), memo-carrying draws, the parallel
@@ -80,11 +79,11 @@ from collections import OrderedDict
 import numpy as np
 
 from repro.core.engines import ExecutionEngine, get_engine
-from repro.core.optimizer import resolve_level
-from repro.resilience.chaos import InjectedFault
+from repro.core.graph import LeafNode
+from repro.core.optimizer import is_stochastic, resolve_level
+from repro.core.plan import OP_SOURCE
 from repro.runtime import metrics as _metrics
 from repro.runtime import trace as _trace
-from repro.runtime.cancellation import EvaluationCancelled
 
 __all__ = [
     "LedgerEntry",
@@ -116,11 +115,6 @@ _LEDGER_SPAWN_TAG = 0x1ED6E9
 #: excluded by design: its chunk-seeded stream re-derives child seeds per
 #: call, so ``run(n); run(m)`` never equals ``run(n + m)``.
 _LEDGER_ENGINES = frozenset({"numpy", "fused", "interpreter"})
-
-#: Dynamic probe sizes: a full run of ``_PROBE_FULL`` rows is compared
-#: against a split ``_PROBE_SPLIT + (full - split)`` run, slot by slot.
-_PROBE_FULL = 32
-_PROBE_SPLIT = 13
 
 
 def _canonical_entropy(entropy) -> tuple:
@@ -218,6 +212,25 @@ def _base_generator(base_spec: tuple) -> np.random.Generator:
     return np.random.default_rng(seed_seq)
 
 
+def _mode(exec_plan) -> tuple[str, str]:
+    """``("stream", why)`` when suffix extension is provably bit-identical
+    for ``exec_plan`` on every ledger engine, else ``("replay", why)``."""
+    from repro.analysis.certify import prefix_stable
+
+    draws = [step.node for step in exec_plan.steps
+             if step.opcode == OP_SOURCE and is_stochastic(step.node)]
+    if not draws:
+        _record(certified=1)
+        return "stream", "no stochastic draws"
+    leaf = draws[0]
+    if (len(draws) == 1 and isinstance(leaf, LeafNode)
+            and prefix_stable(leaf.dist)):
+        _record(certified=1)
+        return "stream", f"single prefix-stable draw ({type(leaf.dist).__name__})"
+    _record(rejections=1)
+    return "replay", f"{len(draws)} draw(s), not proven prefix-stable"
+
+
 def _record(**counters) -> None:
     sink = _metrics.active()
     if sink is not None:
@@ -234,7 +247,7 @@ class LedgerEntry:
 
     __slots__ = (
         "key", "engine_name", "mode", "base_spec",
-        "column", "count", "gen", "cursor", "runs", "nbytes",
+        "column", "count", "gen", "runs", "nbytes",
     )
 
     def __init__(self, key, engine_name: str, mode: str,
@@ -247,7 +260,6 @@ class LedgerEntry:
         self.column: np.ndarray | None = None
         self.count = 0
         self.gen = _base_generator(base_spec) if mode == "stream" else None
-        self.cursor = 0
         # replay mode: one full fresh-from-base column per distinct N.
         self.runs: dict[int, np.ndarray] = {}
         self.nbytes = ENTRY_OVERHEAD_BYTES
@@ -336,34 +348,23 @@ class SampleLedger:
         engine/lineage, resample policy, ...).  A returned array is
         always a private copy — callers may mutate it.
 
-        Reductions read prefix rows ``[0, n)``; single-sample draws under
-        a live-generator lineage read cursor rows (the ledger-off
-        behaviour is also a fresh value per call).  Sequential batches
-        read through :meth:`open_window` instead.
+        Reductions read prefix rows ``[0, n)``, and so do single-sample
+        draws from an integer seed (ledger-off restarts the seed's stream
+        each call).  A single-sample draw from a generator bypasses the
+        ledger: it draws from the caller's generator, exactly as with the
+        ledger off, whether that generator is fresh, reused or ambient.
+        Sequential batches read through :meth:`open_window` instead.
         """
         resolved = self._resolve(plan, rng_spec, engine, config)
-        if resolved is None:
+        if resolved is None or (n == 1 and resolved[2][2][0] != "seed"):
             _record(bypasses=1)
             return None
         eng, exec_plan, key, base_spec = resolved
         self._apply_budget(config)
-        fresh_per_call = key[2][0] != "seed" and n == 1
         with self._lock:
             entry = self._entry_for(key, exec_plan, eng, base_spec)
             if entry.mode == "replay":
-                if fresh_per_call:
-                    # A live-generator single draw expects a fresh value
-                    # per call; replay mode cannot provide that.
-                    _record(bypasses=1)
-                    return None
                 return self._serve_replay(entry, exec_plan, eng, n, config)
-            if fresh_per_call:
-                start = entry.cursor
-                rows = self._serve_stream(
-                    entry, exec_plan, eng, start, n, config
-                )
-                entry.cursor = start + n
-                return rows
             return self._serve_stream(entry, exec_plan, eng, 0, n, config)
 
     def open_window(
@@ -411,7 +412,7 @@ class SampleLedger:
         return len(doomed)
 
     def clear(self) -> None:
-        """Drop every entry (verdicts stay on the shape entries)."""
+        """Drop every entry."""
         with self._lock:
             self._entries.clear()
             self._bytes = 0
@@ -478,14 +479,7 @@ class SampleLedger:
         if entry is not None:
             self._entries.move_to_end(key)
             return entry
-        shape = exec_plan.shape  # never None: the key holds its hash
-        if shape.ledger is None:
-            shape.ledger = {}
-        verdict = shape.ledger.get(eng.name)
-        if verdict is None:
-            verdict = self._certify_or_probe(exec_plan, eng)
-            shape.ledger[eng.name] = verdict
-        mode, reason = verdict
+        mode, reason = _mode(exec_plan)
         _trace.event("ledger.entry", mode=mode, reason=reason,
                      engine=eng.name, structural_hash=key[0])
         entry = LedgerEntry(key, eng.name, mode, base_spec)
@@ -497,71 +491,6 @@ class SampleLedger:
         entry = self._entries.pop(key, None)
         if entry is not None:
             self._bytes -= entry.nbytes
-
-    def _certify_or_probe(self, exec_plan, eng) -> tuple[str, str]:
-        """Is suffix extension provably bit-identical for this plan shape
-        on this engine?  ``("stream", why)`` or ``("replay", why)``."""
-        from repro.analysis.certify import plan_draw_sequence
-
-        events = plan_draw_sequence(exec_plan)
-        total = sum(e.count for e in events)
-        if total == 0:
-            _record(certified=1)
-            return "stream", "no stochastic draws"
-        if (len(events) == 1 and events[0].count == 1
-                and events[0].family != "delegated"):
-            _record(certified=1)
-            return "stream", f"single trusted bulk draw ({events[0].family})"
-        _record(probes=1)
-        if self._probe(exec_plan, eng):
-            return "stream", "probe verified split-draw identity"
-        _record(rejections=1)
-        return "replay", (
-            f"{total} interleaved draw(s): split runs diverge from full runs"
-        )
-
-    def _probe(self, exec_plan, eng) -> bool:
-        """Dynamic gate: compare a split run against a full run, slot by
-        slot.  The root alone is not enough — a boolean root can be
-        constant over the probe batch and pass vacuously while the
-        underlying streams have already diverged."""
-        shash = exec_plan.structural_hash or ""
-        try:
-            probe_seed = int(shash.split("#")[0][:16] or "0", 16)
-        except ValueError:
-            probe_seed = 0
-        seed_seq = np.random.SeedSequence(
-            entropy=[probe_seed], spawn_key=(_LEDGER_SPAWN_TAG,)
-        )
-        try:
-            full = eng.run(exec_plan, _PROBE_FULL,
-                           np.random.default_rng(seed_seq))
-            split_rng = np.random.default_rng(seed_seq)
-            head = eng.run(exec_plan, _PROBE_SPLIT, split_rng)
-            tail = eng.run(exec_plan, _PROBE_FULL - _PROBE_SPLIT, split_rng)
-        except (EvaluationCancelled, InjectedFault):
-            # A failure of this run, not of the plan shape: the caller's
-            # query fails and no sticky verdict is written.
-            raise
-        except Exception:
-            return False
-        for slot in range(len(exec_plan.steps)):
-            fv, hv, tv = full[slot], head[slot], tail[slot]
-            if fv is None or hv is None or tv is None:
-                continue
-            fv = np.asarray(fv)
-            if fv.dtype == object:
-                return False
-            part = np.concatenate(
-                [np.atleast_1d(np.asarray(hv)), np.atleast_1d(np.asarray(tv))]
-            )
-            fv = np.atleast_1d(fv)
-            if part.shape != fv.shape or part.dtype != fv.dtype:
-                return False
-            equal_nan = fv.dtype.kind in "fc"
-            if not np.array_equal(part, fv, equal_nan=equal_nan):
-                return False
-        return True
 
     # -- serving ------------------------------------------------------------
 
@@ -656,5 +585,5 @@ _metrics.register_gauges("ledger", LEDGER.state)
 
 
 def clear_ledger() -> None:
-    """Drop every cached sample column (verdicts stay on the shapes)."""
+    """Drop every cached sample column."""
     LEDGER.clear()

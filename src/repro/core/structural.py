@@ -37,9 +37,8 @@ fingerprint).  The entry carries the shape's structural key, the
 optimizer's result per optimize level as a slot program, so a later
 isomorphic graph binds its own nodes to it and runs no pass (see
 :meth:`repro.core.plan.EvaluationPlan.optimized`), the shape's fused
-kernel (see :mod:`repro.core.fused`), and the sample ledger's
-stream/replay verdict per engine (see :mod:`repro.core.ledger`).  Node
-objects are never shared: each graph executes its own nodes.
+kernel (see :mod:`repro.core.fused`).  Node objects are never shared:
+each graph executes its own nodes.
 
 The cache stores each distinct fingerprint *token* once.  When a new
 shape registers, each of its tokens is replaced by the equal token the
@@ -261,12 +260,10 @@ class ShapeEntry:
     slots of this shape, which every later plan of the shape binds to.
     ``runs`` counts the fused engine's runs of the shape before it has a
     kernel, and ``kernel`` is the fused engine's kernel spec once built:
-    ``kernel.verified`` is its accept/reject verdict.  ``ledger`` maps an
-    engine name to the sample ledger's ``(mode, reason)`` verdict, once
-    the ledger meets the shape.
+    ``kernel.verified`` is its accept/reject verdict.
     """
 
-    __slots__ = ("key", "fingerprint", "optimized", "runs", "kernel", "ledger")
+    __slots__ = ("key", "fingerprint", "optimized", "runs", "kernel")
 
     def __init__(self, key: str, fingerprint: tuple) -> None:
         self.key = key
@@ -274,7 +271,6 @@ class ShapeEntry:
         self.optimized: dict = {}
         self.runs = 0
         self.kernel = None
-        self.ledger: dict[str, tuple[str, str]] | None = None
 
 
 class StructuralCache:
@@ -285,7 +281,7 @@ class StructuralCache:
     fingerprint; opaque plans are never cached) and whether a
     structurally *equal* plan was already registered;
     ``entry_for(plan)`` fingerprints ``plan`` first.  Evicting or
-    clearing a shape drops its slot programs, verdicts and kernel: the
+    clearing a shape drops its slot programs and kernel: the
     next plan of that shape registers a fresh entry.  ``compile_plan``
     counts the lookups; :meth:`state` reports the contents.
     """
@@ -364,9 +360,6 @@ class StructuralCache:
                 "limit": self.limit,
                 "kernels": len(kernels),
                 "kernels_verified": sum(k.verified for k in kernels),
-                "kernels_certified": sum(
-                    k.verified and k.certification.certified for k in kernels
-                ),
             }
 
     def clear(self) -> None:

@@ -89,9 +89,11 @@ class Distribution(abc.ABC):
         affine slices — the single biggest win for leaf-heavy plans —
         without changing the consumed RNG stream.  ``None`` (the default)
         means "no such reduction"; generated kernels then call
-        :meth:`sample_n` directly.  Claims are verified empirically once
-        per plan shape against the reference engine, so a wrong spec
-        degrades to the unfused path rather than corrupting streams.
+        :meth:`sample_n` directly.  A claim is trusted only for the exact
+        first-party classes listed in
+        :data:`repro.analysis.certify.TRUSTED_BULK_FAMILIES`; kernels call
+        every other distribution's :meth:`sample_n`, so a wrong spec
+        cannot corrupt a stream.
         """
         return None
 

@@ -146,10 +146,7 @@ class EngineStats:
 #: section outside the table: one :class:`EngineStats` per engine name.
 _SCHEMA = {
     "plans": ("compiled", "cache_hits", "structural_hits", "structural_misses"),
-    "fused": (
-        "kernels_built", "kernels_rejected", "kernel_hits",
-        "kernels_certified", "kernels_probed",
-    ),
+    "fused": ("kernels_built", "kernels_rejected", "kernel_hits"),
     "tests": (
         "runs", "sprt_steps", "samples", "by_kind",
         "inconclusive", "inconclusive_by_policy",
@@ -162,7 +159,7 @@ _SCHEMA = {
     ),
     "ledger": (
         "hits", "misses", "suffix_extensions", "rows_reused", "rows_drawn",
-        "evictions", "probes", "certified", "rejections", "bypasses",
+        "evictions", "certified", "rejections", "bypasses",
         "invalidations",
     ),
     "health": ("nonfinite_batches", "nonfinite_rows", "resamples", "by_policy"),
@@ -209,17 +206,13 @@ class RuntimeMetrics:
 
     def record_fused(
         self, built: int = 0, rejected: int = 0, kernel_hits: int = 0,
-        certified: int = 0, probed: int = 0,
     ) -> None:
-        """Fused-backend events: kernels generated, verification rejections,
-        plans served by an already-generated kernel (same shape), and how
-        fresh kernels were admitted — statically certified stream-safe
-        (probe run skipped) vs dynamically probe-verified."""
+        """Fused-backend events: kernels generated (each one certified),
+        certification rejections, and plans served by an
+        already-generated kernel (same shape)."""
         self.fused_kernels_built += built
         self.fused_kernels_rejected += rejected
         self.fused_kernel_hits += kernel_hits
-        self.fused_kernels_certified += certified
-        self.fused_kernels_probed += probed
 
     def record_engine(self, engine: str, n: int, seconds: float) -> None:
         stats = self.engines.get(engine)
@@ -265,19 +258,19 @@ class RuntimeMetrics:
     def record_ledger(
         self, hits: int = 0, misses: int = 0, suffix_extensions: int = 0,
         rows_reused: int = 0, rows_drawn: int = 0, evictions: int = 0,
-        probes: int = 0, certified: int = 0, rejections: int = 0,
+        certified: int = 0, rejections: int = 0,
         bypasses: int = 0, invalidations: int = 0,
     ) -> None:
         """Sample-ledger events (``repro.core.ledger``): cache hits, suffix
-        extensions, reused vs freshly drawn rows, evictions and
-        certify-or-probe outcomes."""
+        extensions, reused vs freshly drawn rows, evictions, and the mode
+        each new entry is given: stream (``certified``) or replay
+        (``rejections``)."""
         self.ledger_hits += hits
         self.ledger_misses += misses
         self.ledger_suffix_extensions += suffix_extensions
         self.ledger_rows_reused += rows_reused
         self.ledger_rows_drawn += rows_drawn
         self.ledger_evictions += evictions
-        self.ledger_probes += probes
         self.ledger_certified += certified
         self.ledger_rejections += rejections
         self.ledger_bypasses += bypasses

@@ -142,12 +142,12 @@ class TestCertifyCommand:
             "stream-certify", "kernel-certify"}
 
     def test_probe_targets_do_not_fail_the_gate(self, capsys):
-        # Opaque plans legitimately fall back to the probe; only UNC401
-        # rejections should flip the exit code.
-        assert main(
-            ["certify", "tests.analysis.test_cli:build_opaque_graph"]
-        ) == 0
-        assert "probe" in capsys.readouterr().out
+        # There is no probe to defer to: an opaque plan falls back to the
+        # numpy engine, which fails the gate unless it is advisory.
+        target = "tests.analysis.test_cli:build_opaque_graph"
+        assert main(["certify", target]) == 1
+        assert "fallback" in capsys.readouterr().out
+        assert main(["certify", target, "--exit-zero"]) == 0
 
     def test_unknown_target_rejected(self):
         with pytest.raises(SystemExit):
@@ -162,7 +162,7 @@ def build_bad_graph() -> Uncertain:
 
 
 def build_opaque_graph() -> Uncertain:
-    """A plan with an opaque map: certification must defer to the probe."""
+    """A plan with an opaque map: the fused backend falls back to numpy."""
     from repro.dists import Gaussian
 
     return Uncertain(Gaussian(0, 1)).map(lambda v: v * 2.0)

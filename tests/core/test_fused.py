@@ -78,8 +78,8 @@ def gps_speed():
 
 class LyingGaussian(Gaussian):
     def bulk_draw_spec(self):
-        # Claims an affine reduction that does NOT reproduce sample_n:
-        # verification must catch the divergence.
+        # Claims an affine reduction that does NOT reproduce sample_n: a
+        # subclass's claim is never trusted, so its leaf is delegated.
         return ("standard_normal", self.mu + 100.0, self.sigma)
 
 
@@ -201,9 +201,9 @@ class TestFallbacks:
     def test_lying_bulk_draw_spec_is_rejected_not_trusted(self):
         y = Uncertain(LyingGaussian(0.0, 1.0)) + 1.0
         plan = compile_plan(y.node)
-        metrics = RuntimeMetrics()
-        with evaluation_config(metrics=metrics):
-            with pytest.warns(FusedFallbackWarning, match="rejected") as rec:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", FusedFallbackWarning)
+            with kernel_ran() as metrics:
                 out = get_engine("fused").run(
                     plan, 20, np.random.default_rng(2)
                 )[plan.root_slot]
@@ -211,18 +211,12 @@ class TestFallbacks:
             plan.root_slot
         ]
         np.testing.assert_array_equal(out, ref)
-        assert metrics.snapshot()["fused"]["kernels_rejected"] == 1
-        # LyingGaussian is a subclass, so the static certifier defers to
-        # the probe rather than trusting the claimed family — and the
-        # rejection message must say why the probe ran (UNC401 context).
-        message = str(rec[0].message)
-        assert "UNC401" in message
-        assert "not a trusted" in message
-        # The rejection is sticky for the shape: no retry, still correct.
-        out2 = get_engine("fused").run(plan, 20, np.random.default_rng(2))[
-            plan.root_slot
-        ]
-        np.testing.assert_array_equal(out2, ref)
+        snap = metrics.snapshot()["fused"]
+        assert (snap["kernels_built"], snap["kernels_rejected"]) == (1, 0)
+        # The claimed family is never drawn: the leaf runs its own sample_n.
+        source = fused_program(plan).source
+        assert "standard_normal" not in source
+        assert "_S0((), n, rng)" in source
 
     def test_memo_path_delegates_to_inner(self):
         from repro.core.sampling import SampleContext
@@ -258,14 +252,9 @@ class TestKernelCache:
         snap = metrics.snapshot()["fused"]
         assert snap["kernels_built"] == 1
         assert snap["kernel_hits"] == 1
-        # Every distribution here has a trusted bulk family, so the kernel
-        # certifies statically and the probe run is skipped entirely.
-        assert snap["kernels_certified"] == 1
-        assert snap["kernels_probed"] == 0
         state = structural_state()
         assert state["kernels"] == 1
         assert state["kernels_verified"] == 1
-        assert state["kernels_certified"] == 1
 
     def test_kernel_reused_across_batches_without_rebuild(self):
         metrics = RuntimeMetrics()
@@ -429,17 +418,22 @@ class TestTieredKernels:
         fresh = speed_plan()
         assert fresh.shape.kernel is None and fresh.shape.runs == 0
 
-    def test_rejected_verdict_stays_on_the_entry(self):
+    def test_rejected_verdict_stays_on_the_entry(self, monkeypatch):
+        def broken_generator(plan):
+            raise RuntimeError("generator bug")
+
+        monkeypatch.setattr(fused, "_generate", broken_generator)
         metrics = RuntimeMetrics()
         with evaluation_config(metrics=metrics), warnings.catch_warnings(
             record=True
         ) as caught:
             warnings.simplefilter("always", FusedFallbackWarning)
             for seed in range(fused._HOT_RUNS + 2):
-                plan = compile_plan((Uncertain(LyingGaussian(0, 1)) + 1.0).node)
+                plan = speed_plan()
                 got = run_fused(plan, 20, seed)
                 np.testing.assert_array_equal(got, run_numpy(plan, 20, seed))
         assert len(caught) == 1
+        assert "generation failed" in str(caught[0].message)
         snap = metrics.snapshot()["fused"]
         assert (snap["kernels_rejected"], snap["kernels_built"]) == (1, 0)
         state = structural_state()

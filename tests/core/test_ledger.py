@@ -21,10 +21,10 @@ from repro.core.ledger import (
     SampleLedger,
     clear_ledger,
 )
-from repro.core.plan import clear_plan_cache, compile_plan, invalidate_plan
+from repro.core.plan import clear_plan_cache, invalidate_plan
 from repro.core.sampling import SampleBudgetExceeded
-from repro.core.structural import STRUCTURAL_CACHE, clear_structural_cache
 from repro.core.uncertain import Uncertain
+from repro.dists import Gamma, Laplace, Mixture
 from repro.dists.gaussian import Gaussian
 from repro.dists.categorical import PointMass
 from repro.dists.uniform import Uniform
@@ -32,7 +32,8 @@ from repro.resilience import NonFiniteError
 from repro.resilience.chaos import ChaosDistribution, InjectedFault
 from repro.runtime import reset_stats, stats
 from repro.runtime.metrics import RuntimeMetrics, render_prometheus
-from tests.kernel_path import kernel_ran_if_fused
+from repro.rng import default_rng
+from tests.kernel_path import kernel_ran, kernel_ran_if_fused
 
 ENGINES = ["numpy", "fused"]
 
@@ -56,11 +57,6 @@ def replay_value() -> Uncertain:
 
 def ledger_state() -> dict:
     return stats()["ledger"]
-
-
-def verdicts(value: Uncertain) -> dict:
-    """The ledger's verdicts on ``value``'s executed (optimized) shape."""
-    return value.plan.optimized(2).shape.ledger or {}
 
 
 @pytest.mark.usefixtures("hot_kernels")
@@ -197,6 +193,85 @@ class TestStreamSemantics:
         assert not np.array_equal(a, b)
 
 
+#: Single draws whose rng is a seed, or the pristine generator of one:
+#: each call restarts the seed's stream, with the ledger on or off.
+SEEDED_SINGLE_DRAWS = {
+    "sample-seed": lambda u: u.sample(rng=7),
+    "sample-generator": lambda u: u.sample(rng=default_rng(7)),
+    "samples-1-generator": lambda u: u.samples(1, rng=default_rng(7)),
+}
+
+
+@pytest.mark.usefixtures("hot_kernels")
+class TestSeededSingleDraws:
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("how", sorted(SEEDED_SINGLE_DRAWS))
+    def test_every_call_equals_ledger_off(self, engine, how):
+        draw = SEEDED_SINGLE_DRAWS[how]
+        with evaluation_config(engine=engine):
+            u = certified_value()
+            off = [draw(u) for _ in range(3)]
+        with kernel_ran_if_fused(engine), evaluation_config(
+            engine=engine, sample_cache=True
+        ):
+            u = certified_value()
+            on = [draw(u) for _ in range(3)]
+        assert np.array_equal(np.asarray(on), np.asarray(off))
+
+
+#: Single-draw loops over one generator that the ledger never advances:
+#: the ambient one, and an explicit one passed on every call.
+REUSED_GENERATOR_LOOPS = {
+    "ambient": lambda u, g: [u.sample() for _ in range(8)],
+    "explicit": lambda u, g: [u.sample(rng=g) for _ in range(8)],
+}
+
+
+@pytest.mark.usefixtures("hot_kernels")
+class TestReusedGeneratorSingleDraws:
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("make", [certified_value, replay_value],
+                             ids=["stream", "replay"])
+    @pytest.mark.parametrize("how", sorted(REUSED_GENERATOR_LOOPS))
+    def test_loop_equals_ledger_off(self, engine, make, how):
+        loop = REUSED_GENERATOR_LOOPS[how]
+        with evaluation_config(engine=engine, rng=default_rng(3)) as cfg:
+            off = loop(make(), cfg.rng)
+        with evaluation_config(
+            engine=engine, sample_cache=True, rng=default_rng(3)
+        ) as cfg:
+            on = loop(make(), cfg.rng)
+        assert len(set(off)) == len(off)
+        assert np.array_equal(np.asarray(on), np.asarray(off))
+
+
+@pytest.mark.usefixtures("hot_kernels")
+class TestTwoLeafBoolShapes:
+    """A two-leaf comparison whose root is nearly always False: a split
+    run and a full run agree on the root while the leaves' streams
+    differ, so only the plan's draws can decide its mode."""
+
+    @staticmethod
+    def _session() -> tuple:
+        x = Uncertain(Gaussian(0.0, 1.0))
+        y = Uncertain(Gaussian(0.0, 1.0))
+        b = (x + y) > 3.0
+        before = b.samples(400, rng=default_rng(7))
+        result = b.test(0.01, rng=default_rng(7))
+        after = b.samples(400, rng=default_rng(7))
+        return before, (result.samples_used, result.successes), after
+
+    def test_sprt_after_samples_equals_ledger_off(self):
+        with evaluation_config(engine="fused"):
+            off = self._session()
+        with kernel_ran(), evaluation_config(engine="fused", sample_cache=True):
+            on = self._session()
+        assert on[1] == off[1]
+        assert np.array_equal(on[0], off[0])
+        assert np.array_equal(on[2], off[2])
+        assert ledger_state()["modes"] == {"replay": 1}
+
+
 class TestEvictionAndRebuild:
     def test_lru_eviction_respects_byte_budget_and_rebuilds_identically(self):
         values = [
@@ -235,8 +310,6 @@ class TestEvictionAndRebuild:
         state = ledger_state()
         assert state["entries"] == 0 and state["bytes"] == 0
         assert state["modes"] == {}
-        # The verdict belongs to the shape, not to the ledger: it survives.
-        assert verdicts(u)["numpy"][0] == "stream"
 
 
 class TestInvalidation:
@@ -312,14 +385,36 @@ class TestGating:
         assert ledger_state()["entries"] == 0
 
     def test_certify_verdicts_are_sticky_per_shape(self):
+        # The plan alone decides an entry's mode: every lineage and engine
+        # of a shape gets the same one.
         u = certified_value()
         m = replay_value()
+        for engine in ENGINES:
+            with evaluation_config(sample_cache=True, engine=engine):
+                for seed in (1, 2):
+                    u.samples(50, rng=seed)
+                    m.samples(50, rng=seed)
+        modes = {(e.key[0], e.mode) for e in LEDGER._entries.values()}
+        assert modes == {
+            (u.plan.optimized(2).structural_hash, "stream"),
+            (m.plan.optimized(2).structural_hash, "replay"),
+        }
+        assert ledger_state()["modes"] == {"replay": 4, "stream": 4}
+
+    @pytest.mark.parametrize(
+        "dist,mode",
+        [
+            (Laplace(0.0, 1.0), "stream"),
+            (Gamma(2.0, 1.0), "stream"),
+            (Mixture([Gaussian(-2.0, 0.5), Gaussian(2.0, 0.5)], [0.4, 0.6]),
+             "replay"),
+        ],
+        ids=["table", "table-rejection-sampler", "outside-table"],
+    )
+    def test_single_leaf_mode_follows_the_prefix_stable_table(self, dist, mode):
         with evaluation_config(sample_cache=True):
-            u.samples(50, rng=1)
-            m.samples(50, rng=1)
-        assert verdicts(u)["numpy"][0] == "stream"
-        assert verdicts(m)["numpy"][0] == "replay"
-        assert ledger_state()["modes"] == {"replay": 1, "stream": 1}
+            (Uncertain(dist) * 2.0).samples(10, rng=1)
+        assert ledger_state()["modes"] == {mode: 1}
 
     def test_fill_failure_drops_the_entry(self):
         u = certified_value()
@@ -416,42 +511,6 @@ class TestRunningByteTotal:
             assert ledger_state()["bytes"] == actual() > 0
         clear_ledger()
         assert ledger_state()["bytes"] == actual() == 0
-
-
-class TestVerdictsLiveOnShapes:
-    """The stream/replay verdict is kept on the shape entry, so the
-    structural cache's limit bounds it and its clear drops it."""
-
-    @pytest.fixture(autouse=True)
-    def _fresh_shapes(self):
-        clear_structural_cache()
-        yield
-        clear_structural_cache()
-
-    @staticmethod
-    def _certifications(value, seed) -> int:
-        scoped = RuntimeMetrics()
-        with evaluation_config(sample_cache=True, metrics=scoped):
-            value.samples(10, rng=seed)
-        return scoped.ledger_certified
-
-    def test_evicted_shapes_take_their_verdicts(self, monkeypatch):
-        monkeypatch.setattr(STRUCTURAL_CACHE, "limit", 4)
-        shapes = [lambda i=i: Uncertain(Gaussian(float(i), 1.0)) * 2.0
-                  for i in range(12)]
-        assert sum(self._certifications(make(), 1) for make in shapes) == 12
-        # The first shape was evicted: a new lineage of it re-certifies.
-        assert self._certifications(shapes[0](), 2) == 1
-        # A live shape keeps its verdict: no second certification.
-        assert self._certifications(shapes[-1](), 3) == 0
-        live = [e for e in STRUCTURAL_CACHE._entries.values() if e.ledger]
-        assert len(live) <= 4
-
-    def test_clear_structural_cache_drops_the_verdict(self):
-        assert self._certifications(certified_value(), 1) == 1
-        assert self._certifications(certified_value(), 2) == 0
-        clear_structural_cache()
-        assert self._certifications(certified_value(), 3) == 1
 
 
 class TestMetricsExposition:

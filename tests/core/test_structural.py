@@ -159,7 +159,6 @@ class TestCacheBounds:
         state = stats()["structural"]
         assert set(state) == {
             "entries", "limit", "collisions", "kernels", "kernels_verified",
-            "kernels_certified",
         }
         assert (state["entries"], state["limit"]) == (1, STRUCTURAL_CACHE.limit)
 

@@ -22,10 +22,7 @@ from repro.service import Service, serve_metrics
 
 RUNTIME_SCHEMA = {
     "plans": {"compiled", "cache_hits", "structural_hits", "structural_misses"},
-    "fused": {
-        "kernels_built", "kernels_rejected", "kernel_hits",
-        "kernels_certified", "kernels_probed",
-    },
+    "fused": {"kernels_built", "kernels_rejected", "kernel_hits"},
     "tests": {
         "runs", "sprt_steps", "samples", "by_kind", "inconclusive",
         "inconclusive_by_policy",
@@ -38,7 +35,7 @@ RUNTIME_SCHEMA = {
     },
     "ledger": {
         "hits", "misses", "suffix_extensions", "rows_reused", "rows_drawn",
-        "evictions", "probes", "certified", "rejections", "bypasses",
+        "evictions", "certified", "rejections", "bypasses",
         "invalidations",
     },
     "health": {"nonfinite_batches", "nonfinite_rows", "resamples", "by_policy"},
@@ -54,7 +51,6 @@ STATE_SCHEMA = {
     "plans": {"cached"},
     "structural": {
         "entries", "limit", "collisions", "kernels", "kernels_verified",
-        "kernels_certified",
     },
     "ledger": {"entries", "bytes", "max_bytes", "modes"},
 }

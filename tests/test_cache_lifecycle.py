@@ -12,7 +12,6 @@ import pytest
 
 from repro import evaluate
 from repro.core.conditionals import evaluation_config
-from repro.core.plan import compile_plan
 from repro.core.uncertain import Uncertain
 from repro.dists.gaussian import Gaussian
 from repro.dists.uniform import Uniform
@@ -39,7 +38,6 @@ class TestClearCaches:
         assert before["plans"]["cached"] > 0
         assert before["ledger"]["entries"] > 0
         assert before["structural"]["kernels"] > 0
-        assert u.plan.optimized(2).shape.ledger
 
         evaluate.clear_caches()
 
@@ -49,8 +47,6 @@ class TestClearCaches:
         assert after["structural"]["kernels"] == 0
         assert after["ledger"]["entries"] == 0
         assert after["ledger"]["bytes"] == 0
-        # Sticky ledger verdicts drop with the shape entries that hold them.
-        assert compile_plan(u.node).optimized(2).shape.ledger is None
 
     def test_no_cross_cache_leak_after_clear(self):
         u, v = _populate()
