@@ -61,6 +61,22 @@ Seed lineage
   it gets with the ledger off: a fresh value per call from a reused or
   ambient generator, the same value from a fresh seeded one.
 
+Eviction
+--------
+
+The byte budget (``sample_cache=<bytes>``, :data:`DEFAULT_MAX_BYTES` for
+``True``) charges each entry its columns plus
+:data:`ENTRY_OVERHEAD_BYTES`.  A new entry starts *on probation*; the
+first serve that reads rows it had cached (a replay column found for
+``N``, a stream prefix, a window re-reading its rows) promotes it.
+Entries on probation hold at most ``max_bytes // PROBATION_DIVISOR``
+together and leave least recently used first, so a flood of one-shot
+queries cannot push out the entries that are asked again; then all
+entries leave least recently used first down to the budget.  A query
+repeated right after its first run still hits: its entry is still on
+probation.  A smaller budget applies at once.  Eviction never changes a
+served value: a rebuilt entry reproduces its columns bit for bit.
+
 Safety gating (always falls back to a fresh engine run, never errors):
 opaque plans (no structural hash), memo-carrying draws, the parallel
 engine (chunk-seeded streams are not prefix-stable by construction),
@@ -95,6 +111,13 @@ __all__ = [
 
 #: Byte budget used when ``sample_cache=True`` (no explicit budget).
 DEFAULT_MAX_BYTES = 64 * 1024 * 1024
+
+#: Entries that have never been hit hold at most ``max_bytes //
+#: PROBATION_DIVISOR`` together; only promoted (hit) entries may fill the
+#: rest of the budget.  A quarter is the A1in share of 2Q (Johnson and
+#: Shasha, VLDB 1994), taken as published, not tuned to a workload; its
+#: effect on fig08_analyst is measured in ``docs/performance.md``.
+PROBATION_DIVISOR = 4
 
 #: Bytes charged per entry for what it holds besides its columns: the
 #: entry, its key and base spec, a stream-mode generator and the column
@@ -217,18 +240,16 @@ def _mode(exec_plan) -> tuple[str, str]:
     for ``exec_plan`` on every ledger engine, else ``("replay", why)``."""
     from repro.analysis.certify import prefix_stable
 
-    draws = [step.node for step in exec_plan.steps
-             if step.opcode == OP_SOURCE and is_stochastic(step.node)]
-    if not draws:
-        _record(certified=1)
+    draws = (step.node for step in exec_plan.steps
+             if step.opcode == OP_SOURCE and is_stochastic(step.node))
+    leaf = next(draws, None)
+    if leaf is None:
         return "stream", "no stochastic draws"
-    leaf = draws[0]
-    if (len(draws) == 1 and isinstance(leaf, LeafNode)
-            and prefix_stable(leaf.dist)):
-        _record(certified=1)
+    if next(draws, None) is not None:
+        return "replay", "several draws interleave"
+    if isinstance(leaf, LeafNode) and prefix_stable(leaf.dist):
         return "stream", f"single prefix-stable draw ({type(leaf.dist).__name__})"
-    _record(rejections=1)
-    return "replay", f"{len(draws)} draw(s), not proven prefix-stable"
+    return "replay", "single draw not proven prefix-stable"
 
 
 def _record(**counters) -> None:
@@ -274,9 +295,10 @@ class LedgerWindow:
     produce (``run(k); run(k)`` ≡ rows ``[0, 2k)`` of one run, which is
     the same prefix-stability the stream mode certifies).  A re-run of
     the same test starts a fresh window at row 0 and is served entirely
-    from cache.  Only stream-mode entries support windows: replaying
-    overlapping fresh runs would hand correlated rows to a sequential
-    test.
+    from cache.  Only stream-mode plans open windows (the mode is a
+    function of the plan, so the entry a window re-creates is stream mode
+    too): replaying overlapping fresh runs would hand correlated rows to a
+    sequential test.
 
     The engine, executed plan, key and base spec are resolved once, when
     the window opens, so a batch goes straight to its entry.  An entry
@@ -296,17 +318,14 @@ class LedgerWindow:
         self._config = config
         self._offset = 0
 
-    def draw(self, k: int) -> "np.ndarray | None":
-        """Rows ``[offset, offset + k)``, or ``None`` to signal fallback."""
+    def draw(self, k: int) -> np.ndarray:
+        """Rows ``[offset, offset + k)`` of the entry's stream."""
         k = int(k)
         ledger = self._ledger
         with ledger._lock:
             entry = ledger._entry_for(
                 self._key, self._plan, self._engine, self._base_spec
             )
-            if entry.mode != "stream":
-                _record(bypasses=1)
-                return None
             rows = ledger._serve_stream(
                 entry, self._plan, self._engine, self._offset, k,
                 self._config,
@@ -318,19 +337,29 @@ class LedgerWindow:
 class SampleLedger:
     """Memory-bounded cache of realized sample columns (process-global).
 
-    Entries are pure functions of (plan shape, lineage, engine), so LRU
+    Entries are pure functions of (plan shape, lineage, engine), so
     eviction is always safe: a rebuilt entry reproduces bit-identical
     columns.  Keyed like the structural plan cache — isomorphic plans
     from different sessions share one entry.
+
+    A new entry starts on probation; the first serve that reads its
+    cached rows promotes it.  Entries on probation hold at most
+    ``max_bytes // PROBATION_DIVISOR`` together, and every entry then
+    shares ``max_bytes``; both evict least recently used first (a
+    simplified 2Q).
     """
 
     def __init__(self, max_bytes: int = DEFAULT_MAX_BYTES) -> None:
         self._lock = threading.Lock()
         self._entries: "OrderedDict[tuple, LedgerEntry]" = OrderedDict()
+        # Keys of the entries never hit, least recently used first.
+        self._probation: "OrderedDict[tuple, None]" = OrderedDict()
         self.max_bytes = int(max_bytes)
-        # Running sum of the entries' ``nbytes``, kept wherever an entry
-        # grows or leaves, so a fill never sums over every entry.
+        # Running sums of the ``nbytes`` of every entry and of the entries
+        # on probation, kept wherever an entry grows, is promoted or
+        # leaves, so a fill never sums over the entries.
         self._bytes = 0
+        self._probation_bytes = 0
 
     # -- public API ---------------------------------------------------------
 
@@ -360,8 +389,8 @@ class SampleLedger:
             _record(bypasses=1)
             return None
         eng, exec_plan, key, base_spec = resolved
-        self._apply_budget(config)
         with self._lock:
+            self._apply_budget(config)
             entry = self._entry_for(key, exec_plan, eng, base_spec)
             if entry.mode == "replay":
                 return self._serve_replay(entry, exec_plan, eng, n, config)
@@ -372,20 +401,20 @@ class SampleLedger:
     ) -> "LedgerWindow | None":
         """A sequential batch reader for ``plan``, or ``None`` if untracked.
 
-        Returns ``None`` unless the entry resolves to stream mode — the
-        only mode where successive windows form one logical run.
+        Returns ``None`` unless the plan resolves to stream mode — the
+        only mode where successive windows form one logical run.  Opening
+        a window creates no entry; its first draw does.
         """
         resolved = self._resolve(plan, rng_spec, engine, config)
         if resolved is None:
             _record(bypasses=1)
             return None
         eng, exec_plan, key, base_spec = resolved
-        self._apply_budget(config)
         with self._lock:
-            entry = self._entry_for(key, exec_plan, eng, base_spec)
-            if entry.mode != "stream":
-                _record(bypasses=1)
-                return None
+            self._apply_budget(config)
+        if _mode(exec_plan)[0] != "stream":
+            _record(bypasses=1)
+            return None
         return LedgerWindow(self, exec_plan, eng, key, base_spec, config)
 
     def invalidate_entries(self, plan) -> int:
@@ -415,7 +444,8 @@ class SampleLedger:
         """Drop every entry."""
         with self._lock:
             self._entries.clear()
-            self._bytes = 0
+            self._probation.clear()
+            self._bytes = self._probation_bytes = 0
 
     def state(self) -> dict:
         """What the ledger holds now: entries, bytes, budget, entry modes."""
@@ -433,9 +463,15 @@ class SampleLedger:
     # -- resolution ---------------------------------------------------------
 
     def _apply_budget(self, config) -> None:
+        """Set the byte budget of ``config`` (under the lock); a smaller
+        budget is enforced at once, not at the next miss."""
         # ``True`` is the default budget, not whichever budget came last.
         budget = config.sample_cache
-        self.max_bytes = DEFAULT_MAX_BYTES if budget is True else int(budget)
+        max_bytes = DEFAULT_MAX_BYTES if budget is True else int(budget)
+        shrunk = max_bytes < self.max_bytes
+        self.max_bytes = max_bytes
+        if shrunk:
+            self._evict(keep=None)
 
     def _resolve(self, plan, rng_spec, engine, config):
         """Common eligibility gate: ``(engine, exec_plan, key, base_spec)``
@@ -478,19 +514,39 @@ class SampleLedger:
         entry = self._entries.get(key)
         if entry is not None:
             self._entries.move_to_end(key)
+            if key in self._probation:
+                self._probation.move_to_end(key)
             return entry
         mode, reason = _mode(exec_plan)
+        _record(**{f"{mode}_entries": 1})
         _trace.event("ledger.entry", mode=mode, reason=reason,
                      engine=eng.name, structural_hash=key[0])
         entry = LedgerEntry(key, eng.name, mode, base_spec)
         self._entries[key] = entry
+        self._probation[key] = None
         self._bytes += entry.nbytes
+        self._probation_bytes += entry.nbytes
         return entry
+
+    def _grow(self, entry: LedgerEntry, nbytes: int) -> None:
+        entry.nbytes += nbytes
+        self._bytes += nbytes
+        if entry.key in self._probation:
+            self._probation_bytes += nbytes
+
+    def _hit(self, entry: LedgerEntry) -> None:
+        """Promote ``entry``: a serve read rows it had cached."""
+        if entry.key in self._probation:
+            del self._probation[entry.key]
+            self._probation_bytes -= entry.nbytes
 
     def _drop(self, key) -> None:
         entry = self._entries.pop(key, None)
         if entry is not None:
             self._bytes -= entry.nbytes
+            if key in self._probation:
+                del self._probation[key]
+                self._probation_bytes -= entry.nbytes
 
     # -- serving ------------------------------------------------------------
 
@@ -525,10 +581,10 @@ class SampleLedger:
             else:
                 held = entry.column.nbytes
                 entry.column = np.concatenate([entry.column, rows])
-            grown = entry.column.nbytes - held
             entry.count = needed
-            entry.nbytes += grown
-            self._bytes += grown
+            self._grow(entry, entry.column.nbytes - held)
+            if have > start:
+                self._hit(entry)
             _record(
                 suffix_extensions=1, rows_drawn=d,
                 rows_reused=max(0, have - start),
@@ -537,6 +593,7 @@ class SampleLedger:
             self._evict(keep=entry.key)
         else:
             config.accounting.admit(0)  # the deadline still applies to cached serves
+            self._hit(entry)
             _record(hits=1, rows_reused=n)
         return entry.column[start:needed].copy()
 
@@ -550,31 +607,38 @@ class SampleLedger:
                 self._fill(entry, exec_plan, eng, n, gen, config)
             )
             entry.runs[n] = column
-            entry.nbytes += column.nbytes
-            self._bytes += column.nbytes
+            self._grow(entry, column.nbytes)
             _record(misses=1, rows_drawn=n)
             self._evict(keep=entry.key)
         else:
             config.accounting.admit(0)
+            self._hit(entry)
             _record(hits=1, rows_reused=n)
         return column.copy()
 
     def _evict(self, keep) -> None:
-        """LRU-evict whole entries until under the byte budget.
+        """Evict whole entries until both budgets hold: entries on
+        probation, oldest first, down to their share, then every entry,
+        least recently used first, down to ``max_bytes``.
 
-        The entry just served is never evicted (evicting it would thrash);
-        a single column larger than the whole budget therefore survives
-        until another entry displaces it.
+        The entry just served (``keep``, the most recently used) is never
+        evicted (evicting it would thrash); a single column larger than
+        the whole budget therefore survives until another entry displaces
+        it.  Neither pass reads an entry it does not evict.
         """
-        if self.max_bytes <= 0 or self._bytes <= self.max_bytes:
+        if self.max_bytes <= 0:
             return
-        for key in list(self._entries):
-            if key == keep:
-                continue
-            self._drop(key)
-            _record(evictions=1)
-            if self._bytes <= self.max_bytes:
-                break
+        share = self.max_bytes // PROBATION_DIVISOR
+        for order, over in (
+            (self._probation, lambda: self._probation_bytes > share),
+            (self._entries, lambda: self._bytes > self.max_bytes),
+        ):
+            while over():
+                key = next(iter(order))
+                if key == keep:
+                    break
+                self._drop(key)
+                _record(evictions=1)
 
 
 #: The process-global ledger every consumer serves from.

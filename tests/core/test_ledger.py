@@ -34,6 +34,7 @@ from repro.runtime import reset_stats, stats
 from repro.runtime.metrics import RuntimeMetrics, render_prometheus
 from repro.rng import default_rng
 from tests.kernel_path import kernel_ran, kernel_ran_if_fused
+from tests.ledger_checks import assert_ledger_consistent
 
 ENGINES = ["numpy", "fused"]
 
@@ -42,6 +43,7 @@ ENGINES = ["numpy", "fused"]
 def _fresh_ledger():
     clear_ledger()
     yield
+    assert_ledger_consistent()
     clear_ledger()
 
 
@@ -159,6 +161,58 @@ class TestSampleEconomics:
         assert scoped.ledger_hits >= 1
         assert scoped.ledger_rows_drawn == 400
         assert ledger_state()["modes"] == {"replay": 1}
+
+
+class TestProbation:
+    """Entries never hit hold at most a quarter of the byte budget; the
+    first hit promotes an entry to the rest of it."""
+
+    def test_a_hit_entry_survives_a_flood_of_one_shot_queries(self):
+        budget = 200_000
+        hot = replay_value()
+        with evaluation_config(sample_cache=budget):
+            first = hot.samples(1000, rng=1)
+            hot.samples(1000, rng=1)  # the hit that promotes the entry
+            # Sessions asked once, whose rows total twice the budget.
+            for seed in range(100, 100 + 2 * budget // 8000):
+                replay_value().samples(1000, rng=seed)
+            assert ledger_state()["bytes"] <= budget
+            scoped = RuntimeMetrics()
+            with evaluation_config(metrics=scoped):
+                again = hot.samples(1000, rng=1)
+        assert scoped.ledger_hits == 1 and scoped.ledger_rows_drawn == 0
+        assert np.array_equal(again, first)
+
+    def test_the_second_identical_query_hits_while_on_probation(self):
+        # The 10 000-byte share holds one 9 536-byte entry never hit.
+        scoped = RuntimeMetrics()
+        with evaluation_config(sample_cache=40_000, metrics=scoped):
+            for seed in range(50):
+                u = replay_value()
+                assert np.array_equal(
+                    u.samples(1000, rng=seed), u.samples(1000, rng=seed)
+                )
+        assert (scoped.ledger_hits, scoped.ledger_misses) == (50, 50)
+
+    def test_a_smaller_budget_is_enforced_while_queries_hit(self):
+        u = replay_value()
+        with evaluation_config(sample_cache=True):
+            runs = [u.samples(2000, rng=seed) for seed in range(20)]
+            for seed in range(20):
+                u.samples(2000, rng=seed)
+        assert ledger_state()["bytes"] == 20 * (16_000 + ENTRY_OVERHEAD_BYTES)
+        with evaluation_config(sample_cache=100_000):
+            for seed, run in enumerate(runs):
+                assert np.array_equal(u.samples(2000, rng=seed), run)
+                assert ledger_state()["bytes"] <= 100_000
+
+    def test_sprt_on_a_replay_plan_creates_no_entry(self):
+        scoped = RuntimeMetrics()
+        with evaluation_config(sample_cache=True, metrics=scoped):
+            (replay_value() > 6.0).test(rng=3)
+        assert ledger_state()["entries"] == 0
+        assert scoped.ledger_replay_entries == 0
+        assert scoped.ledger_bypasses == 1
 
 
 class TestStreamSemantics:
@@ -493,11 +547,12 @@ class TestRunningByteTotal:
             lambda: replay_value().samples(100, rng=1),  # replay: 800
             lambda: replay_value().samples(150, rng=1),  # another N: +1200
             lambda: flaky.samples(100, rng=1),  # stream: 800
-            # A new shape over the 5000-byte budget evicts the oldest.
+            # A new shape over the 8000-byte share of entries never hit
+            # evicts the oldest of them (the replay entry).
             lambda: (Uncertain(Gaussian(9.0, 1.0)) + 1.0).samples(100, rng=1),
             lambda: invalidate_plan(replay_value().node),
         ]
-        with evaluation_config(sample_cache=5000):
+        with evaluation_config(sample_cache=32_000):
             for step in steps:
                 step()
                 assert ledger_state()["bytes"] == actual()

@@ -12,6 +12,7 @@ from __future__ import annotations
 import asyncio
 
 import numpy as np
+import pytest
 
 from repro import Uncertain, runtime
 from repro.core.conditionals import evaluation_config
@@ -25,6 +26,7 @@ from repro.service import (
     evaluate_batch,
     evaluate_request,
 )
+from tests.ledger_checks import assert_ledger_consistent
 
 
 def speed_value() -> Uncertain:
@@ -38,13 +40,15 @@ def _seedless_batch(value, n_requests=4, samples=500):
     ]
 
 
+@pytest.fixture(autouse=True)
+def _fresh_ledger():
+    clear_ledger()
+    yield
+    assert_ledger_consistent()
+    clear_ledger()
+
+
 class TestPooledLedger:
-    def setup_method(self):
-        clear_ledger()
-
-    def teardown_method(self):
-        clear_ledger()
-
     def test_second_flood_served_from_ledger(self):
         value = speed_value()
         with evaluation_config(sample_cache=True):

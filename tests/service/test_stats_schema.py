@@ -35,7 +35,7 @@ RUNTIME_SCHEMA = {
     },
     "ledger": {
         "hits", "misses", "suffix_extensions", "rows_reused", "rows_drawn",
-        "evictions", "certified", "rejections", "bypasses",
+        "evictions", "stream_entries", "replay_entries", "bypasses",
         "invalidations",
     },
     "health": {"nonfinite_batches", "nonfinite_rows", "resamples", "by_policy"},
