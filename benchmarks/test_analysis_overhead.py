@@ -86,7 +86,7 @@ def test_analysis_under_one_millisecond_per_plan(benchmark):
 
 def test_certifier_under_one_millisecond_per_plan(benchmark):
     plan = compile_plan(_fig08_style_root())
-    opt = plan.optimized(2)
+    opt = plan.optimized()
     spec = fused_mod._generate(opt)
 
     def certify_both():

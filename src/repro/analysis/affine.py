@@ -42,7 +42,6 @@ from __future__ import annotations
 import math
 
 from repro.analysis.intervals import (
-    BINARY_TRANSFER,
     BOOL,
     COMPARISON_SYMBOLS,
     FALSE,
@@ -61,9 +60,6 @@ from repro.core.plan import EvaluationPlan
 
 _INF = math.inf
 _ZERO = Interval(0.0, 0.0)
-_iadd = BINARY_TRANSFER["+"]
-_isub = BINARY_TRANSFER["-"]
-_imul = BINARY_TRANSFER["*"]
 
 __all__ = [
     "AffineForm",
@@ -89,7 +85,7 @@ def _meet(a: Interval, b: Interval) -> Interval:
 
 
 def _scaled(iv: Interval, k: float) -> Interval:
-    return _imul(iv, Interval(k, k)) if k != 1.0 else iv
+    return iv * k if k != 1.0 else iv
 
 
 class AffineForm:
@@ -137,8 +133,8 @@ def _concretize(center: float, coeffs: dict[int, float], residual: Interval,
         return Interval(-_INF, _INF)
     out = Interval(center, center)
     for s, c in coeffs.items():
-        out = _iadd(out, _scaled(symbol_ranges[s], c))
-    return _iadd(out, residual)
+        out = out + _scaled(symbol_ranges[s], c)
+    return out + residual
 
 
 def _finish(center: float, coeffs: dict[int, float], residual: Interval,
@@ -159,7 +155,7 @@ def _lin(x: AffineForm, y: AffineForm, sign: float):
     coeffs = dict(x.coeffs)
     for s, c in y.coeffs.items():
         coeffs[s] = coeffs.get(s, 0.0) + sign * c
-    residual = _iadd(x.residual, _scaled(y.residual, sign))
+    residual = x.residual + _scaled(y.residual, sign)
     return center, coeffs, residual
 
 
@@ -174,10 +170,9 @@ def _aff_mul(x: AffineForm, y: AffineForm, clamp: Interval,
     # x = cx + Dx, y = cy + Dy with Dx = (linear + residual) deviations, so
     # x*y = cx*cy + cx*Dy + cy*Dx + Dx*Dy; the linear parts of cx*Dy and
     # cy*Dx stay symbolic, everything else lands in the residual.
-    dx = _isub(x.range, Interval(cx, cx))
-    dy = _isub(y.range, Interval(cy, cy))
-    residual = _iadd(_iadd(_scaled(y.residual, cx), _scaled(x.residual, cy)),
-                     _imul(dx, dy))
+    dx = x.range - cx
+    dy = y.range - cy
+    residual = _scaled(y.residual, cx) + _scaled(x.residual, cy) + dx * dy
     return _finish(cx * cy, coeffs, residual, clamp, symbol_ranges)
 
 
@@ -215,7 +210,7 @@ def _aff_compare(symbol: str, x: AffineForm, y: AffineForm, clamp: Interval,
     center, coeffs, residual = _lin(x, y, -1.0)
     coeffs = {s: c for s, c in coeffs.items() if c != 0.0}
     diff = _meet(_concretize(center, coeffs, residual, symbol_ranges),
-                 _isub(x.range, y.range))
+                 x.range - y.range)
     decision = _meet(decide_comparison(symbol, diff), clamp)
     return AffineForm.from_interval(decision)
 

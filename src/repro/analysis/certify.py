@@ -477,7 +477,7 @@ def certify_value(value) -> dict[str, Any]:
         plan = value
     else:
         plan = compile_plan(getattr(value, "node", value))
-    optimized = plan.optimized(2)
+    optimized = plan.optimized()
     records = list(certification_records(optimized))
     if not any(r.subject == "optimizer-rewrite" for r in records):
         # A no-op optimization emits no record in provenance; the

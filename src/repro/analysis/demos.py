@@ -138,7 +138,7 @@ DEMOS: dict[str, Callable[[], Uncertain]] = {
 
 def _corpus_gps_window() -> Uncertain:
     """The fig08-style GPS sliding-window workload (scaled-down mirror of
-    ``benchmarks/test_plan_compilation.py::_fig08_root``): coalesced
+    ``benchmarks/e2e/inputs.py::fig08_root``): coalesced
     same-family Gaussian fix draws, shared window sums, constant-fold and
     CSE bait, a lifted ``np.sqrt``, and a threshold comparison."""
     import numpy as np

@@ -49,6 +49,7 @@ from repro.analysis.intervals import (
     infer_intervals,
 )
 from repro.analysis.rules import ALL_RULES, ERROR, severity_at_least
+from repro.core.conditionals import get_config
 from repro.core.graph import (
     ApplyNode,
     BinaryOpNode,
@@ -264,16 +265,16 @@ def _check_constant_folding(plan: EvaluationPlan, intervals: list[Interval]):
         # except across ApplyNode, which it treats as a fold barrier
         # (lifted user functions may be impure).
         barrier = _has_apply_barrier(plan, slot)
-        level = _optimizer_level()
-        if level >= 1 and not barrier:
+        optimizer_on = bool(get_config().optimize)
+        if optimizer_on and not barrier:
             message = (
                 f"sub-DAG rooted at {step.node.label!r} is built only from "
                 f"point masses{value_note}; folded by pass constant-fold "
-                f"(optimize={level}): {saving} slot(s) eliminated from the "
+                f"(optimizer on): {saving} slot(s) eliminated from the "
                 "executed program"
             )
             folded = True
-        elif level >= 1:
+        elif optimizer_on:
             message = (
                 f"sub-DAG rooted at {step.node.label!r} is built only from "
                 f"point masses{value_note}, but contains a lifted function "
@@ -286,7 +287,7 @@ def _check_constant_folding(plan: EvaluationPlan, intervals: list[Interval]):
                 f"sub-DAG rooted at {step.node.label!r} is built only from "
                 f"point masses{value_note}; folding it to one constant "
                 f"would save {saving} slot(s) per joint sample (enable "
-                "with evaluation_config(optimize=1))"
+                "with evaluation_config(optimize=True))"
             )
             folded = False
         yield _diag(
@@ -436,14 +437,6 @@ def _has_apply_barrier(plan: EvaluationPlan, slot: int) -> bool:
             return True
         stack.extend(plan.steps[s].parent_slots)
     return False
-
-
-def _optimizer_level() -> int:
-    """The optimizer level active in the ambient evaluation config."""
-    from repro.core.conditionals import get_config
-    from repro.core.optimizer import resolve_level
-
-    return resolve_level(get_config().optimize)
 
 
 def analyze_plan(plan: EvaluationPlan) -> list[Diagnostic]:

@@ -1,7 +1,7 @@
 """Interval abstract interpretation over compiled evaluation plans.
 
-Every distribution in :mod:`repro.dists` declares a closed
-:class:`~repro.dists.base.Support`; every compiled
+Every distribution in :mod:`repro.dists` declares a closed support, an
+:class:`~repro.interval.Interval`; every compiled
 :class:`~repro.core.plan.EvaluationPlan` is a flat, topologically ordered
 slot program.  Together they make a textbook abstract interpretation
 possible: seed each leaf slot with its distribution's support, then push
@@ -31,7 +31,6 @@ Precision notes:
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from typing import Callable
 
@@ -43,149 +42,33 @@ from repro.core.graph import (
     UnaryOpNode,
 )
 from repro.core.plan import EvaluationPlan
-from repro.dists.base import Support
+from repro.interval import (
+    TOP,
+    Interval,
+    _corners,
+    _t_abs,
+    _t_add,
+    _t_mul,
+    _t_neg,
+    _t_sub,
+    _t_truediv,
+)
 
 _INF = math.inf
 
-
-@dataclasses.dataclass(frozen=True)
-class Interval:
-    """A closed interval ``[lower, upper]`` over the extended reals.
-
-    The abstract value of one plan slot.  ``Interval(-inf, inf)`` is top
-    (no information); a point interval ``[v, v]`` is a known constant.
-    Booleans embed as ``[0, 1]`` with ``[0, 0]`` = definitely false and
-    ``[1, 1]`` = definitely true.
-    """
-
-    lower: float
-    upper: float
-
-    def __post_init__(self) -> None:
-        if self.lower > self.upper:
-            raise ValueError(f"empty interval [{self.lower}, {self.upper}]")
-
-    # -- predicates --------------------------------------------------------
-
-    def contains(self, x: float) -> bool:
-        return self.lower <= x <= self.upper
-
-    @property
-    def contains_zero(self) -> bool:
-        return self.lower <= 0.0 <= self.upper
-
-    @property
-    def is_point(self) -> bool:
-        return self.lower == self.upper and math.isfinite(self.lower)
-
-    @property
-    def is_top(self) -> bool:
-        return self.lower == -_INF and self.upper == _INF
-
-    @property
-    def is_bounded(self) -> bool:
-        return math.isfinite(self.lower) and math.isfinite(self.upper)
-
-    @property
-    def width(self) -> float:
-        return self.upper - self.lower
-
-    # -- conversions -------------------------------------------------------
-
-    @classmethod
-    def from_support(cls, support: Support) -> "Interval":
-        return cls(float(support.lower), float(support.upper))
-
-    def to_support(self) -> Support:
-        return Support(self.lower, self.upper)
-
-    @classmethod
-    def point(cls, value: float) -> "Interval":
-        value = float(value)
-        return cls(value, value)
-
-    def hull(self, other: "Interval") -> "Interval":
-        """Smallest interval containing both (the join of the lattice)."""
-        return Interval(min(self.lower, other.lower), max(self.upper, other.upper))
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"[{self.lower:g}, {self.upper:g}]"
-
-
-TOP = Interval(-_INF, _INF)
+#: Booleans embed as ``[0, 1]``: ``[0, 0]`` is definitely false and
+#: ``[1, 1]`` definitely true.
 TRUE = Interval(1.0, 1.0)
 FALSE = Interval(0.0, 0.0)
 BOOL = Interval(0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
-# Extended-real helpers.  IEEE ``inf - inf`` and ``0 * inf`` are NaN, which
-# would poison the analysis; interval arithmetic instead resolves them to
-# the conservative bound (and ``0 * inf = 0``, the standard convention).
-# ---------------------------------------------------------------------------
-
-
-def _add(x: float, y: float, toward: float) -> float:
-    """``x + y`` resolving ``inf + -inf`` toward the conservative bound."""
-    if math.isinf(x) and math.isinf(y) and x != y:
-        return toward
-    return x + y
-
-
-def _mul(x: float, y: float) -> float:
-    """``x * y`` with the interval convention ``0 * inf = 0``."""
-    if x == 0.0 or y == 0.0:
-        return 0.0
-    return x * y
-
-
-def _div(x: float, y: float) -> float:
-    """``x / y`` for a divisor interval that excludes 0 (``y != 0``)."""
-    if math.isinf(x) and math.isinf(y):
-        # inf/inf could be anything of that sign; the caller widens to top
-        # via the NaN check below, so return NaN deliberately.
-        return math.nan
-    if math.isinf(y):
-        return 0.0
-    return x / y
-
-
-def _corners(vals: list[float]) -> Interval:
-    """Interval hull of candidate extremal values, widening on NaN."""
-    if any(math.isnan(v) for v in vals):
-        return TOP
-    return Interval(min(vals), max(vals))
-
-
-# ---------------------------------------------------------------------------
 # Binary transfer functions, keyed by the operator symbol that
-# ``Uncertain``'s dunders record on the node label.
+# ``Uncertain``'s dunders record on the node label.  ``+ - * /`` and the
+# unary ``neg``/``abs`` are the interval type's own arithmetic
+# (:mod:`repro.interval`).
 # ---------------------------------------------------------------------------
-
-
-def _t_add(a: Interval, b: Interval) -> Interval:
-    return Interval(_add(a.lower, b.lower, -_INF), _add(a.upper, b.upper, _INF))
-
-
-def _t_sub(a: Interval, b: Interval) -> Interval:
-    return Interval(_add(a.lower, -b.upper, -_INF), _add(a.upper, -b.lower, _INF))
-
-
-def _t_mul(a: Interval, b: Interval) -> Interval:
-    return _corners(
-        [_mul(a.lower, b.lower), _mul(a.lower, b.upper),
-         _mul(a.upper, b.lower), _mul(a.upper, b.upper)]
-    )
-
-
-def _t_truediv(a: Interval, b: Interval) -> Interval:
-    if b.contains_zero:
-        # Division may blow up anywhere; UNC101 reports it, we stay sound.
-        return TOP
-    return _corners(
-        [_div(a.lower, b.lower), _div(a.lower, b.upper),
-         _div(a.upper, b.lower), _div(a.upper, b.upper)]
-    )
 
 
 def _floor(x: float) -> float:
@@ -364,18 +247,6 @@ DIVISION_SYMBOLS = frozenset({"/", "//", "%"})
 # ---------------------------------------------------------------------------
 
 
-def _t_neg(a: Interval) -> Interval:
-    return Interval(-a.upper, -a.lower)
-
-
-def _t_abs(a: Interval) -> Interval:
-    if a.lower >= 0:
-        return a
-    if a.upper <= 0:
-        return _t_neg(a)
-    return Interval(0.0, max(-a.lower, a.upper))
-
-
 def _t_not(a: Interval) -> Interval:
     t = _truthy(a)
     if t is None:
@@ -478,7 +349,7 @@ def _leaf_interval(node: LeafNode) -> Interval:
         support = node.dist.support
     except NotImplementedError:
         return TOP
-    return Interval.from_support(support)
+    return Interval(float(support.lower), float(support.upper))
 
 
 def _point_interval(node: PointMassNode) -> Interval:

@@ -160,12 +160,13 @@ class EvaluationConfig:
     #: names: ``"numpy"`` (default), ``"interpreter"``, ``"parallel"``,
     #: ``"fused"`` (generated-kernel backend, :mod:`repro.core.fused`).
     engine: "str | object" = "numpy"
-    #: Optimizer level for compiled plans (:mod:`repro.core.optimizer`):
-    #: ``False``/``0`` disables, ``1`` runs constant folding + dead-slot
-    #: elimination, ``True``/``2`` adds common-subexpression elimination.
-    #: Safe default ``True``: every accepted rewrite preserves bit-identical
-    #: RNG streams (rewrites that would reorder leaf draws are rejected),
-    #: and memo-carrying draws (``SampleContext``) always run unoptimized.
+    #: Optimizer switch for compiled plans (:mod:`repro.core.optimizer`),
+    #: read for truthiness: a false value (``False``, ``0``) disables, a
+    #: true one runs constant folding, common-subexpression elimination
+    #: and dead-slot elimination.  Safe default ``True``: every accepted
+    #: rewrite preserves bit-identical RNG streams (rewrites that would
+    #: reorder leaf draws are rejected), and memo-carrying draws
+    #: (``SampleContext``) always run unoptimized.
     optimize: "bool | int" = True
     #: Optional static-analysis hook run once per freshly compiled plan
     #: (``None`` = off).  ``evaluation_config(plan_analyzer=

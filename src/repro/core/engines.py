@@ -26,7 +26,6 @@ import numpy as np
 
 from repro.core import conditionals as _cond
 from repro.core.graph import Node
-from repro.core.optimizer import resolve_level
 from repro.core.plan import (
     OP_BINARY,
     OP_SOURCE,
@@ -81,7 +80,7 @@ class ExecutionEngine:
     name: str = "abstract"
     #: Engines that execute whatever plan they are handed can run the
     #: optimizer's rewritten program (``sample`` switches to
-    #: ``plan.optimized(level)`` on memo-free draws).  The interpreter
+    #: ``plan.optimized()`` on memo-free draws).  The interpreter
     #: opts out to stay the *unoptimized* reference semantics, which makes
     #: every engine-equivalence test an end-to-end check of the optimizer's
     #: bit-identity contract.
@@ -122,9 +121,8 @@ class ExecutionEngine:
             # Memo-carrying draws (SampleContext) stay on the unoptimized
             # plan: memo keys are the *user's* node objects, and rewritten
             # plans may not contain them.
-            level = resolve_level(config.optimize)
-            if level:
-                plan = plan.optimized(level)
+            if config.optimize:
+                plan = plan.optimized()
         propagate = config.on_nonfinite == "propagate"
         metrics = _metrics.resolve(config.metrics)
         tracer = _trace.get_tracer()

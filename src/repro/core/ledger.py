@@ -44,10 +44,12 @@ entry is created; nothing is run to choose:
 Seed lineage
 ------------
 
-- An explicit integer seed — or the *pristine* generator ``ensure_rng``
-  builds from one — gives the strongest contract: the entry's stream
+- A *pristine* generator, such as the one ``ensure_rng`` builds from an
+  explicit integer seed, gives the strongest contract: the entry's stream
   starts exactly where the caller's would, so every served query is
   bit-identical to what the same call would return with the ledger off.
+  An integer seed goes through ``ensure_rng``, so it and the generator
+  it names share one entry.
 - An already-advanced :class:`~numpy.random.Generator` (typically the
   ambient ``config.rng``) is identified by its
   :class:`~numpy.random.SeedSequence` origin (entropy + spawn key); the
@@ -56,10 +58,10 @@ Seed lineage
   rows are reproducible and i.i.d. but are drawn from the derived
   stream, not from the advancing ambient one — the documented trade for
   cross-query reuse (``docs/performance.md``).
-- A single-sample draw from any generator bypasses the ledger and draws
-  from the caller's generator, so a loop of ``sample()`` calls gets what
-  it gets with the ledger off: a fresh value per call from a reused or
-  ambient generator, the same value from a fresh seeded one.
+- A single-sample draw bypasses the ledger and draws from the caller's
+  seed or generator, so a loop of ``sample()`` calls gets what it gets
+  with the ledger off: a fresh value per call from a reused or ambient
+  generator, the same value from a fresh seeded one.
 
 Eviction
 --------
@@ -96,8 +98,9 @@ import numpy as np
 
 from repro.core.engines import ExecutionEngine, get_engine
 from repro.core.graph import LeafNode
-from repro.core.optimizer import is_stochastic, resolve_level
+from repro.core.optimizer import is_stochastic
 from repro.core.plan import OP_SOURCE
+from repro.rng import ensure_rng
 from repro.runtime import metrics as _metrics
 from repro.runtime import trace as _trace
 
@@ -161,17 +164,17 @@ def _lineage(rng_spec, config) -> "tuple[tuple, tuple] | None":
     deterministic).  Returns ``None`` when no stable lineage exists
     (caller bypasses the ledger).
 
-    Three lineage kinds, strongest first:
+    Two lineage kinds, strongest first:
 
-    - ``("seed", s)`` — a raw integer seed: the entry's stream is
-      ``default_rng(s)``, so served rows are bit-identical to ledger-off.
     - ``("origin", ...)`` — a *pristine* generator (state still equal to
       its seed-sequence construction state, which is what
       ``ensure_rng(int)`` hands every consumer): the entry's stream
-      starts exactly where the caller's would, so served rows are again
+      starts exactly where the caller's would, so served rows are
       bit-identical to ledger-off.  The facade re-creates such a
       generator per call, so pristineness is the common case for every
-      explicitly seeded query.
+      explicitly seeded query.  A raw integer seed goes through
+      ``ensure_rng`` first, so it shares the entry of the generator it
+      names.
     - ``("stream", ...)`` — an already-advanced generator (typically the
       ambient ``config.rng``): no fixed replayable start exists, so the
       entry forks a ledger-private stream from the generator's
@@ -181,8 +184,7 @@ def _lineage(rng_spec, config) -> "tuple[tuple, tuple] | None":
     if rng_spec is None:
         rng_spec = config.rng
     if isinstance(rng_spec, (int, np.integer)) and not isinstance(rng_spec, bool):
-        seed = int(rng_spec)
-        return ("seed", seed), ("seed", seed)
+        rng_spec = ensure_rng(int(rng_spec))
     if isinstance(rng_spec, np.random.Generator):
         bit_gen = rng_spec.bit_generator
         seed_seq = getattr(bit_gen, "seed_seq", None)
@@ -216,12 +218,7 @@ def _rebuild_seed_seq(entropy: tuple, spawn_key: tuple) -> np.random.SeedSequenc
 
 def _base_generator(base_spec: tuple) -> np.random.Generator:
     """A fresh generator at the entry's lineage stream start."""
-    kind = base_spec[0]
-    if kind == "seed":
-        from repro.rng import default_rng
-
-        return default_rng(base_spec[1])
-    if kind == "origin":
+    if base_spec[0] == "origin":
         _, bg_name, entropy, spawn_key = base_spec
         bit_gen = getattr(np.random, bg_name)(
             _rebuild_seed_seq(entropy, spawn_key)
@@ -377,15 +374,14 @@ class SampleLedger:
         engine/lineage, resample policy, ...).  A returned array is
         always a private copy — callers may mutate it.
 
-        Reductions read prefix rows ``[0, n)``, and so do single-sample
-        draws from an integer seed (ledger-off restarts the seed's stream
-        each call).  A single-sample draw from a generator bypasses the
-        ledger: it draws from the caller's generator, exactly as with the
-        ledger off, whether that generator is fresh, reused or ambient.
-        Sequential batches read through :meth:`open_window` instead.
+        Reductions read prefix rows ``[0, n)``.  A single-sample draw
+        bypasses the ledger: it draws from the caller's seed or generator,
+        exactly as with the ledger off, whether that generator is fresh,
+        reused or ambient.  Sequential batches read through
+        :meth:`open_window` instead.
         """
-        resolved = self._resolve(plan, rng_spec, engine, config)
-        if resolved is None or (n == 1 and resolved[2][2][0] != "seed"):
+        resolved = None if n == 1 else self._resolve(plan, rng_spec, engine, config)
+        if resolved is None:
             _record(bypasses=1)
             return None
         eng, exec_plan, key, base_spec = resolved
@@ -419,17 +415,17 @@ class SampleLedger:
 
     def invalidate_entries(self, plan) -> int:
         """Drop every entry for ``plan``'s shape (and its optimized
-        variants); returns how many were dropped.
+        plan's); returns how many were dropped.
 
         Invalidation is keyed by structural hash, so isomorphic plans
         sharing the entry are invalidated together — conservative, and
         exactly what the health-repair path needs.
         """
-        hashes = set()
-        for p in self._plan_variants(plan):
-            h = getattr(p, "structural_hash", None)
-            if h is not None:
-                hashes.add(h)
+        hashes = {
+            getattr(p, "structural_hash", None)
+            for p in (plan, getattr(plan, "_optimized", None))
+        }
+        hashes.discard(None)
         if not hashes:
             return 0
         with self._lock:
@@ -489,10 +485,8 @@ class SampleLedger:
         if eng.name not in _LEDGER_ENGINES:
             return None
         exec_plan = plan
-        if eng.supports_optimized:
-            level = resolve_level(config.optimize)
-            if level:
-                exec_plan = plan.optimized(level)
+        if eng.supports_optimized and config.optimize:
+            exec_plan = plan.optimized()
         shash = exec_plan.structural_hash
         if shash is None:
             return None
@@ -501,12 +495,6 @@ class SampleLedger:
             return None
         token, base_spec = lin
         return eng, exec_plan, (shash, eng.name, token), base_spec
-
-    def _plan_variants(self, plan):
-        yield plan
-        optimized = getattr(plan, "_optimized", None)
-        if optimized:
-            yield from optimized.values()
 
     # -- entries ------------------------------------------------------------
 

@@ -94,19 +94,6 @@ class PassRecord:
         }
 
 
-def resolve_level(optimize) -> int:
-    """Normalise an ``EvaluationConfig.optimize`` value to a pass level.
-
-    ``False``/``0``/``None`` → 0 (off), ``1`` → constant folding + dead
-    slot elimination, ``True``/``2`` (or higher) → plus CSE.
-    """
-    if optimize is True:
-        return 2
-    if not optimize:
-        return 0
-    return min(int(optimize), 2)
-
-
 def is_stochastic(node: Node) -> bool:
     """Does evaluating ``node`` itself draw from the RNG stream?
 
@@ -299,26 +286,20 @@ def eliminate_common_subexpressions(
 # ---------------------------------------------------------------------------
 
 
-def optimize_plan(plan, level: int = 2):
-    """Run the optimizer pipeline over ``plan`` at ``level``.
+def optimize_plan(plan):
+    """Run the optimizer pipeline over ``plan``.
 
-    Returns ``(optimized_plan, records)``.  ``level`` 0 is the identity;
-    1 runs constant folding (+ the dead-slot rebuild); 2 adds CSE.  When
-    no pass changes the graph — or when the leaf-order safety guard
-    rejects the rewritten graph — the *original* plan object is returned,
-    so callers can detect no-ops with ``is``.
+    Returns ``(optimized_plan, records)``.  When no pass changes the
+    graph — or when the leaf-order safety guard rejects the rewritten
+    graph — the *original* plan object is returned, so callers can detect
+    no-ops with ``is``.
     """
     from repro.core.plan import EvaluationPlan
 
-    records: list[PassRecord] = []
-    root = plan.root
     origin: dict[Node, Node] = {}
-    if level >= 1:
-        root, record = constant_fold(root, origin)
-        records.append(record)
-    if level >= 2:
-        root, record = eliminate_common_subexpressions(root, origin)
-        records.append(record)
+    root, folded = constant_fold(plan.root, origin)
+    root, merged = eliminate_common_subexpressions(root, origin)
+    records: list[PassRecord] = [folded, merged]
     if root is plan.root:
         records.append(
             PassRecord("dead-slot-elim", len(plan.steps), len(plan.steps))
@@ -376,5 +357,4 @@ __all__ = [
     "eliminate_common_subexpressions",
     "is_stochastic",
     "optimize_plan",
-    "resolve_level",
 ]

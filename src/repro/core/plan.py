@@ -106,7 +106,7 @@ class EvaluationPlan:
         "slot_of",
         "root_slot",
         "leaf_slots",
-        "optimization_level",
+        "is_optimized",
         "provenance",
         "_program",
         "_shape",
@@ -130,9 +130,9 @@ class EvaluationPlan:
         self.slot_of = slot_of
         self.root_slot = slot_of[root]
         self.leaf_slots = tuple(s.slot for s in steps if not s.parent_slots)
-        #: 0 for a raw lowering; set by :meth:`optimized` (and preserved
-        #: through pickling) on plans produced by the optimizer pipeline.
-        self.optimization_level = 0
+        #: False for a raw lowering; set by :meth:`optimized` (and
+        #: preserved through pickling) on plans the optimizer rewrote.
+        self.is_optimized = False
         #: Compiler provenance trail: pass-by-pass
         #: :class:`~repro.core.optimizer.PassRecord` entries plus
         #: :class:`~repro.analysis.certify.CertificationRecord` entries
@@ -199,61 +199,36 @@ class EvaluationPlan:
         shape = self.shape
         return None if shape is None else shape.key
 
-    def optimized(self, level: int = 2) -> "EvaluationPlan":
-        """This plan lowered through the optimizer pipeline at ``level``.
+    def optimized(self) -> "EvaluationPlan":
+        """This plan lowered through the optimizer pipeline.
 
-        Cached per level on the plan and per shape: the first plan of a
-        shape runs :func:`~repro.core.optimizer.optimize_plan` (and its
-        stream certification) and records the result on the shape entry
-        as a :class:`SlotProgram`; every plan of the shape, the first one
+        Cached on the plan and per shape: the first plan of a shape runs
+        :func:`~repro.core.optimizer.optimize_plan` (and its stream
+        certification) and records the result on the shape entry as a
+        :class:`SlotProgram`; every plan of the shape, the first one
         included, is then bound to that program, so a later isomorphic
-        graph runs no pass.  Returns ``self`` when ``level`` is 0, when
-        this plan is already at (or above) the requested level, or when no
-        pass changes the graph.  See :mod:`repro.core.optimizer` for the
-        pass order and the bit-identity contract.
+        graph runs no pass.  Returns ``self`` when this plan is already
+        optimized or when no pass changes the graph.  See
+        :mod:`repro.core.optimizer` for the pass order and the
+        bit-identity contract.
         """
-        if not level or self.optimization_level >= level:
+        if self.is_optimized:
             return self
-        cache = self._optimized
-        if cache is None:
-            cache = self._optimized = {}
-        plan = cache.get(level)
+        plan = self._optimized
         if plan is None:
             shape = self.shape
-            program = None if shape is None else shape.optimized.get(level)
+            program = None if shape is None else shape.optimized
             if program is None:
                 from repro.core import optimizer
 
-                result, records = optimizer.optimize_plan(self, level)
+                result, records = optimizer.optimize_plan(self)
                 program = SlotProgram.derive(self, result, records)
                 if shape is not None:
-                    shape.optimized[level] = program
-            plan = cache[level] = program.bind(self, level)
+                    shape.optimized = program
+            plan = self._optimized = program.bind(self)
         return plan
 
-    def certification_records(self) -> tuple:
-        """Stream-safety :class:`CertificationRecord` entries in provenance.
-
-        One ``stream-certify`` record per optimizer rewrite and one
-        ``kernel-certify`` record per fused-kernel admission decision;
-        empty for plans that were never optimized or fused.
-        """
-        return tuple(
-            r for r in self.provenance
-            if getattr(r, "subject", None) in (
-                "optimizer-rewrite", "fused-kernel",
-            )
-        )
-
     # -- introspection ------------------------------------------------------
-
-    @property
-    def num_slots(self) -> int:
-        return len(self.steps)
-
-    @property
-    def node_count(self) -> int:
-        return len(self.steps)
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -273,15 +248,15 @@ class EvaluationPlan:
         # lowering is cheap and deterministic, and shipping the graph keeps
         # the payload small (no steps/program/bound methods).  This is what
         # lets ParallelEngine send a plan to worker processes once.  The
-        # optimization level travels along so an optimized plan does not
+        # optimized flag travels along so an optimized plan does not
         # silently unpickle as a raw one (the optimized *root* is shipped,
         # so no pass re-runs on load).  The receiver registers the shape
         # in its own structural cache, which yields the sender's key.
-        return (_rebuild_plan, (self.root, self.optimization_level))
+        return (_rebuild_plan, (self.root, self.is_optimized))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"<EvaluationPlan {self.num_slots} slots, root "
+            f"<EvaluationPlan {len(self)} slots, root "
             f"{self.root.label!r} @ {self.root_slot}>"
         )
 
@@ -329,10 +304,10 @@ _CONST = 2  # a folded constant: a fresh point mass of the recorded value
 
 
 class SlotProgram:
-    """A shape's optimizer result at one level, as slots of the raw shape.
+    """A shape's optimizer result, as slots of the raw shape.
 
     Lives on the raw shape's :class:`~repro.core.structural.ShapeEntry`
-    (``entry.optimized[level]``) and holds no node, so it never keeps a
+    (``entry.optimized``) and holds no node, so it never keeps a
     graph alive.  ``records`` is the ``PassRecord``/``CertificationRecord``
     trail of the run that made it.  ``slots`` is ``None`` when the passes
     left the shape unchanged or their rewrite was rejected (the plan is
@@ -374,7 +349,7 @@ class SlotProgram:
             None if shape is None else shape.fingerprint,
         )
 
-    def bind(self, raw: "EvaluationPlan", level: int) -> "EvaluationPlan":
+    def bind(self, raw: "EvaluationPlan") -> "EvaluationPlan":
         """This program instantiated over ``raw``'s own node objects.
 
         No pass, certification, graph walk or fingerprint runs: kept
@@ -403,22 +378,22 @@ class SlotProgram:
             steps.append(PlanStep(node, slot, parent_slots))
             slot_of[node] = slot
         plan = EvaluationPlan(nodes[self.root_slot], steps, slot_of)
-        plan.optimization_level = level
+        plan.is_optimized = True
         plan.provenance = self.records
         plan._shape = STRUCTURAL_CACHE.register(self.fingerprint)[0]
         return plan
 
 
-def _rebuild_plan(root: Node, optimization_level: int = 0) -> "EvaluationPlan":
+def _rebuild_plan(root: Node, is_optimized: bool = False) -> "EvaluationPlan":
     """Unpickle target: recompile (and re-cache) the plan for ``root``.
 
-    The sender's optimization level is re-seeded on the rebuilt plan: the
-    shipped root already *is* the optimized root, so marking the level
-    prevents engines from re-running the passes.
+    The sender's optimized flag is re-seeded on the rebuilt plan: the
+    shipped root already *is* the optimized root, so marking it prevents
+    engines from re-running the passes.
     """
     plan = compile_plan(root)
-    if optimization_level and plan.optimization_level < optimization_level:
-        plan.optimization_level = optimization_level
+    if is_optimized:
+        plan.is_optimized = True
     return plan
 
 

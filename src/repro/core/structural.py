@@ -34,7 +34,7 @@ Shape entries
 Each registered shape owns one :class:`ShapeEntry`, and every plan of
 that shape holds a reference to it (never its own copy of the
 fingerprint).  The entry carries the shape's structural key, the
-optimizer's result per optimize level as a slot program, so a later
+optimizer's result as a slot program, so a later
 isomorphic graph binds its own nodes to it and runs no pass (see
 :meth:`repro.core.plan.EvaluationPlan.optimized`), the shape's fused
 kernel (see :mod:`repro.core.fused`).  Node objects are never shared:
@@ -255,8 +255,9 @@ class ShapeEntry:
 
     ``key`` is the shape's structural key and ``fingerprint`` the cache's
     own key object (a reference, not a copy, built of the cache's shared
-    tokens).  ``optimized`` maps an optimize level to the shape's
-    :class:`~repro.core.plan.SlotProgram`: the optimizer's result as
+    tokens).  ``optimized`` is the shape's
+    :class:`~repro.core.plan.SlotProgram` (``None`` until the first plan
+    of the shape is optimized): the optimizer's result as
     slots of this shape, which every later plan of the shape binds to.
     ``runs`` counts the fused engine's runs of the shape before it has a
     kernel, and ``kernel`` is the fused engine's kernel spec once built:
@@ -268,7 +269,7 @@ class ShapeEntry:
     def __init__(self, key: str, fingerprint: tuple) -> None:
         self.key = key
         self.fingerprint = fingerprint
-        self.optimized: dict = {}
+        self.optimized = None
         self.runs = 0
         self.kernel = None
 

@@ -3,31 +3,16 @@
 from __future__ import annotations
 
 import abc
-import dataclasses
 import math
 from typing import Any
 
 import numpy as np
 
+from repro.interval import Interval
 
-@dataclasses.dataclass(frozen=True)
-class Support:
-    """Closed support interval of a scalar distribution.
 
-    Infinite endpoints use ``±math.inf``.  Discrete distributions report the
-    smallest interval containing their support.
-    """
-
-    lower: float
-    upper: float
-
-    def contains(self, x: float) -> bool:
-        return self.lower <= x <= self.upper
-
-    @property
-    def is_bounded(self) -> bool:
-        return math.isfinite(self.lower) and math.isfinite(self.upper)
-
+#: A distribution's closed support interval (the one interval type).
+Support = Interval
 
 REAL_LINE = Support(-math.inf, math.inf)
 NON_NEGATIVE = Support(0.0, math.inf)

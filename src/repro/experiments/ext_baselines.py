@@ -7,7 +7,7 @@ import time
 import numpy as np
 
 from repro.baselines.ces import ProbT
-from repro.baselines.interval import Interval
+from repro.baselines import Interval
 from repro.core.uncertain import Uncertain
 from repro.dists import Gaussian
 from repro.experiments.base import ExperimentResult, experiment

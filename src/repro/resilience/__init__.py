@@ -67,7 +67,6 @@ __all__ = [
     "InjectedFault",
     "arm_kill_sentinel",
     "latency_storm",
-    "flood_requests",
 ]
 
 _LAZY = {
@@ -81,7 +80,6 @@ _LAZY = {
     "InjectedFault": "repro.resilience.chaos",
     "arm_kill_sentinel": "repro.resilience.chaos",
     "latency_storm": "repro.resilience.chaos",
-    "flood_requests": "repro.resilience.chaos",
 }
 
 

@@ -239,29 +239,3 @@ def latency_storm(
         latency_rate=0.0, storm_calls=batches,
     )
 
-
-def flood_requests(
-    value,
-    count: int,
-    *,
-    kind: str = "expected_value",
-    samples: int | None = None,
-    seeds: bool = False,
-    deadline: float | None = None,
-):
-    """``count`` identical service requests over ``value`` — the flood.
-
-    With ``seeds=True`` every request gets a distinct seed (each costs
-    its own engine run: the worst-case flood); seedless floods coalesce
-    into pooled draws.  ``deadline`` attaches a per-request deadline so
-    a flood under a latency storm exercises cancellation too.
-    """
-    from repro.service.requests import QueryRequest  # avoid a hard layer dep
-
-    return [
-        QueryRequest(
-            value=value, kind=kind, samples=samples,
-            seed=(1000 + i) if seeds else None, deadline=deadline,
-        )
-        for i in range(count)
-    ]

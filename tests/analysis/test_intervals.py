@@ -160,10 +160,20 @@ class TestIntervalAlgebra:
         assert Interval(0.0, 2).contains_zero  # boundary counts
 
     def test_support_round_trip(self):
-        from repro.dists.base import Support
+        # A support is an interval: one class, three exported names.
+        from repro.baselines import Interval as BaselineInterval
+        from repro.dists import Support
 
-        s = Support(0.0, 5.0)
-        assert Interval.from_support(s).to_support() == s
+        assert Support is Interval is BaselineInterval
+        assert Support(0.0, 5.0) == Interval(0.0, 5.0)
+
+    def test_nonfinite_empirical_support_is_nan(self):
+        from repro.dists import Empirical
+
+        dist = Empirical([1.0, float("nan"), 3.0], allow_nonfinite=True)
+        support = dist.support
+        assert math.isnan(support.lower) and math.isnan(support.upper)
+        assert Uncertain(dist).diagnose() == []
 
     def test_division_by_zero_crossing_is_top(self):
         result = BINARY_TRANSFER["/"](Interval(1, 2), Interval(-1, 1))

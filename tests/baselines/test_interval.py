@@ -1,19 +1,21 @@
 """Tests for the interval-analysis baseline."""
 
+import math
+
 import pytest
 
-from repro.baselines.interval import Interval
+from repro.baselines import Interval
 
 
 class TestConstruction:
     def test_from_value(self):
-        i = Interval.from_value(3.0)
-        assert i.lo == i.hi == 3.0
+        i = Interval.point(3.0)
+        assert i.lower == i.upper == 3.0
         assert i.width == 0.0
 
     def test_from_center(self):
         i = Interval.from_center(5.0, 2.0)
-        assert i.lo == 3.0 and i.hi == 7.0
+        assert i.lower == 3.0 and i.upper == 7.0
         assert i.midpoint == 5.0
 
     def test_validation(self):
@@ -21,8 +23,9 @@ class TestConstruction:
             Interval(2.0, 1.0)
         with pytest.raises(ValueError):
             Interval.from_center(0.0, -1.0)
-        with pytest.raises(ValueError):
-            Interval(float("nan"), 1.0)
+        # Only ``lower > upper`` is rejected: a NaN endpoint is kept, as
+        # the support of non-finite data is ``[nan, nan]``.
+        assert math.isnan(Interval(float("nan"), 1.0).lower)
 
 
 class TestArithmetic:
@@ -30,7 +33,7 @@ class TestArithmetic:
         # "if X = [4, 6], then X/2 = [2, 3]" (Section 6).
         x = Interval(4.0, 6.0)
         half = x / 2.0
-        assert half.lo == 2.0 and half.hi == 3.0
+        assert half.lower == 2.0 and half.upper == 3.0
 
     def test_add_sub(self):
         a, b = Interval(1.0, 2.0), Interval(10.0, 20.0)

@@ -50,9 +50,9 @@ def counting(monkeypatch):
     calls = {"optimize": 0, "certify": 0}
     optimize, certify_rewrite = optimizer.optimize_plan, certify.certify_rewrite
 
-    def counted_optimize(plan, level=2):
+    def counted_optimize(plan):
         calls["optimize"] += 1
-        return optimize(plan, level)
+        return optimize(plan)
 
     def counted_certify(original, optimized):
         calls["certify"] += 1
@@ -153,14 +153,14 @@ class TestBoundEqualsLowered:
         for name, build in builders().items():
             first, second = build(), build()
             raw1 = compile_plan(first.node)
-            opt1 = raw1.optimized(2)
+            opt1 = raw1.optimized()
             raw2 = compile_plan(second.node)
             assert raw2.shape is raw1.shape, name
             before = dict(calls)
-            bound = raw2.optimized(2)
+            bound = raw2.optimized()
             if raw2.shape is not None:
                 assert calls == before, name
-            lowered, records = lower(raw2, 2)
+            lowered, records = lower(raw2)
             assert (bound is raw2) == (lowered is raw2), name
             assert [r.name for r in bound.provenance] == [
                 r.name for r in records
@@ -213,7 +213,7 @@ class TestIsolationAndLifetime:
         (u1, leaf1), (u2, leaf2) = chaos_duplicated(), chaos_duplicated()
         p1, p2 = compile_plan(u1.node), compile_plan(u2.node)
         assert p1.shape is not None and p2.shape is p1.shape
-        assert p1.optimized(2) is not p1 and p2.optimized(2) is not p2
+        assert p1.optimized() is not p1 and p2.optimized() is not p2
         assert calls == {"optimize": 1, "certify": 1}
         with evaluation_config(engine=engine):
             u1.samples(8, np.random.default_rng(1))
@@ -227,22 +227,22 @@ class TestIsolationAndLifetime:
         value = duplicated()
         plan = compile_plan(value.node)
         shape = plan.shape
-        assert plan.optimized(2) is not plan
+        assert plan.optimized() is not plan
         value.samples(8, np.random.default_rng(0))
         ref = weakref.ref(value.node)
         del value, plan
         gc.collect()
         assert ref() is None
-        assert shape.optimized[2].slots is not None
+        assert shape.optimized.slots is not None
         # A later graph still binds to the surviving record.
         later = compile_plan(duplicated().node)
-        assert later.shape is shape and later.optimized(2) is not later
+        assert later.shape is shape and later.optimized() is not later
 
     def test_memo_draws_on_a_bound_graph_match_the_interpreter(self):
-        compile_plan(duplicated().node).optimized(2)
+        compile_plan(duplicated().node).optimized()
         x = Uncertain(Gaussian(0.0, 1.0))
         value = (x + 1.0) * (x + 1.0)
-        assert compile_plan(value.node).optimized(2) is not value.plan
+        assert compile_plan(value.node).optimized() is not value.plan
         got = []
         for engine in ("numpy", "interpreter"):
             context = SampleContext(16, rng=7, engine=engine)
@@ -258,7 +258,7 @@ class TestIsolationAndLifetime:
         monkeypatch.setattr(STRUCTURAL_CACHE, "limit", limit)
         for i in range(6):
             value = duplicated() if i % 2 else folded_chain()
-            bound = compile_plan(value.node).optimized(2)
+            bound = compile_plan(value.node).optimized()
             assert bound.shape is not None and live(bound.shape)
             assert stats()["structural"]["entries"] <= limit
             np.testing.assert_array_equal(
@@ -269,20 +269,20 @@ class TestIsolationAndLifetime:
     def test_an_evicted_optimized_shape_is_re_registered(self, monkeypatch):
         calls = counting(monkeypatch)
         monkeypatch.setattr(STRUCTURAL_CACHE, "limit", 2)
-        first = compile_plan(duplicated().node).optimized(2)
+        first = compile_plan(duplicated().node).optimized()
         second = compile_plan(duplicated().node)  # the raw shape is newest
         compile_plan(folded_chain().node)  # evicts the optimized shape
         assert not live(first.shape)
-        bound = second.optimized(2)
+        bound = second.optimized()
         assert calls["optimize"] == 1
         assert live(bound.shape) and bound.shape is not first.shape
         assert bound.shape.key == first.shape.key
 
     def test_clear_caches_drops_the_record(self, monkeypatch):
         calls = counting(monkeypatch)
-        compile_plan(duplicated().node).optimized(2)
-        compile_plan(duplicated().node).optimized(2)
+        compile_plan(duplicated().node).optimized()
+        compile_plan(duplicated().node).optimized()
         assert calls["optimize"] == 1
         clear_caches()
-        compile_plan(duplicated().node).optimized(2)
+        compile_plan(duplicated().node).optimized()
         assert calls == {"optimize": 2, "certify": 2}

@@ -22,7 +22,7 @@ from repro.core.ledger import (
     clear_ledger,
 )
 from repro.core.plan import clear_plan_cache, invalidate_plan
-from repro.core.sampling import SampleBudgetExceeded
+from repro.core.sampling import SampleBudgetExceeded, _execute_plan
 from repro.core.uncertain import Uncertain
 from repro.dists import Gamma, Laplace, Mixture
 from repro.dists.gaussian import Gaussian
@@ -273,6 +273,24 @@ class TestSeededSingleDraws:
         assert np.array_equal(np.asarray(on), np.asarray(off))
 
 
+class TestSeedLineage:
+    """An integer seed and the generator it names are one lineage."""
+
+    @pytest.mark.parametrize("make", [certified_value, replay_value],
+                             ids=["stream", "replay"])
+    @pytest.mark.parametrize("seed", [0, 7, 2**62 + 3])
+    def test_int_seed_and_its_generator_share_one_entry(self, make, seed):
+        plan = make().plan
+        with evaluation_config(sample_cache=True):
+            by_int = _execute_plan(plan, 100, seed)
+            by_generator = _execute_plan(plan, 100, np.random.default_rng(seed))
+        assert ledger_state()["entries"] == 1
+        assert np.array_equal(by_int, by_generator)
+        with evaluation_config():
+            off = _execute_plan(plan, 100, seed)
+        assert np.array_equal(by_int, off)
+
+
 #: Single-draw loops over one generator that the ledger never advances:
 #: the ambient one, and an explicit one passed on every call.
 REUSED_GENERATOR_LOOPS = {
@@ -450,8 +468,8 @@ class TestGating:
                     m.samples(50, rng=seed)
         modes = {(e.key[0], e.mode) for e in LEDGER._entries.values()}
         assert modes == {
-            (u.plan.optimized(2).structural_hash, "stream"),
-            (m.plan.optimized(2).structural_hash, "replay"),
+            (u.plan.optimized().structural_hash, "stream"),
+            (m.plan.optimized().structural_hash, "replay"),
         }
         assert ledger_state()["modes"] == {"replay": 4, "stream": 4}
 
@@ -561,7 +579,7 @@ class TestRunningByteTotal:
             leaf.error_rate = 1.0
             with pytest.raises(InjectedFault):
                 flaky.samples(300, rng=1)
-            flaky_hash = flaky.plan.optimized(2).structural_hash
+            flaky_hash = flaky.plan.optimized().structural_hash
             assert not any(e.key[0] == flaky_hash for e in LEDGER._entries.values())
             assert ledger_state()["bytes"] == actual() > 0
         clear_ledger()
@@ -666,7 +684,7 @@ class TestGraphLifetime:
     @staticmethod
     def _node_refs(value: Uncertain) -> list:
         plan = value.plan
-        steps = plan.steps + plan.optimized(2).steps
+        steps = plan.steps + plan.optimized().steps
         return [weakref.ref(step.node) for step in steps]
 
     @pytest.mark.usefixtures("hot_kernels")
@@ -691,7 +709,7 @@ class TestGraphLifetime:
         value = make()
         boolean = value > 0.5
         if make is rewritten_value:
-            assert value.plan.optimized(2) is not value.plan
+            assert value.plan.optimized() is not value.plan
         with kernel_ran_if_fused(engine), evaluation_config(
             engine=engine, sample_cache=True
         ):

@@ -11,15 +11,14 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.analysis.certify import certification_records
 from repro.core.conditionals import evaluation_config
 from repro.core.engines import InterpreterEngine, NumpyEngine
 from repro.core.graph import PointMassNode
 from repro.core.optimizer import (
-    constant_fold,
     eliminate_common_subexpressions,
     is_stochastic,
     optimize_plan,
-    resolve_level,
 )
 from repro.core.plan import compile_plan
 from repro.core.uncertain import Uncertain
@@ -32,12 +31,27 @@ def records_by_name(plan):
 
 
 class TestResolveLevel:
+    """The ``optimize`` knob is a switch read for truthiness.
+
+    Each value once named an optimizer level (``expected``); every value
+    that named level 1 or above now turns the whole pipeline on, and the
+    answers are the same at every value.
+    """
+
     @pytest.mark.parametrize(
         "value,expected",
         [(True, 2), (False, 0), (0, 0), (None, 0), (1, 1), (2, 2), (7, 2)],
     )
     def test_mapping(self, value, expected):
-        assert resolve_level(value) == expected
+        y = Uncertain(Gaussian(0.0, 1.0)) + (Uncertain.pointmass(1.0) + 2.0)
+        with evaluation_config(optimize=value):
+            got = y.samples(8, rng=np.random.default_rng(3))
+        # The draw bound the plan to its optimized program iff the knob
+        # is on.
+        assert (compile_plan(y.node)._optimized is not None) == bool(expected)
+        with evaluation_config(optimize=False):
+            reference = y.samples(8, rng=np.random.default_rng(3))
+        np.testing.assert_array_equal(got, reference)
 
 
 class TestConstantFolding:
@@ -45,7 +59,7 @@ class TestConstantFolding:
         const = Uncertain.pointmass(3600.0) / Uncertain.pointmass(1609.344)
         y = Uncertain(Gaussian(1.5, 0.3)) * const
         plan = compile_plan(y.node)
-        opt = plan.optimized(1)
+        opt = plan.optimized()
         assert len(opt.steps) == len(plan.steps) - 2
         record = records_by_name(opt)["constant-fold"]
         assert record.rewrites
@@ -58,7 +72,7 @@ class TestConstantFolding:
     def test_folded_value_preserves_dtype(self):
         const = Uncertain.pointmass(2) + Uncertain.pointmass(3)
         y = Uncertain(Gaussian(0.0, 1.0)) + const
-        opt = compile_plan(y.node).optimized(1)
+        opt = compile_plan(y.node).optimized()
         pm = next(s.node for s in opt.steps if type(s.node) is PointMassNode)
         reference = (np.full(1, 2) + np.full(1, 3))[0]
         assert pm.value == reference
@@ -68,7 +82,7 @@ class TestConstantFolding:
         const = Uncertain.pointmass(4.0).map(np.sqrt, vectorized=True) + 1.0
         y = Uncertain(Gaussian(0.0, 1.0)) + const
         plan = compile_plan(y.node)
-        opt = plan.optimized(2)
+        opt = plan.optimized()
         # Nothing folded: the constant chain passes through an ApplyNode.
         assert len(opt.steps) == len(plan.steps)
         record = records_by_name(opt)["constant-fold"]
@@ -79,7 +93,7 @@ class TestConstantFolding:
         const = (Uncertain.pointmass(2.0) * 3.0) + 1.0
         y = (Uncertain(Gaussian(0.0, 1.0)) + const) * Uncertain(Uniform(0, 1))
         plan = compile_plan(y.node)
-        opt = plan.optimized(2)
+        opt = plan.optimized()
         assert len(opt.steps) < len(plan.steps)
         for seed in (0, 1, 12345):
             a = NumpyEngine().run(plan, 64, np.random.default_rng(seed))[
@@ -104,7 +118,7 @@ class TestCSE:
         b = x + 1.0
         y = a * b
         plan = compile_plan(y.node)
-        opt = plan.optimized(2)
+        opt = plan.optimized()
         assert len(opt.steps) < len(plan.steps)
         record = records_by_name(opt)["cse"]
         assert record.rewrites
@@ -114,7 +128,7 @@ class TestCSE:
         dup = (x + 1.0) * (x + 1.0)
         shared_term = x + 1.0
         shared = shared_term * shared_term
-        p_dup = compile_plan(dup.node).optimized(2)
+        p_dup = compile_plan(dup.node).optimized()
         p_shared = compile_plan(shared.node)
         assert len(p_dup.steps) == len(p_shared.steps)
         for seed in (3, 99):
@@ -132,7 +146,7 @@ class TestCSE:
         x1 = Uncertain(Gaussian(0.0, 1.0))
         x2 = Uncertain(Gaussian(0.0, 1.0))
         y = x1 - x2
-        opt = compile_plan(y.node).optimized(2)
+        opt = compile_plan(y.node).optimized()
         assert len(opt.leaf_slots) == 2
         out = NumpyEngine().run(opt, 50_000, np.random.default_rng(5))[
             opt.root_slot
@@ -158,34 +172,38 @@ class TestPipeline:
         x = Uncertain(Gaussian(0.0, 1.0))
         y = x + x
         plan = compile_plan(y.node)
-        opt, records = optimize_plan(plan, 2)
+        opt, records = optimize_plan(plan)
         assert opt is plan
         assert [r.name for r in records] == [
             "constant-fold", "cse", "dead-slot-elim",
         ]
 
     def test_level_zero_is_identity(self):
+        # ``optimize=0`` samples the raw plan: no optimized plan is made.
         y = Uncertain(Gaussian(0.0, 1.0)) + (
             Uncertain.pointmass(1.0) + 2.0
         )
         plan = compile_plan(y.node)
-        assert plan.optimized(0) is plan
+        with evaluation_config(optimize=0):
+            y.samples(4, rng=np.random.default_rng(1))
+        assert plan._optimized is None
+        assert plan.optimized() is not plan
 
     def test_optimized_is_cached_per_level(self):
         y = Uncertain(Gaussian(0.0, 1.0)) + (
             Uncertain.pointmass(1.0) + 2.0
         )
         plan = compile_plan(y.node)
-        assert plan.optimized(2) is plan.optimized(2)
+        assert plan.optimized() is plan.optimized()
 
     def test_provenance_records_slot_delta(self):
         y = Uncertain(Gaussian(0.0, 1.0)) + (
             Uncertain.pointmass(1.0) + 2.0
         )
-        opt = compile_plan(y.node).optimized(2)
+        opt = compile_plan(y.node).optimized()
         dse = records_by_name(opt)["dead-slot-elim"]
         assert dse.nodes_before > dse.nodes_after
-        assert opt.optimization_level == 2
+        assert opt.is_optimized
 
     def test_leaf_order_is_preserved(self):
         parts = [Uncertain(Gaussian(float(i), 1.0)) for i in range(5)]
@@ -193,7 +211,7 @@ class TestPipeline:
         for p in parts[2:]:
             y = y - p
         plan = compile_plan(y.node)
-        opt = plan.optimized(2)
+        opt = plan.optimized()
         original = [s.node for s in plan.steps if is_stochastic(s.node)]
         optimized = [s.node for s in opt.steps if is_stochastic(s.node)]
         assert original == optimized
@@ -202,24 +220,43 @@ class TestPipeline:
         y = Uncertain(Gaussian(0.0, 1.0)) + (
             Uncertain.pointmass(1.0) + 2.0
         )
-        opt = compile_plan(y.node).optimized(2)
+        opt = compile_plan(y.node).optimized()
         record = records_by_name(opt)["stream-certify"]
         assert record.certified
         assert record.subject == "optimizer-rewrite"
         # The PassRecord consumers must keep working alongside it.
         assert records_by_name(opt)["dead-slot-elim"].nodes_after > 0
-        assert opt.certification_records() == (record,)
+        assert certification_records(opt) == (record,)
 
     def test_config_optimize_knob_controls_sampling(self):
         const = Uncertain.pointmass(2.0) * 3.0
         y = Uncertain(Gaussian(0.0, 1.0)) + const
-        # Identical streams with the optimizer on, off, and at level 1.
+        # Identical streams with the optimizer on, off, and ``1`` (on).
         draws = {}
         for knob in (True, False, 1):
             with evaluation_config(optimize=knob):
                 draws[knob] = y.samples(16, rng=np.random.default_rng(11))
         np.testing.assert_array_equal(draws[True], draws[False])
         np.testing.assert_array_equal(draws[True], draws[1])
+
+    def test_optimize_one_means_on(self):
+        # ``optimize=1`` is on: the whole pipeline, CSE included, bound
+        # to the same slot program as ``True`` and with the same answers.
+        def duplicated():
+            x = Uncertain(Gaussian(0.0, 1.0))
+            return (x + 1.0) * (x + 1.0)
+
+        draws, bound = {}, {}
+        for knob in (True, 1):
+            value = duplicated()
+            with evaluation_config(optimize=knob):
+                draws[knob] = value.samples(16, rng=np.random.default_rng(5))
+            bound[knob] = value.plan._optimized
+        np.testing.assert_array_equal(draws[True], draws[1])
+        assert bound[1] is not None and bound[True] is not None
+        assert bound[1].provenance is bound[True].provenance
+        assert records_by_name(bound[1])["cse"].rewrites
+        assert bound[1].structural_hash == bound[True].structural_hash
 
     def test_memoised_context_draws_stay_unoptimized(self):
         from repro.core.sampling import SampleContext
@@ -240,9 +277,9 @@ class TestPickleRoundTrip:
     def test_optimized_plan_survives_pickling(self):
         const = Uncertain.pointmass(3600.0) / Uncertain.pointmass(1609.344)
         y = Uncertain(Gaussian(1.5, 0.3)) * const
-        opt = compile_plan(y.node).optimized(2)
+        opt = compile_plan(y.node).optimized()
         clone = pickle.loads(pickle.dumps(opt))
-        assert clone.optimization_level == opt.optimization_level
+        assert clone.is_optimized and opt.is_optimized
         assert clone.structural_hash == opt.structural_hash
         assert len(clone.steps) == len(opt.steps)
         a = NumpyEngine().run(opt, 16, np.random.default_rng(4))[opt.root_slot]
@@ -255,5 +292,5 @@ class TestPickleRoundTrip:
         y = Uncertain(Gaussian(0.0, 1.0)) + 1.0
         plan = compile_plan(y.node)
         clone = pickle.loads(pickle.dumps(plan))
-        assert clone.optimization_level == 0
+        assert not clone.is_optimized
         assert clone.structural_hash == plan.structural_hash

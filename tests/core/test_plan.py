@@ -107,14 +107,14 @@ class TestPlanCompilation:
         x = LeafNode(Gaussian(0.0, 1.0))
         doubled = BinaryOpNode(operator.add, x, x, "+")
         plan = compile_plan(doubled)
-        assert plan.num_slots == 2  # x once, + once
+        assert len(plan) == 2  # x once, + once
         (step,) = [s for s in plan.steps if s.parent_slots]
         assert step.parent_slots == (plan.slot_of[x],) * 2
 
     def test_plan_covers_every_node_once(self):
         root = every_node_kind_graph()
         plan = compile_plan(root)
-        assert plan.num_slots == node_count(root)
+        assert len(plan) == node_count(root)
         kinds = plan.op_histogram()
         for kind in (
             "LeafNode",

@@ -167,7 +167,7 @@ class TestCacheBounds:
         # reports what it holds, not a second hit/miss count.
         reset_stats()
         compile_plan(gps_speed().node)
-        compile_plan(gps_speed().node).optimized(2)
+        compile_plan(gps_speed().node).optimized()
         plans = stats()["plans"]
         assert (plans["structural_hits"], plans["structural_misses"]) == (1, 1)
         assert not {"hits", "misses"} & set(stats()["structural"])
@@ -276,9 +276,9 @@ def counting_optimizer(monkeypatch):
     calls = []
     original = optimizer.optimize_plan
 
-    def wrapper(plan, level=2):
+    def wrapper(plan):
         calls.append(plan)
-        return original(plan, level)
+        return original(plan)
 
     monkeypatch.setattr(optimizer, "optimize_plan", wrapper)
     return calls
@@ -292,10 +292,10 @@ def chaos_speed(seed=3):
 class TestSharedOptimizerVerdict:
     def test_isomorphic_graph_runs_no_pass(self, monkeypatch):
         calls = counting_optimizer(monkeypatch)
-        first = compile_plan(gps_speed().node).optimized(2)
+        first = compile_plan(gps_speed().node).optimized()
         assert len(calls) == 1
         second = compile_plan(gps_speed().node)
-        assert second.optimized(2) is second
+        assert second.optimized() is second
         assert len(calls) == 1
         assert second.provenance == first.provenance
         assert second.shape is first.shape
@@ -329,17 +329,17 @@ class TestSharedOptimizerVerdict:
 
     def test_clear_caches_drops_the_verdict(self, monkeypatch):
         calls = counting_optimizer(monkeypatch)
-        compile_plan(gps_speed().node).optimized(2)
+        compile_plan(gps_speed().node).optimized()
         clear_caches()
-        compile_plan(gps_speed().node).optimized(2)
+        compile_plan(gps_speed().node).optimized()
         assert len(calls) == 2
 
     def test_eviction_drops_the_verdict(self, monkeypatch):
         calls = counting_optimizer(monkeypatch)
         monkeypatch.setattr(STRUCTURAL_CACHE, "limit", 1)
-        compile_plan(gps_speed(mu=1.5).node).optimized(2)
+        compile_plan(gps_speed(mu=1.5).node).optimized()
         compile_plan(gps_speed(mu=2.5).node)  # evicts the first shape
-        compile_plan(gps_speed(mu=1.5).node).optimized(2)
+        compile_plan(gps_speed(mu=1.5).node).optimized()
         assert len(calls) == 2
 
     def test_rewritten_shape_is_optimized_once(self, monkeypatch):
@@ -351,7 +351,7 @@ class TestSharedOptimizerVerdict:
 
         plans = [compile_plan(duplicated().node) for _ in range(3)]
         assert plans[0].shape is not None and plans[1].shape is plans[0].shape
-        bound = [plan.optimized(2) for plan in plans]
+        bound = [plan.optimized() for plan in plans]
         assert len(calls) == 1
         assert len({id(b) for b in bound}) == 3
         for plan, opt in zip(plans, bound):

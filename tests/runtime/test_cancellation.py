@@ -223,7 +223,7 @@ class TestTransientFaultsWriteNoVerdict:
         token.cancel("client-disconnected")
         with cancellation.scope(token), pytest.raises(EvaluationCancelled):
             stalling_query(0.02).samples(16, rng=0, engine="fused")
-        fresh = stalling_query(0.02).plan.optimized(2)
+        fresh = stalling_query(0.02).plan.optimized()
         assert fresh.shape.kernel.verified
         assert fused_program(fresh) is not None
 
@@ -232,7 +232,7 @@ class TestTransientFaultsWriteNoVerdict:
     ):
         with pytest.raises(InjectedFault):
             flaky_query().samples(16, rng=0, engine="fused")
-        fresh = flaky_query(armed=False).plan.optimized(2)
+        fresh = flaky_query(armed=False).plan.optimized()
         assert fused_program(fresh) is not None
 
     def test_cancelled_ledger_probe_writes_no_replay_verdict(self, fresh_verdicts):
