@@ -74,7 +74,11 @@ class ExecutionEngine:
     to already-sampled batches: entries are reused, and every newly
     evaluated node is written back — this is what keeps shared variables
     consistent across multiple roots sampled under one
-    :class:`~repro.core.sampling.SampleContext`.
+    :class:`~repro.core.sampling.SampleContext`.  ``release=True`` tells
+    a memo-free run that its caller reads only the root slot, so the
+    engine may drop every other batch once its last consumer has run
+    (peak memory, not values, changes); engines that keep every slot
+    ignore it.
     """
 
     name: str = "abstract"
@@ -92,6 +96,7 @@ class ExecutionEngine:
         n: int,
         rng: np.random.Generator,
         memo: dict[Node, np.ndarray] | None = None,
+        release: bool = False,
     ) -> list:
         raise NotImplementedError
 
@@ -113,7 +118,9 @@ class ExecutionEngine:
         :mod:`repro.resilience.health` over the batch (per-slot NaN/Inf
         attribution, warn/raise/resample).  ``optimize``, ``on_nonfinite``
         and ``metrics`` come from ``config`` (default: the ambient one).
-        ``run`` stays raw for callers that benchmark or need every slot.
+        ``run`` stays raw for callers that benchmark or need every slot;
+        here every memo-free draw the health check does not inspect runs
+        with ``release=True``.
         """
         if config is None:
             config = _cond.get_config()
@@ -126,10 +133,13 @@ class ExecutionEngine:
         propagate = config.on_nonfinite == "propagate"
         metrics = _metrics.resolve(config.metrics)
         tracer = _trace.get_tracer()
+        # Only the health check reads interior slots.  ``release`` goes
+        # by position: per-layer wrappers of ``run`` forward positionals.
+        release = propagate and memo is None
         if metrics is None and tracer is None and propagate:
-            return self.run(plan, n, rng, memo=memo)[plan.root_slot]
+            return self.run(plan, n, rng, memo, release)[plan.root_slot]
         start = perf_counter()
-        values = self.run(plan, n, rng, memo=memo)
+        values = self.run(plan, n, rng, memo, release)
         elapsed = perf_counter() - start
         if metrics is not None:
             metrics.record_engine(self.name, n, elapsed)
@@ -177,7 +187,7 @@ class NumpyEngine(ExecutionEngine):
 
     name = "numpy"
 
-    def run(self, plan, n, rng, memo=None):
+    def run(self, plan, n, rng, memo=None, release=False):
         values: list = [None] * len(plan.steps)
         # Cooperative cancellation: the ambient token (installed by the
         # service tier or an ambient deadline) is polled once per program
@@ -188,7 +198,8 @@ class NumpyEngine(ExecutionEngine):
         step_i = 0
         if memo is None:
             # Hot path (the SPRT loop, expectations): run the specialized
-            # program with bound callables and no bookkeeping.
+            # program with bound callables and no bookkeeping.  With
+            # ``release``, each batch is dropped after its last read.
             shape = (n,)
             with np.errstate(**_ERRSTATE):
                 for entry in plan.program:
@@ -197,20 +208,23 @@ class NumpyEngine(ExecutionEngine):
                         step_i += 1
                     opcode = entry[0]
                     if opcode == OP_BINARY:
-                        _, op, slot, a, b, node = entry
+                        _, op, slot, a, b, node, done = entry
                         out = op(values[a], values[b])
                     elif opcode == OP_SOURCE:
-                        _, evaluate, slot, node = entry
+                        _, evaluate, slot, node, done = entry
                         out = evaluate((), n, rng)
                     elif opcode == OP_UNARY:
-                        _, op, slot, a, node = entry
+                        _, op, slot, a, node, done = entry
                         out = op(values[a])
                     else:
-                        _, evaluate, slot, parent_slots, node = entry
+                        _, evaluate, slot, parent_slots, node, done = entry
                         out = evaluate([values[i] for i in parent_slots], n, rng)
                     if type(out) is not np.ndarray or out.shape[:1] != shape:
                         out = _check_batch(out, node, n)
                     values[slot] = out
+                    if release:
+                        for i in done:
+                            values[i] = None
             return values
         seeded = False
         if memo:
@@ -263,7 +277,7 @@ class InterpreterEngine(ExecutionEngine):
     name = "interpreter"
     supports_optimized = False
 
-    def run(self, plan, n, rng, memo=None):
+    def run(self, plan, n, rng, memo=None, release=False):
         local: dict[Node, np.ndarray] = dict(memo) if memo else {}
         stack: list[tuple[Node, bool]] = [(plan.root, False)]
         token = _cancel.current()

@@ -32,6 +32,13 @@ What the generated kernel fuses:
   changes no value, and a run allocates one block instead of two.
   Adjacency is in *RNG-consumption order*: point masses and
   deterministic interior ops never draw, so they do not break a run.
+  A run is split where its block would outlive its readers: once every
+  leaf drawn so far is dead, the next leaf starts a new block.  Drawing
+  ``k1 * n`` and then ``k2 * n`` values consumes the stream exactly as
+  one ``(k1 + k2) * n`` call does, so the split changes no value.
+- **Lifetimes.**  Each variable (and each draw block, through its row
+  views) is deleted after the statement that reads it last, so a large
+  draw holds the plan's widest cut rather than every slot.
 - **Operator chains.**  Deterministic interior ops become native infix
   expressions; single-use intermediates are inlined into their consumer,
   so ``sqrt(dx*dx + dy*dy) / dt > 4`` becomes one line of numpy instead
@@ -237,6 +244,16 @@ def _binding_args(spec: _KernelSpec, plan: EvaluationPlan):
     return S, F, G, K, tuple(R)
 
 
+def _is_expression(node) -> bool:
+    """Does the generator spell ``node`` as an inlinable expression (an
+    operator or a direct call), rather than a call of its own
+    ``evaluate_batch``?"""
+    kind = type(node)
+    return kind in (BinaryOpNode, UnaryOpNode) or (
+        kind is ApplyNode and node.vectorized and isinstance(node.fn, np.ufunc)
+    )
+
+
 def _generate(plan: EvaluationPlan) -> _KernelSpec:
     """Generate (but do not certify) the kernel source for ``plan``."""
     from repro.analysis.certify import _inline_obstacles, _trusted_family
@@ -292,9 +309,35 @@ def _generate(plan: EvaluationPlan) -> _KernelSpec:
     for slot, _reason in _inline_obstacles(plan, inlined):
         const_slot[slot] = False
 
+    # -- lifetimes ---------------------------------------------------------
+    # A single-use expression is inlined into its consumer's statement,
+    # so a variable is last read by the statement that holds its last
+    # consumer (``home``).  The kernel deletes each variable after that
+    # statement, and starts a new draw block once every variable of the
+    # open one is dead, so a block never outlives its readers.
+    inline = [
+        step.opcode != OP_SOURCE
+        and uses[step.slot] == 1
+        and step.slot != root_slot
+        and _is_expression(step.node)
+        for step in steps
+    ]
+    consumer = [None] * len(steps)
+    for step in steps:
+        for p in step.parent_slots:
+            consumer[p] = step.slot
+    home = list(range(len(steps)))
+    for step in reversed(steps):
+        if inline[step.slot]:
+            home[step.slot] = home[consumer[step.slot]]
+    last_read = [-1] * len(steps)
+    for step in steps:
+        for p in step.parent_slots:
+            last_read[p] = max(last_read[p], home[step.slot])
+
     s_slots, f_slots, g_slots, k_slots, runs = [], [], [], [], []
     k_index = {}
-    pending_run = None  # (family, [slots]) being grown in rng order
+    pending_run = None  # [family, [slots], last read of its block]
     for step in steps:
         if step.opcode != OP_SOURCE:
             continue
@@ -303,12 +346,17 @@ def _generate(plan: EvaluationPlan) -> _KernelSpec:
             draw = node.dist.bulk_draw_spec()
             if draw is not None and draw[0] == _trusted_family(node.dist):
                 family = draw[0]
-                if pending_run is not None and pending_run[0] == family:
+                if (
+                    pending_run is not None
+                    and pending_run[0] == family
+                    and pending_run[2] > step.slot
+                ):
                     pending_run[1].append(step.slot)
                 else:
                     if pending_run is not None:
                         runs.append((pending_run[0], tuple(pending_run[1])))
-                    pending_run = (family, [step.slot])
+                    pending_run = [family, [step.slot], -1]
+                pending_run[2] = max(pending_run[2], last_read[step.slot])
                 continue
             # Any other leaf draws through its own sample_n: it ends any
             # open run so draw order stays exactly the engines' order.
@@ -336,6 +384,10 @@ def _generate(plan: EvaluationPlan) -> _KernelSpec:
     steps_meta: list[tuple] = []
     exprs: dict[int, _Expr] = {}
     unsafe = False
+    dies_at: dict[int, list[int]] = {}  # after the root's, ``return`` frees
+    for slot, last in enumerate(last_read):
+        if last >= 0 and last != root_slot:
+            dies_at.setdefault(last, []).append(slot)
 
     def ref(slot):
         """Operand text for ``slot`` (inlined expression or variable)."""
@@ -345,6 +397,9 @@ def _generate(plan: EvaluationPlan) -> _KernelSpec:
     def assign(slot, expr, parent_slots):
         body.append(f"v{slot} = {expr.text}")
         steps_meta.append((slot, tuple(parent_slots), expr.ops))
+        dead = [f"v{d}" for d in dies_at.get(slot, ()) if d not in exprs]
+        if dead:
+            body.append(f"del {', '.join(dead)}")
 
     drawn_runs = set()
     for step in steps:
@@ -382,6 +437,7 @@ def _generate(plan: EvaluationPlan) -> _KernelSpec:
                         body.append(
                             ", ".join(f"v{s}" for s in slots) + f" = _d{r}"
                         )
+                        body.append(f"del _d{r}")
                         steps_meta.append((slots[0], (), (f"{family} ×{k}",)))
             elif slot in k_index:
                 j = k_index[slot]
@@ -421,11 +477,7 @@ def _generate(plan: EvaluationPlan) -> _KernelSpec:
             a = ref(parents[0])
             expr = _Expr(f"np.{fn}({a.text})", ops=a.ops + (fn,))
             sym = fn
-        elif kind in (BinaryOpNode, UnaryOpNode) or (
-            kind is ApplyNode
-            and node.vectorized
-            and isinstance(node.fn, np.ufunc)
-        ):
+        elif _is_expression(node):
             # Hashable op callables (e.g. np.hypot) and lifted ufuncs
             # applied to whole batches: call the bound callable directly.
             # For a ufunc ApplyNode this is bit-identical to its
@@ -465,7 +517,7 @@ def _generate(plan: EvaluationPlan) -> _KernelSpec:
             continue
         if sym not in _SAFE_SYMBOLS:
             unsafe = True
-        if uses[slot] == 1 and slot != root_slot:
+        if inline[slot]:
             exprs[slot] = expr  # single consumer: fuse into it
         else:
             assign(slot, expr, parents)
@@ -642,8 +694,9 @@ class FusedEngine(ExecutionEngine):
     def inner(self) -> ExecutionEngine:
         return get_engine("numpy")
 
-    # ``*_``: the per-layer wrapper in benchmarks/e2e/tracing.py forwards a sixth positional.
-    def run(self, plan, n, rng, memo=None, *_):
+    # ``release`` stays the fifth positional after ``self``: per-layer
+    # wrappers (benchmarks/e2e/tracing.py) forward it by position.
+    def run(self, plan, n, rng, memo=None, release=False):
         if memo is not None:
             # Memoised contexts need every shared slot: the inner engine's job.
             return self.inner.run(plan, n, rng, memo=memo)
@@ -656,11 +709,11 @@ class FusedEngine(ExecutionEngine):
                 shape.runs += 1
                 if shape.runs < _HOT_RUNS:
                     # Cold shape: the reference engine gives the same answer.
-                    return self.inner.run(plan, n, rng)
+                    return self.inner.run(plan, n, rng, None, release)
             bound = _prepare(plan)
         if bound is _FALLBACK:
             # The inner engine polls the ambient token per program step.
-            return self.inner.run(plan, n, rng)
+            return self.inner.run(plan, n, rng, None, release)
         # A generated kernel is one indivisible batch: the boundary check
         # is before launch (delegated runs inherit the inner engine's
         # finer per-step boundaries).

@@ -72,11 +72,13 @@ The byte budget (``sample_cache=<bytes>``, :data:`DEFAULT_MAX_BYTES` for
 first serve that reads rows it had cached (a replay column found for
 ``N``, a stream prefix, a window re-reading its rows) promotes it.
 Entries on probation hold at most ``max_bytes // PROBATION_DIVISOR``
-together and leave least recently used first, so a flood of one-shot
-queries cannot push out the entries that are asked again; then all
-entries leave least recently used first down to the budget.  A query
-repeated right after its first run still hits: its entry is still on
-probation.  A smaller budget applies at once.  Eviction never changes a
+together (a sixteenth, measured on fig08_analyst: see the constant) and
+leave least recently used first, so a flood of one-shot queries cannot
+push out the entries that are asked again; then all entries leave least
+recently used first down to the budget.  Both budgets are enforced after
+every serve, hit or miss.  A query repeated right after its first run
+still hits: its entry is still on probation.  A smaller budget applies
+at once.  Eviction never changes a
 served value: a rebuilt entry reproduces its columns bit for bit.
 
 Safety gating (always falls back to a fresh engine run, never errors):
@@ -117,10 +119,15 @@ DEFAULT_MAX_BYTES = 64 * 1024 * 1024
 
 #: Entries that have never been hit hold at most ``max_bytes //
 #: PROBATION_DIVISOR`` together; only promoted (hit) entries may fill the
-#: rest of the budget.  A quarter is the A1in share of 2Q (Johnson and
-#: Shasha, VLDB 1994), taken as published, not tuned to a workload; its
-#: effect on fig08_analyst is measured in ``docs/performance.md``.
-PROBATION_DIVISOR = 4
+#: rest of the budget.  2Q (Johnson and Shasha, VLDB 1994) gives its A1in
+#: queue a quarter of a cache of equal-sized pages; here an entry is a
+#: whole column (160 KB for a 20 000-row draw), and the share is
+#: measured: on fig08_analyst, whose hot sessions come back within a
+#: sixteenth, a quarter, an eighth and a sixteenth keep
+#: ``ledger.hit_ratio`` at 0.495, 0.491 and 0.490 while traced
+#: ``ledger.bytes`` falls from 19.3 to 11.0 and 6.8 MB, and peak RSS
+#: from 68.6 to 60.8 and 56.9 MiB (``docs/performance.md``).
+PROBATION_DIVISOR = 16
 
 #: Bytes charged per entry for what it holds besides its columns: the
 #: entry, its key and base spec, a stream-mode generator and the column
@@ -578,11 +585,11 @@ class SampleLedger:
                 rows_reused=max(0, have - start),
                 misses=int(have == 0), hits=int(have > 0 and have > start),
             )
-            self._evict(keep=entry.key)
         else:
             config.accounting.admit(0)  # the deadline still applies to cached serves
             self._hit(entry)
             _record(hits=1, rows_reused=n)
+        self._evict(keep=entry.key)
         return entry.column[start:needed].copy()
 
     def _serve_replay(self, entry: LedgerEntry, exec_plan, eng, n: int,
@@ -597,17 +604,19 @@ class SampleLedger:
             entry.runs[n] = column
             self._grow(entry, column.nbytes)
             _record(misses=1, rows_drawn=n)
-            self._evict(keep=entry.key)
         else:
             config.accounting.admit(0)
             self._hit(entry)
             _record(hits=1, rows_reused=n)
+        self._evict(keep=entry.key)
         return column.copy()
 
     def _evict(self, keep) -> None:
         """Evict whole entries until both budgets hold: entries on
         probation, oldest first, down to their share, then every entry,
-        least recently used first, down to ``max_bytes``.
+        least recently used first, down to ``max_bytes``.  Runs after
+        every serve: a hit moves the just-served mark off an entry that
+        may sit over its share.
 
         The entry just served (``keep``, the most recently used) is never
         evicted (evicting it would thrash); a single column larger than

@@ -161,12 +161,15 @@ def _fold_value(node: Node):
         return np.asarray(ev(node))[0]
 
 
-def constant_fold(root: Node, origin=None) -> tuple[Node, PassRecord]:
+def constant_fold(root: Node, origin=None, order=None) -> tuple[Node, PassRecord]:
     """Replace maximal point-mass-only sub-DAGs with single point masses.
 
-    ``origin``, when given, is filled as in :func:`_reparent`.
+    ``origin``, when given, is filled as in :func:`_reparent`; ``order``,
+    when given, is ``root``'s post-order (a plan's step nodes), so the
+    pass does not walk the graph again.
     """
-    order = list(iter_nodes(root))
+    if order is None:
+        order = list(iter_nodes(root))
     before = len(order)
     constant: dict[int, bool] = {}
     rejected: list[str] = []
@@ -247,13 +250,14 @@ def _cse_key(node: Node, new_parents: tuple[Node, ...]):
 
 
 def eliminate_common_subexpressions(
-    root: Node, origin=None
+    root: Node, origin=None, order=None
 ) -> tuple[Node, PassRecord]:
     """Merge structurally identical deterministic nodes over shared inputs.
 
-    ``origin``, when given, is filled as in :func:`_reparent`.
+    ``origin`` and ``order`` are as in :func:`constant_fold`.
     """
-    order = list(iter_nodes(root))
+    if order is None:
+        order = list(iter_nodes(root))
     before = len(order)
     canon: dict[object, Node] = {}
     new_of: dict[int, Node] = {}
@@ -297,8 +301,13 @@ def optimize_plan(plan):
     from repro.core.plan import EvaluationPlan
 
     origin: dict[Node, Node] = {}
-    root, folded = constant_fold(plan.root, origin)
-    root, merged = eliminate_common_subexpressions(root, origin)
+    # The plan's steps are its root's post-order: neither pass re-walks
+    # the graph unless folding changed it.
+    order = [step.node for step in plan.steps]
+    root, folded = constant_fold(plan.root, origin, order)
+    root, merged = eliminate_common_subexpressions(
+        root, origin, order if root is plan.root else None
+    )
     records: list[PassRecord] = [folded, merged]
     if root is plan.root:
         records.append(

@@ -148,22 +148,35 @@ class EvaluationPlan:
         """Specialized instruction tuples for the hot execution loop.
 
         Each entry front-loads everything a step needs — opcode, the bound
-        callable, output slot, operand slots, and the node (for error
-        reporting) — so engines dispatch without per-step attribute
-        lookups.  Built lazily and cached on the plan.
+        callable, output slot, operand slots, the node (for error
+        reporting) and, last, the slots this step reads for the last time
+        (never the root's) — so engines dispatch without per-step
+        attribute lookups, and a run whose caller reads only the root can
+        drop each batch once its last consumer has run.  Built lazily and
+        cached on the plan.
         """
         if self._program is None:
+            # Built back to front: a step reads a slot for the last time
+            # when no later step has read it.
             entries = []
-            for s in self.steps:
+            read_later = [False] * len(self.steps)
+            for s in reversed(self.steps):
+                done = ()
+                for p in s.parent_slots:
+                    if not read_later[p]:
+                        read_later[p] = True
+                        done += (p,)
                 if s.opcode == OP_BINARY:
                     a, b = s.parent_slots
-                    entries.append((OP_BINARY, s.node.op, s.slot, a, b, s.node))
+                    entries.append((OP_BINARY, s.node.op, s.slot, a, b, s.node, done))
                 elif s.opcode == OP_UNARY:
                     entries.append(
-                        (OP_UNARY, s.node.op, s.slot, s.parent_slots[0], s.node)
+                        (OP_UNARY, s.node.op, s.slot, s.parent_slots[0], s.node, done)
                     )
                 elif s.opcode == OP_SOURCE:
-                    entries.append((OP_SOURCE, s.node.evaluate_batch, s.slot, s.node))
+                    entries.append(
+                        (OP_SOURCE, s.node.evaluate_batch, s.slot, s.node, done)
+                    )
                 else:
                     entries.append(
                         (
@@ -172,8 +185,10 @@ class EvaluationPlan:
                             s.slot,
                             s.parent_slots,
                             s.node,
+                            done,
                         )
                     )
+            entries.reverse()
             self._program = tuple(entries)
         return self._program
 

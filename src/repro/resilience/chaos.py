@@ -203,9 +203,9 @@ class ChaosEngine(ExecutionEngine):
                 f"(seed {self.seed})"
             )
 
-    def run(self, plan, n, rng, memo=None):
+    def run(self, plan, n, rng, memo=None, release=False):
         self._misbehave()
-        return self.inner.run(plan, n, rng, memo=memo)
+        return self.inner.run(plan, n, rng, memo, release)
 
     def sample(self, plan, n, rng, memo=None, config=None):
         self._misbehave()

@@ -290,7 +290,7 @@ class ParallelEngine(ExecutionEngine):
 
     # -- execution ----------------------------------------------------------
 
-    def run(self, plan, n, rng, memo=None):
+    def run(self, plan, n, rng, memo=None, release=False):
         if memo is not None:
             # Shared-context draws need the memo filled with every node's
             # batch under one joint assignment; that is inherently a

@@ -164,8 +164,28 @@ class TestSampleEconomics:
 
 
 class TestProbation:
-    """Entries never hit hold at most a quarter of the byte budget; the
+    """Entries never hit hold at most a sixteenth of the byte budget; the
     first hit promotes an entry to the rest of it."""
+
+    def test_never_hit_entries_hold_a_sixteenth_of_the_budget(self):
+        # The 20 000-byte share holds two 9 536-byte entries never hit.
+        with evaluation_config(sample_cache=320_000):
+            for seed in range(10):
+                replay_value().samples(1000, rng=seed)
+        assert ledger_state()["entries"] == 2
+        assert ledger_state()["bytes"] == 2 * (8000 + ENTRY_OVERHEAD_BYTES)
+
+    def test_a_never_hit_entry_is_held_to_its_share_while_another_hits(self):
+        # A 17 536-byte entry, over the share, kept only while just served.
+        u = replay_value()
+        with evaluation_config(sample_cache=60_000):
+            u.samples(2000, rng=0)
+            u.samples(2000, rng=0)  # promoted
+            u.samples(2000, rng=1)  # never hit
+            for _ in range(3):
+                u.samples(2000, rng=0)
+                assert_ledger_consistent()
+        assert ledger_state()["entries"] == 1
 
     def test_a_hit_entry_survives_a_flood_of_one_shot_queries(self):
         budget = 200_000
@@ -186,7 +206,7 @@ class TestProbation:
     def test_the_second_identical_query_hits_while_on_probation(self):
         # The 10 000-byte share holds one 9 536-byte entry never hit.
         scoped = RuntimeMetrics()
-        with evaluation_config(sample_cache=40_000, metrics=scoped):
+        with evaluation_config(sample_cache=160_000, metrics=scoped):
             for seed in range(50):
                 u = replay_value()
                 assert np.array_equal(

@@ -273,6 +273,60 @@ class TestPipeline:
         np.testing.assert_array_equal(y_vals, x_vals + 6.0)
 
 
+def _corpus_and_generated_plans():
+    """Fresh raw plans of the certify corpus and the certifier's 40
+    generated plans (the same generator and seed as its harness)."""
+    import random
+
+    from repro.analysis.demos import CERTIFY_CORPUS
+    from tests.analysis.test_certify import _random_fusable
+
+    values = [make() for make in CERTIFY_CORPUS.values()]
+    rng = random.Random(2014)
+    values += [_random_fusable(rng) for _ in range(40)]
+    return [compile_plan(v.node) for v in values]
+
+
+def _pass_records(records):
+    return [r for r in records if r.name in ("constant-fold", "cse", "dead-slot-elim")]
+
+
+class TestPassesReuseThePlanOrder:
+    """The passes read the plan's step order instead of re-walking the
+    graph; every record is the one a walking pipeline makes."""
+
+    def test_records_equal_a_walking_pipeline(self, monkeypatch):
+        from repro.core import optimizer
+
+        ordered = [optimize_plan(p)[1] for p in _corpus_and_generated_plans()]
+        fold = optimizer.constant_fold
+        cse = optimizer.eliminate_common_subexpressions
+        monkeypatch.setattr(optimizer, "constant_fold",
+                            lambda root, origin, order: fold(root, origin))
+        monkeypatch.setattr(optimizer, "eliminate_common_subexpressions",
+                            lambda root, origin, order: cse(root, origin))
+        walked = [optimize_plan(p)[1] for p in _corpus_and_generated_plans()]
+        assert len(ordered) == len(walked) > 40
+        for got, want in zip(ordered, walked):
+            assert [r.name for r in _pass_records(got)] == [
+                "constant-fold", "cse", "dead-slot-elim",
+            ]
+            assert _pass_records(got) == _pass_records(want)
+
+    def test_a_graph_no_pass_changes_is_never_walked(self, monkeypatch):
+        from repro.core import graph, optimizer
+
+        walked = []
+        walk = graph.iter_nodes
+        monkeypatch.setattr(
+            optimizer, "iter_nodes", lambda root: walked.append(root) or walk(root)
+        )
+        x = Uncertain(Gaussian(0.0, 1.0))
+        plan = compile_plan((x * 2.0 + x).node)
+        assert optimize_plan(plan)[0] is plan
+        assert walked == []
+
+
 class TestPickleRoundTrip:
     def test_optimized_plan_survives_pickling(self):
         const = Uncertain.pointmass(3600.0) / Uncertain.pointmass(1609.344)

@@ -1,0 +1,99 @@
+"""Rows live only while something reads them.
+
+A memo-free draw whose caller reads only the root lets the NumPy engine
+drop each slot's batch after its last consumer, and a fused kernel
+deletes each variable after its last read and draws a new block once the
+open one is dead.  Neither changes a value; both bound the peak memory of
+one large draw by the plan's widest cut, not by its slot count.
+"""
+
+from __future__ import annotations
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from benchmarks.e2e.inputs import fig08_root
+from repro.core.engines import get_engine
+from repro.core.plan import compile_plan
+from repro.core.structural import clear_structural_cache
+from tests.kernel_path import kernel_ran
+
+N = 20_000
+ROW = N * 8  # bytes of one float64 n-row array
+
+
+@pytest.fixture(autouse=True)
+def _fresh_shapes():
+    clear_structural_cache()
+    yield
+    clear_structural_cache()
+
+
+def fig08_speed_plan():
+    """The raw plan of the Fig 8 speed estimate (90 optimized slots)."""
+    return compile_plan(fig08_root().parents[0])
+
+
+def draw_peak(engine: str, plan) -> int:
+    """Traced peak bytes of one ``N``-row ``sample`` of ``plan``."""
+    eng = get_engine(engine)
+    rng = np.random.default_rng(1)
+    tracemalloc.start()
+    try:
+        eng.sample(plan, N, rng)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+class TestPeakOfOneDraw:
+    def test_numpy_engine_holds_the_widest_cut_not_every_slot(self):
+        plan = fig08_speed_plan()
+        assert len(plan.optimized().steps) == 90
+        # Every slot held to the end was 90 rows.
+        assert draw_peak("numpy", plan) < 24 * ROW
+
+    def test_a_cold_fused_run_releases_like_the_numpy_engine(self):
+        plan = fig08_speed_plan()
+        shape = plan.optimized().shape
+        assert draw_peak("fused", plan) < 24 * ROW
+        assert shape.kernel is None  # the NumPy engine ran it
+
+    @pytest.mark.usefixtures("hot_kernels")
+    def test_fused_kernel_holds_one_block_at_a_time(self):
+        plan = fig08_speed_plan()
+        with kernel_ran():
+            get_engine("fused").sample(plan, 8, np.random.default_rng(0))
+        # One 34-leaf block plus its readers was 43 rows.
+        assert draw_peak("fused", plan) < 22 * ROW
+
+
+class TestReleaseKeepsValues:
+    @pytest.mark.parametrize("n", [1, 10, 1000])
+    def test_root_is_bit_identical_with_and_without_release(self, n):
+        plan = fig08_speed_plan().optimized()
+        eng = get_engine("numpy")
+        kept = eng.run(plan, n, np.random.default_rng(5))
+        released = eng.run(plan, n, np.random.default_rng(5), None, True)
+        np.testing.assert_array_equal(
+            released[plan.root_slot], kept[plan.root_slot]
+        )
+        assert all(v is not None for v in kept)
+        assert [i for i, v in enumerate(released) if v is not None] == [
+            plan.root_slot
+        ]
+
+    def test_program_releases_every_interior_slot_once(self):
+        plan = fig08_speed_plan().optimized()
+        done = [slot for entry in plan.program for slot in entry[-1]]
+        assert sorted(done) == [
+            s.slot for s in plan.steps if s.slot != plan.root_slot
+        ]
+        for entry in plan.program:
+            # A slot is released by the step that reads it last.
+            for slot in entry[-1]:
+                readers = [s.slot for s in plan.steps if slot in s.parent_slots]
+                assert max(readers) == entry[2]

@@ -21,10 +21,10 @@ class RecordingEngine(NumpyEngine):
         self.calls = 0
         self.samples_requested = 0
 
-    def run(self, plan, n, rng, memo=None):
+    def run(self, plan, n, rng, memo=None, release=False):
         self.calls += 1
         self.samples_requested += int(n)
-        return super().run(plan, n, rng, memo=memo)
+        return super().run(plan, n, rng, memo, release)
 
 
 @pytest.fixture()
