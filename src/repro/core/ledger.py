@@ -68,18 +68,20 @@ Eviction
 
 The byte budget (``sample_cache=<bytes>``, :data:`DEFAULT_MAX_BYTES` for
 ``True``) charges each entry its columns plus
-:data:`ENTRY_OVERHEAD_BYTES`.  A new entry starts *on probation*; the
+:data:`ENTRY_OVERHEAD_BYTES`.  A new entry stays *unproven* until the
 first serve that reads rows it had cached (a replay column found for
-``N``, a stream prefix, a window re-reading its rows) promotes it.
-Entries on probation hold at most ``max_bytes // PROBATION_DIVISOR``
-together (a sixteenth, measured on fig08_analyst: see the constant) and
-leave least recently used first, so a flood of one-shot queries cannot
-push out the entries that are asked again; then all entries leave least
-recently used first down to the budget.  Both budgets are enforced after
-every serve, hit or miss.  A query repeated right after its first run
-still hits: its entry is still on probation.  A smaller budget applies
-at once.  Eviction never changes a
-served value: a rebuilt entry reproduces its columns bit for bit.
+``N``, a stream prefix, a window re-reading its rows).  At most one
+entry is unproven: the one just served.  When another entry is served,
+the unproven one is dropped and its key, without its rows, joins a
+bounded FIFO of remembered keys (:data:`REMEMBERED_KEYS`); an entry
+created for a remembered key is proven at once.  So a flood of one-shot
+queries holds one entry's rows, not a share of the budget, and a
+session asked again keeps its rows from its second ask on.  Then all
+entries leave least recently used first down to the budget.  Both rules
+run after every serve, hit or miss.  A query repeated right after its
+first run still hits: its entry is the one just served.  A smaller
+budget applies at once.  Eviction never changes a served value: a
+rebuilt entry reproduces its columns bit for bit.
 
 Safety gating (always falls back to a fresh engine run, never errors):
 opaque plans (no structural hash), memo-carrying draws, the parallel
@@ -117,17 +119,14 @@ __all__ = [
 #: Byte budget used when ``sample_cache=True`` (no explicit budget).
 DEFAULT_MAX_BYTES = 64 * 1024 * 1024
 
-#: Entries that have never been hit hold at most ``max_bytes //
-#: PROBATION_DIVISOR`` together; only promoted (hit) entries may fill the
-#: rest of the budget.  2Q (Johnson and Shasha, VLDB 1994) gives its A1in
-#: queue a quarter of a cache of equal-sized pages; here an entry is a
-#: whole column (160 KB for a 20 000-row draw), and the share is
-#: measured: on fig08_analyst, whose hot sessions come back within a
-#: sixteenth, a quarter, an eighth and a sixteenth keep
-#: ``ledger.hit_ratio`` at 0.495, 0.491 and 0.490 while traced
-#: ``ledger.bytes`` falls from 19.3 to 11.0 and 6.8 MB, and peak RSS
-#: from 68.6 to 60.8 and 56.9 MiB (``docs/performance.md``).
-PROBATION_DIVISOR = 16
+#: How many keys of entries dropped before their first hit the ledger
+#: remembers, oldest first, so that the entry re-created for one of them
+#: is proven at once: the A1out queue of 2Q (Johnson and Shasha, VLDB
+#: 1994), which costs a key, not rows.  On fig08_analyst a hot session
+#: comes back after about 24 one-shot keys; 256, 1 024 and 4 096 keys
+#: give the same hits over 20 000 queries at seeds 5, 6 and 7, and
+#: 4 096 keys cost 1.4 MiB more peak RSS (``docs/performance.md``).
+REMEMBERED_KEYS = 256
 
 #: Bytes charged per entry for what it holds besides its columns: the
 #: entry, its key and base spec, a stream-mode generator and the column
@@ -267,12 +266,13 @@ class LedgerEntry:
 
     Holds no plan: each serve fills it through the plan it serves.
     ``nbytes`` is what the byte budget charges it: its columns plus
-    :data:`ENTRY_OVERHEAD_BYTES`.
+    :data:`ENTRY_OVERHEAD_BYTES`.  ``proven`` is set by its first hit,
+    or when it is created for a remembered key.
     """
 
     __slots__ = (
         "key", "engine_name", "mode", "base_spec",
-        "column", "count", "gen", "runs", "nbytes",
+        "column", "count", "gen", "runs", "nbytes", "proven",
     )
 
     def __init__(self, key, engine_name: str, mode: str,
@@ -288,6 +288,7 @@ class LedgerEntry:
         # replay mode: one full fresh-from-base column per distinct N.
         self.runs: dict[int, np.ndarray] = {}
         self.nbytes = ENTRY_OVERHEAD_BYTES
+        self.proven = False
 
 
 class LedgerWindow:
@@ -298,10 +299,11 @@ class LedgerWindow:
     batches is bit-identical to the batches a fresh generator would
     produce (``run(k); run(k)`` ≡ rows ``[0, 2k)`` of one run, which is
     the same prefix-stability the stream mode certifies).  A re-run of
-    the same test starts a fresh window at row 0 and is served entirely
-    from cache.  Only stream-mode plans open windows (the mode is a
-    function of the plan, so the entry a window re-creates is stream mode
-    too): replaying overlapping fresh runs would hand correlated rows to a
+    the same test starts a fresh window at row 0 and is served from cache
+    if it comes right after, or once an earlier re-run proved the entry
+    (see Eviction above).  Only stream-mode plans open windows (the mode
+    is a function of the plan, so the entry a window re-creates is stream
+    mode too): replaying overlapping fresh runs would hand correlated rows to a
     sequential test.
 
     The engine, executed plan, key and base spec are resolved once, when
@@ -346,24 +348,24 @@ class SampleLedger:
     columns.  Keyed like the structural plan cache — isomorphic plans
     from different sessions share one entry.
 
-    A new entry starts on probation; the first serve that reads its
-    cached rows promotes it.  Entries on probation hold at most
-    ``max_bytes // PROBATION_DIVISOR`` together, and every entry then
-    shares ``max_bytes``; both evict least recently used first (a
-    simplified 2Q).
+    A new entry is unproven until a serve reads its cached rows.  Only
+    the entry just served may be unproven: any other is dropped and its
+    key remembered, and an entry created for a remembered key is proven
+    at once.  Every entry then shares ``max_bytes``, least recently used
+    first out (2Q with a one-entry A1in queue).
     """
 
     def __init__(self, max_bytes: int = DEFAULT_MAX_BYTES) -> None:
         self._lock = threading.Lock()
         self._entries: "OrderedDict[tuple, LedgerEntry]" = OrderedDict()
-        # Keys of the entries never hit, least recently used first.
-        self._probation: "OrderedDict[tuple, None]" = OrderedDict()
+        # The key of the one entry never hit, if any: the newest.
+        self._unproven = None
+        # Keys of entries dropped before their first hit, oldest first.
+        self._remembered: "OrderedDict[tuple, None]" = OrderedDict()
         self.max_bytes = int(max_bytes)
-        # Running sums of the ``nbytes`` of every entry and of the entries
-        # on probation, kept wherever an entry grows, is promoted or
-        # leaves, so a fill never sums over the entries.
+        # Running sum of the entries' ``nbytes``, kept wherever an entry
+        # grows or leaves, so a fill never sums over the entries.
         self._bytes = 0
-        self._probation_bytes = 0
 
     # -- public API ---------------------------------------------------------
 
@@ -447,8 +449,9 @@ class SampleLedger:
         """Drop every entry."""
         with self._lock:
             self._entries.clear()
-            self._probation.clear()
-            self._bytes = self._probation_bytes = 0
+            self._remembered.clear()
+            self._unproven = None
+            self._bytes = 0
 
     def state(self) -> dict:
         """What the ledger holds now: entries, bytes, budget, entry modes."""
@@ -509,39 +512,33 @@ class SampleLedger:
         entry = self._entries.get(key)
         if entry is not None:
             self._entries.move_to_end(key)
-            if key in self._probation:
-                self._probation.move_to_end(key)
             return entry
         mode, reason = _mode(exec_plan)
         _record(**{f"{mode}_entries": 1})
         _trace.event("ledger.entry", mode=mode, reason=reason,
                      engine=eng.name, structural_hash=key[0])
         entry = LedgerEntry(key, eng.name, mode, base_spec)
+        if key in self._remembered:
+            del self._remembered[key]  # asked again: proven at once
+            entry.proven = True
         self._entries[key] = entry
-        self._probation[key] = None
         self._bytes += entry.nbytes
-        self._probation_bytes += entry.nbytes
         return entry
 
     def _grow(self, entry: LedgerEntry, nbytes: int) -> None:
         entry.nbytes += nbytes
         self._bytes += nbytes
-        if entry.key in self._probation:
-            self._probation_bytes += nbytes
 
     def _hit(self, entry: LedgerEntry) -> None:
-        """Promote ``entry``: a serve read rows it had cached."""
-        if entry.key in self._probation:
-            del self._probation[entry.key]
-            self._probation_bytes -= entry.nbytes
+        """Prove ``entry``: a serve read rows it had cached."""
+        entry.proven = True
 
     def _drop(self, key) -> None:
         entry = self._entries.pop(key, None)
         if entry is not None:
             self._bytes -= entry.nbytes
-            if key in self._probation:
-                del self._probation[key]
-                self._probation_bytes -= entry.nbytes
+            if key == self._unproven:
+                self._unproven = None
 
     # -- serving ------------------------------------------------------------
 
@@ -612,30 +609,32 @@ class SampleLedger:
         return column.copy()
 
     def _evict(self, keep) -> None:
-        """Evict whole entries until both budgets hold: entries on
-        probation, oldest first, down to their share, then every entry,
-        least recently used first, down to ``max_bytes``.  Runs after
-        every serve: a hit moves the just-served mark off an entry that
-        may sit over its share.
+        """Drop the unproven entry unless it is ``keep``, remembering its
+        key, then evict whole entries, least recently used first, down to
+        ``max_bytes``.  Runs after every serve, hit or miss: a hit on
+        another entry leaves the unproven one no longer just served.
 
         The entry just served (``keep``, the most recently used) is never
         evicted (evicting it would thrash); a single column larger than
         the whole budget therefore survives until another entry displaces
-        it.  Neither pass reads an entry it does not evict.
+        it.  The LRU pass reads no entry it does not evict.
         """
+        unproven = self._unproven
+        self._unproven = None if keep is None or self._entries[keep].proven else keep
+        if unproven not in (None, keep):
+            self._drop(unproven)
+            self._remembered[unproven] = None
+            if len(self._remembered) > REMEMBERED_KEYS:
+                self._remembered.popitem(last=False)
+            _record(evictions=1)
         if self.max_bytes <= 0:
             return
-        share = self.max_bytes // PROBATION_DIVISOR
-        for order, over in (
-            (self._probation, lambda: self._probation_bytes > share),
-            (self._entries, lambda: self._bytes > self.max_bytes),
-        ):
-            while over():
-                key = next(iter(order))
-                if key == keep:
-                    break
-                self._drop(key)
-                _record(evictions=1)
+        while self._bytes > self.max_bytes:
+            key = next(iter(self._entries))
+            if key == keep:
+                break
+            self._drop(key)
+            _record(evictions=1)
 
 
 #: The process-global ledger every consumer serves from.

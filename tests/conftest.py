@@ -8,6 +8,19 @@ import numpy as np
 import pytest
 
 from repro.rng import default_rng
+from tests.ledger_checks import assert_ledger_consistent
+
+
+@pytest.hookimpl(wrapper=True)
+def pytest_runtest_call(item):
+    """Check the sample ledger's bookkeeping after every test that passed.
+
+    A hook, not an autouse fixture: a fixture's check would run after the
+    suites' own fixtures have cleared the ledger, and check nothing.
+    """
+    result = yield
+    assert_ledger_consistent()
+    return result
 
 
 @pytest.fixture

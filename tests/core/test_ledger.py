@@ -43,7 +43,6 @@ ENGINES = ["numpy", "fused"]
 def _fresh_ledger():
     clear_ledger()
     yield
-    assert_ledger_consistent()
     clear_ledger()
 
 
@@ -164,23 +163,62 @@ class TestSampleEconomics:
 
 
 class TestProbation:
-    """Entries never hit hold at most a sixteenth of the byte budget; the
-    first hit promotes an entry to the rest of it."""
+    """Only the entry just served may be unproven (never hit); any other is
+    dropped and its key remembered, so the entry re-created for that key
+    is proven at once.  The first hit proves an entry."""
 
-    def test_never_hit_entries_hold_a_sixteenth_of_the_budget(self):
-        # The 20 000-byte share holds two 9 536-byte entries never hit.
-        with evaluation_config(sample_cache=320_000):
-            for seed in range(10):
-                replay_value().samples(1000, rng=seed)
-        assert ledger_state()["entries"] == 2
-        assert ledger_state()["bytes"] == 2 * (8000 + ENTRY_OVERHEAD_BYTES)
+    @staticmethod
+    def _key(value: Uncertain, seed: int) -> tuple:
+        _, _, key, _ = LEDGER._resolve(value.plan, seed, None, get_config())
+        return key
+
+    def test_a_flood_of_one_shot_queries_leaves_one_unproven_entry(self):
+        u = replay_value()
+        with evaluation_config(sample_cache=True):
+            for seed in range(30):
+                u.samples(1000, rng=seed)
+                assert ledger_state()["entries"] == 1
+            last = self._key(u, 29)
+        assert ledger_state()["bytes"] == 8000 + ENTRY_OVERHEAD_BYTES
+        assert LEDGER._unproven == last
+        assert len(LEDGER._remembered) == 29
+
+    def test_a_key_asked_again_is_proven_and_then_hits(self):
+        u = replay_value()
+        scoped = RuntimeMetrics()
+        with evaluation_config(sample_cache=True, metrics=scoped):
+            first = u.samples(1000, rng=0)
+            for seed in range(1, 5):
+                u.samples(1000, rng=seed)
+            u.samples(1000, rng=0)  # remembered: redrawn, proven at once
+            assert LEDGER._unproven is None
+            for seed in range(5, 10):
+                u.samples(1000, rng=seed)
+            assert ledger_state()["entries"] == 2
+            before = scoped.ledger_rows_drawn
+            again = u.samples(1000, rng=0)
+        assert scoped.ledger_rows_drawn == before
+        assert scoped.ledger_hits == 1
+        assert np.array_equal(again, first)
+
+    def test_remembered_keys_stay_within_their_cap(self):
+        cap = ledger_module.REMEMBERED_KEYS
+        u = certified_value()
+        with evaluation_config(sample_cache=True):
+            for seed in range(cap + 10):
+                u.samples(2, rng=seed)
+            assert len(LEDGER._remembered) == cap
+            u.samples(2, rng=0)  # forgotten: unproven again
+            assert LEDGER._unproven == self._key(u, 0)
+            u.samples(2, rng=cap + 8)  # still remembered: proven
+            assert LEDGER._unproven is None
 
     def test_a_never_hit_entry_is_held_to_its_share_while_another_hits(self):
-        # A 17 536-byte entry, over the share, kept only while just served.
+        # The entry never hit leaves once another entry is served.
         u = replay_value()
         with evaluation_config(sample_cache=60_000):
             u.samples(2000, rng=0)
-            u.samples(2000, rng=0)  # promoted
+            u.samples(2000, rng=0)  # a hit: proven
             u.samples(2000, rng=1)  # never hit
             for _ in range(3):
                 u.samples(2000, rng=0)
@@ -233,6 +271,35 @@ class TestProbation:
         assert ledger_state()["entries"] == 0
         assert scoped.ledger_replay_entries == 0
         assert scoped.ledger_bypasses == 1
+
+
+class TestAnalystMix:
+    """fig08_analyst in small: hot sessions come back among one-shot ones.
+
+    Each round asks the 8 hot seeds in turn, with 3 fresh seeds after
+    each, so a hot seed comes back after 24 one-shot keys.  Its first ask
+    leaves an entry never hit, dropped at the next query; its second
+    finds the key remembered and keeps its rows; every later ask hits.
+    """
+
+    HOT, FRESH, ROUNDS = 8, 3, 6
+
+    def test_hot_seeds_hit_from_their_third_ask_one_shot_rows_leave(self):
+        u = replay_value()
+        fresh = iter(range(1000, 2000))
+        scoped = RuntimeMetrics()
+        firsts, lasts = {}, {}
+        with evaluation_config(sample_cache=True, metrics=scoped):
+            for _ in range(self.ROUNDS):
+                for hot in range(self.HOT):
+                    lasts[hot] = u.samples(1000, rng=hot)
+                    firsts.setdefault(hot, lasts[hot])
+                    for _ in range(self.FRESH):
+                        u.samples(1000, rng=next(fresh))
+        assert scoped.ledger_hits == self.HOT * (self.ROUNDS - 2)
+        entry = 8000 + ENTRY_OVERHEAD_BYTES
+        assert ledger_state()["bytes"] <= (self.HOT + 1) * entry
+        assert all(np.array_equal(firsts[h], lasts[h]) for h in firsts)
 
 
 class TestStreamSemantics:
@@ -478,14 +545,15 @@ class TestGating:
 
     def test_certify_verdicts_are_sticky_per_shape(self):
         # The plan alone decides an entry's mode: every lineage and engine
-        # of a shape gets the same one.
+        # of a shape gets the same one.  Each query is asked twice, so its
+        # entry is proven and stays.
         u = certified_value()
         m = replay_value()
         for engine in ENGINES:
             with evaluation_config(sample_cache=True, engine=engine):
                 for seed in (1, 2):
-                    u.samples(50, rng=seed)
-                    m.samples(50, rng=seed)
+                    for value in (u, m, u, m):
+                        value.samples(50, rng=seed)
         modes = {(e.key[0], e.mode) for e in LEDGER._entries.values()}
         assert modes == {
             (u.plan.optimized().structural_hash, "stream"),
@@ -541,6 +609,7 @@ class TestLiveState:
         scoped = RuntimeMetrics()
         with evaluation_config(sample_cache=True, metrics=scoped):
             certified_value().samples(100, rng=1)
+            certified_value().samples(100, rng=1)  # a hit: proven, it stays
             replay_value().samples(100, rng=1)
         state = ledger_state()
         assert (state["entries"], state["bytes"]) == (
@@ -584,9 +653,8 @@ class TestRunningByteTotal:
             lambda: certified_value().samples(300, rng=1),  # suffix: +800
             lambda: replay_value().samples(100, rng=1),  # replay: 800
             lambda: replay_value().samples(150, rng=1),  # another N: +1200
-            lambda: flaky.samples(100, rng=1),  # stream: 800
-            # A new shape over the 8000-byte share of entries never hit
-            # evicts the oldest of them (the replay entry).
+            lambda: flaky.samples(100, rng=1),  # stream: 800, evicts replay
+            # A new shape evicts the entry never hit before it (flaky's).
             lambda: (Uncertain(Gaussian(9.0, 1.0)) + 1.0).samples(100, rng=1),
             lambda: invalidate_plan(replay_value().node),
         ]

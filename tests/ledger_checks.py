@@ -1,30 +1,28 @@
-"""The sample ledger's bookkeeping invariant, checked after ledger tests.
+"""The sample ledger's bookkeeping invariant, checked after every test.
 
-The ledger keeps running byte totals instead of summing its entries, and
-entries never hit are held to a share of the byte budget.  The suites
-that drive the ledger run :func:`assert_ledger_consistent` after every
-test through an autouse fixture.
+The ledger keeps a running byte total instead of summing its entries,
+holds at most one entry never hit, and remembers the keys of the entries
+it dropped before their first hit.  ``tests/conftest.py`` runs
+:func:`assert_ledger_consistent` after every test that passed.
 """
 
 from __future__ import annotations
 
-from repro.core.ledger import LEDGER, PROBATION_DIVISOR
+from repro.core.ledger import LEDGER, REMEMBERED_KEYS
 
 
 def assert_ledger_consistent(ledger=LEDGER) -> None:
-    """Both running totals equal their sums, and both budgets hold except
-    for the entry just served (the most recently used one)."""
+    """The byte total equals its sum; the one unproven entry, if any, is
+    the newest; remembered keys name no live entry and stay within their
+    cap; the byte budget holds except for the newest entry."""
     with ledger._lock:
-        entries = ledger._entries
-        probation = list(ledger._probation)
-        assert ledger._bytes == sum(e.nbytes for e in entries.values())
-        assert set(probation) <= set(entries)
-        assert ledger._probation_bytes == sum(
-            entries[k].nbytes for k in probation
-        )
-        if ledger.max_bytes <= 0:
-            return
-        newest = list(entries)[-1:]
-        assert ledger._bytes <= ledger.max_bytes or list(entries) == newest
-        share = ledger.max_bytes // PROBATION_DIVISOR
-        assert ledger._probation_bytes <= share or probation == newest
+        keys = list(ledger._entries)
+        newest = keys[-1:]
+        assert ledger._bytes == sum(e.nbytes for e in ledger._entries.values())
+        unproven = [k for k, e in ledger._entries.items() if not e.proven]
+        assert unproven in ([], newest)
+        assert unproven == [k for k in (ledger._unproven,) if k is not None]
+        assert not set(ledger._remembered) & set(keys)
+        assert len(ledger._remembered) <= REMEMBERED_KEYS
+        if ledger.max_bytes > 0:
+            assert ledger._bytes <= ledger.max_bytes or keys == newest

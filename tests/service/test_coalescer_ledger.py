@@ -26,7 +26,6 @@ from repro.service import (
     evaluate_batch,
     evaluate_request,
 )
-from tests.ledger_checks import assert_ledger_consistent
 
 
 def speed_value() -> Uncertain:
@@ -44,7 +43,6 @@ def _seedless_batch(value, n_requests=4, samples=500):
 def _fresh_ledger():
     clear_ledger()
     yield
-    assert_ledger_consistent()
     clear_ledger()
 
 
