@@ -42,10 +42,8 @@ module-level sampling entry points (``sample_once``/``sample_batch``/
 ``docs/api.md`` for migration.
 """
 
+from repro._lazy import lazy_exports
 from repro.core.uncertain import Uncertain, UncertainBool, uncertain
-from repro.core.lifting import apply as apply_lifted
-from repro.core.lifting import lift
-from repro.core.bayes import Prior, posterior
 from repro.core.conditionals import EvaluationConfig, evaluation_config
 from repro.core.sprt import (
     FixedSampleTest,
@@ -65,13 +63,18 @@ from repro.resilience import (
     NonFiniteError,
     SourceFailure,
 )
+from repro import resilience, runtime
 
-# The evaluate/runtime namespaces load after core: repro.runtime.parallel
-# imports repro.core and registers the "parallel" engine as a side effect.
-from repro import runtime
-from repro import evaluate
-from repro import resilience
-from repro import service
+# Loaded on first access.  The "parallel" engine needs no import here:
+# ``get_engine("parallel")`` imports repro.runtime.parallel by name.
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "lift": "repro.core.lifting",
+    "apply_lifted": "repro.core.lifting:apply",
+    "Prior": "repro.core.bayes",
+    "posterior": "repro.core.bayes",
+    "evaluate": "repro.evaluate",
+    "service": "repro.service",
+})
 
 __version__ = "2.2.0"
 

@@ -31,81 +31,42 @@ time).
 See ``docs/analysis.md`` for the full rule catalogue.
 """
 
-from repro.analysis.affine import (
-    AffineForm,
-    infer_affine,
-    leaf_variances,
-    sd_bounds,
-)
-from repro.analysis.certify import (
-    CertificationRecord,
-    DrawEvent,
-    certification_records,
-    certify_kernel,
-    certify_rewrite,
-    certify_value,
-    plan_draw_sequence,
-)
-from repro.analysis.diagnostics import (
-    Diagnostic,
-    UncertaintyWarning,
-    analyze,
-    analyze_plan,
-    inferred_supports,
-    warn_on_diagnostics,
-)
-from repro.analysis.intervals import Interval, infer_intervals
-from repro.analysis.lint import (
-    LintSummary,
-    default_selection,
-    lint_paths,
-    lint_source,
-)
-from repro.analysis.report import (
-    render_certification_json,
-    render_certification_text,
-    render_json,
-    render_text,
-)
-from repro.analysis.rules import (
-    ALL_RULES,
-    CERTIFY_RULES,
-    GRAPH_RULES,
-    LINT_RULES,
-    Rule,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AffineForm",
-    "CertificationRecord",
-    "Diagnostic",
-    "DrawEvent",
-    "UncertaintyWarning",
-    "Interval",
-    "Rule",
-    "ALL_RULES",
-    "CERTIFY_RULES",
-    "GRAPH_RULES",
-    "LINT_RULES",
-    "analyze",
-    "analyze_plan",
-    "certification_records",
-    "certify_kernel",
-    "certify_rewrite",
-    "certify_value",
-    "infer_affine",
-    "infer_intervals",
-    "inferred_supports",
-    "leaf_variances",
-    "plan_draw_sequence",
-    "sd_bounds",
-    "warn_on_diagnostics",
-    "lint_source",
-    "lint_paths",
-    "default_selection",
-    "LintSummary",
-    "render_text",
-    "render_json",
-    "render_certification_text",
-    "render_certification_json",
-]
+_LAZY = {
+    "AffineForm": "repro.analysis.affine",
+    "infer_affine": "repro.analysis.affine",
+    "leaf_variances": "repro.analysis.affine",
+    "sd_bounds": "repro.analysis.affine",
+    "CertificationRecord": "repro.analysis.certify",
+    "DrawEvent": "repro.analysis.certify",
+    "certification_records": "repro.analysis.certify",
+    "certify_kernel": "repro.analysis.certify",
+    "certify_rewrite": "repro.analysis.certify",
+    "certify_value": "repro.analysis.certify",
+    "plan_draw_sequence": "repro.analysis.certify",
+    "Diagnostic": "repro.analysis.diagnostics",
+    "UncertaintyWarning": "repro.analysis.diagnostics",
+    "analyze": "repro.analysis.diagnostics",
+    "analyze_plan": "repro.analysis.diagnostics",
+    "inferred_supports": "repro.analysis.diagnostics",
+    "warn_on_diagnostics": "repro.analysis.diagnostics",
+    "Interval": "repro.analysis.intervals",
+    "infer_intervals": "repro.analysis.intervals",
+    "LintSummary": "repro.analysis.lint",
+    "default_selection": "repro.analysis.lint",
+    "lint_paths": "repro.analysis.lint",
+    "lint_source": "repro.analysis.lint",
+    "render_certification_json": "repro.analysis.report",
+    "render_certification_text": "repro.analysis.report",
+    "render_json": "repro.analysis.report",
+    "render_text": "repro.analysis.report",
+    "ALL_RULES": "repro.analysis.rules",
+    "CERTIFY_RULES": "repro.analysis.rules",
+    "GRAPH_RULES": "repro.analysis.rules",
+    "LINT_RULES": "repro.analysis.rules",
+    "Rule": "repro.analysis.rules",
+}
+__getattr__, __dir__ = lazy_exports(globals(), _LAZY)
+
+__all__ = list(_LAZY)

@@ -105,9 +105,10 @@ TRUSTED_BULK_FAMILIES = {
 #: Mises) loop per element and keep no batch-sized state, so they belong.
 #: Exact types only.  Left out: ``TruncatedGaussian``, drawn by SciPy,
 #: whose sampler this table does not pin; ``MultivariateGaussian``, whose
-#: matrix product can round rows differently at different batch sizes
-#: (on a 2-CPU x86 host with NumPy 2, a 1 000-row draw split at 333 rows
-#: differed from the whole); multi-call
+#: matrix product may round a 1-row batch differently from the same row
+#: in a larger one, depending on the BLAS (on a 2-CPU x86 host with
+#: NumPy 2.4, a 1 000-row draw split at 1 row differed from the whole at
+#: 4 of 20 seeds); multi-call
 #: samplers (``Mixture``, ``KernelDensity``) and user code
 #: (``FunctionDistribution``).
 PREFIX_STABLE_CLASSES = frozenset(TRUSTED_BULK_FAMILIES) | {

@@ -62,10 +62,22 @@ from repro.core.sprt import (
 )
 from repro.core.conditionals import EvaluationConfig, get_config, evaluation_config
 from repro.core.expectation import expected_value, expected_value_adaptive
-from repro.core.bayes import Prior, posterior
-from repro.core.lifting import apply, lift
+from repro._lazy import lazy_exports
+
+# Eager although nothing above loads it: the function ``joint`` shares its
+# submodule's name, and importing repro.core.joint binds the module as
+# ``repro.core.joint``, over a lazily bound function.
 from repro.core.joint import ComponentNode, correlated_gaussians, joint
-from repro.core.viz import describe, summary, to_dot
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "Prior": "repro.core.bayes",
+    "posterior": "repro.core.bayes",
+    "apply": "repro.core.lifting",
+    "lift": "repro.core.lifting",
+    "describe": "repro.core.viz",
+    "summary": "repro.core.viz",
+    "to_dot": "repro.core.viz",
+})
 
 __all__ = [
     "Uncertain",

@@ -12,53 +12,37 @@ distribution has (density, CDF, moments), because priors (Section 3.5) and
 the BayesLife case study (Section 5.2) need densities as well as samples.
 """
 
+from repro._lazy import lazy_exports
 from repro.dists.base import Distribution, Support
-from repro.dists.gaussian import Gaussian, MultivariateGaussian, TruncatedGaussian
-from repro.dists.uniform import DiscreteUniform, Uniform
-from repro.dists.bernoulli import Bernoulli, Binomial
-from repro.dists.rayleigh import Rayleigh
-from repro.dists.exponential import Exponential, Gamma
-from repro.dists.beta import Beta
-from repro.dists.poisson import Poisson
-from repro.dists.categorical import Categorical, PointMass
-from repro.dists.triangular import Triangular
-from repro.dists.lognormal import LogNormal
-from repro.dists.studentt import StudentT
 from repro.dists.empirical import Empirical
-from repro.dists.mixture import Mixture
-from repro.dists.kde import KernelDensity
 from repro.dists.sampling_function import FunctionDistribution
-from repro.dists.weibull import Weibull
-from repro.dists.laplace import Laplace
-from repro.dists.cauchy import Cauchy
-from repro.dists.vonmises import VonMises
 
-__all__ = [
-    "Distribution",
-    "Support",
-    "Gaussian",
-    "TruncatedGaussian",
-    "MultivariateGaussian",
-    "Uniform",
-    "DiscreteUniform",
-    "Bernoulli",
-    "Binomial",
-    "Rayleigh",
-    "Exponential",
-    "Gamma",
-    "Beta",
-    "Poisson",
-    "Categorical",
-    "PointMass",
-    "Triangular",
-    "LogNormal",
-    "StudentT",
-    "Empirical",
-    "Mixture",
-    "KernelDensity",
-    "FunctionDistribution",
-    "Weibull",
-    "Laplace",
-    "Cauchy",
-    "VonMises",
-]
+# Every other family loads on first access.
+_LAZY = {
+    "Gaussian": "repro.dists.gaussian",
+    "TruncatedGaussian": "repro.dists.gaussian",
+    "MultivariateGaussian": "repro.dists.gaussian",
+    "Uniform": "repro.dists.uniform",
+    "DiscreteUniform": "repro.dists.uniform",
+    "Bernoulli": "repro.dists.bernoulli",
+    "Binomial": "repro.dists.bernoulli",
+    "Rayleigh": "repro.dists.rayleigh",
+    "Exponential": "repro.dists.exponential",
+    "Gamma": "repro.dists.exponential",
+    "Beta": "repro.dists.beta",
+    "Poisson": "repro.dists.poisson",
+    "Categorical": "repro.dists.categorical",
+    "PointMass": "repro.dists.categorical",
+    "Triangular": "repro.dists.triangular",
+    "LogNormal": "repro.dists.lognormal",
+    "StudentT": "repro.dists.studentt",
+    "Mixture": "repro.dists.mixture",
+    "KernelDensity": "repro.dists.kde",
+    "Weibull": "repro.dists.weibull",
+    "Laplace": "repro.dists.laplace",
+    "Cauchy": "repro.dists.cauchy",
+    "VonMises": "repro.dists.vonmises",
+}
+__getattr__, __dir__ = lazy_exports(globals(), _LAZY)
+
+__all__ = ["Distribution", "Support", "Empirical", "FunctionDistribution", *_LAZY]

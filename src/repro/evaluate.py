@@ -37,6 +37,9 @@ module is the single blessed surface for controlling evaluation:
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
 from repro.core.conditionals import (
     EvaluationConfig,
     evaluation_config,
@@ -67,7 +70,13 @@ from repro.runtime import (
     stats,
     tracing,
 )
-from repro.runtime.parallel import ParallelEngine
+
+if TYPE_CHECKING:  # bound for static checkers; loaded on first access below
+    from repro.runtime.parallel import ParallelEngine
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "ParallelEngine": "repro.runtime.parallel",
+})
 
 
 def percentiles(value, n=None, *, samples=None, rng=None, engine=None):

@@ -15,31 +15,25 @@ survive/die/birth decision.
   and samples per cell update across noise amplitudes.
 """
 
-from repro.life.engine import Board, random_board, step_board, true_decision
-from repro.life.sensors import corrected_sensor_sum, noisy_sensor_readings, sensor_sum
-from repro.life.variants import (
-    BayesLife,
-    LifeVariant,
-    NaiveLife,
-    SensorLife,
-    UpdateOutcome,
-)
-from repro.life.evaluation import LifePoint, evaluate_variants, run_generation
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Board",
-    "random_board",
-    "step_board",
-    "true_decision",
-    "noisy_sensor_readings",
-    "sensor_sum",
-    "corrected_sensor_sum",
-    "LifeVariant",
-    "NaiveLife",
-    "SensorLife",
-    "BayesLife",
-    "UpdateOutcome",
-    "LifePoint",
-    "evaluate_variants",
-    "run_generation",
-]
+_LAZY = {
+    "Board": "repro.life.engine",
+    "random_board": "repro.life.engine",
+    "step_board": "repro.life.engine",
+    "true_decision": "repro.life.engine",
+    "noisy_sensor_readings": "repro.life.sensors",
+    "sensor_sum": "repro.life.sensors",
+    "corrected_sensor_sum": "repro.life.sensors",
+    "LifeVariant": "repro.life.variants",
+    "NaiveLife": "repro.life.variants",
+    "SensorLife": "repro.life.variants",
+    "BayesLife": "repro.life.variants",
+    "UpdateOutcome": "repro.life.variants",
+    "LifePoint": "repro.life.evaluation",
+    "evaluate_variants": "repro.life.evaluation",
+    "run_generation": "repro.life.evaluation",
+}
+__getattr__, __dir__ = lazy_exports(globals(), _LAZY)
+
+__all__ = list(_LAZY)

@@ -21,16 +21,17 @@ policy-controlled outcome rather than an opaque crash:
 See ``docs/resilience.md`` for the policy catalogue, the breaker state
 machine, and the metrics/trace event schema.
 
-Import note: ``repro.core.sprt`` and ``repro.core.engines`` import the
-``policies`` and ``health`` submodules (which depend on nothing in
-``repro.core``), while ``source`` and ``chaos`` import ``repro.dists`` /
-``repro.core.engines`` — so this ``__init__`` loads the policy half
-eagerly and the wrapper half lazily via module ``__getattr__``, exactly
-like :mod:`repro.runtime`.
+Import note: ``repro.core`` imports ``policies`` (and ``health``), which
+depend on nothing in ``repro.core``, so the policy names are bound
+eagerly.  The health, source and chaos names load on first access
+through :func:`repro._lazy.lazy_exports`, as in :mod:`repro.runtime`:
+``source`` and ``chaos`` import ``repro.dists`` and
+``repro.core.engines``.
 """
 
 from __future__ import annotations
 
+from repro._lazy import lazy_exports
 from repro.resilience.policies import (
     INCONCLUSIVE_POLICIES,
     NONFINITE_POLICIES,
@@ -81,12 +82,4 @@ _LAZY = {
     "arm_kill_sentinel": "repro.resilience.chaos",
     "latency_storm": "repro.resilience.chaos",
 }
-
-
-def __getattr__(name: str):
-    module = _LAZY.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    return getattr(importlib.import_module(module), name)
+__getattr__, __dir__ = lazy_exports(globals(), _LAZY)

@@ -13,11 +13,14 @@ This package is the operational layer over the compile/execute core:
 See ``docs/runtime.md`` for engine selection, the parallel determinism
 model, and the metrics/trace schemas.
 
-Import note: ``repro.core`` modules import :mod:`repro.runtime.metrics`
-and :mod:`repro.runtime.trace` (which depend on nothing in ``repro``),
-while :mod:`repro.runtime.parallel` imports ``repro.core`` — so this
-``__init__`` loads the observability half eagerly and the engine half
-lazily via module ``__getattr__``.
+Import note: ``repro.core`` imports the observability half
+(:mod:`~repro.runtime.metrics`, :mod:`~repro.runtime.trace`,
+:mod:`~repro.runtime.cancellation`), which depends on nothing in
+``repro``, so its names are bound eagerly.  The engine half
+(:mod:`repro.runtime.parallel`) imports ``repro.core`` and
+multiprocessing; its names load on first access through
+:func:`repro._lazy.lazy_exports`, and ``get_engine("parallel")``
+imports it by name.
 """
 
 from __future__ import annotations
@@ -32,6 +35,13 @@ from repro.runtime.metrics import (
     render_prometheus,
 )
 from repro.runtime.trace import Span, Tracer, get_tracer, set_tracer, tracing
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "ParallelEngine": "repro.runtime.parallel",
+    "chunk_layout": "repro.runtime.parallel",
+    "spawn_chunk_seeds": "repro.runtime.parallel",
+})
 
 __all__ = [
     "ParallelEngine",
@@ -74,11 +84,3 @@ def stats() -> dict:
 def reset_stats() -> None:
     """Zero the process-global runtime counters (cache state is kept)."""
     METRICS.reset()
-
-
-def __getattr__(name: str):
-    if name in ("ParallelEngine", "chunk_layout", "spawn_chunk_seeds"):
-        from repro.runtime import parallel
-
-        return getattr(parallel, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -32,51 +32,29 @@ Layering:
   + ``/stats`` endpoint.
 """
 
-from repro.service.requests import (
-    QUERY_KINDS,
-    QueryRequest,
-    QueryResult,
-    reduce_query,
-)
-from repro.service.coalescer import (
-    CoalescerStats,
-    evaluate_batch,
-    evaluate_request,
-)
-from repro.service.degradation import (
-    BrownoutController,
-    BulkheadRegistry,
-    DegradationDecision,
-    DegradationRecord,
-)
-from repro.service.errors import (
-    BulkheadRejected,
-    EvaluationCancelled,
-    ServiceClosed,
-    ServiceError,
-    ServiceOverloaded,
-)
-from repro.service.service import Service
-from repro.service.http import MetricsServer, serve_metrics
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "QUERY_KINDS",
-    "QueryRequest",
-    "QueryResult",
-    "reduce_query",
-    "CoalescerStats",
-    "evaluate_batch",
-    "evaluate_request",
-    "BrownoutController",
-    "BulkheadRegistry",
-    "DegradationDecision",
-    "DegradationRecord",
-    "ServiceError",
-    "ServiceClosed",
-    "ServiceOverloaded",
-    "BulkheadRejected",
-    "EvaluationCancelled",
-    "Service",
-    "MetricsServer",
-    "serve_metrics",
-]
+_LAZY = {
+    "QUERY_KINDS": "repro.service.requests",
+    "QueryRequest": "repro.service.requests",
+    "QueryResult": "repro.service.requests",
+    "reduce_query": "repro.service.requests",
+    "CoalescerStats": "repro.service.coalescer",
+    "evaluate_batch": "repro.service.coalescer",
+    "evaluate_request": "repro.service.coalescer",
+    "BrownoutController": "repro.service.degradation",
+    "BulkheadRegistry": "repro.service.degradation",
+    "DegradationDecision": "repro.service.degradation",
+    "DegradationRecord": "repro.service.degradation",
+    "ServiceError": "repro.service.errors",
+    "ServiceClosed": "repro.service.errors",
+    "ServiceOverloaded": "repro.service.errors",
+    "BulkheadRejected": "repro.service.errors",
+    "EvaluationCancelled": "repro.service.errors",
+    "Service": "repro.service.service",
+    "MetricsServer": "repro.service.http",
+    "serve_metrics": "repro.service.http",
+}
+__getattr__, __dir__ = lazy_exports(globals(), _LAZY)
+
+__all__ = list(_LAZY)

@@ -242,7 +242,8 @@ class TestProbation:
         assert np.array_equal(again, first)
 
     def test_the_second_identical_query_hits_while_on_probation(self):
-        # The 10 000-byte share holds one 9 536-byte entry never hit.
+        # Each first ask leaves an unproven entry, which may stay because
+        # it is the entry just served; the second ask reads its rows.
         scoped = RuntimeMetrics()
         with evaluation_config(sample_cache=160_000, metrics=scoped):
             for seed in range(50):

@@ -53,6 +53,10 @@ from repro.dists import (
 from repro.rng import default_rng
 from tests.kernel_path import kernel_ran_if_fused
 
+#: The split outcome depends on the host's BLAS, so neither True nor False
+#: can be pinned; the family must stay out of the ledger's stream mode.
+HOST_DEPENDENT = None
+
 #: Every public Distribution family with a representative instance and
 #: whether a split draw must be bit-identical to a full draw.  A family
 #: missing here is a test failure (see test_every_family_is_covered).
@@ -60,7 +64,8 @@ FAMILY_EXPECTATIONS = [
     ("Gaussian", Gaussian(1.0, 2.0), True),
     ("TruncatedGaussian", TruncatedGaussian(0.0, 1.0, -1.0, 2.0), True),
     ("MultivariateGaussian",
-     MultivariateGaussian([0.0, 1.0], [[1.0, 0.2], [0.2, 1.0]]), True),
+     MultivariateGaussian([0.0, 1.0], [[1.0, 0.2], [0.2, 1.0]]),
+     HOST_DEPENDENT),
     ("Uniform", Uniform(-1.0, 3.0), True),
     ("DiscreteUniform", DiscreteUniform(0, 10), True),
     ("Bernoulli", Bernoulli(0.3), True),
@@ -95,12 +100,15 @@ FAMILY_EXPECTATIONS = [
     ("KernelDensity", KernelDensity([0.0, 1.0, 2.0, 3.0]), False),
 ]
 
-#: Families that split cleanly above yet stay out of the sample ledger's
-#: prefix-stable table, each with the reason.
+#: Families that stay out of the sample ledger's prefix-stable table,
+#: each with the reason.
 NOT_PREFIX_STABLE = {
     "TruncatedGaussian": "drawn by SciPy, whose sampler the table does not pin",
-    "MultivariateGaussian": "its matrix product rounds rows differently at "
-                            "larger batch sizes",
+    # Measured on a 2-CPU x86 host, NumPy 2.4: of seeds 0-19, a 1 000-row
+    # draw split at (1, 999) differed from the whole at 3, 8, 13 and 17,
+    # while (333, 667) and (500, 500) matched.
+    "MultivariateGaussian": "its matrix product may round a 1-row batch "
+                            "differently from the same row in a larger one",
     "FunctionDistribution": "user code",
     "Mixture": "several generator calls per batch",
     "KernelDensity": "several generator calls per batch",
@@ -129,6 +137,12 @@ class TestFamilySplitDraw:
         ids=[name for name, _, _ in FAMILY_EXPECTATIONS],
     )
     def test_split_draw_matches_expectation(self, name, dist, expected):
+        if expected is HOST_DEPENDENT:
+            assert not prefix_stable(dist), (
+                f"{name}: its split draws depend on the host; the sample "
+                "ledger must not extend its entries"
+            )
+            return
         results = [
             _split_matches(dist, h, t, seed)
             for h, t in SPLITS
