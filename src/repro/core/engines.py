@@ -1,17 +1,17 @@
 """Execution engines: strategies for running a compiled evaluation plan.
 
 A plan (:mod:`repro.core.plan`) is the *what*; an engine is the *how*.
-Separating them creates the seam the ROADMAP asks for: today a vectorized
-numpy engine and a reference interpreter, tomorrow parallel or sharded
-engines behind the same interface.
+This module holds the two core engines and the registry; the fused
+(:mod:`repro.core.fused`) and parallel (:mod:`repro.runtime.parallel`)
+engines register behind the same interface.
 
 - :class:`NumpyEngine` — the default.  Executes the flat program in one
   forward pass over preallocated slots; shared subexpressions are slot
   reads, batch evaluation is vectorized numpy.
-- :class:`InterpreterEngine` — the seed implementation's behaviour: a
-  per-call iterative post-order walk of the DAG with a dictionary memo.
-  Kept as the baseline for the compilation microbenchmark and as an
-  executable reference semantics for equivalence tests.
+- :class:`InterpreterEngine` — a per-call iterative post-order walk of
+  the DAG with a dictionary memo, always over the raw plan: the
+  unoptimized reference semantics that the engine-equivalence tests and
+  the end-to-end benchmark's oracle compare against.
 
 Both engines visit nodes in the same order, so given the same RNG they
 produce bit-identical sample streams.  Engines are stateless; select one
@@ -269,9 +269,9 @@ class InterpreterEngine(ExecutionEngine):
     """The seed interpreter: walk the DAG per draw with a dictionary memo.
 
     Functionally identical to :class:`NumpyEngine` (same node visit order,
-    same RNG stream); pays graph traversal on every batch.  Serves as the
-    compiled-vs-interpreted baseline and as a second, independently
-    implemented semantics for the equivalence tests.
+    same RNG stream); pays graph traversal on every batch.  Serves as a
+    second, independently implemented semantics for the equivalence
+    tests and the end-to-end benchmark's oracle.
     """
 
     name = "interpreter"

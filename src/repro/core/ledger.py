@@ -427,8 +427,9 @@ class SampleLedger:
         plan's); returns how many were dropped.
 
         Invalidation is keyed by structural hash, so isomorphic plans
-        sharing the entry are invalidated together — conservative, and
-        exactly what the health-repair path needs.
+        sharing the entry are invalidated together: what
+        :func:`~repro.core.plan.invalidate_plan` needs once a graph's
+        nodes may have changed.
         """
         hashes = {
             getattr(p, "structural_hash", None)

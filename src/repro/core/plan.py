@@ -261,8 +261,8 @@ class EvaluationPlan:
     def __reduce__(self):
         # Plans serialise as their root graph and recompile on load: the
         # lowering is cheap and deterministic, and shipping the graph keeps
-        # the payload small (no steps/program/bound methods).  This is what
-        # lets ParallelEngine send a plan to worker processes once.  The
+        # the payload small (no steps/program/bound methods), which
+        # ParallelEngine sends to its workers with every chunk.  The
         # optimized flag travels along so an optimized plan does not
         # silently unpickle as a raw one (the optimized *root* is shipped,
         # so no pass re-runs on load).  The receiver registers the shape

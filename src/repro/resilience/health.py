@@ -152,18 +152,9 @@ def enforce(engine, plan, values, n: int, rng, config, allow_resample: bool = Tr
     # policy == "resample": redraw replacements for the poisoned rows only,
     # bounded by the configured retry cap.  Each redraw is a fresh run of
     # the same plan with the caller's generator, so the repaired batch is
-    # still a pure function of (plan, n, seed, policy).
-    #
-    # A repaired batch consumed extra stream and contains substituted
-    # rows, so any sample-ledger columns for this plan shape are no
-    # longer extensions of a pure run — drop them before repairing (the
-    # drop must happen even if the retry cap below is exhausted).
-    # Resolved via sys.modules: this module may not import repro.core.
-    import sys
-
-    ledger_mod = sys.modules.get("repro.core.ledger")
-    if ledger_mod is not None:
-        ledger_mod.LEDGER.invalidate_entries(plan)
+    # still a pure function of (plan, n, seed, policy).  The sample
+    # ledger serves no draw under "resample", so a repair neither reads
+    # nor feeds a cached column.
     root = np.array(root, copy=True)
     resamples = 0
     while True:

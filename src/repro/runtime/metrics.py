@@ -155,7 +155,7 @@ _SCHEMA = {
     "conditionals": ("runs", "samples"),
     "parallel": (
         "chunks", "retries", "worker_crashes", "serial_fallbacks",
-        "serial_rescues", "payload_skips", "payload_misses", "auto_serial",
+        "serial_rescues",
     ),
     "ledger": (
         "hits", "misses", "suffix_extensions", "rows_reused", "rows_drawn",
@@ -243,17 +243,19 @@ class RuntimeMetrics:
     def record_parallel(
         self, chunks: int = 0, retries: int = 0, crashes: int = 0,
         fallbacks: int = 0, serial_rescues: int = 0,
-        payload_skips: int = 0, payload_misses: int = 0,
-        auto_serial: int = 0,
     ) -> None:
+        """``ParallelEngine`` events (``repro.runtime.parallel``): chunks
+        laid out, chunks retried after a pool broke, and broken pools
+        (``worker_crashes``).  ``fallbacks`` (``serial_fallbacks``) counts
+        batches of unpicklable plans, which run in-process; chunks that a
+        ``serial_fallback=True`` engine rescues in-process after its retry
+        round also broke are ``serial_rescues``.
+        """
         self.parallel_chunks += chunks
         self.parallel_retries += retries
         self.parallel_worker_crashes += crashes
         self.parallel_serial_fallbacks += fallbacks
         self.parallel_serial_rescues += serial_rescues
-        self.parallel_payload_skips += payload_skips
-        self.parallel_payload_misses += payload_misses
-        self.parallel_auto_serial += auto_serial
 
     def record_ledger(
         self, hits: int = 0, misses: int = 0, suffix_extensions: int = 0,

@@ -14,10 +14,10 @@ Determinism model (the part worth reading twice):
   MAX_CHUNKS``, floored at :data:`MIN_CHUNK` so tiny SPRT batches never
   pay IPC), but deliberately *not* adaptive in ``workers``: that is what
   makes ``workers=1`` and ``workers=8`` bit-identical.
-- Chunk ``i`` is executed by the serial inner engine (``NumpyEngine`` by
-  default) with its own generator, spawned as child ``i`` of the caller's
-  RNG via ``np.random.SeedSequence.spawn`` — the same parent-child
-  derivation :func:`repro.rng.spawn` uses.  The batch is the
+- Chunk ``i`` is executed by the fused engine (which reproduces the NumPy
+  engine's rows) with its own generator, spawned as child ``i`` of the
+  caller's RNG via ``np.random.SeedSequence.spawn`` — the same
+  parent-child derivation :func:`repro.rng.spawn` uses.  The batch is the
   concatenation of the chunk streams, so the result is a pure function of
   ``(plan, n, seed, chunk_size)``: independent of worker count, of
   parallel-vs-serial execution, and of scheduling order.
@@ -28,29 +28,16 @@ streams) — but running ``NumpyEngine`` chunk-by-chunk over the same
 layout and spawned seeds reproduces ``ParallelEngine`` exactly, which is
 what the determinism suite asserts.
 
-Worker protocol: the plan is pickled **once** in the parent (cached per
-plan) and shipped to the pool **once per plan key** — the key is the
-plan's structural hash when it has one, so isomorphic plans (and every
-later batch over the same plan) travel as tiny descriptors
-``(plan_key, None, n, seed, inner)``.  Workers keep a small plan cache
-keyed by ``plan_key``; a worker that has not seen the key yet (a freshly
-spawned pool process) raises :class:`PlanPayloadMissing`, and the parent
-transparently re-sends those chunks *with* the payload — a cache-warming
-round trip, not a failure, so it never consumes the crash-retry budget.
-Unpicklable plans (lambdas in ``FunctionDistribution`` / ``ApplyNode``)
-fall back to serial in-process execution with the *same* sharded seeding,
-preserving results, and warn once per plan.
-
-Failure handling: a worker crash (segfault, ``os._exit``, OOM kill)
-breaks the pool; every unfinished chunk is retried on a freshly built
-pool up to ``max_retries`` rounds.  Exhausting the retry budget either
-surfaces as :class:`~repro.core.sampling.SamplingError` (the default) or
-— with ``serial_fallback=True`` — rescues the still-failed chunks by
-running them serially in-process with their *original* spawned seeds, so
-the degraded batch is bit-identical to the healthy one.  Budgets and
-deadlines come from the ambient ``evaluation_config(sample_budget=...,
-deadline=...)``: the sampling facade charges the budget before the run,
-and the deadline's cancellation token bounds every chunk wait.
+Every chunk message carries the plan, pickled once per plan object, and
+its key (the structural hash when there is one); workers cache plans by
+key, so each worker unpickles a shape once.  Unpicklable plans (lambdas
+in ``FunctionDistribution`` / ``ApplyNode``) run in-process with the same
+sharded seeding and warn once per plan.  A worker crash breaks the pool:
+chunks without a result are retried for one round on a fresh pool, then
+raise :class:`~repro.core.sampling.SamplingError` or, with
+``serial_fallback=True``, run in-process with their original seeds.  The
+ambient ``evaluation_config`` budget is charged by the sampling facade
+before the run, and its deadline token bounds every chunk wait.
 """
 
 from __future__ import annotations
@@ -63,7 +50,7 @@ import warnings
 import weakref
 from collections import OrderedDict
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, TimeoutError
-from time import monotonic, perf_counter
+from time import monotonic
 
 import numpy as np
 
@@ -77,9 +64,12 @@ from repro.runtime import trace as _trace
 #: Smallest chunk worth shipping to a worker; batches at or below this run
 #: serially in-process (SPRT batches of k=10 must never pay pool IPC).
 MIN_CHUNK = 8_192
-#: Upper bound on chunks per batch (keeps descriptor traffic bounded while
+#: Upper bound on chunks per batch (keeps message traffic bounded while
 #: leaving enough chunks to balance load across any sane worker count).
 MAX_CHUNKS = 64
+#: Rounds of crash recovery per batch: chunks without a result after a
+#: pool breaks are retried once on a fresh pool.
+_RETRY_ROUNDS = 1
 
 
 def chunk_layout(n: int, chunk_size: int | None = None) -> list[int]:
@@ -117,38 +107,40 @@ def spawn_chunk_seeds(rng: np.random.Generator, k: int) -> list:
     return seed_seq.spawn(k)
 
 
+def _run_on_fused(plan: EvaluationPlan, n: int, seed_seq) -> np.ndarray:
+    """One chunk's root rows, drawn from its own spawned generator."""
+    values = get_engine("fused").run(plan, n, np.random.default_rng(seed_seq))
+    return values[plan.root_slot]
+
+
+def _check_cancelled(token, chunks: list[int], results: list) -> None:
+    """Raise ``EvaluationCancelled`` with chunk progress if ``token`` tripped."""
+    if token is not None and token.cancelled:
+        done = [size for size, r in zip(chunks, results) if r is not None]
+        token.check(
+            chunks_done=len(done), chunks=len(chunks), rows_done=sum(done)
+        )
+
+
 # ---------------------------------------------------------------------------
 # Worker side.  Executed in the pool processes; keeps a bounded cache of
-# unpickled plans so each worker deserialises a plan at most once.
+# unpickled plans so each worker deserialises a shape at most once.
 # ---------------------------------------------------------------------------
 
 _WORKER_PLAN_CACHE_LIMIT = 8
 _worker_plans: "OrderedDict[str, EvaluationPlan]" = OrderedDict()
 
 
-class PlanPayloadMissing(RuntimeError):
-    """A worker was handed a plan key it has never seen, with no payload.
-
-    Raised inside pool processes and unpickled in the parent, which
-    responds by re-submitting the affected chunks with the payload
-    attached (without consuming the crash-retry budget).
-    """
-
-
-def _run_chunk(plan_key: str, payload: "bytes | None", n: int, seed_seq, inner: str):
+def _run_chunk(plan_key: str, payload: bytes, n: int, seed_seq) -> np.ndarray:
     plan = _worker_plans.get(plan_key)
     if plan is None:
-        if payload is None:
-            raise PlanPayloadMissing(plan_key)
         plan = pickle.loads(payload)
         _worker_plans[plan_key] = plan
         while len(_worker_plans) > _WORKER_PLAN_CACHE_LIMIT:
             _worker_plans.popitem(last=False)
     else:
         _worker_plans.move_to_end(plan_key)
-    engine = get_engine(inner)
-    values = engine.run(plan, n, np.random.default_rng(seed_seq))
-    return values[plan.root_slot]
+    return _run_on_fused(plan, n, seed_seq)
 
 
 # ---------------------------------------------------------------------------
@@ -172,28 +164,19 @@ class ParallelEngine(ExecutionEngine):
     Parameters
     ----------
     workers:
-        Pool size; defaults to ``os.cpu_count()``.  ``workers=0`` (or 1)
-        keeps the sharded determinism model but executes every chunk
-        serially in-process — useful as a reference and for debugging.
-        When the *default* resolves to a single CPU, the engine degrades
-        to that serial path automatically (same stream, no pool build),
-        warning once and counting ``parallel.auto_serial`` in the
-        runtime metrics.
+        Pool size; defaults to ``os.cpu_count()``.  ``workers=0`` (or 1,
+        including the default on a single-CPU host) keeps the sharded
+        determinism model but executes every chunk in-process, without
+        building a pool.
     chunk_size:
         Fixed chunk size, or ``None`` for the adaptive-in-``n`` default.
         Part of the stream definition: changing it changes the samples.
-    inner:
-        Name of the registered serial engine that executes each chunk.
-    max_retries:
-        Rounds of crash recovery per batch (default 1: failed chunks are
-        retried once on a fresh pool, then ``SamplingError`` — or the
-        serial rescue, see ``serial_fallback``).
     serial_fallback:
-        When ``True``, exhausting ``max_retries`` degrades gracefully:
-        chunks that still have no result are executed serially
-        in-process with their original spawned seeds (preserving the
-        chunked RNG stream bit-for-bit), a ``RuntimeWarning`` is issued
-        and the rescue is counted in the runtime metrics.  Default
+        When ``True``, a batch whose retry round also breaks the pool
+        degrades gracefully: chunks that still have no result are
+        executed in-process with their original spawned seeds (preserving
+        the chunked RNG stream bit-for-bit), a ``RuntimeWarning`` is
+        issued and the rescue is counted in the runtime metrics.  Default
         ``False`` keeps the fail-fast ``SamplingError``.
     mp_context:
         ``multiprocessing`` context or start-method name (default: the
@@ -206,21 +189,11 @@ class ParallelEngine(ExecutionEngine):
         self,
         workers: int | None = None,
         chunk_size: int | None = None,
-        inner: str = "numpy",
-        max_retries: int = 1,
         serial_fallback: bool = False,
         mp_context=None,
     ) -> None:
         self.workers = (os.cpu_count() or 1) if workers is None else int(workers)
-        #: Auto-sized onto a host with nothing to parallelise across: every
-        #: batch takes the serial path (same sharded stream, zero pool
-        #: overhead) and the degradation is surfaced once per engine via a
-        #: warning plus the ``parallel.auto_serial`` metric.
-        self._auto_single = workers is None and self.workers <= 1
-        self._warned_auto_serial = False
         self.chunk_size = chunk_size
-        self.inner = inner
-        self.max_retries = int(max_retries)
         self.serial_fallback = bool(serial_fallback)
         if isinstance(mp_context, str):
             import multiprocessing
@@ -231,10 +204,6 @@ class ParallelEngine(ExecutionEngine):
         self._payloads: "weakref.WeakKeyDictionary[EvaluationPlan, tuple]" = (
             weakref.WeakKeyDictionary()
         )
-        #: Plan keys whose payload the *current* pool has already received;
-        #: cleared whenever the pool is discarded (fresh workers start with
-        #: empty caches).
-        self._shipped: set[str] = set()
         _live_engines.add(self)
 
     # -- pool lifecycle -----------------------------------------------------
@@ -250,7 +219,6 @@ class ParallelEngine(ExecutionEngine):
         if self._executor is not None:
             self._executor.shutdown(wait=False, cancel_futures=True)
             self._executor = None
-        self._shipped.clear()
 
     def shutdown(self) -> None:
         """Tear down the worker pool (a later run lazily rebuilds it)."""
@@ -263,8 +231,8 @@ class ParallelEngine(ExecutionEngine):
 
         The key is the plan's structural hash when it has one, so
         isomorphic plans (fresh graphs per session, rebuilt roots) share
-        one worker-side cache entry and pay the payload transfer once per
-        *shape*; opaque plans get a throwaway per-plan key.
+        one worker-side cache entry and are unpickled once per *shape*;
+        opaque plans get a throwaway per-plan key.
         """
         entry = self._payloads.get(plan)
         if entry is None:
@@ -278,13 +246,10 @@ class ParallelEngine(ExecutionEngine):
                     "Use module-level functions instead of lambdas/closures "
                     "in lifted code to enable parallel sampling",
                     RuntimeWarning,
-                    stacklevel=4,
+                    stacklevel=3,
                 )
                 data = None
-            key = plan.structural_hash
-            if key is None or data is None:
-                key = f"plan-{next(_plan_ids)}"
-            entry = (key, data)
+            entry = (plan.structural_hash or f"plan-{next(_plan_ids)}", data)
             self._payloads[plan] = entry
         return entry
 
@@ -294,200 +259,133 @@ class ParallelEngine(ExecutionEngine):
         if memo is not None:
             # Shared-context draws need the memo filled with every node's
             # batch under one joint assignment; that is inherently a
-            # single-stream operation, so defer to the inner engine with
-            # the caller's RNG (exactly NumpyEngine semantics).
-            return get_engine(self.inner).run(plan, n, rng, memo=memo)
-        root = self._sample_sharded(plan, int(n), rng)
-        values: list = [None] * len(plan.steps)
-        values[plan.root_slot] = root
-        return values
-
-    def _sample_sharded(self, plan, n, rng) -> np.ndarray:
-        chunks = chunk_layout(n, self.chunk_size)
+            # single-stream operation, so defer to the NumPy engine with
+            # the caller's RNG.
+            return get_engine("numpy").run(plan, n, rng, memo=memo)
+        chunks = chunk_layout(int(n), self.chunk_size)
         seeds = spawn_chunk_seeds(rng, len(chunks))
-        metric = _metrics.active()
         plan_key, payload = self._payload_for(plan)
-        serial = payload is None or len(chunks) == 1 or self.workers <= 1
-        auto_serial = (
-            serial and self._auto_single
-            and payload is not None and len(chunks) > 1
-        )
+        metric = _metrics.active()
         if metric is not None:
             metric.record_parallel(
-                chunks=len(chunks),
-                fallbacks=int(payload is None),
-                auto_serial=int(auto_serial),
+                chunks=len(chunks), fallbacks=int(payload is None)
             )
-        if auto_serial and not self._warned_auto_serial:
-            self._warned_auto_serial = True
-            warnings.warn(
-                "ParallelEngine auto-sized to a single-CPU host "
-                "(os.cpu_count() <= 1); executing chunks serially in-process "
-                "with the same sharded stream instead of paying process-pool "
-                "overhead. Pass workers= explicitly to force a pool",
-                RuntimeWarning,
-                stacklevel=4,
-            )
-        if serial:
-            # Chunk boundaries are the cancellation boundaries: the
-            # ambient token is polled between chunks (the inner engine
-            # also polls it per program step within each chunk).
-            inner = get_engine(self.inner)
-            token = _cancel.current()
-            parts: list = []
-            rows_done = 0
-            for done, (size, seed) in enumerate(zip(chunks, seeds)):
-                if token is not None:
-                    token.check(
-                        chunks_done=done, chunks=len(chunks),
-                        rows_done=rows_done,
-                    )
-                parts.append(
-                    inner.run(plan, size, np.random.default_rng(seed))[
-                        plan.root_slot
-                    ]
-                )
-                rows_done += size
-            return parts[0] if len(parts) == 1 else np.concatenate(parts)
-        return self._dispatch(plan, plan_key, payload, chunks, seeds, metric)
-
-    def _dispatch(self, plan, plan_key, payload, chunks, seeds, metric) -> np.ndarray:
-        token = _cancel.current()
         results: list = [None] * len(chunks)
+        if payload is not None and len(chunks) > 1 and self.workers > 1:
+            self._dispatch(plan_key, payload, chunks, seeds, results, metric)
+        self._run_in_process(plan, chunks, seeds, results)
+        values: list = [None] * len(plan.steps)
+        values[plan.root_slot] = (
+            results[0] if len(results) == 1 else np.concatenate(results)
+        )
+        return values
 
-        def _cancel_check() -> None:
-            # Workers run in separate processes where the ambient token
-            # does not exist; the parent polls it while collecting chunk
-            # results and abandons the pool on cancellation (stragglers
-            # die with the discarded pool, nothing is awaited further).
-            if token is not None and token.cancelled:
-                self._discard_pool()
-                token.check(
-                    chunks_done=sum(r is not None for r in results),
-                    chunks=len(chunks),
-                    rows_done=sum(
-                        size for size, r in zip(chunks, results)
-                        if r is not None
-                    ),
-                )
+    def _run_in_process(self, plan, chunks, seeds, results) -> None:
+        """Fill every chunk that has no result yet, here, in chunk order.
+
+        Serves unpicklable plans, ``workers <= 1``, single-chunk batches
+        and the ``serial_fallback`` rescue.  Chunk boundaries are the
+        cancellation boundaries (the engine also polls the ambient token
+        within each chunk).
+        """
+        token = _cancel.current()
+        for i, (size, seed) in enumerate(zip(chunks, seeds)):
+            if results[i] is None:
+                _check_cancelled(token, chunks, results)
+                results[i] = _run_on_fused(plan, size, seed)
+
+    def _dispatch(self, plan_key, payload, chunks, seeds, results, metric) -> None:
+        """Run the chunks on the pool, filling ``results``.
+
+        Chunks without a result after a pool breaks are retried on a
+        fresh pool for :data:`_RETRY_ROUNDS` rounds; after that the batch
+        raises ``SamplingError``, or with ``serial_fallback`` leaves them
+        to :meth:`_run_in_process`.
+        """
+        token = _cancel.current()
         todo = list(range(len(chunks)))
         rounds = 0
         last_error: BaseException | None = None
-        send_payload = plan_key not in self._shipped
         with _trace.span(
             "parallel.dispatch", chunks=len(chunks), workers=self.workers
         ) as span_attrs:
             while todo:
-                start = perf_counter()
-                chunk_payload = payload if send_payload else None
-                if chunk_payload is None and metric is not None:
-                    metric.record_parallel(payload_skips=len(todo))
                 futures = {}
                 failed: list[int] = []
-                missed: list[int] = []
-                broken = False
                 for pos, i in enumerate(todo):
                     try:
                         futures[i] = self._pool().submit(
-                            _run_chunk,
-                            plan_key,
-                            chunk_payload,
-                            chunks[i],
-                            seeds[i],
-                            self.inner,
+                            _run_chunk, plan_key, payload, chunks[i], seeds[i]
                         )
                     except BrokenExecutor as exc:
                         # A worker died mid-submission: the pool takes no
                         # more work, so the chunks not yet submitted fail
                         # like chunks whose futures break.
-                        broken = True
                         failed.extend(todo[pos:])
                         last_error = exc
                         break
-                for i, future in futures.items():
-                    _cancel_check()
-                    timeout = None
-                    if token is not None and token.deadline_at is not None:
-                        timeout = max(0.0, token.deadline_at - monotonic())
-                    try:
-                        results[i] = future.result(timeout=timeout)
-                    except TimeoutError:
-                        # Only the token's deadline sets a timeout; promote
-                        # the expiry explicitly so the race at the exact
-                        # boundary still raises EvaluationCancelled (the
-                        # facade reports it as DeadlineExceeded).
-                        token.cancel("deadline")
-                        _cancel_check()
-                    except PlanPayloadMissing:
-                        # A fresh worker process has an empty plan cache:
-                        # warm it by re-sending with the payload.  Not a
-                        # crash — does not consume the retry budget.
-                        missed.append(i)
-                    except BrokenExecutor as exc:
-                        broken = True
-                        failed.append(i)
-                        last_error = exc
-                if broken:
-                    # A dead worker poisons the whole pool: rebuild it and
-                    # retry every chunk that has no result yet.  Rebuilding
-                    # also cleared ``_shipped``, so payloads travel again.
+                try:
+                    for i, future in futures.items():
+                        # Workers run in separate processes where the
+                        # ambient token does not exist; the parent polls it
+                        # while collecting and abandons the pool on
+                        # cancellation (stragglers die with it).
+                        _check_cancelled(token, chunks, results)
+                        timeout = None
+                        if token is not None and token.deadline_at is not None:
+                            timeout = max(0.0, token.deadline_at - monotonic())
+                        try:
+                            results[i] = future.result(timeout=timeout)
+                        except TimeoutError:
+                            # Only the token's deadline sets a timeout;
+                            # promote the expiry explicitly so the race at
+                            # the exact boundary still raises
+                            # EvaluationCancelled (the facade reports it as
+                            # DeadlineExceeded).
+                            token.cancel("deadline")
+                            _check_cancelled(token, chunks, results)
+                        except BrokenExecutor as exc:
+                            failed.append(i)
+                            last_error = exc
+                except _cancel.EvaluationCancelled:
                     self._discard_pool()
-                    send_payload = True
-                    if metric is not None:
-                        metric.record_parallel(crashes=1, retries=len(failed))
-                if missed:
-                    send_payload = True
-                    if metric is not None:
-                        metric.record_parallel(payload_misses=len(missed))
+                    raise
                 if not failed:
-                    if not missed:
-                        break
-                    todo = missed
-                    continue
+                    break
+                # A dead worker poisons the whole pool: rebuild it and
+                # retry every chunk that has no result yet.
+                self._discard_pool()
+                if metric is not None:
+                    metric.record_parallel(crashes=1, retries=len(failed))
                 rounds += 1
-                if rounds > self.max_retries:
+                if rounds > _RETRY_ROUNDS:
                     if not self.serial_fallback:
                         raise SamplingError(
                             f"{len(failed)} sampling chunk(s) crashed the worker "
                             f"pool {rounds} times (chunk indices {sorted(failed)}); "
-                            f"giving up after max_retries={self.max_retries}"
+                            f"giving up after {_RETRY_ROUNDS} retry round(s)"
                         ) from last_error
-                    # Graceful degradation: run the still-failed chunks
-                    # serially in-process with their original spawned
-                    # seeds — the concatenated stream is bit-identical to
-                    # the one a healthy pool would have produced.
                     warnings.warn(
                         f"{len(failed)} sampling chunk(s) crashed the worker "
                         f"pool {rounds} times; rescuing them serially "
                         "in-process (serial_fallback=True preserves the "
                         "chunked sample stream)",
                         RuntimeWarning,
-                        stacklevel=5,
+                        stacklevel=4,
                     )
-                    inner = get_engine(self.inner)
-                    for i in failed + missed:
-                        results[i] = inner.run(
-                            plan, chunks[i], np.random.default_rng(seeds[i])
-                        )[plan.root_slot]
                     if metric is not None:
                         metric.record_parallel(serial_rescues=len(failed))
                     _trace.event(
-                        "parallel.serial_rescue",
-                        chunks=len(failed),
-                        rounds=rounds,
+                        "parallel.serial_rescue", chunks=len(failed), rounds=rounds
                     )
                     break
-                todo = failed + missed
-            span_attrs["seconds"] = perf_counter() - start
+                todo = failed
             span_attrs["retry_rounds"] = rounds
-        if payload is not None:
-            self._shipped.add(plan_key)
-        return np.concatenate(results)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"<ParallelEngine workers={self.workers} "
-            f"chunk_size={self.chunk_size or 'auto'} inner={self.inner!r}>"
+            f"chunk_size={self.chunk_size or 'auto'}>"
         )
 
 

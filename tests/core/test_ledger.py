@@ -491,8 +491,9 @@ class TestInvalidation:
 
     def test_health_repair_poisons_nothing(self):
         # An always-infinite plan: cached under the default policy, then
-        # repaired (unsuccessfully) under "resample" — the repair attempt
-        # must drop the cached columns even though it ends in an error.
+        # repaired (unsuccessfully) under "resample".  The repair bypasses
+        # the ledger, so it neither reads nor feeds the cached column: the
+        # entry survives and still serves the ledger-off rows.
         bad = Uncertain(Gaussian(0.0, 1.0)) / Uncertain(PointMass(0.0))
         with evaluation_config(sample_cache=True):
             rows = bad.samples(50, rng=1)
@@ -501,7 +502,10 @@ class TestInvalidation:
         with evaluation_config(on_nonfinite="resample", nonfinite_retries=2):
             with pytest.raises(NonFiniteError):
                 bad.samples(50, rng=1)
-        assert ledger_state()["entries"] == 0
+        assert ledger_state()["entries"] == 1
+        with evaluation_config(sample_cache=True):
+            served = bad.samples(50, rng=1)
+        assert np.array_equal(served, bad.samples(50, rng=1), equal_nan=True)
 
     def test_resample_policy_bypasses_the_ledger(self):
         u = certified_value()

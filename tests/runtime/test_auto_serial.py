@@ -1,13 +1,12 @@
-"""ParallelEngine on single-CPU hosts: auto-sized serial degradation.
+"""ParallelEngine on single-CPU hosts.
 
 ``workers=None`` resolves from ``os.cpu_count()``; when that is 1 there
-is nothing to parallelise across, so the engine must take the in-process
-serial path (same chunk-seeded stream) instead of paying pool startup
-and IPC — surfacing the degradation once as a warning plus the
-``parallel.auto_serial`` metric.
+is nothing to parallelise across, so every batch takes the in-process
+path (same chunk-seeded stream) and no pool is built.
 """
 
 import warnings
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -17,8 +16,8 @@ from repro.core.uncertain import Uncertain
 from repro.dists.gaussian import Gaussian
 from repro.rng import default_rng
 from repro.runtime import parallel as parallel_mod
-from repro.runtime.metrics import RuntimeMetrics
 from repro.runtime.parallel import ParallelEngine
+from tests.runtime.test_parallel_engine import InProcessPool
 
 
 @pytest.fixture
@@ -42,46 +41,24 @@ class TestAutoSerial:
         engine = ParallelEngine(chunk_size=2048)
         assert engine.workers == 1
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+            warnings.simplefilter("error")  # the in-process path is silent
             _run(engine, plan)
         assert engine._executor is None  # never paid pool construction
-
-    def test_records_metric_and_warns_once(self, single_cpu, plan):
-        engine = ParallelEngine(chunk_size=2048)
-        scoped = RuntimeMetrics()
-        from repro.core.conditionals import evaluation_config
-
-        with evaluation_config(metrics=scoped):
-            with pytest.warns(RuntimeWarning, match="auto-sized"):
-                _run(engine, plan)
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")  # second run must not warn
-                _run(engine, plan)
-        assert scoped.parallel_auto_serial == 2
-        assert scoped.snapshot()["parallel"]["auto_serial"] == 2
 
     def test_stream_matches_explicit_workers(self, single_cpu, plan):
         auto = ParallelEngine(chunk_size=2048)
         explicit = ParallelEngine(workers=1, chunk_size=2048)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            a = _run(auto, plan)
-        b = _run(explicit, plan)
-        assert np.array_equal(a, b)
-
-    def test_explicit_workers_do_not_trigger_auto_serial(self, single_cpu, plan):
-        engine = ParallelEngine(workers=1, chunk_size=2048)
-        scoped = RuntimeMetrics()
-        from repro.core.conditionals import evaluation_config
-
-        with evaluation_config(metrics=scoped):
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                _run(engine, plan)
-        assert scoped.parallel_auto_serial == 0
+        assert np.array_equal(_run(auto, plan), _run(explicit, plan))
 
     def test_multi_cpu_default_keeps_the_pool_path(self, monkeypatch, plan):
         monkeypatch.setattr(parallel_mod.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(
+            parallel_mod, "ProcessPoolExecutor", lambda **_: InProcessPool(None)
+        )
+        monkeypatch.setattr(parallel_mod, "_worker_plans", OrderedDict())
         engine = ParallelEngine(chunk_size=2048)
         assert engine.workers == 8
-        assert not engine._auto_single
+        pooled = _run(engine, plan)
+        assert isinstance(engine._executor, InProcessPool)
+        serial = ParallelEngine(workers=1, chunk_size=2048)
+        assert np.array_equal(pooled, _run(serial, plan))

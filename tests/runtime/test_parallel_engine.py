@@ -173,6 +173,20 @@ class TestDeterminism:
         finally:
             engine.shutdown()
 
+    def test_chunks_run_on_the_fused_engine(self):
+        # A fresh shape's third chunk builds its kernel, and the kernel
+        # chunks still give the NumPy engine's rows.
+        from repro.evaluate import clear_caches
+
+        clear_caches()
+        plan = diamond().plan
+        engine = ParallelEngine(workers=1, chunk_size=512)
+        sink = RuntimeMetrics()
+        with evaluation_config(metrics=sink):
+            root = engine.run(plan, 2_048, np.random.default_rng(6))[plan.root_slot]
+        assert sink.snapshot()["fused"]["kernels_built"] == 1
+        assert np.array_equal(root, chunked_numpy_reference(plan, 2_048, 6, 512))
+
     def test_small_batches_stay_in_process(self, plan):
         # An SPRT-sized batch is one sub-MIN_CHUNK chunk: never shipped.
         engine = ParallelEngine(workers=2)
@@ -376,11 +390,18 @@ class TestBudgetsAndDeadlines:
 class TestPlanPayloadProtocol:
     """Structural-hash-keyed worker caches (docs/runtime.md).
 
-    A plan ships to the pool once per structural shape; subsequent
-    batches — including batches of *different* plan objects with the
-    same shape — send only the key.  A worker that misses its cache
-    raises ``PlanPayloadMissing`` and the parent re-sends transparently.
+    Every chunk carries its pickled plan and the plan's key; a worker
+    unpickles a key once and serves later chunks of it, and of any
+    isomorphic plan, from its cache.
     """
+
+    @pytest.fixture
+    def worker_plans(self, monkeypatch):
+        # The chunks run here, so keep their worker-side plan cache out of
+        # the pools that later tests fork from this process.
+        cache = OrderedDict()
+        monkeypatch.setattr(parallel_module, "_worker_plans", cache)
+        return cache
 
     def test_payload_key_is_the_structural_hash(self):
         engine = ParallelEngine(workers=2)
@@ -409,81 +430,23 @@ class TestPlanPayloadProtocol:
         finally:
             engine.shutdown()
 
-    def test_run_chunk_raises_on_worker_cache_miss(self):
-        from repro.runtime import parallel as par
-
-        par._worker_plans.pop("no-such-key", None)
-        with pytest.raises(par.PlanPayloadMissing):
-            par._run_chunk("no-such-key", None, 8, 0, "numpy")
-
-    def test_payload_ships_once_then_descriptors_only(self):
-        from repro.runtime.metrics import RuntimeMetrics
-
-        metrics = RuntimeMetrics()
+    def test_run_chunk_fills_an_empty_cache(self, worker_plans):
         plan = diamond().plan
-        engine = ParallelEngine(workers=2, chunk_size=512)
-        try:
-            with evaluation_config(metrics=metrics):
-                first = engine.run(plan, 2_048, np.random.default_rng(1))
-                assert plan.structural_hash in engine._shipped
-                second = engine.run(plan, 2_048, np.random.default_rng(1))
-            assert np.array_equal(
-                first[plan.root_slot], second[plan.root_slot]
-            )
-            snap = metrics.snapshot()["parallel"]
-            assert snap["payload_skips"] >= 4  # every chunk of run two
-        finally:
-            engine.shutdown()
+        key, data = ParallelEngine(workers=2)._payload_for(plan)
+        (seed,) = spawn_chunk_seeds(np.random.default_rng(4), 1)
+        rows = parallel_module._run_chunk(key, data, 512, seed)
+        assert np.array_equal(rows, chunked_numpy_reference(plan, 512, 4))
+        assert list(worker_plans) == [key]
 
-    def test_isomorphic_plans_share_one_shipment(self):
-        from repro.runtime.metrics import RuntimeMetrics
-
-        metrics = RuntimeMetrics()
-        p1 = diamond().plan
-        p2 = diamond().plan
-        assert p1 is not p2
-        assert p1.structural_hash == p2.structural_hash
-        engine = ParallelEngine(workers=2, chunk_size=512)
-        try:
-            with evaluation_config(metrics=metrics):
-                a = engine.run(p1, 2_048, np.random.default_rng(9))
-                b = engine.run(p2, 2_048, np.random.default_rng(9))
-            assert np.array_equal(a[p1.root_slot], b[p2.root_slot])
-            assert len(engine._shipped) == 1
-            assert metrics.snapshot()["parallel"]["payload_skips"] >= 4
-        finally:
-            engine.shutdown()
-
-    def test_cache_miss_is_resent_transparently(self):
-        from repro.runtime.metrics import RuntimeMetrics
-
-        metrics = RuntimeMetrics()
-        plan = diamond().plan
-        engine = ParallelEngine(workers=2, chunk_size=512)
-        try:
-            # Pretend the shape already shipped: the first dispatch sends
-            # bare descriptors, every fresh worker misses, and the engine
-            # must recover by re-sending the payload — same stream.
-            engine._shipped.add(plan.structural_hash)
-            with evaluation_config(metrics=metrics):
-                out = engine.run(plan, 2_048, np.random.default_rng(13))
-            assert np.array_equal(
-                out[plan.root_slot],
-                chunked_numpy_reference(plan, 2_048, 13, 512),
-            )
-            assert metrics.snapshot()["parallel"]["payload_misses"] >= 1
-        finally:
-            engine.shutdown()
-
-    def test_shutdown_forgets_shipped_shapes(self):
-        plan = diamond().plan
-        engine = ParallelEngine(workers=2, chunk_size=512)
-        try:
-            engine.run(plan, 2_048, np.random.default_rng(3))
-            assert engine._shipped
-        finally:
-            engine.shutdown()
-        assert not engine._shipped
+    def test_isomorphic_plans_share_one_plan(self, worker_plans):
+        p1, p2 = diamond().plan, diamond().plan
+        engine = ParallelEngine(workers=2)
+        (k1, d1), (k2, d2) = engine._payload_for(p1), engine._payload_for(p2)
+        assert p1 is not p2 and k1 == k2
+        parallel_module._run_chunk(k1, d1, 512, 0)
+        cached = worker_plans[k1]
+        parallel_module._run_chunk(k2, d2, 512, 0)
+        assert len(worker_plans) == 1 and worker_plans[k2] is cached
 
 
 class TestEngineSelection:

@@ -31,7 +31,7 @@ RUNTIME_SCHEMA = {
     "conditionals": {"runs", "samples"},
     "parallel": {
         "chunks", "retries", "worker_crashes", "serial_fallbacks",
-        "serial_rescues", "payload_skips", "payload_misses", "auto_serial",
+        "serial_rescues",
     },
     "ledger": {
         "hits", "misses", "suffix_extensions", "rows_reused", "rows_drawn",
