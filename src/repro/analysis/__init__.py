@@ -20,9 +20,9 @@ The graph pass layers a dependence-tracking **affine domain**
 (:mod:`repro.analysis.affine`) on top of the intervals, which powers the
 correlation-aware rules (UNC106, UNC107) and the opt-in static bounds
 report (UNC100).  A third pass, **stream-safety certification**
-(:mod:`repro.analysis.certify`), proves optimizer rewrites and fused
-kernels RNG-stream-equivalent to the reference engine (UNC401 on
-failure), so the runtime admits them without executing them.
+(:mod:`repro.analysis.certify`), proves fused kernels
+RNG-stream-equivalent to the reference engine (UNC401 on failure), so the
+runtime admits them without executing them.
 
 Entry points: ``python -m repro.analysis`` (CLI),
 ``Uncertain.diagnose()`` (per-value), and
@@ -42,7 +42,6 @@ _LAZY = {
     "DrawEvent": "repro.analysis.certify",
     "certification_records": "repro.analysis.certify",
     "certify_kernel": "repro.analysis.certify",
-    "certify_rewrite": "repro.analysis.certify",
     "certify_value": "repro.analysis.certify",
     "plan_draw_sequence": "repro.analysis.certify",
     "Diagnostic": "repro.analysis.diagnostics",

@@ -71,8 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
     certify = sub.add_parser(
         "certify",
         help="static stream-safety certification of compiled plans "
-             "(UNC401): optimizer rewrites + fused kernels, nothing "
-             "executed",
+             "(UNC401): fused kernels, nothing executed",
     )
     certify.add_argument(
         "targets", nargs="*",

@@ -1,24 +1,19 @@
 """Static stream-safety certification for the plan compiler (UNC401).
 
-The optimizer and the fused-kernel backend promise *bit-identity*: an
-optimized plan or generated kernel must consume the RNG stream exactly as
-the reference numpy engine would and produce identical arrays.  This
+The fused-kernel backend promises *bit-identity*: a generated kernel must
+consume the RNG stream exactly as the reference numpy engine would and
+produce identical arrays.  This
 module proves it **symbolically**, before anything executes; nothing is
 admitted by running it.
 
 The certifier performs a *draw-order effect analysis*: it computes the
 canonical RNG consumption sequence — which generator family draws, how
 many values, triggered by which slots, in which order — of the reference
-plan, and checks that a rewrite or kernel provably consumes the same
-sequence with the same value semantics.
+plan, and checks that a kernel provably consumes the same sequence with
+the same value semantics.
 
 What is provable, and why:
 
-- **Rewrites** (:func:`certify_rewrite`): the optimizer may only fold,
-  share, and drop *deterministic* interior nodes.  If the optimized
-  plan's stochastic sources are the identical node objects in the
-  identical slot order, every draw happens with the same family, count
-  and position — certified.  Anything else is rejected with UNC401.
 - **Coalesced bulk draws** (:func:`certify_kernel`): a kernel collapses
   a run of adjacent leaves into one ``rng.family(k * n)`` call.  numpy's
   ``Generator`` methods fill requests sequentially from one stream and
@@ -68,8 +63,8 @@ from repro.core.graph import (
     LeafNode,
     PointMassNode,
     UnaryOpNode,
+    is_stochastic,
 )
-from repro.core.optimizer import is_stochastic
 from repro.core.plan import OP_SOURCE, EvaluationPlan
 
 __all__ = [
@@ -152,10 +147,10 @@ class DrawEvent:
 
 @dataclasses.dataclass(frozen=True)
 class CertificationRecord:
-    """The certifier's verdict for one rewrite or kernel.
+    """The certifier's verdict for one kernel.
 
-    Lives in ``plan.provenance`` next to the optimizer's ``PassRecord``s
-    (the ``name`` property keys it in name-indexed provenance views).
+    Lives in ``plan.provenance`` (the ``name`` property keys it in
+    name-indexed provenance views).
     """
 
     subject: str  # "optimizer-rewrite" | "fused-kernel"
@@ -224,13 +219,13 @@ def plan_draw_sequence(plan: EvaluationPlan) -> tuple[DrawEvent, ...]:
 
 def certify_rewrite(original: EvaluationPlan,
                     optimized: EvaluationPlan) -> CertificationRecord:
-    """Certify that an optimizer rewrite preserves the RNG stream.
+    """Certify that a rewrite of ``original`` preserves the RNG stream.
 
-    The optimizer only rewrites deterministic interior structure, so the
-    stream is preserved exactly when the stochastic sources are the
-    *identical node objects in identical slot order* — the draw sequence
-    is then the same event list by construction.  Any reordering,
-    duplication or elision is rejected (UNC401).
+    Retired with the rewrite optimizer; kept because the end-to-end
+    benchmark's tracer wraps it.  The stream is preserved exactly when
+    the stochastic sources are the *identical node objects in identical
+    slot order*.  Any reordering, duplication or elision is rejected
+    (UNC401).
     """
     source_of = [s.node for s in original.steps if is_stochastic(s.node)]
     rewritten = [s.node for s in optimized.steps if is_stochastic(s.node)]
@@ -351,33 +346,31 @@ def _scalar_obstacle(value, other, symbol: str) -> str | None:
             f"dtype {other}: weak-scalar promotion not provably identical")
 
 
-def _inline_obstacles(plan: EvaluationPlan, inlined):
-    """``(slot, reason)`` for each constant slot in ``inlined`` that an
-    infix op may not take as a Python scalar (:func:`_scalar_obstacle`).
+def _inline_obstacles(plan: EvaluationPlan, reads):
+    """``(read, reason)`` for each read in ``reads`` — operand ``i`` of
+    slot ``slot``, a constant taken as a Python scalar — that an infix op
+    may not take as a scalar (:func:`_scalar_obstacle`).
 
-    The kernel generator materializes these slots; the certifier rejects
+    The kernel generator materializes these reads; the certifier rejects
     a kernel that inlines one.
     """
-    if not inlined:
+    if not reads:
         return
     dtypes = _infer_dtypes(plan)
-    for step in plan.steps:
+    for slot, i in sorted(reads):
+        step = plan.steps[slot]
         node = step.node
         if not (isinstance(node, BinaryOpNode)
                 and len(step.parent_slots) == 2
                 and node.op in _fused._INFIX_BINARY):
             continue
-        a, b = step.parent_slots
-        for const_slot, other_slot in ((a, b), (b, a)):
-            if const_slot not in inlined:
-                continue
-            obstacle = _scalar_obstacle(
-                plan.steps[const_slot].node.value,
-                dtypes[other_slot],
-                node.label,
-            )
-            if obstacle is not None:
-                yield const_slot, obstacle
+        obstacle = _scalar_obstacle(
+            plan.steps[step.parent_slots[i]].node.value,
+            dtypes[step.parent_slots[1 - i]],
+            node.label,
+        )
+        if obstacle is not None:
+            yield (slot, i), obstacle
 
 
 def certify_kernel(spec, plan: EvaluationPlan) -> CertificationRecord:
@@ -432,11 +425,8 @@ def certify_kernel(spec, plan: EvaluationPlan) -> CertificationRecord:
             )
 
     # Inlined scalar constants vs NEP 50 weak promotion.
-    materialized = {slot for slot, _parents, ops in spec.steps_meta
-                    if ops == ("const",)}
-    inlined = set(spec.k_slots) - materialized
-    rejected.extend(reason for _slot, reason
-                    in _inline_obstacles(plan, inlined))
+    rejected.extend(reason for _read, reason
+                    in _inline_obstacles(plan, spec.scalar_reads))
 
     if rejected:
         status, rule, reasons = "rejected", "UNC401", tuple(rejected)
@@ -463,12 +453,37 @@ def certification_records(plan: EvaluationPlan) -> tuple[CertificationRecord, ..
                  if isinstance(r, CertificationRecord))
 
 
+def _kernel_record(plan: EvaluationPlan) -> CertificationRecord:
+    """Generate ``plan``'s fused kernel and certify it, or record why the
+    fused backend falls back to the numpy engine."""
+    if plan.structural_hash is None:
+        return CertificationRecord(
+            subject="fused-kernel",
+            status="fallback",
+            structural_hash=None,
+            reasons=("plan is structurally opaque (lambdas or user "
+                     "sampling functions): no kernel is generated and the "
+                     "fused backend falls back to the numpy engine",),
+        )
+    try:
+        spec = _fused._generate(plan)
+    except Exception as exc:
+        return CertificationRecord(
+            subject="fused-kernel",
+            status="fallback",
+            structural_hash=plan.structural_hash,
+            reasons=(f"kernel generation failed "
+                     f"({type(exc).__name__}: {exc}); the fused "
+                     "backend falls back to the numpy engine",),
+        )
+    return certify_kernel(spec, plan)
+
+
 def certify_value(value) -> dict[str, Any]:
     """End-to-end certification of one ``Uncertain``/``Node``/plan.
 
-    Compiles the value, runs the optimizer pipeline (collecting its
-    rewrite record), generates the fused kernel for the optimized plan
-    and certifies it — without ever *executing* the kernel.  Returns a
+    Compiles the value, generates the fused kernel for its plan and
+    certifies it — without ever *executing* the kernel.  Returns a
     JSON-ready report dict; the CLI ``certify`` subcommand maps over a
     corpus of these.
     """
@@ -478,45 +493,15 @@ def certify_value(value) -> dict[str, Any]:
         plan = value
     else:
         plan = compile_plan(getattr(value, "node", value))
-    optimized = plan.optimized()
-    records = list(certification_records(optimized))
-    if not any(r.subject == "optimizer-rewrite" for r in records):
-        # A no-op optimization emits no record in provenance; the
-        # identity rewrite certifies trivially.
-        records.insert(0, certify_rewrite(plan, optimized))
-    if any(r.subject == "fused-kernel" for r in records):
-        # The fused engine already certified this plan's kernel (the
-        # record rode in on provenance); don't re-derive a duplicate.
-        pass
-    elif optimized.structural_hash is None:
-        records.append(CertificationRecord(
-            subject="fused-kernel",
-            status="fallback",
-            structural_hash=None,
-            reasons=("plan is structurally opaque (lambdas or user "
-                     "sampling functions): no kernel is generated and the "
-                     "fused backend falls back to the numpy engine",),
-        ))
-    else:
-        try:
-            spec = _fused._generate(optimized)
-        except Exception as exc:
-            records.append(CertificationRecord(
-                subject="fused-kernel",
-                status="fallback",
-                structural_hash=optimized.structural_hash,
-                reasons=(f"kernel generation failed "
-                         f"({type(exc).__name__}: {exc}); the fused "
-                         "backend falls back to the numpy engine",),
-            ))
-        else:
-            records.append(certify_kernel(spec, optimized))
+    # A kernel the fused engine already certified brings its record on
+    # provenance; don't re-derive a duplicate.
+    records = list(certification_records(plan)) or [_kernel_record(plan)]
     statuses = {record.status for record in records}
     worst = next(status for status in ("rejected", "fallback", "certified")
                  if status in statuses)
     return {
-        "structural_hash": optimized.structural_hash,
-        "slots": len(optimized.steps),
+        "structural_hash": plan.structural_hash,
+        "slots": len(plan.steps),
         "status": worst,
         "records": [r.as_dict() for r in records],
     }

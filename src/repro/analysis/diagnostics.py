@@ -17,8 +17,8 @@ that are visible *before any sampling runs*:
 - **UNC104** — a self-comparison of the *same* node (``x == x``):
   shared-variable semantics (Figure 8) make it a tautology.
 - **UNC105** — a sub-DAG built only from point masses: every joint sample
-  recomputes a constant; folding it would shrink the plan (reported with
-  the estimated slot saving).
+  recomputes a constant; computing it in Python before lifting it would
+  shrink the plan (reported with the estimated slot saving).
 - **UNC106** — a comparison the interval domain reports as undecided but
   the affine (dependence-tracking) domain decides: correlation between
   the operands collapses the difference to one side of zero, so the SPRT
@@ -49,7 +49,6 @@ from repro.analysis.intervals import (
     infer_intervals,
 )
 from repro.analysis.rules import ALL_RULES, ERROR, severity_at_least
-from repro.core.conditionals import get_config
 from repro.core.graph import (
     ApplyNode,
     BinaryOpNode,
@@ -261,42 +260,14 @@ def _check_constant_folding(plan: EvaluationPlan, intervals: list[Interval]):
         saving = subtree_slots[slot] - 1
         value = intervals[slot]
         value_note = f" (value {value.lower:g})" if value.is_point else ""
-        # The optimizer's constant-fold pass performs this exact rewrite —
-        # except across ApplyNode, which it treats as a fold barrier
-        # (lifted user functions may be impure).
-        barrier = _has_apply_barrier(plan, slot)
-        optimizer_on = bool(get_config().optimize)
-        if optimizer_on and not barrier:
-            message = (
-                f"sub-DAG rooted at {step.node.label!r} is built only from "
-                f"point masses{value_note}; folded by pass constant-fold "
-                f"(optimizer on): {saving} slot(s) eliminated from the "
-                "executed program"
-            )
-            folded = True
-        elif optimizer_on:
-            message = (
-                f"sub-DAG rooted at {step.node.label!r} is built only from "
-                f"point masses{value_note}, but contains a lifted function "
-                "(a constant-fold barrier: it may be impure), so the "
-                f"optimizer leaves its {saving} slot(s) in place"
-            )
-            folded = False
-        else:
-            message = (
-                f"sub-DAG rooted at {step.node.label!r} is built only from "
-                f"point masses{value_note}; folding it to one constant "
-                f"would save {saving} slot(s) per joint sample (enable "
-                "with evaluation_config(optimize=True))"
-            )
-            folded = False
         yield _diag(
             "UNC105",
-            message,
+            f"sub-DAG rooted at {step.node.label!r} is built only from "
+            f"point masses{value_note}; folding it to one constant would "
+            f"save {saving} slot(s) per joint sample: compute the constant "
+            "in Python before lifting it",
             step,
             slots_saved=saving,
-            folded=folded,
-            fold_pass="constant-fold",
         )
 
 
@@ -422,21 +393,6 @@ def _check_spurious_independence(plan: EvaluationPlan,
             left_leaf_slots=sorted(stochastic[a]),
             right_leaf_slots=sorted(stochastic[b]),
         )
-
-
-def _has_apply_barrier(plan: EvaluationPlan, slot: int) -> bool:
-    """Does the sub-DAG below ``slot`` contain an ``ApplyNode``?"""
-    seen: set[int] = set()
-    stack = [slot]
-    while stack:
-        s = stack.pop()
-        if s in seen:
-            continue
-        seen.add(s)
-        if isinstance(plan.steps[s].node, ApplyNode):
-            return True
-        stack.extend(plan.steps[s].parent_slots)
-    return False
 
 
 def analyze_plan(plan: EvaluationPlan) -> list[Diagnostic]:

@@ -53,9 +53,8 @@ GRAPH_RULES = {
     "UNC104": Rule("UNC104", WARNING,
                    "tautological self-comparison of a shared node"),
     "UNC105": Rule("UNC105", INFO,
-                   "constant (point-mass-only) sub-DAG: folded by the "
-                   "optimizer's constant-fold pass when enabled, otherwise "
-                   "a re-evaluation cost on every joint sample"),
+                   "constant (point-mass-only) sub-DAG: a re-evaluation "
+                   "cost on every joint sample"),
     "UNC106": Rule("UNC106", WARNING,
                    "correlation-collapsed comparison: decided by the "
                    "dependence-tracking affine domain but invisible to "
@@ -96,7 +95,7 @@ LINT_RULES = {
 #: static stream-safety certifier (:mod:`repro.analysis.certify`).
 CERTIFY_RULES = {
     "UNC401": Rule("UNC401", ERROR,
-                   "rewrite or fused kernel could not be certified "
+                   "fused kernel could not be certified "
                    "stream-safe: its RNG consumption sequence is not "
                    "provably identical to the reference plan"),
 }

@@ -160,13 +160,9 @@ class EvaluationConfig:
     #: names: ``"numpy"`` (default), ``"interpreter"``, ``"parallel"``,
     #: ``"fused"`` (generated-kernel backend, :mod:`repro.core.fused`).
     engine: "str | object" = "numpy"
-    #: Optimizer switch for compiled plans (:mod:`repro.core.optimizer`),
-    #: read for truthiness: a false value (``False``, ``0``) disables, a
-    #: true one runs constant folding, common-subexpression elimination
-    #: and dead-slot elimination.  Safe default ``True``: every accepted
-    #: rewrite preserves bit-identical RNG streams (rewrites that would
-    #: reorder leaf draws are rejected), and memo-carrying draws
-    #: (``SampleContext``) always run unoptimized.
+    #: Retired: the rewrite optimizer is gone and every engine runs the
+    #: compiled plan.  Accepted at any value and ignored, because the
+    #: end-to-end benchmark's oracle still passes ``optimize=0``.
     optimize: "bool | int" = True
     #: Optional static-analysis hook run once per freshly compiled plan
     #: (``None`` = off).  ``evaluation_config(plan_analyzer=

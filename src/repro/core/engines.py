@@ -9,9 +9,9 @@ engines register behind the same interface.
   forward pass over preallocated slots; shared subexpressions are slot
   reads, batch evaluation is vectorized numpy.
 - :class:`InterpreterEngine` — a per-call iterative post-order walk of
-  the DAG with a dictionary memo, always over the raw plan: the
-  unoptimized reference semantics that the engine-equivalence tests and
-  the end-to-end benchmark's oracle compare against.
+  the DAG with a dictionary memo: the reference semantics that the
+  engine-equivalence tests and the end-to-end benchmark's oracle compare
+  against.
 
 Both engines visit nodes in the same order, so given the same RNG they
 produce bit-identical sample streams.  Engines are stateless; select one
@@ -82,13 +82,6 @@ class ExecutionEngine:
     """
 
     name: str = "abstract"
-    #: Engines that execute whatever plan they are handed can run the
-    #: optimizer's rewritten program (``sample`` switches to
-    #: ``plan.optimized()`` on memo-free draws).  The interpreter
-    #: opts out to stay the *unoptimized* reference semantics, which makes
-    #: every engine-equivalence test an end-to-end check of the optimizer's
-    #: bit-identity contract.
-    supports_optimized: bool = True
 
     def run(
         self,
@@ -116,20 +109,14 @@ class ExecutionEngine:
         ``engine.<name>.sample`` span, and with a non-default
         ``on_nonfinite`` policy it runs the numerical-health check of
         :mod:`repro.resilience.health` over the batch (per-slot NaN/Inf
-        attribution, warn/raise/resample).  ``optimize``, ``on_nonfinite``
-        and ``metrics`` come from ``config`` (default: the ambient one).
+        attribution, warn/raise/resample).  ``on_nonfinite`` and
+        ``metrics`` come from ``config`` (default: the ambient one).
         ``run`` stays raw for callers that benchmark or need every slot;
         here every memo-free draw the health check does not inspect runs
         with ``release=True``.
         """
         if config is None:
             config = _cond.get_config()
-        if memo is None and self.supports_optimized:
-            # Memo-carrying draws (SampleContext) stay on the unoptimized
-            # plan: memo keys are the *user's* node objects, and rewritten
-            # plans may not contain them.
-            if config.optimize:
-                plan = plan.optimized()
         propagate = config.on_nonfinite == "propagate"
         metrics = _metrics.resolve(config.metrics)
         tracer = _trace.get_tracer()
@@ -275,7 +262,6 @@ class InterpreterEngine(ExecutionEngine):
     """
 
     name = "interpreter"
-    supports_optimized = False
 
     def run(self, plan, n, rng, memo=None, release=False):
         local: dict[Node, np.ndarray] = dict(memo) if memo else {}

@@ -1,8 +1,8 @@
-"""Stage 3 of the plan compiler: the fused-kernel execution backend.
+"""The plan compiler's fused-kernel execution backend.
 
 For every *hot* plan shape (structural hash, see
 :mod:`repro.core.structural`) this module generates one flat numpy Python
-source — a single function that evaluates the whole optimized program
+source — a single function that evaluates the whole compiled program
 without the per-step dispatch loop of
 :class:`~repro.core.engines.NumpyEngine` — and keeps it, with its
 accept/reject verdict, on the shape's
@@ -43,9 +43,10 @@ What the generated kernel fuses:
   expressions; single-use intermediates are inlined into their consumer,
   so ``sqrt(dx*dx + dy*dy) / dt > 4`` becomes one line of numpy instead
   of five dispatched steps.
-- **Constants.**  Scalar point masses (including those produced by the
-  constant-fold pass) are bound once at kernel-build time and used as
-  scalars where broadcasting keeps the result identical.
+- **Constants.**  Scalar point masses are bound once at kernel-build
+  time and read as scalars where broadcasting keeps the result
+  identical; elsewhere each read builds the engine's ``np.full`` array
+  inside its own statement, so no constant array lives across a draw.
 
 Safety: every freshly generated kernel is **admitted by proof, before
 first use**.  The generator coalesces a leaf only when its exact class
@@ -197,7 +198,7 @@ class _KernelSpec:
 
     __slots__ = (
         "source", "factory", "steps_meta", "s_slots", "f_slots", "g_slots",
-        "k_slots", "runs", "verified", "certification",
+        "k_slots", "scalar_reads", "runs", "verified", "certification",
     )
 
     def __init__(self):
@@ -208,6 +209,7 @@ class _KernelSpec:
         self.f_slots = ()
         self.g_slots = ()
         self.k_slots = ()
+        self.scalar_reads = frozenset()  # (slot, operand) reading a _K scalar
         self.runs = ()  # (family, (slot, ...)) per coalesced draw
         self.verified = False
         self.certification = None  # CertificationRecord (shared per shape)
@@ -262,7 +264,7 @@ def _generate(plan: EvaluationPlan) -> _KernelSpec:
     steps = plan.steps
     root_slot = plan.root_slot
 
-    # Use counts decide materialisation (consts) and inlining (exprs).
+    # Use counts decide inlining (exprs).
     uses = [0] * len(steps)
     uses[root_slot] += 1
     for step in steps:
@@ -270,44 +272,38 @@ def _generate(plan: EvaluationPlan) -> _KernelSpec:
             uses[p] += 1
 
     # -- classify ----------------------------------------------------------
-    # const slots that must materialise as np.full (mirroring the engine):
-    # the root, operands of generic/unknown calls, operands of unary ops,
-    # operands of ``**`` (numpy special-cases a scalar exponent, e.g. 0.5
-    # as sqrt, which rounds differently from the engine's array exponent),
-    # and one side of a const-const binary.
-    const_slot = {}
+    # Scalar point masses are bound once as ``_K`` constants and spelled
+    # per read: as the scalar where broadcasting keeps the result
+    # identical, else as ``np.full(n, _Kj)`` (mirroring the engine) built
+    # inside the reading statement, so no constant array outlives it.
+    # Reads that materialise: operands of generic/unknown calls and of
+    # unary ops, operands of ``**`` (numpy special-cases a scalar exponent,
+    # e.g. 0.5 as sqrt, which rounds differently from the engine's array
+    # exponent), one side of a const-const binary, and any scalar whose
+    # weak (NEP 50) promotion may differ from the engine's array: the
+    # certifier's own rule.
+    consts = {
+        step.slot for step in steps
+        if step.opcode == OP_SOURCE
+        and type(step.node) is PointMassNode
+        and isinstance(step.node.value, _SCALAR_TYPES)
+    }
+    scalar_reads = set()  # (reading slot, operand index)
     for step in steps:
         node = step.node
-        if (
-            step.opcode == OP_SOURCE
-            and type(node) is PointMassNode
-            and isinstance(node.value, _SCALAR_TYPES)
+        reads = [
+            (step.slot, i) for i, p in enumerate(step.parent_slots)
+            if p in consts
+        ]
+        if type(node) is BinaryOpNode and (
+            node.op in _NPFUNC_BINARY  # np.logical_* broadcast scalars
+            or (node.op in _INFIX_BINARY and node.op is not operator.pow)
         ):
-            const_slot[step.slot] = True  # True = scalar-inlinable so far
-    if root_slot in const_slot:
-        const_slot[root_slot] = False
-    for step in steps:
-        kind = type(step.node)
-        parents = step.parent_slots
-        if (
-            kind is BinaryOpNode
-            and step.node.op in _INFIX_BINARY
-            and step.node.op is not operator.pow
-        ):
-            a, b = parents
-            if a in const_slot and b in const_slot:
-                const_slot[a] = False  # materialise one side; b stays scalar
-        elif kind is BinaryOpNode and step.node.op in _NPFUNC_BINARY:
-            pass  # np.logical_* broadcast scalars identically
-        else:
-            for p in parents:
-                if p in const_slot:
-                    const_slot[p] = False
-    # Also materialise any scalar whose weak (NEP 50) promotion may
-    # differ from the engine's array: the certifier's own rule.
-    inlined = {slot for slot, scalar in const_slot.items() if scalar}
-    for slot, _reason in _inline_obstacles(plan, inlined):
-        const_slot[slot] = False
+            # A const-const binary materialises its left side.
+            scalar_reads.update(reads[-1:] if len(reads) == 2 else reads)
+    scalar_reads.difference_update(
+        [read for read, _reason in _inline_obstacles(plan, scalar_reads)]
+    )
 
     # -- lifetimes ---------------------------------------------------------
     # A single-use expression is inlined into its consumer's statement,
@@ -364,7 +360,7 @@ def _generate(plan: EvaluationPlan) -> _KernelSpec:
                 runs.append((pending_run[0], tuple(pending_run[1])))
                 pending_run = None
             s_slots.append(step.slot)
-        elif step.slot in const_slot:
+        elif step.slot in consts:
             k_index[step.slot] = len(k_slots)
             k_slots.append(step.slot)
         else:
@@ -386,13 +382,22 @@ def _generate(plan: EvaluationPlan) -> _KernelSpec:
     unsafe = False
     dies_at: dict[int, list[int]] = {}  # after the root's, ``return`` frees
     for slot, last in enumerate(last_read):
-        if last >= 0 and last != root_slot:
+        if last >= 0 and last != root_slot and slot not in consts:
             dies_at.setdefault(last, []).append(slot)
 
-    def ref(slot):
-        """Operand text for ``slot`` (inlined expression or variable)."""
-        e = exprs.get(slot)
-        return e if e is not None else _Expr(f"v{slot}")
+    def operands(step):
+        """Operand expressions of ``step`` (inlined expression, constant
+        or variable)."""
+        out = []
+        for i, p in enumerate(step.parent_slots):
+            j = k_index.get(p)
+            if j is None:
+                out.append(exprs.get(p) or _Expr(f"v{p}"))
+            elif (step.slot, i) in scalar_reads:
+                out.append(_Expr(f"_K{j}"))
+            else:
+                out.append(_Expr(f"np.full(n, _K{j})", ("const",)))
+        return out
 
     def assign(slot, expr, parent_slots):
         body.append(f"v{slot} = {expr.text}")
@@ -440,11 +445,8 @@ def _generate(plan: EvaluationPlan) -> _KernelSpec:
                         body.append(f"del _d{r}")
                         steps_meta.append((slots[0], (), (f"{family} ×{k}",)))
             elif slot in k_index:
-                j = k_index[slot]
-                if const_slot[slot]:
-                    exprs[slot] = _Expr(f"_K{j}")
-                else:
-                    body.append(f"v{slot} = np.full(n, _K{j})")
+                if slot == root_slot:
+                    body.append(f"v{slot} = np.full(n, _K{k_index[slot]})")
                     steps_meta.append((slot, (), ("const",)))
             else:
                 j = s_slots.index(slot)
@@ -454,14 +456,14 @@ def _generate(plan: EvaluationPlan) -> _KernelSpec:
             continue
         if kind is BinaryOpNode and node.op in _INFIX_BINARY:
             sym = _INFIX_BINARY[node.op]
-            a, b = ref(parents[0]), ref(parents[1])
+            a, b = operands(step)
             expr = _Expr(
                 f"({a.text} {sym} {b.text})",
                 ops=a.ops + b.ops + (sym,),
             )
         elif kind is BinaryOpNode and node.op in _NPFUNC_BINARY:
             fn = _NPFUNC_BINARY[node.op]
-            a, b = ref(parents[0]), ref(parents[1])
+            a, b = operands(step)
             expr = _Expr(
                 f"np.{fn}({a.text}, {b.text})",
                 ops=a.ops + b.ops + (fn,),
@@ -469,12 +471,12 @@ def _generate(plan: EvaluationPlan) -> _KernelSpec:
             sym = fn
         elif kind is UnaryOpNode and node.op in _PREFIX_UNARY:
             sym = _PREFIX_UNARY[node.op]
-            a = ref(parents[0])
+            (a,) = operands(step)
             expr = _Expr(f"({sym}{a.text})", ops=a.ops + (sym,))
             sym = "neg" if sym == "-" else "pos"
         elif kind is UnaryOpNode and node.op in _NPFUNC_UNARY:
             fn = _NPFUNC_UNARY[node.op]
-            a = ref(parents[0])
+            (a,) = operands(step)
             expr = _Expr(f"np.{fn}({a.text})", ops=a.ops + (fn,))
             sym = fn
         elif _is_expression(node):
@@ -488,7 +490,7 @@ def _generate(plan: EvaluationPlan) -> _KernelSpec:
             # (conditional) ``_check_batch`` for well-shaped results.
             j = len(f_slots)
             f_slots.append(slot)
-            args = [ref(p) for p in parents]
+            args = operands(step)
             call = f"_F{j}({', '.join(a.text for a in args)})"
             if not (kind is ApplyNode and node.fn.nout == 1):
                 call = f"_chk({call}, n)"
@@ -504,7 +506,7 @@ def _generate(plan: EvaluationPlan) -> _KernelSpec:
             # structurally opaque and never reach the fused backend).
             j = len(g_slots)
             g_slots.append(slot)
-            args = [ref(p) for p in parents]
+            args = operands(step)
             unsafe = True
             assign(
                 slot,
@@ -557,6 +559,7 @@ def _generate(plan: EvaluationPlan) -> _KernelSpec:
     spec.f_slots = tuple(f_slots)
     spec.g_slots = tuple(g_slots)
     spec.k_slots = tuple(k_slots)
+    spec.scalar_reads = frozenset(scalar_reads)
     spec.runs = tuple(runs)
     return spec
 
@@ -688,7 +691,6 @@ class FusedEngine(ExecutionEngine):
     """
 
     name = "fused"
-    supports_optimized = True
 
     @property
     def inner(self) -> ExecutionEngine:

@@ -72,19 +72,6 @@ class Node:
     ) -> np.ndarray:
         raise NotImplementedError
 
-    def with_parents(self, parents: tuple["Node", ...]) -> "Node":
-        """A copy of this node rewired to ``parents`` (no cached plan).
-
-        The optimizer's rewrites and the binding of a shape's slot
-        program re-parent nodes this way; the original is never mutated.
-        """
-        clone = object.__new__(type(self))
-        for name in _state_names(type(self)):
-            setattr(clone, name, getattr(self, name))
-        clone.parents = parents
-        clone._compiled_plan = None
-        return clone
-
     # Nodes pickle without their cached plan: the plan is a per-process
     # lowering artifact (it holds bound methods and a weakly registered
     # root), and receivers — ParallelEngine workers — recompile in one
@@ -289,6 +276,15 @@ def iter_nodes(root: Node):
 def node_count(root: Node) -> int:
     """Number of distinct random variables in the network."""
     return sum(1 for _ in iter_nodes(root))
+
+
+def is_stochastic(node: Node) -> bool:
+    """Does evaluating ``node`` itself draw from the RNG stream?
+
+    Point masses never draw; distribution leaves always do.  Unknown
+    parentless node kinds are treated as stochastic (conservative).
+    """
+    return not node.parents and type(node) is not PointMassNode
 
 
 def leaf_nodes(root: Node) -> list[Node]:

@@ -101,8 +101,7 @@ from collections import OrderedDict
 import numpy as np
 
 from repro.core.engines import ExecutionEngine, get_engine
-from repro.core.graph import LeafNode
-from repro.core.optimizer import is_stochastic
+from repro.core.graph import LeafNode, is_stochastic
 from repro.core.plan import OP_SOURCE
 from repro.rng import ensure_rng
 from repro.runtime import metrics as _metrics
@@ -238,12 +237,12 @@ def _base_generator(base_spec: tuple) -> np.random.Generator:
     return np.random.default_rng(seed_seq)
 
 
-def _mode(exec_plan) -> tuple[str, str]:
+def _mode(plan) -> tuple[str, str]:
     """``("stream", why)`` when suffix extension is provably bit-identical
-    for ``exec_plan`` on every ledger engine, else ``("replay", why)``."""
+    for ``plan`` on every ledger engine, else ``("replay", why)``."""
     from repro.analysis.certify import prefix_stable
 
-    draws = (step.node for step in exec_plan.steps
+    draws = (step.node for step in plan.steps
              if step.opcode == OP_SOURCE and is_stochastic(step.node))
     leaf = next(draws, None)
     if leaf is None:
@@ -314,10 +313,10 @@ class LedgerWindow:
     __slots__ = ("_ledger", "_plan", "_engine", "_key", "_base_spec",
                  "_config", "_offset")
 
-    def __init__(self, ledger: "SampleLedger", exec_plan, eng, key,
+    def __init__(self, ledger: "SampleLedger", plan, eng, key,
                  base_spec, config) -> None:
         self._ledger = ledger
-        self._plan = exec_plan
+        self._plan = plan
         self._engine = eng
         self._key = key
         self._base_spec = base_spec
@@ -393,13 +392,13 @@ class SampleLedger:
         if resolved is None:
             _record(bypasses=1)
             return None
-        eng, exec_plan, key, base_spec = resolved
+        eng, key, base_spec = resolved
         with self._lock:
             self._apply_budget(config)
-            entry = self._entry_for(key, exec_plan, eng, base_spec)
+            entry = self._entry_for(key, plan, eng, base_spec)
             if entry.mode == "replay":
-                return self._serve_replay(entry, exec_plan, eng, n, config)
-            return self._serve_stream(entry, exec_plan, eng, 0, n, config)
+                return self._serve_replay(entry, plan, eng, n, config)
+            return self._serve_stream(entry, plan, eng, 0, n, config)
 
     def open_window(
         self, plan, rng_spec, engine, config
@@ -414,32 +413,28 @@ class SampleLedger:
         if resolved is None:
             _record(bypasses=1)
             return None
-        eng, exec_plan, key, base_spec = resolved
+        eng, key, base_spec = resolved
         with self._lock:
             self._apply_budget(config)
-        if _mode(exec_plan)[0] != "stream":
+        if _mode(plan)[0] != "stream":
             _record(bypasses=1)
             return None
-        return LedgerWindow(self, exec_plan, eng, key, base_spec, config)
+        return LedgerWindow(self, plan, eng, key, base_spec, config)
 
     def invalidate_entries(self, plan) -> int:
-        """Drop every entry for ``plan``'s shape (and its optimized
-        plan's); returns how many were dropped.
+        """Drop every entry for ``plan``'s shape; returns how many were
+        dropped.
 
         Invalidation is keyed by structural hash, so isomorphic plans
         sharing the entry are invalidated together: what
         :func:`~repro.core.plan.invalidate_plan` needs once a graph's
         nodes may have changed.
         """
-        hashes = {
-            getattr(p, "structural_hash", None)
-            for p in (plan, getattr(plan, "_optimized", None))
-        }
-        hashes.discard(None)
-        if not hashes:
+        shash = getattr(plan, "structural_hash", None)
+        if shash is None:
             return 0
         with self._lock:
-            doomed = [k for k in self._entries if k[0] in hashes]
+            doomed = [k for k in self._entries if k[0] == shash]
             for k in doomed:
                 self._drop(k)
         if doomed:
@@ -481,8 +476,8 @@ class SampleLedger:
             self._evict(keep=None)
 
     def _resolve(self, plan, rng_spec, engine, config):
-        """Common eligibility gate: ``(engine, exec_plan, key, base_spec)``
-        or ``None``."""
+        """Common eligibility gate: ``(engine, key, base_spec)`` or
+        ``None``."""
         if not config.sample_cache:
             return None
         if config.on_nonfinite == "resample":
@@ -495,26 +490,23 @@ class SampleLedger:
             return None
         if eng.name not in _LEDGER_ENGINES:
             return None
-        exec_plan = plan
-        if eng.supports_optimized and config.optimize:
-            exec_plan = plan.optimized()
-        shash = exec_plan.structural_hash
+        shash = plan.structural_hash
         if shash is None:
             return None
         lin = _lineage(rng_spec, config)
         if lin is None:
             return None
         token, base_spec = lin
-        return eng, exec_plan, (shash, eng.name, token), base_spec
+        return eng, (shash, eng.name, token), base_spec
 
     # -- entries ------------------------------------------------------------
 
-    def _entry_for(self, key, exec_plan, eng, base_spec) -> LedgerEntry:
+    def _entry_for(self, key, plan, eng, base_spec) -> LedgerEntry:
         entry = self._entries.get(key)
         if entry is not None:
             self._entries.move_to_end(key)
             return entry
-        mode, reason = _mode(exec_plan)
+        mode, reason = _mode(plan)
         _record(**{f"{mode}_entries": 1})
         _trace.event("ledger.entry", mode=mode, reason=reason,
                      engine=eng.name, structural_hash=key[0])
@@ -543,9 +535,9 @@ class SampleLedger:
 
     # -- serving ------------------------------------------------------------
 
-    def _fill(self, entry: LedgerEntry, exec_plan, eng, k: int, gen,
+    def _fill(self, entry: LedgerEntry, plan, eng, k: int, gen,
               config) -> np.ndarray:
-        """One instrumented engine run of ``exec_plan`` for the entry's
+        """One instrumented engine run of ``plan`` for the entry's
         stream (any plan of the entry's shape draws the same rows).
 
         Uses the engine's ``sample`` entry point so metrics, tracing and
@@ -555,19 +547,19 @@ class SampleLedger:
         serve another query.
         """
         try:
-            return eng.sample(exec_plan, k, gen, config=config)
+            return eng.sample(plan, k, gen, config=config)
         except BaseException:
             self._drop(entry.key)
             raise
 
-    def _serve_stream(self, entry: LedgerEntry, exec_plan, eng, start: int,
+    def _serve_stream(self, entry: LedgerEntry, plan, eng, start: int,
                       n: int, config) -> np.ndarray:
         needed = start + n
         have = entry.count
         if needed > have:
             d = needed - have
             config.accounting.admit(d)
-            rows = self._fill(entry, exec_plan, eng, d, entry.gen, config)
+            rows = self._fill(entry, plan, eng, d, entry.gen, config)
             rows = np.asarray(rows)
             if entry.column is None:
                 held, entry.column = 0, rows
@@ -590,14 +582,14 @@ class SampleLedger:
         self._evict(keep=entry.key)
         return entry.column[start:needed].copy()
 
-    def _serve_replay(self, entry: LedgerEntry, exec_plan, eng, n: int,
+    def _serve_replay(self, entry: LedgerEntry, plan, eng, n: int,
                       config) -> np.ndarray:
         column = entry.runs.get(n)
         if column is None:
             config.accounting.admit(n)
             gen = _base_generator(entry.base_spec)
             column = np.asarray(
-                self._fill(entry, exec_plan, eng, n, gen, config)
+                self._fill(entry, plan, eng, n, gen, config)
             )
             entry.runs[n] = column
             self._grow(entry, column.nbytes)

@@ -33,7 +33,7 @@ from __future__ import annotations
 import weakref
 from typing import Callable, Iterator
 
-from repro.core.graph import BinaryOpNode, Node, PointMassNode, UnaryOpNode
+from repro.core.graph import BinaryOpNode, Node, UnaryOpNode
 from repro.core.structural import (
     STRUCTURAL_CACHE,
     ShapeEntry,
@@ -106,41 +106,28 @@ class EvaluationPlan:
         "slot_of",
         "root_slot",
         "leaf_slots",
-        "is_optimized",
         "provenance",
         "_program",
         "_shape",
-        "_optimized",
         "_fused",
         "__weakref__",
     )
 
     def __init__(
-        self,
-        root: Node,
-        steps: "list[PlanStep] | None" = None,
-        slot_of: "dict[Node, int] | None" = None,
+        self, root: Node, steps: "list[PlanStep]", slot_of: "dict[Node, int]"
     ) -> None:
-        # ``steps``/``slot_of``, when given, are ``root``'s lowering
-        # (compile_plan's walk, or a slot program bound to a graph).
+        # ``steps``/``slot_of`` are ``root``'s lowering (compile_plan's walk).
         self.root = root
-        if steps is None:
-            steps, slot_of, _ = _lower(root)
         self.steps: tuple[PlanStep, ...] = tuple(steps)
         self.slot_of = slot_of
         self.root_slot = slot_of[root]
         self.leaf_slots = tuple(s.slot for s in steps if not s.parent_slots)
-        #: False for a raw lowering; set by :meth:`optimized` (and
-        #: preserved through pickling) on plans the optimizer rewrote.
-        self.is_optimized = False
-        #: Compiler provenance trail: pass-by-pass
-        #: :class:`~repro.core.optimizer.PassRecord` entries plus
-        #: :class:`~repro.analysis.certify.CertificationRecord` entries
-        #: from the static stream-safety certifier (rewrite + kernel).
+        #: Compiler provenance trail: the
+        #: :class:`~repro.analysis.certify.CertificationRecord` of the
+        #: shape's fused kernel, once the fused engine has certified it.
         self.provenance: tuple = ()
         self._program = None
         self._shape = _UNSET
-        self._optimized = None
         self._fused = None
 
     @property
@@ -214,35 +201,6 @@ class EvaluationPlan:
         shape = self.shape
         return None if shape is None else shape.key
 
-    def optimized(self) -> "EvaluationPlan":
-        """This plan lowered through the optimizer pipeline.
-
-        Cached on the plan and per shape: the first plan of a shape runs
-        :func:`~repro.core.optimizer.optimize_plan` (and its stream
-        certification) and records the result on the shape entry as a
-        :class:`SlotProgram`; every plan of the shape, the first one
-        included, is then bound to that program, so a later isomorphic
-        graph runs no pass.  Returns ``self`` when this plan is already
-        optimized or when no pass changes the graph.  See
-        :mod:`repro.core.optimizer` for the pass order and the
-        bit-identity contract.
-        """
-        if self.is_optimized:
-            return self
-        plan = self._optimized
-        if plan is None:
-            shape = self.shape
-            program = None if shape is None else shape.optimized
-            if program is None:
-                from repro.core import optimizer
-
-                result, records = optimizer.optimize_plan(self)
-                program = SlotProgram.derive(self, result, records)
-                if shape is not None:
-                    shape.optimized = program
-            plan = self._optimized = program.bind(self)
-        return plan
-
     # -- introspection ------------------------------------------------------
 
     def __len__(self) -> int:
@@ -263,11 +221,9 @@ class EvaluationPlan:
         # lowering is cheap and deterministic, and shipping the graph keeps
         # the payload small (no steps/program/bound methods), which
         # ParallelEngine sends to its workers with every chunk.  The
-        # optimized flag travels along so an optimized plan does not
-        # silently unpickle as a raw one (the optimized *root* is shipped,
-        # so no pass re-runs on load).  The receiver registers the shape
-        # in its own structural cache, which yields the sender's key.
-        return (_rebuild_plan, (self.root, self.is_optimized))
+        # receiver registers the shape in its own structural cache, which
+        # yields the sender's key.
+        return (compile_plan, (self.root,))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -312,106 +268,6 @@ def _lower(root: Node):
     return steps, slot_of, tuple(tokens)
 
 
-#: Sources of a slot program's slots.
-_KEEP = 0  # the raw slot's node, by identity
-_REPARENT = 1  # the raw slot's node, cloned onto new parent slots
-_CONST = 2  # a folded constant: a fresh point mass of the recorded value
-
-
-class SlotProgram:
-    """A shape's optimizer result, as slots of the raw shape.
-
-    Lives on the raw shape's :class:`~repro.core.structural.ShapeEntry`
-    (``entry.optimized``) and holds no node, so it never keeps a
-    graph alive.  ``records`` is the ``PassRecord``/``CertificationRecord``
-    trail of the run that made it.  ``slots`` is ``None`` when the passes
-    left the shape unchanged or their rewrite was rejected (the plan is
-    its own optimized plan); otherwise, per optimized slot, one of
-    ``(_KEEP, raw_slot, parent_slots)``, ``(_REPARENT, raw_slot,
-    parent_slots)`` or ``(_CONST, value, ())``.  ``fingerprint`` is the
-    optimized shape's fingerprint: the key of its live entry.
-    """
-
-    __slots__ = ("records", "slots", "root_slot", "fingerprint")
-
-    def __init__(self, records, slots=None, root_slot=None, fingerprint=None):
-        self.records = records
-        self.slots = slots
-        self.root_slot = root_slot
-        self.fingerprint = fingerprint
-
-    @classmethod
-    def derive(cls, raw: "EvaluationPlan", result: "EvaluationPlan",
-               records: tuple) -> "SlotProgram":
-        """The program of ``optimize_plan(raw)``'s ``(result, records)``."""
-        if result is raw:
-            return cls(records)
-        (origins,) = [r.origins for r in records if r.name == "dead-slot-elim"]
-        raw_steps = raw.steps
-        slots = []
-        for step, origin in zip(result.steps, origins):
-            if origin is None:
-                slots.append((_CONST, step.node.value, ()))
-            elif raw_steps[origin].node is step.node:
-                slots.append((_KEEP, origin, step.parent_slots))
-            else:
-                slots.append((_REPARENT, origin, step.parent_slots))
-        shape = result.shape
-        return cls(
-            records,
-            tuple(slots),
-            result.root_slot,
-            None if shape is None else shape.fingerprint,
-        )
-
-    def bind(self, raw: "EvaluationPlan") -> "EvaluationPlan":
-        """This program instantiated over ``raw``'s own node objects.
-
-        No pass, certification, graph walk or fingerprint runs: kept
-        slots reuse ``raw``'s nodes, re-parented slots clone them onto
-        the bound parents, and folded constants become fresh point
-        masses.  The plan's shape is the optimized shape's live entry
-        (re-registered if it was evicted).
-        """
-        if self.slots is None:
-            raw.provenance = self.records
-            return raw
-        raw_steps = raw.steps
-        nodes: list[Node] = []
-        steps: list[PlanStep] = []
-        slot_of: dict[Node, int] = {}
-        for slot, (source, arg, parent_slots) in enumerate(self.slots):
-            if source == _KEEP:
-                node = raw_steps[arg].node
-            elif source == _REPARENT:
-                node = raw_steps[arg].node.with_parents(
-                    tuple([nodes[p] for p in parent_slots])
-                )
-            else:
-                node = PointMassNode(arg)
-            nodes.append(node)
-            steps.append(PlanStep(node, slot, parent_slots))
-            slot_of[node] = slot
-        plan = EvaluationPlan(nodes[self.root_slot], steps, slot_of)
-        plan.is_optimized = True
-        plan.provenance = self.records
-        plan._shape = STRUCTURAL_CACHE.register(self.fingerprint)[0]
-        return plan
-
-
-def _rebuild_plan(root: Node, is_optimized: bool = False) -> "EvaluationPlan":
-    """Unpickle target: recompile (and re-cache) the plan for ``root``.
-
-    The sender's optimized flag is re-seeded on the rebuilt plan: the
-    shipped root already *is* the optimized root, so marking it prevents
-    engines from re-running the passes.
-    """
-    plan = compile_plan(root)
-    if is_optimized:
-        plan.is_optimized = True
-    return plan
-
-
 # ---------------------------------------------------------------------------
 # Plan cache: keyed on graph identity by storing the plan on the root node
 # itself (``Node._compiled_plan``), so plan lifetime equals graph lifetime
@@ -450,10 +306,10 @@ def compile_plan(
         steps, slot_of, fingerprint = _lower(root)
         plan = EvaluationPlan(root, steps, slot_of)
         span_attrs["slots"] = len(steps)
-        # Stage 2: register the plan's shape in the structural cache.  A
+        # Register the plan's shape in the structural cache.  A
         # hit means an isomorphic plan (possibly from another session)
         # already compiled — the signal the structural counters expose —
-        # and hands this plan that shape's entry and slot programs.
+        # and hands this plan that shape's entry and kernel.
         shape, structural_hit = STRUCTURAL_CACHE.register(fingerprint)
         plan._shape = shape
         span_attrs["structural_hash"] = None if shape is None else shape.key

@@ -1,13 +1,13 @@
 """Canonical structural hashing of evaluation plans.
 
-Stage 2 of the plan compiler: two plans that describe the *same shape* of
-Bayesian network — identical op kinds, arities, distribution parameters
-and sharing topology, regardless of which session built the node objects —
-get the same **structural hash**.  They share one entry of the
-process-wide :class:`StructuralCache` (a bounded LRU alongside the
+The plan compiler's shape registry: two plans that describe the *same
+shape* of Bayesian network — identical op kinds, arities, distribution
+parameters and sharing topology, regardless of which session built the
+node objects — get the same **structural hash**.  They share one entry of
+the process-wide :class:`StructuralCache` (a bounded LRU alongside the
 per-root cache of :mod:`repro.core.plan`), so many sessions compiling
-the paper's ``(y + x) + x``-shaped GPS plan share one optimizer result
-and, once the shape is hot, one generated kernel.
+the paper's ``(y + x) + x``-shaped GPS plan share, once the shape is
+hot, one generated kernel.
 
 Canonical form
 --------------
@@ -33,12 +33,9 @@ Shape entries
 
 Each registered shape owns one :class:`ShapeEntry`, and every plan of
 that shape holds a reference to it (never its own copy of the
-fingerprint).  The entry carries the shape's structural key, the
-optimizer's result as a slot program, so a later
-isomorphic graph binds its own nodes to it and runs no pass (see
-:meth:`repro.core.plan.EvaluationPlan.optimized`), the shape's fused
-kernel (see :mod:`repro.core.fused`).  Node objects are never shared:
-each graph executes its own nodes.
+fingerprint).  The entry carries the shape's structural key and the
+shape's fused kernel (see :mod:`repro.core.fused`).  Node objects are
+never shared: each graph executes its own nodes.
 
 The cache stores each distinct fingerprint *token* once.  When a new
 shape registers, each of its tokens is replaced by the equal token the
@@ -255,21 +252,16 @@ class ShapeEntry:
 
     ``key`` is the shape's structural key and ``fingerprint`` the cache's
     own key object (a reference, not a copy, built of the cache's shared
-    tokens).  ``optimized`` is the shape's
-    :class:`~repro.core.plan.SlotProgram` (``None`` until the first plan
-    of the shape is optimized): the optimizer's result as
-    slots of this shape, which every later plan of the shape binds to.
-    ``runs`` counts the fused engine's runs of the shape before it has a
-    kernel, and ``kernel`` is the fused engine's kernel spec once built:
-    ``kernel.verified`` is its accept/reject verdict.
+    tokens).  ``runs`` counts the fused engine's runs of the shape before
+    it has a kernel, and ``kernel`` is the fused engine's kernel spec once
+    built: ``kernel.verified`` is its accept/reject verdict.
     """
 
-    __slots__ = ("key", "fingerprint", "optimized", "runs", "kernel")
+    __slots__ = ("key", "fingerprint", "runs", "kernel")
 
     def __init__(self, key: str, fingerprint: tuple) -> None:
         self.key = key
         self.fingerprint = fingerprint
-        self.optimized = None
         self.runs = 0
         self.kernel = None
 
@@ -282,9 +274,9 @@ class StructuralCache:
     fingerprint; opaque plans are never cached) and whether a
     structurally *equal* plan was already registered;
     ``entry_for(plan)`` fingerprints ``plan`` first.  Evicting or
-    clearing a shape drops its slot programs and kernel: the
-    next plan of that shape registers a fresh entry.  ``compile_plan``
-    counts the lookups; :meth:`state` reports the contents.
+    clearing a shape drops its kernel: the next plan of that shape
+    registers a fresh entry.  ``compile_plan`` counts the lookups;
+    :meth:`state` reports the contents.
     """
 
     def __init__(self, limit: int = 512) -> None:
@@ -378,7 +370,7 @@ _metrics.register_gauges("structural", STRUCTURAL_CACHE.state)
 
 
 def clear_structural_cache() -> None:
-    """Drop every registered shape with its slot programs and kernel."""
+    """Drop every registered shape with its kernel."""
     STRUCTURAL_CACHE.clear()
 
 

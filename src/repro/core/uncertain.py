@@ -343,7 +343,7 @@ class Uncertain:
         percentile, mirroring the exemplar's
         ``total.percentiles(sampleCount=...)``.  ``samples`` is the
         Monte-Carlo sample count (defaults to the active configuration's
-        ``ci_samples``); draws go through the cached/optimized plan under
+        ``ci_samples``); draws go through the cached plan under
         the ambient engine, budgets and deadline, or under an explicit
         ``engine=`` override.
         """

@@ -6,8 +6,8 @@ Given a batch of :class:`~repro.service.requests.QueryRequest` objects it:
 
 1. **Groups** requests by their plan's structural hash.  Structurally
    isomorphic plans — same shape, same distribution parameters — compile
-   to interchangeable programs, so one group shares a single compiled,
-   optimized plan (the leader's) and, on the fused engine, a single
+   to interchangeable programs, so one group shares a single compiled
+   plan (the leader's) and, on the fused engine, a single
    generated kernel.  Opaque plans (lambdas, hardened sources) group by
    plan identity instead, so a hot value still batches with itself.
 

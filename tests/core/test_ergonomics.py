@@ -2,7 +2,7 @@
 
 These mirror the exemplar API (``percentiles(sampleCount)``,
 ``confidenceInterval(0.95)``, ``isProbable()``, ``map``/``flatMap``) on
-top of this library's cached/optimized plans, ambient configuration and
+top of this library's cached plans, ambient configuration and
 engines — the satellite API redesign of the service-tier PR.
 """
 

@@ -1,4 +1,4 @@
-"""Tests for the fused-kernel backend (stage 3 of the plan compiler).
+"""Tests for the fused-kernel backend of the plan compiler.
 
 The acceptance property: for any plan the fused engine either produces a
 bit-identical stream to the reference engines (verified kernel) or falls
@@ -84,12 +84,11 @@ class LyingGaussian(Gaussian):
 
 
 def run_all_engines(plan, n, seed):
-    opt = plan.optimized()
-    out_f = get_engine("fused").run(opt, n, np.random.default_rng(seed))[
-        opt.root_slot
+    out_f = get_engine("fused").run(plan, n, np.random.default_rng(seed))[
+        plan.root_slot
     ]
-    out_n = NumpyEngine().run(opt, n, np.random.default_rng(seed))[
-        opt.root_slot
+    out_n = NumpyEngine().run(plan, n, np.random.default_rng(seed))[
+        plan.root_slot
     ]
     out_i = InterpreterEngine().run(plan, n, np.random.default_rng(seed))[
         plan.root_slot
@@ -162,7 +161,7 @@ class TestEquivalence:
     def test_sequential_batches_advance_the_stream_identically(self):
         # The SPRT draws many small batches through one generator; the
         # fused engine must consume the stream exactly like numpy does.
-        plan = compile_plan(gps_speed().node).optimized()
+        plan = compile_plan(gps_speed().node)
         rng_f = np.random.default_rng(21)
         rng_n = np.random.default_rng(21)
         eng = get_engine("fused")
@@ -179,8 +178,8 @@ class TestEquivalence:
         with kernel_ran(), evaluation_config(engine="fused"):
             got = y.samples(40, rng=np.random.default_rng(8))
         want = NumpyEngine().run(
-            y.plan.optimized(), 40, np.random.default_rng(8)
-        )[y.plan.optimized().root_slot]
+            y.plan, 40, np.random.default_rng(8)
+        )[y.plan.root_slot]
         np.testing.assert_array_equal(got, want)
 
 
@@ -243,8 +242,8 @@ class TestKernelCache:
     def test_isomorphic_plans_share_one_kernel(self):
         metrics = RuntimeMetrics()
         with evaluation_config(metrics=metrics):
-            p1 = compile_plan(gps_speed().node).optimized()
-            p2 = compile_plan(gps_speed().node).optimized()
+            p1 = compile_plan(gps_speed().node)
+            p2 = compile_plan(gps_speed().node)
             eng = get_engine("fused")
             out1 = eng.run(p1, 44, np.random.default_rng(6))[p1.root_slot]
             out2 = eng.run(p2, 44, np.random.default_rng(6))[p2.root_slot]
@@ -258,7 +257,7 @@ class TestKernelCache:
 
     def test_kernel_reused_across_batches_without_rebuild(self):
         metrics = RuntimeMetrics()
-        plan = compile_plan(gps_speed().node).optimized()
+        plan = compile_plan(gps_speed().node)
         eng = get_engine("fused")
         with evaluation_config(metrics=metrics):
             rng = np.random.default_rng(0)
@@ -270,7 +269,7 @@ class TestKernelCache:
 @pytest.mark.usefixtures("hot_kernels")
 class TestIntrospection:
     def test_program_renders_coalesced_draws_and_chains(self):
-        plan = compile_plan(gps_speed().node).optimized()
+        plan = compile_plan(gps_speed().node)
         get_engine("fused").run(plan, 8, np.random.default_rng(0))
         prog = fused_program(plan)
         assert isinstance(prog, FusedProgram)
@@ -282,7 +281,7 @@ class TestIntrospection:
         assert prog.source.count("rng.standard_normal(2 * n)") == 2
 
     def test_fused_step_repr_lists_constituent_ops(self):
-        plan = compile_plan(gps_speed().node).optimized()
+        plan = compile_plan(gps_speed().node)
         prog = fused_program(plan)
         reprs = [repr(s) for s in prog.steps]
         assert any("standard_normal ×2" in r for r in reprs)
@@ -297,8 +296,8 @@ class TestIntrospection:
 
 
 def speed_plan():
-    """A fresh optimized graph of the gps_speed shape."""
-    return compile_plan(gps_speed().node).optimized()
+    """A fresh graph of the gps_speed shape."""
+    return compile_plan(gps_speed().node)
 
 
 def run_fused(plan, n=16, seed=0):
@@ -346,8 +345,8 @@ class TestTieredKernels:
     def test_runs_are_counted_per_shape_across_graphs(self):
         for seed in range(fused._HOT_RUNS - 1):
             run_fused(speed_plan(), seed=seed)
-            run_fused(fig08_plan().optimized(), seed=seed)
-        speed, fig08 = speed_plan(), fig08_plan().optimized()
+            run_fused(fig08_plan(), seed=seed)
+        speed, fig08 = speed_plan(), fig08_plan()
         assert speed.shape is not fig08.shape
         assert speed.shape.runs == fig08.shape.runs == fused._HOT_RUNS - 1
         assert structural_state()["kernels"] == 0
@@ -460,7 +459,7 @@ class TestTieredKernels:
         def worker(index):
             try:
                 for i in range(12):
-                    plan = speed_plan() if i % 2 else fig08_plan().optimized()
+                    plan = speed_plan() if i % 2 else fig08_plan()
                     seed = 100 * index + i
                     got, want = run_fused(plan, 32, seed), run_numpy(plan, 32, seed)
                     if not np.array_equal(got, want):
@@ -505,7 +504,7 @@ class TestInPlaceDraws:
         make = _RUN_LEAVES[family]
         xs = [Uncertain(make(i)) for i in range(leaves)]
         value = xs[0] if leaves == 1 else (xs[0] * 3.0 - xs[1]) / xs[2]
-        plan = compile_plan(value.node).optimized()
+        plan = compile_plan(value.node)
         with kernel_ran():
             for seed in (0, 7, 12345):
                 for n in (1, 7, 2000):
@@ -518,7 +517,7 @@ class TestInPlaceDraws:
         assert "_loc0 + _scale0 *" not in source
 
     def test_coalesced_kernel_peak_stays_near_one_block(self):
-        plan = compile_plan(_corpus_gps_window().node).optimized()
+        plan = compile_plan(_corpus_gps_window().node)
         eng = get_engine("fused")
         eng.run(plan, 8, np.random.default_rng(0))  # build and admit
         ops = [op for step in fused_program(plan).steps for op in step.ops]

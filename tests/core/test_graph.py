@@ -11,6 +11,7 @@ from repro.core.graph import (
     PointMassNode,
     UnaryOpNode,
     depth,
+    is_stochastic,
     iter_nodes,
     leaf_nodes,
     node_count,
@@ -136,6 +137,12 @@ class TestInspection:
     def test_node_count_with_sharing(self):
         a, b, c, d = self._diamond()
         assert node_count(d) == 4
+
+    def test_is_stochastic(self):
+        a, b, _, _ = self._diamond()
+        assert is_stochastic(a)
+        assert not is_stochastic(PointMassNode(1.0))
+        assert not is_stochastic(b)
 
     def test_leaf_nodes(self):
         a, _, _, d = self._diamond()

@@ -169,7 +169,7 @@ class TestProbation:
 
     @staticmethod
     def _key(value: Uncertain, seed: int) -> tuple:
-        _, _, key, _ = LEDGER._resolve(value.plan, seed, None, get_config())
+        _, key, _ = LEDGER._resolve(value.plan, seed, None, get_config())
         return key
 
     def test_a_flood_of_one_shot_queries_leaves_one_unproven_entry(self):
@@ -561,8 +561,8 @@ class TestGating:
                         value.samples(50, rng=seed)
         modes = {(e.key[0], e.mode) for e in LEDGER._entries.values()}
         assert modes == {
-            (u.plan.optimized().structural_hash, "stream"),
-            (m.plan.optimized().structural_hash, "replay"),
+            (u.plan.structural_hash, "stream"),
+            (m.plan.structural_hash, "replay"),
         }
         assert ledger_state()["modes"] == {"replay": 4, "stream": 4}
 
@@ -672,7 +672,7 @@ class TestRunningByteTotal:
             leaf.error_rate = 1.0
             with pytest.raises(InjectedFault):
                 flaky.samples(300, rng=1)
-            flaky_hash = flaky.plan.optimized().structural_hash
+            flaky_hash = flaky.plan.structural_hash
             assert not any(e.key[0] == flaky_hash for e in LEDGER._entries.values())
             assert ledger_state()["bytes"] == actual() > 0
         clear_ledger()
@@ -764,7 +764,8 @@ class TestWindowsResolveOnce:
 
 
 def rewritten_value() -> Uncertain:
-    """A shape the optimizer rewrites (CSE): its plan is a slot program."""
+    """A shape that builds ``x + 1.0`` twice: two deterministic nodes
+    over one leaf."""
     x = Uncertain(Gaussian(0.0, 1.0))
     return (x + 1.0) * (x + 1.0)
 
@@ -776,9 +777,7 @@ class TestGraphLifetime:
 
     @staticmethod
     def _node_refs(value: Uncertain) -> list:
-        plan = value.plan
-        steps = plan.steps + plan.optimized().steps
-        return [weakref.ref(step.node) for step in steps]
+        return [weakref.ref(step.node) for step in value.plan.steps]
 
     @pytest.mark.usefixtures("hot_kernels")
     @pytest.mark.parametrize("engine", ENGINES)
@@ -789,7 +788,7 @@ class TestGraphLifetime:
             (certified_value, ("samples", "extend", "test")),
             # Replay mode: multi-leaf, one fresh run per N.
             (replay_value, ("samples",)),
-            # Optimizer-rewritten shape: the plan is bound to a slot program.
+            # Duplicated deterministic nodes over one leaf.
             (rewritten_value, ("samples", "extend", "test")),
         ],
         ids=["stream", "replay", "rewritten"],
@@ -801,8 +800,6 @@ class TestGraphLifetime:
             off = make().samples(250, rng=3)
         value = make()
         boolean = value > 0.5
-        if make is rewritten_value:
-            assert value.plan.optimized() is not value.plan
         with kernel_ran_if_fused(engine), evaluation_config(
             engine=engine, sample_cache=True
         ):

@@ -32,7 +32,7 @@ def _fresh_shapes():
 
 
 def fig08_speed_plan():
-    """The raw plan of the Fig 8 speed estimate (90 optimized slots)."""
+    """The plan of the Fig 8 speed estimate (102 slots)."""
     return compile_plan(fig08_root().parents[0])
 
 
@@ -52,13 +52,13 @@ def draw_peak(engine: str, plan) -> int:
 class TestPeakOfOneDraw:
     def test_numpy_engine_holds_the_widest_cut_not_every_slot(self):
         plan = fig08_speed_plan()
-        assert len(plan.optimized().steps) == 90
-        # Every slot held to the end was 90 rows.
+        assert len(plan.steps) == 102
+        # Every slot held to the end was 102 rows.
         assert draw_peak("numpy", plan) < 24 * ROW
 
     def test_a_cold_fused_run_releases_like_the_numpy_engine(self):
         plan = fig08_speed_plan()
-        shape = plan.optimized().shape
+        shape = plan.shape
         assert draw_peak("fused", plan) < 24 * ROW
         assert shape.kernel is None  # the NumPy engine ran it
 
@@ -67,14 +67,16 @@ class TestPeakOfOneDraw:
         plan = fig08_speed_plan()
         with kernel_ran():
             get_engine("fused").sample(plan, 8, np.random.default_rng(0))
-        # One 34-leaf block plus its readers was 43 rows.
-        assert draw_peak("fused", plan) < 22 * ROW
+        # One 34-leaf block plus its readers was 43 rows.  The widest cut
+        # is 22.02 rows: the unfolded ``deg2rad`` and ``earth_r``
+        # constants are two n-row arrays that live across the draw.
+        assert draw_peak("fused", plan) < 23 * ROW
 
 
 class TestReleaseKeepsValues:
     @pytest.mark.parametrize("n", [1, 10, 1000])
     def test_root_is_bit_identical_with_and_without_release(self, n):
-        plan = fig08_speed_plan().optimized()
+        plan = fig08_speed_plan()
         eng = get_engine("numpy")
         kept = eng.run(plan, n, np.random.default_rng(5))
         released = eng.run(plan, n, np.random.default_rng(5), None, True)
@@ -87,7 +89,7 @@ class TestReleaseKeepsValues:
         ]
 
     def test_program_releases_every_interior_slot_once(self):
-        plan = fig08_speed_plan().optimized()
+        plan = fig08_speed_plan()
         done = [slot for entry in plan.program for slot in entry[-1]]
         assert sorted(done) == [
             s.slot for s in plan.steps if s.slot != plan.root_slot

@@ -1,4 +1,4 @@
-"""Property tests for structural plan hashing (stage 2 of the compiler).
+"""Property tests for structural plan hashing (the compiler's shape registry).
 
 Contract: two plans get the same structural key iff their programs are
 interchangeable — same op kinds, arities, distribution parameters, and
@@ -167,7 +167,7 @@ class TestCacheBounds:
         # reports what it holds, not a second hit/miss count.
         reset_stats()
         compile_plan(gps_speed().node)
-        compile_plan(gps_speed().node).optimized()
+        compile_plan(gps_speed().node)
         plans = stats()["plans"]
         assert (plans["structural_hits"], plans["structural_misses"]) == (1, 1)
         assert not {"hits", "misses"} & set(stats()["structural"])
@@ -262,8 +262,8 @@ class TestCanonicalValues:
         assert len(set(tokens)) == len(tokens)
 
     def test_python_and_numpy_scalar_operands_get_different_keys(self):
-        # CSE merges point masses per type and NEP 50 promotes a Python
-        # scalar weakly, so both verdicts differ between these shapes.
+        # NEP 50 promotes a Python scalar weakly, so the kernel's
+        # promotion verdict differs between these shapes.
         x = Uncertain(Gaussian(0.0, 1.0))
         assert (
             compile_plan((x * 2.0).node).structural_hash
@@ -272,7 +272,7 @@ class TestCanonicalValues:
 
 
 def counting_optimizer(monkeypatch):
-    """Count ``optimize_plan`` calls (looked up per call by ``optimized``)."""
+    """Count calls of the retired ``optimize_plan``: nothing makes one."""
     calls = []
     original = optimizer.optimize_plan
 
@@ -289,15 +289,25 @@ def chaos_speed(seed=3):
     return Uncertain(leaf) * 2.0 + Uncertain(Uniform(0.5, 2.0)), leaf
 
 
+def hot_speed():
+    """A fresh ``gps_speed`` graph whose shape has a built kernel."""
+    value = gps_speed()
+    with evaluation_config(engine="fused"):
+        value.samples(8, np.random.default_rng(0))
+    return value
+
+
 class TestSharedOptimizerVerdict:
+    """Isomorphic graphs share one shape entry and its kernel verdict;
+    every engine runs the plan ``compile_plan`` returns."""
+
     def test_isomorphic_graph_runs_no_pass(self, monkeypatch):
         calls = counting_optimizer(monkeypatch)
-        first = compile_plan(gps_speed().node).optimized()
-        assert len(calls) == 1
+        first = compile_plan(gps_speed().node)
         second = compile_plan(gps_speed().node)
-        assert second.optimized() is second
-        assert len(calls) == 1
-        assert second.provenance == first.provenance
+        gps_speed().samples(8, np.random.default_rng(0))
+        assert calls == []
+        assert second.provenance == first.provenance == ()
         assert second.shape is first.shape
 
     @pytest.mark.parametrize("engine", ["numpy", "fused"])
@@ -309,7 +319,7 @@ class TestSharedOptimizerVerdict:
         value = gps_speed()
         with kernel_ran_if_fused(engine), evaluation_config(engine=engine):
             got = value.samples(64, np.random.default_rng(7))
-        assert len(calls) == 1
+        assert calls == []
         with evaluation_config(engine="interpreter"):
             expected = value.samples(64, np.random.default_rng(7))
         np.testing.assert_array_equal(got, expected)
@@ -327,35 +337,29 @@ class TestSharedOptimizerVerdict:
             u2.samples(8, np.random.default_rng(1))
         assert (leaf1.calls, leaf2.calls) == (first_calls, 1)
 
-    def test_clear_caches_drops_the_verdict(self, monkeypatch):
-        calls = counting_optimizer(monkeypatch)
-        compile_plan(gps_speed().node).optimized()
+    def test_clear_caches_drops_the_verdict(self, hot_kernels):
+        assert hot_speed().plan.shape.kernel.verified
         clear_caches()
-        compile_plan(gps_speed().node).optimized()
-        assert len(calls) == 2
+        assert stats()["structural"]["entries"] == 0
+        assert compile_plan(gps_speed().node).shape.kernel is None
 
-    def test_eviction_drops_the_verdict(self, monkeypatch):
-        calls = counting_optimizer(monkeypatch)
+    def test_eviction_drops_the_verdict(self, monkeypatch, hot_kernels):
         monkeypatch.setattr(STRUCTURAL_CACHE, "limit", 1)
-        compile_plan(gps_speed(mu=1.5).node).optimized()
+        assert hot_speed().plan.shape.kernel.verified
         compile_plan(gps_speed(mu=2.5).node)  # evicts the first shape
-        compile_plan(gps_speed(mu=1.5).node).optimized()
-        assert len(calls) == 2
+        assert compile_plan(gps_speed().node).shape.kernel is None
 
-    def test_rewritten_shape_is_optimized_once(self, monkeypatch):
+    def test_one_shape_holds_one_entry(self, monkeypatch):
+        # Five fresh Fig 8 speed graphs on the fused engine: one entry,
+        # one verified kernel, and no optimizer call.
+        from benchmarks.e2e.inputs import fig08_root
+
         calls = counting_optimizer(monkeypatch)
-
-        def duplicated():
-            x = Uncertain(Gaussian(0.0, 1.0))
-            return (x + 1.0) * (x + 1.0)
-
-        plans = [compile_plan(duplicated().node) for _ in range(3)]
-        assert plans[0].shape is not None and plans[1].shape is plans[0].shape
-        bound = [plan.optimized() for plan in plans]
-        assert len(calls) == 1
-        assert len({id(b) for b in bound}) == 3
-        for plan, opt in zip(plans, bound):
-            assert opt is not plan
-            assert opt.shape is bound[0].shape
-        first = {id(s.node) for p in (plans[0], bound[0]) for s in p.steps}
-        assert not first & {id(s.node) for s in bound[2].steps}
+        for seed in range(5):
+            value = Uncertain.from_node(fig08_root().parents[0])
+            with evaluation_config(engine="fused", sample_cache=False):
+                value.samples(16, np.random.default_rng(seed))
+        state = stats()["structural"]
+        assert (state["entries"], state["kernels"]) == (1, 1)
+        assert state["kernels_verified"] == 1
+        assert calls == []

@@ -206,8 +206,12 @@ class TestEngineBoundaries:
         # and the mid-run trip surfaces as the classic DeadlineExceeded.
         from repro import DeadlineExceeded
 
-        value = stalling_query(stall_s=0.05)
-        with evaluation_config(deadline=0.01):
+        # Compile before the deadline starts, and stall well past it: a
+        # garbage collection between the two must not expire the deadline
+        # before the draw begins.
+        value = stalling_query(stall_s=0.25)
+        value.plan
+        with evaluation_config(deadline=0.05):
             with pytest.raises(DeadlineExceeded, match="mid-draw"):
                 value.samples(64, rng=0)
 
@@ -223,7 +227,7 @@ class TestTransientFaultsWriteNoVerdict:
         token.cancel("client-disconnected")
         with cancellation.scope(token), pytest.raises(EvaluationCancelled):
             stalling_query(0.02).samples(16, rng=0, engine="fused")
-        fresh = stalling_query(0.02).plan.optimized()
+        fresh = stalling_query(0.02).plan
         assert fresh.shape.kernel.verified
         assert fused_program(fresh) is not None
 
@@ -232,7 +236,7 @@ class TestTransientFaultsWriteNoVerdict:
     ):
         with pytest.raises(InjectedFault):
             flaky_query().samples(16, rng=0, engine="fused")
-        fresh = flaky_query(armed=False).plan.optimized()
+        fresh = flaky_query(armed=False).plan
         assert fused_program(fresh) is not None
 
     def test_cancelled_ledger_probe_writes_no_replay_verdict(self, fresh_verdicts):

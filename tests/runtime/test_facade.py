@@ -13,17 +13,20 @@ from repro.runtime import RuntimeMetrics
 
 
 class RecordingEngine(NumpyEngine):
-    """A NumpyEngine that counts how often the runtime routed through it."""
+    """A NumpyEngine that counts how often the runtime routed through it
+    and keeps the plans it ran."""
 
     name = "recording-test"
 
     def __init__(self) -> None:
         self.calls = 0
         self.samples_requested = 0
+        self.plans = []
 
     def run(self, plan, n, rng, memo=None, release=False):
         self.calls += 1
         self.samples_requested += int(n)
+        self.plans.append(plan)
         return super().run(plan, n, rng, memo, release)
 
 
@@ -149,6 +152,16 @@ class TestCustomEngineRouting:
         assert recording_engine.calls >= 1
         # Shared context: the two roots saw one joint assignment.
         assert yv == pytest.approx(xv + 1.0)
+
+    def test_engine_runs_the_compiled_plan(self, recording_engine):
+        # The const-fold corpus plan: a constant sub-DAG no pass rewrites.
+        from repro.analysis.demos import CERTIFY_CORPUS
+        from repro.core.plan import compile_plan
+
+        value = CERTIFY_CORPUS["const-fold"]()
+        value.samples(16, rng=0, engine="recording-test")
+        assert recording_engine.plans == [compile_plan(value.node)]
+        assert recording_engine.plans[0] is value.plan
 
     def test_results_match_numpy_engine(self, recording_engine):
         value = Uncertain(Gaussian(0.0, 1.0)) + 2.0
