@@ -51,7 +51,7 @@ class Accounting:
         self.sample_budget = sample_budget
         self.deadline = deadline
         #: The deadline as a cancellation token (``None`` without one),
-        #: which ``sampling._execute_plan`` installs around each draw.
+        #: which a ``sampling.Draw`` installs around each engine run.
         self.token = (
             CancellationToken(deadline_at=monotonic() + deadline)
             if deadline is not None else None

@@ -19,10 +19,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.sampling import _execute_plan
+from repro.core.sampling import Draw
 from repro.core.uncertain import Uncertain, UncertainBool
 from repro.dists.empirical import Empirical
-from repro.rng import ensure_rng
 
 
 def condition(
@@ -39,7 +38,8 @@ def condition(
     keeps the values where the evidence holds, until ``pool_size`` accepted
     samples are collected (or ``max_batches`` is exhausted — rare evidence
     raises rather than looping forever, mirroring the rejection-economics
-    discussion around Figure 17).
+    discussion around Figure 17).  ``rng=None`` draws from the ambient
+    configuration's generator, like every other query.
     """
     if not isinstance(evidence, UncertainBool):
         raise TypeError(
@@ -48,18 +48,17 @@ def condition(
         )
     if pool_size <= 0 or batch_size <= 0 or max_batches <= 0:
         raise ValueError("pool_size, batch_size and max_batches must be positive")
-    rng = ensure_rng(rng)
-    # Both plans compile once; each batch shares one memo table so the
-    # evidence sees the same joint assignment as the value.
-    value_plan, evidence_plan = value.plan, evidence.plan
+    # Both draws resolve once, on one generator (``rng=None``: the
+    # config's); each batch shares one memo table so the evidence sees
+    # the same joint assignment as the value.
+    value_draw = Draw(value.plan, rng)
+    evidence_draw = Draw(evidence.plan, value_draw.rng, config=value_draw.config)
     accepted: list[np.ndarray] = []
     total_accepted = 0
     for _ in range(max_batches):
-        memo: dict = {}
-        values = _execute_plan(value_plan, batch_size, rng, memo=memo)
-        holds = np.asarray(
-            _execute_plan(evidence_plan, batch_size, rng, memo=memo), dtype=bool
-        )
+        value_draw.memo = evidence_draw.memo = {}
+        values = value_draw.sample(batch_size)
+        holds = np.asarray(evidence_draw.sample(batch_size), dtype=bool)
         kept = values[holds]
         if len(kept):
             accepted.append(kept)

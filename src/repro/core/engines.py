@@ -20,8 +20,6 @@ per draw via ``evaluation_config(engine="numpy")`` or pass an instance.
 
 from __future__ import annotations
 
-from time import perf_counter
-
 import numpy as np
 
 from repro.core import conditionals as _cond
@@ -32,10 +30,7 @@ from repro.core.plan import (
     OP_UNARY,
     EvaluationPlan,
 )
-from repro.resilience import health as _health
 from repro.runtime import cancellation as _cancel
-from repro.runtime import metrics as _metrics
-from repro.runtime import trace as _trace
 
 #: Floating-point error handling for plan execution.  IEEE semantics are
 #: the language of Uncertain<T> — division by a zero-crossing support
@@ -103,46 +98,16 @@ class ExecutionEngine:
     ) -> np.ndarray:
         """Batch of ``n`` joint samples of the plan's root.
 
-        This is the instrumented entry point: with a metrics sink active
-        (the default) it attributes samples and wall time to this engine's
-        name, with a tracer installed it records an
-        ``engine.<name>.sample`` span, and with a non-default
-        ``on_nonfinite`` policy it runs the numerical-health check of
-        :mod:`repro.resilience.health` over the batch (per-slot NaN/Inf
-        attribution, warn/raise/resample).  ``on_nonfinite`` and
-        ``metrics`` come from ``config`` (default: the ambient one).
-        ``run`` stays raw for callers that benchmark or need every slot;
-        here every memo-free draw the health check does not inspect runs
-        with ``release=True``.
+        The instrumented entry point: one run of an unmetered
+        :class:`~repro.core.sampling.Draw` (no admission, no deadline
+        token, no ledger) on this engine, which records the run's metrics
+        and span and applies ``config``'s ``on_nonfinite`` policy (default
+        config: the ambient one).  ``run`` stays raw for callers that
+        benchmark or need every slot.
         """
-        if config is None:
-            config = _cond.get_config()
-        propagate = config.on_nonfinite == "propagate"
-        metrics = _metrics.resolve(config.metrics)
-        tracer = _trace.get_tracer()
-        # Only the health check reads interior slots.  ``release`` goes
-        # by position: per-layer wrappers of ``run`` forward positionals.
-        release = propagate and memo is None
-        if metrics is None and tracer is None and propagate:
-            return self.run(plan, n, rng, memo, release)[plan.root_slot]
-        start = perf_counter()
-        values = self.run(plan, n, rng, memo, release)
-        elapsed = perf_counter() - start
-        if metrics is not None:
-            metrics.record_engine(self.name, n, elapsed)
-        if tracer is not None:
-            tracer.record(
-                f"engine.{self.name}.sample",
-                start,
-                elapsed,
-                n=int(n),
-                slots=len(plan.steps),
-            )
-        if propagate:
-            return values[plan.root_slot]
-        return _health.enforce(
-            self, plan, values, n, rng, config, allow_resample=memo is None
-        )
+        from repro.core.sampling import UNMETERED, Draw
+
+        return Draw(plan, rng, self, config, memo, UNMETERED).run(n)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} {self.name!r}>"

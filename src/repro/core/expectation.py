@@ -18,16 +18,14 @@ from typing import Any
 
 import numpy as np
 
-from repro.core import conditionals as _cond
 from repro.core.plan import compile_plan
-from repro.core.sampling import _execute_plan, sequential_draw
-from repro.rng import ensure_rng
+from repro.core.sampling import Draw
 from repro.runtime import metrics as _metrics
 from repro.runtime import trace as _trace
 
 
-def _resolve(uncertain, rng):
-    """Resolve the operand's cached evaluation plan and an RNG.
+def _draw(uncertain, rng) -> Draw:
+    """The draw of the operand's cached evaluation plan.
 
     ``uncertain`` is normally an :class:`~repro.core.uncertain.Uncertain`
     (whose ``plan`` property carries the compiled program), but raw nodes
@@ -37,9 +35,7 @@ def _resolve(uncertain, rng):
     if plan is None:
         node = getattr(uncertain, "node", uncertain)
         plan = compile_plan(node)
-    if rng is None:
-        rng = _cond.get_config().rng
-    return plan, ensure_rng(rng)
+    return Draw(plan, rng)
 
 
 def reduce_samples(
@@ -107,13 +103,13 @@ def expected_value(
             f"unexpected keyword argument(s) {unexpected}; adaptive "
             "stopping options require adaptive=True"
         )
-    plan, rng = _resolve(uncertain, rng)
+    draw = _draw(uncertain, rng)
     if n is None:
-        n = _cond.get_config().expectation_samples
+        n = draw.config.expectation_samples
     if n <= 0:
         raise ValueError(f"sample size must be positive, got {n}")
     with _trace.span("expectation.fixed", n=int(n)):
-        values = _execute_plan(plan, n, rng)
+        values = draw.sample(n)
         sink = _metrics.active()
         if sink is not None:
             sink.record_expectation("fixed", n)
@@ -141,18 +137,17 @@ def expected_value_adaptive(
         raise ValueError(f"confidence must be in (0, 1), got {confidence}")
     if batch_size < 2 or max_samples < batch_size:
         raise ValueError("need batch_size >= 2 and max_samples >= batch_size")
-    plan, rng = _resolve(uncertain, rng)
+    draw = _draw(uncertain, rng).sequential()
     from scipy import stats
 
     z = float(stats.norm.isf((1.0 - confidence) / 2.0))
     total = 0.0
     total_sq = 0.0
     count = 0
-    draw = sequential_draw(plan, rng, float)
     with _trace.span("expectation.adaptive", tolerance=tolerance) as span_attrs:
         while count < max_samples:
             k = min(batch_size, max_samples - count)
-            values = draw(k)
+            values = np.asarray(draw(k), dtype=float)
             total += float(values.sum())
             total_sq += float((values**2).sum())
             count += k

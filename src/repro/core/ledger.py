@@ -85,12 +85,15 @@ rebuilt entry reproduces its columns bit for bit.
 
 Safety gating (always falls back to a fresh engine run, never errors):
 opaque plans (no structural hash), memo-carrying draws, the parallel
-engine (chunk-seeded streams are not prefix-stable by construction),
-unknown engines, exotic bit generators without a seed sequence, and any
-draw under ``on_nonfinite="resample"`` (row repair consumes extra stream)
-all bypass the ledger.  Budget/deadline admission goes through the same
-``config.accounting.admit`` as ``sampling._execute_plan`` but charges only
-newly drawn suffix rows.
+engine (chunk-seeded streams are not prefix-stable by construction) and
+any other engine outside :data:`_LEDGER_ENGINES`, exotic bit generators
+without a seed sequence, and any draw under ``on_nonfinite="resample"``
+(row repair consumes extra stream) all bypass the ledger.
+
+Every fill is a run of the query's :class:`~repro.core.sampling.Draw`
+(``draw.run``): admitted through the same ``config.accounting.admit`` as
+any draw, but only for newly drawn rows, and stopped by the draw's
+deadline token like any other engine run.
 """
 
 from __future__ import annotations
@@ -100,16 +103,13 @@ from collections import OrderedDict
 
 import numpy as np
 
-from repro.core.engines import ExecutionEngine, get_engine
 from repro.core.graph import LeafNode, is_stochastic
 from repro.core.plan import OP_SOURCE
-from repro.rng import ensure_rng
 from repro.runtime import metrics as _metrics
 from repro.runtime import trace as _trace
 
 __all__ = [
     "LedgerEntry",
-    "LedgerWindow",
     "SampleLedger",
     "LEDGER",
     "clear_ledger",
@@ -160,8 +160,8 @@ def _canonical_entropy(entropy) -> tuple:
         return (int(entropy),)
 
 
-def _lineage(rng_spec, config) -> "tuple[tuple, tuple] | None":
-    """Resolve an rng argument into ``(lineage_token, base_spec)``.
+def _lineage(rng: np.random.Generator) -> "tuple[tuple, tuple] | None":
+    """Resolve a draw's generator into ``(lineage_token, base_spec)``.
 
     ``lineage_token`` keys the ledger entry; ``base_spec`` is the
     serialisable recipe :func:`_base_generator` rebuilds the entry's
@@ -177,8 +177,8 @@ def _lineage(rng_spec, config) -> "tuple[tuple, tuple] | None":
       starts exactly where the caller's would, so served rows are
       bit-identical to ledger-off.  The facade re-creates such a
       generator per call, so pristineness is the common case for every
-      explicitly seeded query.  A raw integer seed goes through
-      ``ensure_rng`` first, so it shares the entry of the generator it
+      explicitly seeded query.  A draw resolves a raw integer seed
+      through ``ensure_rng``, so it shares the entry of the generator it
       names.
     - ``("stream", ...)`` — an already-advanced generator (typically the
       ambient ``config.rng``): no fixed replayable start exists, so the
@@ -186,39 +186,27 @@ def _lineage(rng_spec, config) -> "tuple[tuple, tuple] | None":
       seed-sequence origin.  Reproducible and i.i.d., but a *different*
       stream than ledger-off would consume — the documented trade.
     """
-    if rng_spec is None:
-        rng_spec = config.rng
-    if isinstance(rng_spec, (int, np.integer)) and not isinstance(rng_spec, bool):
-        rng_spec = ensure_rng(int(rng_spec))
-    if isinstance(rng_spec, np.random.Generator):
-        bit_gen = rng_spec.bit_generator
-        seed_seq = getattr(bit_gen, "seed_seq", None)
-        if seed_seq is None or not hasattr(seed_seq, "entropy"):
-            return None
-        entropy = _canonical_entropy(seed_seq.entropy)
-        if not entropy:
-            return None
-        spawn_key = tuple(int(k) for k in getattr(seed_seq, "spawn_key", ()))
-        bg_name = type(bit_gen).__name__
-        if hasattr(np.random, bg_name):
-            try:
-                pristine = type(bit_gen)(
-                    _rebuild_seed_seq(entropy, spawn_key)
-                )
-                if bit_gen.state == pristine.state:
-                    spec = ("origin", bg_name, entropy, spawn_key)
-                    return spec, spec
-            except Exception:
-                pass
-        token = ("stream", entropy, spawn_key)
-        return token, ("derived", entropy, spawn_key)
-    return None
-
-
-def _rebuild_seed_seq(entropy: tuple, spawn_key: tuple) -> np.random.SeedSequence:
-    return np.random.SeedSequence(
-        entropy=list(entropy), spawn_key=tuple(spawn_key)
-    )
+    bit_gen = rng.bit_generator
+    seed_seq = getattr(bit_gen, "seed_seq", None)
+    if seed_seq is None or not hasattr(seed_seq, "entropy"):
+        return None
+    entropy = _canonical_entropy(seed_seq.entropy)
+    if not entropy:
+        return None
+    spawn_key = tuple(int(k) for k in getattr(seed_seq, "spawn_key", ()))
+    bg_name = type(bit_gen).__name__
+    if hasattr(np.random, bg_name):
+        try:
+            pristine = type(bit_gen)(
+                np.random.SeedSequence(entropy=list(entropy), spawn_key=spawn_key)
+            )
+            if bit_gen.state == pristine.state:
+                spec = ("origin", bg_name, entropy, spawn_key)
+                return spec, spec
+        except Exception:
+            pass
+    token = ("stream", entropy, spawn_key)
+    return token, ("derived", entropy, spawn_key)
 
 
 def _base_generator(base_spec: tuple) -> np.random.Generator:
@@ -226,7 +214,7 @@ def _base_generator(base_spec: tuple) -> np.random.Generator:
     if base_spec[0] == "origin":
         _, bg_name, entropy, spawn_key = base_spec
         bit_gen = getattr(np.random, bg_name)(
-            _rebuild_seed_seq(entropy, spawn_key)
+            np.random.SeedSequence(entropy=list(entropy), spawn_key=spawn_key)
         )
         return np.random.Generator(bit_gen)
     _, entropy, spawn_key = base_spec
@@ -254,8 +242,8 @@ def _mode(plan) -> tuple[str, str]:
     return "replay", "single draw not proven prefix-stable"
 
 
-def _record(**counters) -> None:
-    sink = _metrics.active()
+def _record(sink, **counters) -> None:
+    """Count ``counters`` into ``sink`` (a draw's metrics sink), if any."""
     if sink is not None:
         sink.record_ledger(**counters)
 
@@ -290,55 +278,6 @@ class LedgerEntry:
         self.proven = False
 
 
-class LedgerWindow:
-    """Sequential window reads over one entry's stream (SPRT batches).
-
-    Each ``draw(k)`` returns the next ``k`` rows of the entry's logical
-    run — batch ``i`` reads rows ``[i*k, (i+1)*k)`` — so a sequence of
-    batches is bit-identical to the batches a fresh generator would
-    produce (``run(k); run(k)`` ≡ rows ``[0, 2k)`` of one run, which is
-    the same prefix-stability the stream mode certifies).  A re-run of
-    the same test starts a fresh window at row 0 and is served from cache
-    if it comes right after, or once an earlier re-run proved the entry
-    (see Eviction above).  Only stream-mode plans open windows (the mode
-    is a function of the plan, so the entry a window re-creates is stream
-    mode too): replaying overlapping fresh runs would hand correlated rows to a
-    sequential test.
-
-    The engine, executed plan, key and base spec are resolved once, when
-    the window opens, so a batch goes straight to its entry.  An entry
-    evicted mid-test is re-created from the same key and base spec.
-    """
-
-    __slots__ = ("_ledger", "_plan", "_engine", "_key", "_base_spec",
-                 "_config", "_offset")
-
-    def __init__(self, ledger: "SampleLedger", plan, eng, key,
-                 base_spec, config) -> None:
-        self._ledger = ledger
-        self._plan = plan
-        self._engine = eng
-        self._key = key
-        self._base_spec = base_spec
-        self._config = config
-        self._offset = 0
-
-    def draw(self, k: int) -> np.ndarray:
-        """Rows ``[offset, offset + k)`` of the entry's stream."""
-        k = int(k)
-        ledger = self._ledger
-        with ledger._lock:
-            entry = ledger._entry_for(
-                self._key, self._plan, self._engine, self._base_spec
-            )
-            rows = ledger._serve_stream(
-                entry, self._plan, self._engine, self._offset, k,
-                self._config,
-            )
-        self._offset += k
-        return rows
-
-
 class SampleLedger:
     """Memory-bounded cache of realized sample columns (process-global).
 
@@ -368,58 +307,71 @@ class SampleLedger:
 
     # -- public API ---------------------------------------------------------
 
-    def serve(
-        self,
-        plan,
-        n: int,
-        rng_spec,
-        engine: "str | ExecutionEngine | None",
-        config,
-    ) -> "np.ndarray | None":
-        """Serve ``n`` rows for ``plan``, or ``None`` to signal fallback.
+    def serve(self, draw, n: int) -> "np.ndarray | None":
+        """Serve rows ``[0, n)`` of a one-shot
+        :class:`~repro.core.sampling.Draw`, or ``None`` to signal fallback.
 
         ``None`` means the caller must draw fresh (opaque plan, untracked
         engine/lineage, resample policy, ...).  A returned array is
-        always a private copy — callers may mutate it.
+        always a private copy — callers may mutate it.  Fills run through
+        ``draw.run``, so they are admitted, instrumented and stopped by
+        the draw's deadline like any other engine run.
 
-        Reductions read prefix rows ``[0, n)``.  A single-sample draw
-        bypasses the ledger: it draws from the caller's seed or generator,
-        exactly as with the ledger off, whether that generator is fresh,
-        reused or ambient.  Sequential batches read through
-        :meth:`open_window` instead.
+        A single-sample draw bypasses the ledger: it draws from the
+        caller's seed or generator, exactly as with the ledger off,
+        whether that generator is fresh, reused or ambient.  Sequential
+        batches read through :meth:`open_window` instead.
         """
-        resolved = None if n == 1 else self._resolve(plan, rng_spec, engine, config)
+        resolved = None if n == 1 else self._resolve(draw)
         if resolved is None:
-            _record(bypasses=1)
+            _record(draw.metrics, bypasses=1)
             return None
-        eng, key, base_spec = resolved
+        key, base_spec = resolved
         with self._lock:
-            self._apply_budget(config)
-            entry = self._entry_for(key, plan, eng, base_spec)
+            self._apply_budget(draw)
+            entry = self._entry_for(key, draw, base_spec)
             if entry.mode == "replay":
-                return self._serve_replay(entry, plan, eng, n, config)
-            return self._serve_stream(entry, plan, eng, 0, n, config)
+                return self._serve_replay(entry, draw, n)
+            return self._serve_stream(entry, draw, 0, n)
 
-    def open_window(
-        self, plan, rng_spec, engine, config
-    ) -> "LedgerWindow | None":
-        """A sequential batch reader for ``plan``, or ``None`` if untracked.
+    def open_window(self, draw) -> "tuple | None":
+        """The ``(key, base_spec)`` a sequential draw reads its windows
+        from, or ``None`` if the ledger does not track it.
 
         Returns ``None`` unless the plan resolves to stream mode — the
-        only mode where successive windows form one logical run.  Opening
-        a window creates no entry; its first draw does.
+        only mode where successive windows form one logical run:
+        replaying overlapping fresh runs would hand correlated rows to a
+        sequential test.  Opening a window creates no entry; its first
+        read does.
         """
-        resolved = self._resolve(plan, rng_spec, engine, config)
+        resolved = self._resolve(draw)
         if resolved is None:
-            _record(bypasses=1)
+            _record(draw.metrics, bypasses=1)
             return None
-        eng, key, base_spec = resolved
         with self._lock:
-            self._apply_budget(config)
-        if _mode(plan)[0] != "stream":
-            _record(bypasses=1)
+            self._apply_budget(draw)
+        if _mode(draw.plan)[0] != "stream":
+            _record(draw.metrics, bypasses=1)
             return None
-        return LedgerWindow(self, plan, eng, key, base_spec, config)
+        return resolved
+
+    def serve_window(self, draw, k: int) -> np.ndarray:
+        """Rows ``[draw.offset, draw.offset + k)`` of the entry
+        ``draw.window`` names.
+
+        Batch ``i`` of ``k`` rows reads rows ``[i*k, (i+1)*k)``, so a
+        sequence of batches is bit-identical to the batches a fresh
+        generator would produce (``run(k); run(k)`` ≡ rows ``[0, 2k)`` of
+        one run, the prefix stability stream mode certifies).  A re-run
+        of the same test starts at row 0 and is served from cache if it
+        comes right after, or once an earlier re-run proved the entry.
+        An entry evicted mid-test is re-created from the same key and
+        base spec.
+        """
+        key, base_spec = draw.window
+        with self._lock:
+            entry = self._entry_for(key, draw, base_spec)
+            return self._serve_stream(entry, draw, draw.offset, k)
 
     def invalidate_entries(self, plan) -> int:
         """Drop every entry for ``plan``'s shape; returns how many were
@@ -438,7 +390,7 @@ class SampleLedger:
             for k in doomed:
                 self._drop(k)
         if doomed:
-            _record(invalidations=len(doomed))
+            _record(_metrics.active(), invalidations=len(doomed))
         return len(doomed)
 
     def clear(self) -> None:
@@ -464,53 +416,50 @@ class SampleLedger:
 
     # -- resolution ---------------------------------------------------------
 
-    def _apply_budget(self, config) -> None:
-        """Set the byte budget of ``config`` (under the lock); a smaller
-        budget is enforced at once, not at the next miss."""
+    def _apply_budget(self, draw) -> None:
+        """Set the byte budget of ``draw``'s config (under the lock); a
+        smaller budget is enforced at once, not at the next miss."""
         # ``True`` is the default budget, not whichever budget came last.
-        budget = config.sample_cache
+        budget = draw.config.sample_cache
         max_bytes = DEFAULT_MAX_BYTES if budget is True else int(budget)
         shrunk = max_bytes < self.max_bytes
         self.max_bytes = max_bytes
         if shrunk:
-            self._evict(keep=None)
+            self._evict(None, draw.metrics)
 
-    def _resolve(self, plan, rng_spec, engine, config):
-        """Common eligibility gate: ``(engine, key, base_spec)`` or
-        ``None``."""
+    def _resolve(self, draw):
+        """Common eligibility gate: ``(key, base_spec)`` or ``None``."""
+        config = draw.config
         if not config.sample_cache:
             return None
         if config.on_nonfinite == "resample":
             # Row repair redraws from the serving stream mid-run; cached
             # columns must never absorb (or skip) repair draws.
             return None
-        try:
-            eng = get_engine(engine if engine is not None else config.engine)
-        except Exception:
+        name = draw.engine.name
+        if name not in _LEDGER_ENGINES:
             return None
-        if eng.name not in _LEDGER_ENGINES:
-            return None
-        shash = plan.structural_hash
+        shash = draw.plan.structural_hash
         if shash is None:
             return None
-        lin = _lineage(rng_spec, config)
+        lin = _lineage(draw.rng)
         if lin is None:
             return None
         token, base_spec = lin
-        return eng, (shash, eng.name, token), base_spec
+        return (shash, name, token), base_spec
 
     # -- entries ------------------------------------------------------------
 
-    def _entry_for(self, key, plan, eng, base_spec) -> LedgerEntry:
+    def _entry_for(self, key, draw, base_spec) -> LedgerEntry:
         entry = self._entries.get(key)
         if entry is not None:
             self._entries.move_to_end(key)
             return entry
-        mode, reason = _mode(plan)
-        _record(**{f"{mode}_entries": 1})
+        mode, reason = _mode(draw.plan)
+        _record(draw.metrics, **{f"{mode}_entries": 1})
         _trace.event("ledger.entry", mode=mode, reason=reason,
-                     engine=eng.name, structural_hash=key[0])
-        entry = LedgerEntry(key, eng.name, mode, base_spec)
+                     engine=key[1], structural_hash=key[0])
+        entry = LedgerEntry(key, key[1], mode, base_spec)
         if key in self._remembered:
             del self._remembered[key]  # asked again: proven at once
             entry.proven = True
@@ -535,32 +484,28 @@ class SampleLedger:
 
     # -- serving ------------------------------------------------------------
 
-    def _fill(self, entry: LedgerEntry, plan, eng, k: int, gen,
-              config) -> np.ndarray:
-        """One instrumented engine run of ``plan`` for the entry's
-        stream (any plan of the entry's shape draws the same rows).
+    def _fill(self, entry: LedgerEntry, draw, k: int, gen) -> np.ndarray:
+        """Admit ``k`` new rows and run ``draw``'s plan for them on the
+        entry's stream (any plan of the entry's shape draws the same
+        rows).
 
-        Uses the engine's ``sample`` entry point so metrics, tracing and
-        the (non-mutating) health policies apply exactly as on a fresh
-        draw.  Any failure drops the entry: a stream-mode generator may
-        already have advanced, and a half-consumed stream must never
-        serve another query.
+        A failed fill drops the entry: a stream-mode generator may already
+        have advanced, and a half-consumed stream must never serve
+        another query.
         """
         try:
-            return eng.sample(plan, k, gen, config=config)
+            return np.asarray(draw.run(k, gen))
         except BaseException:
             self._drop(entry.key)
             raise
 
-    def _serve_stream(self, entry: LedgerEntry, plan, eng, start: int,
-                      n: int, config) -> np.ndarray:
+    def _serve_stream(self, entry: LedgerEntry, draw, start: int,
+                      n: int) -> np.ndarray:
         needed = start + n
         have = entry.count
         if needed > have:
             d = needed - have
-            config.accounting.admit(d)
-            rows = self._fill(entry, plan, eng, d, entry.gen, config)
-            rows = np.asarray(rows)
+            rows = self._fill(entry, draw, d, entry.gen)
             if entry.column is None:
                 held, entry.column = 0, rows
             else:
@@ -571,37 +516,32 @@ class SampleLedger:
             if have > start:
                 self._hit(entry)
             _record(
-                suffix_extensions=1, rows_drawn=d,
+                draw.metrics, suffix_extensions=1, rows_drawn=d,
                 rows_reused=max(0, have - start),
                 misses=int(have == 0), hits=int(have > 0 and have > start),
             )
         else:
-            config.accounting.admit(0)  # the deadline still applies to cached serves
+            draw.accounting.admit(0)  # the deadline still applies to cached serves
             self._hit(entry)
-            _record(hits=1, rows_reused=n)
-        self._evict(keep=entry.key)
+            _record(draw.metrics, hits=1, rows_reused=n)
+        self._evict(entry.key, draw.metrics)
         return entry.column[start:needed].copy()
 
-    def _serve_replay(self, entry: LedgerEntry, plan, eng, n: int,
-                      config) -> np.ndarray:
+    def _serve_replay(self, entry: LedgerEntry, draw, n: int) -> np.ndarray:
         column = entry.runs.get(n)
         if column is None:
-            config.accounting.admit(n)
-            gen = _base_generator(entry.base_spec)
-            column = np.asarray(
-                self._fill(entry, plan, eng, n, gen, config)
-            )
+            column = self._fill(entry, draw, n, _base_generator(entry.base_spec))
             entry.runs[n] = column
             self._grow(entry, column.nbytes)
-            _record(misses=1, rows_drawn=n)
+            _record(draw.metrics, misses=1, rows_drawn=n)
         else:
-            config.accounting.admit(0)
+            draw.accounting.admit(0)
             self._hit(entry)
-            _record(hits=1, rows_reused=n)
-        self._evict(keep=entry.key)
+            _record(draw.metrics, hits=1, rows_reused=n)
+        self._evict(entry.key, draw.metrics)
         return column.copy()
 
-    def _evict(self, keep) -> None:
+    def _evict(self, keep, sink) -> None:
         """Drop the unproven entry unless it is ``keep``, remembering its
         key, then evict whole entries, least recently used first, down to
         ``max_bytes``.  Runs after every serve, hit or miss: a hit on
@@ -619,7 +559,7 @@ class SampleLedger:
             self._remembered[unproven] = None
             if len(self._remembered) > REMEMBERED_KEYS:
                 self._remembered.popitem(last=False)
-            _record(evictions=1)
+            _record(sink, evictions=1)
         if self.max_bytes <= 0:
             return
         while self._bytes > self.max_bytes:
@@ -627,7 +567,7 @@ class SampleLedger:
             if key == keep:
                 break
             self._drop(key)
-            _record(evictions=1)
+            _record(sink, evictions=1)
 
 
 #: The process-global ledger every consumer serves from.

@@ -10,8 +10,10 @@ This module is a thin facade over the compilation/execution layer:
 topologically ordered :class:`~repro.core.plan.EvaluationPlan` (cached per
 root), and an :class:`~repro.core.engines.ExecutionEngine` (selected by the
 ambient :class:`~repro.core.conditionals.EvaluationConfig`) runs it.
-Repeated draws — the SPRT's batches, ``expected_value``, ``pr()`` — pay
-graph traversal zero times after the first.
+Every query resolves one :class:`Draw` when it starts, and each engine
+run of the query goes through it.  Repeated draws — the SPRT's batches,
+``expected_value``, ``pr()`` — pay graph traversal zero times after the
+first.
 
 The implementation is batch-first: one evaluation pass computes ``n``
 independent joint samples as numpy arrays, which is what the SPRT's batched
@@ -29,14 +31,19 @@ draws (Section 4.3) consume.  A single sample is a batch of one.
 
 from __future__ import annotations
 
+from time import perf_counter
+
 import numpy as np
 
 from repro.core import conditionals as _cond
 from repro.core.engines import ExecutionEngine, get_engine
 from repro.core.graph import Node
 from repro.core.plan import EvaluationPlan, compile_plan
+from repro.resilience import health as _health
 from repro.rng import ensure_rng
 from repro.runtime import cancellation as _cancel
+from repro.runtime import metrics as _metrics
+from repro.runtime import trace as _trace
 
 
 class SamplingError(RuntimeError):
@@ -51,83 +58,155 @@ class DeadlineExceeded(SamplingError):
     """A configured wall-clock ``deadline`` expired before this draw."""
 
 
-def _execute_plan(
-    plan: EvaluationPlan,
-    n: int,
-    rng: np.random.Generator | int | None = None,
-    memo: dict[Node, np.ndarray] | None = None,
-    engine: "str | ExecutionEngine | None" = None,
-    use_ledger: bool = True,
-    config: "_cond.EvaluationConfig | None" = None,
-) -> np.ndarray:
-    """Internal, warning-free plan execution used by every runtime caller.
+#: The accounting of an unmetered draw (``ExecutionEngine.sample``): no
+#: budget, no deadline, so it admits every draw and installs no token.
+UNMETERED = _cond.Accounting(None, None)
 
-    Admits the draw through ``config``'s
-    :meth:`~repro.core.conditionals.Accounting.admit` (every draw in the
-    process funnels through here), resolves the engine (explicit argument
-    beats the config), and delegates to the engine's instrumented
-    ``sample`` under the same config.  ``config`` defaults to the ambient
-    one; the service passes its own.
 
-    When ``config.sample_cache`` is enabled, eligible draws are served
-    from the cross-query :class:`~repro.core.ledger.SampleLedger` (cached
-    prefix + freshly drawn suffix; admission charged inside the ledger
-    for the suffix only).  Sequential-batch callers go through
-    :func:`sequential_draw` instead, which passes ``use_ledger=False``.
+class Draw:
+    """One resolved draw: what every engine run of one query shares.
+
+    Built once when a query or a test starts, it holds the plan and the
+    engine instance, the config with its accounting, the metrics sink and
+    the tracer, the deadline token to install, the health policy, and the
+    generator (``rng=None`` is the config's ``rng``, an integer seeds a
+    fresh one).  Each engine run then only admits, runs, records and,
+    under a non-default ``on_nonfinite``, enforces health (:meth:`run`).
+
+    One-shot and sequential draws differ only in how they use the sample
+    ledger (``config.sample_cache``):
+
+    - :meth:`sample` reads rows ``[0, n)``, which a memo-free draw may be
+      served from a cached column (:meth:`SampleLedger.serve
+      <repro.core.ledger.SampleLedger.serve>`);
+    - :meth:`sequential` hands a sequential loop (SPRT, adaptive ``E``)
+      its draw-``k`` callable: successive calls return *disjoint* batches,
+      the repeated batched sampling of Section 4.3.  On a stream-mode plan
+      they read consecutive windows of one ledger entry (the offset lives
+      here), never the same prefix twice; any other plan bypasses the
+      ledger from its first batch.
+
+    The accounting's deadline token is installed around every engine run,
+    ledger fills included, unless a token (the service's per-request one)
+    is already installed when the draw is built.
     """
-    if n <= 0:
-        raise ValueError(f"batch size must be positive, got {n}")
-    n = int(n)
-    if config is None:
-        config = _cond.get_config()
-    if use_ledger and memo is None and config.sample_cache:
-        from repro.core.ledger import LEDGER
 
-        rows = LEDGER.serve(plan, n, rng, engine, config)
-        if rows is not None:
-            return rows
-    accounting = config.accounting
-    accounting.admit(n)
-    eng = get_engine(engine if engine is not None else config.engine)
-    if accounting.token is None or _cancel.current() is not None:
-        # No deadline, or an installed token (the service's per-request
-        # one) wins.
-        return eng.sample(plan, n, ensure_rng(rng), memo=memo, config=config)
-    # Admission only catches a deadline that expired between draws; the
-    # token also stops a long draw at the engine's next batch boundary.
-    with _cancel.scope(accounting.token):
+    __slots__ = (
+        "plan", "engine", "rng", "memo", "config", "accounting", "metrics",
+        "tracer", "token", "propagate", "window", "offset", "served",
+    )
+
+    def __init__(
+        self,
+        plan: EvaluationPlan,
+        rng: np.random.Generator | int | None = None,
+        engine: "str | ExecutionEngine | None" = None,
+        config: "_cond.EvaluationConfig | None" = None,
+        memo: dict[Node, np.ndarray] | None = None,
+        accounting: "_cond.Accounting | None" = None,
+    ) -> None:
+        if config is None:
+            config = _cond.get_config()
+        if accounting is None:
+            accounting = config.accounting
+        self.plan = plan
+        self.engine = get_engine(config.engine if engine is None else engine)
+        if rng is None:
+            rng = config.rng
+        self.rng = rng if isinstance(rng, np.random.Generator) else ensure_rng(rng)
+        self.memo = memo
+        self.config = config
+        self.accounting = accounting
+        selection = config.metrics
+        self.metrics = (_metrics.METRICS if selection is True
+                        else _metrics.resolve(selection))
+        self.tracer = _trace.get_tracer()
+        token = accounting.token
+        self.token = token if token is not None and _cancel.current() is None else None
+        self.propagate = config.on_nonfinite == "propagate"
+        #: ``(key, base_spec)`` of the ledger entry a sequential draw reads.
+        self.window = None
+        self.offset = 0
+        #: Whether :meth:`sample` was served by the ledger.
+        self.served = False
+
+    def run(self, n: int, rng: np.random.Generator | None = None) -> np.ndarray:
+        """Admit ``n`` rows and run the engine once, on ``rng`` (default:
+        the draw's generator); the root batch.
+
+        With a metrics sink it attributes rows and wall time to the
+        engine, with a tracer it records an ``engine.<name>.sample`` span,
+        and under a non-default ``on_nonfinite`` it runs the health check
+        of :mod:`repro.resilience.health` over the batch.  Only that check
+        reads interior slots, so every other memo-free run releases them.
+        """
+        self.accounting.admit(n)
+        if rng is None:
+            rng = self.rng
+        plan, memo, eng = self.plan, self.memo, self.engine
+        token = self.token
+        if token is not None:
+            outer = _cancel.swap(token)
         try:
-            return eng.sample(plan, n, ensure_rng(rng), memo=memo, config=config)
+            metrics, tracer = self.metrics, self.tracer
+            # ``release`` goes by position: per-layer wrappers of ``run``
+            # forward positionals.
+            if metrics is None and tracer is None and self.propagate:
+                return eng.run(plan, n, rng, memo, memo is None)[plan.root_slot]
+            start = perf_counter()
+            values = eng.run(plan, n, rng, memo, self.propagate and memo is None)
+            elapsed = perf_counter() - start
+            if metrics is not None:
+                metrics.record_engine(eng.name, n, elapsed)
+            if tracer is not None:
+                tracer.record(f"engine.{eng.name}.sample", start, elapsed,
+                              n=int(n), slots=len(plan.steps))
+            if self.propagate:
+                return values[plan.root_slot]
+            return _health.enforce(eng, plan, values, n, rng, self.config,
+                                   allow_resample=memo is None)
         except _cancel.EvaluationCancelled as exc:
+            if token is None:
+                raise
             raise DeadlineExceeded(
-                f"evaluation deadline of {config.deadline}s expired "
+                f"evaluation deadline of {self.accounting.deadline}s expired "
                 f"mid-draw at {exc.progress or 'start'}"
             ) from exc
+        finally:
+            if token is not None:
+                _cancel.swap(outer)
 
+    def sample(self, n: int) -> np.ndarray:
+        """Rows ``[0, n)`` of a one-shot query: from the sample ledger
+        when it serves this draw, else one engine run."""
+        if n <= 0:
+            raise ValueError(f"batch size must be positive, got {n}")
+        n = int(n)
+        if self.memo is None and self.config.sample_cache:
+            from repro.core.ledger import LEDGER
 
-def sequential_draw(plan: EvaluationPlan, rng, dtype):
-    """The draw-``k`` callable of a sequential loop (SPRT, adaptive ``E``).
+            rows = LEDGER.serve(self, n)
+            if rows is not None:
+                self.served = True
+                return rows
+        return self.run(n)
 
-    Successive calls return *disjoint* ``dtype`` batches, the repeated
-    batched sampling of Section 4.3.  With ``sample_cache`` on they read
-    consecutive ledger windows
-    (:meth:`~repro.core.ledger.SampleLedger.open_window`), never the same
-    prefix twice; otherwise each call is a fresh draw.
-    """
-    config = _cond.get_config()
-    window = None
-    if config.sample_cache:
+    def sequential(self):
+        """The draw-``k`` callable of a sequential loop (see the class)."""
+        if self.config.sample_cache:
+            from repro.core.ledger import LEDGER
+
+            self.window = LEDGER.open_window(self)
+            if self.window is not None:
+                return self._next_window
+        return self.run
+
+    def _next_window(self, k: int) -> np.ndarray:
         from repro.core.ledger import LEDGER
 
-        window = LEDGER.open_window(plan, rng, None, config)
-
-    def draw(k: int) -> np.ndarray:
-        rows = window.draw(k) if window is not None else None
-        if rows is None:
-            rows = _execute_plan(plan, k, rng, use_ledger=False, config=config)
-        return np.asarray(rows, dtype=dtype)
-
-    return draw
+        rows = LEDGER.serve_window(self, int(k))
+        self.offset += int(k)
+        return rows
 
 
 class SampleContext:
@@ -172,10 +251,9 @@ class SampleContext:
         """
         batch = self._values.get(node)
         if batch is None:
-            plan = compile_plan(node, analyze=_cond.get_config().plan_analyzer)
+            config = _cond.get_config()
+            plan = compile_plan(node, analyze=config.plan_analyzer)
             if engine is None:
                 engine = self._engine
-            batch = _execute_plan(
-                plan, self.n, self.rng, memo=self._values, engine=engine
-            )
+            batch = Draw(plan, self.rng, engine, config, self._values).sample(self.n)
         return batch

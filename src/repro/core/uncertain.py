@@ -35,7 +35,7 @@ from repro.core.graph import (
     UnaryOpNode,
 )
 from repro.core.plan import EvaluationPlan, compile_plan
-from repro.core.sampling import SampleContext, _execute_plan, sequential_draw
+from repro.core.sampling import Draw, SampleContext
 from repro.core.sprt import HypothesisTest, TestDecision, TestResult
 from repro.dists.base import Distribution
 from repro.dists.empirical import Empirical
@@ -249,7 +249,7 @@ class Uncertain:
         engine: "str | object | None" = None,
     ) -> Any:
         """Draw one joint sample of the computation."""
-        return _execute_plan(self.plan, 1, self._resolve_rng(rng), engine=engine)[0]
+        return Draw(self.plan, rng, engine).sample(1)[0]
 
     def samples(
         self,
@@ -263,7 +263,7 @@ class Uncertain:
         for this draw (a registered name like ``"numpy"``/``"parallel"``
         or an :class:`~repro.core.engines.ExecutionEngine` instance).
         """
-        return _execute_plan(self.plan, n, self._resolve_rng(rng), engine=engine)
+        return Draw(self.plan, rng, engine).sample(n)
 
     def sample_with(
         self, context: SampleContext, engine: "str | object | None" = None
@@ -519,12 +519,6 @@ class Uncertain:
         """
         return Uncertain(Empirical(self.samples(n, rng)))
 
-    @staticmethod
-    def _resolve_rng(rng) -> np.random.Generator:
-        if rng is None:
-            return _cond.get_config().rng
-        return ensure_rng(rng)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         from repro.core.graph import node_count
 
@@ -597,11 +591,11 @@ class UncertainBool(Uncertain):
         rng: np.random.Generator | int | None = None,
     ) -> TestResult:
         """Run the conditional's hypothesis test, returning diagnostics."""
-        config = _cond.get_config()
+        draw = Draw(self.plan, rng)
+        config = draw.config
         if test is None:
             test = config.make_test(threshold)
-        draw = sequential_draw(self.plan, self._resolve_rng(rng), bool)
-        result = test.run(draw)
+        result = test.run(draw.sequential())
         config.accounting.record(result.samples_used)
         if result.decision is TestDecision.INCONCLUSIVE:
             self._apply_inconclusive_policy(config, result)

@@ -207,10 +207,6 @@ class ChaosEngine(ExecutionEngine):
         self._misbehave()
         return self.inner.run(plan, n, rng, memo, release)
 
-    def sample(self, plan, n, rng, memo=None, config=None):
-        self._misbehave()
-        return self.inner.sample(plan, n, rng, memo=memo, config=config)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<ChaosEngine inner={self.inner.name!r} seed={self.seed}>"
 

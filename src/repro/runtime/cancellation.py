@@ -20,7 +20,8 @@ Tokens trip two ways:
 - **by deadline** — ``CancellationToken(deadline_at=...)`` (or
   :meth:`CancellationToken.with_timeout`) trips once ``monotonic()``
   passes the given instant; each config's accounting holds one for its
-  ``deadline``, which ``_execute_plan`` installs so ambient deadlines stop
+  ``deadline``, which a :class:`~repro.core.sampling.Draw` installs around
+  every engine run (ledger fills included) so ambient deadlines stop
   mid-run too.
 
 Cancellation never consumes or perturbs the sampling RNG stream: a check
@@ -46,6 +47,7 @@ __all__ = [
     "current",
     "check_current",
     "scope",
+    "swap",
 ]
 
 
@@ -178,9 +180,17 @@ def scope(token: CancellationToken | None):
     if token is None:
         yield None
         return
-    previous = getattr(_active, "token", None)
-    _active.token = token
+    previous = swap(token)
     try:
         yield token
     finally:
-        _active.token = previous
+        swap(previous)
+
+
+def swap(token: CancellationToken | None) -> CancellationToken | None:
+    """Install ``token`` (``None``: none) for this thread; return the
+    token it replaces.  :func:`scope` without a generator frame, for a
+    draw that installs its deadline around each engine run."""
+    previous = getattr(_active, "token", None)
+    _active.token = token
+    return previous

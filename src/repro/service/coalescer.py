@@ -44,7 +44,7 @@ import numpy as np
 
 from repro.core import conditionals as _cond
 from repro.core.engines import ExecutionEngine
-from repro.core.sampling import DeadlineExceeded, SampleBudgetExceeded, _execute_plan
+from repro.core.sampling import DeadlineExceeded, Draw, SampleBudgetExceeded
 from repro.rng import ensure_rng
 from repro.runtime import cancellation as _cancel
 from repro.runtime.cancellation import CancellationToken, EvaluationCancelled
@@ -117,19 +117,20 @@ def evaluate_request(
     bit-identical to this function called with ``degrade`` frozen at the
     same level (the effective sample count is pure in ``(nominal,
     level)``).  ``rng`` is only accepted for seedless requests (callers
-    that want solo evaluation with an external stream); ``token``
-    installs a cooperative cancellation scope around the draw, which
-    runs through ``_execute_plan`` under ``config``.
+    that want solo evaluation with an external stream; ``None`` is the
+    default seed's stream); ``token`` installs a cooperative
+    cancellation scope around the draw: one fresh engine run of a
+    :class:`~repro.core.sampling.Draw` under ``config``, never served by
+    the sample ledger.
     """
     config = config if config is not None else _cond.get_config()
     engine = engine if engine is not None else config.engine
     plan = _plan if _plan is not None else request.value.plan
     decision = degrade if degrade is not None else NO_DEGRADATION
     n, record = decision.apply(request.resolve_samples(config))
-    if request.seed is not None:
-        rng = request.rng()
+    rng = request.rng() if request.seed is not None else ensure_rng(rng)
     with _cancel.scope(token):
-        values = _execute_plan(plan, n, rng, engine=engine, use_ledger=False, config=config)
+        values = Draw(plan, rng, engine, config).run(n)
     answer, extra = reduce_query(request, values)
     return _result(request, answer, extra, n, _batch_size, engine, record)
 
@@ -232,41 +233,34 @@ def _evaluate_group(
                     continue
                 stats.engine_runs += 1
                 stats.samples_drawn += outcomes[i].samples_used
-            # Seedless requests: ONE pooled run sliced across requests.
-            # With the sample ledger on, the pooled run is served from
-            # (and feeds) the cross-query cache — repeated same-shape
-            # floods reuse rows instead of redrawing.  Seeded requests
-            # above deliberately bypass the ledger: their per-request
-            # streams are the solo bit-identity contract.
+            # Seedless requests: ONE pooled draw sliced across requests,
+            # under the pooled token.  With the sample ledger on, the
+            # pooled draw is served from (and feeds) the cross-query
+            # cache — repeated same-shape floods reuse rows instead of
+            # redrawing.  Seeded requests above deliberately bypass the
+            # ledger: their per-request streams are the solo
+            # bit-identity contract.
             if pooled:
                 sizing = [decision.apply(r.resolve_samples(config)) for _, r in pooled]
                 counts = [n for n, _ in sizing]
                 total = int(sum(counts))
-                rows = None
-                if config.sample_cache:
-                    from repro.core.ledger import LEDGER
-
-                    rows = LEDGER.serve(plan, total, pool_rng, engine, config)
+                try:
+                    with _cancel.scope(_pool_token(pooled, tokens)):
+                        draw = Draw(plan, pool_rng, engine, config)
+                        rows = draw.sample(total)
+                except EvaluationCancelled as exc:
+                    # Every member's deadline has passed: the whole
+                    # pooled cohort is cancelled, not faulted.
+                    for i, _ in pooled:
+                        if outcomes[i] is None:
+                            mark_cancelled(i, exc)
+                    rows = None
                 if rows is not None:
-                    stats.ledger_served += total
-                else:
-                    try:
-                        with _cancel.scope(_pool_token(pooled, tokens)):
-                            rows = _execute_plan(
-                                plan, total, pool_rng, engine=engine,
-                                use_ledger=False, config=config,
-                            )
-                    except EvaluationCancelled as exc:
-                        # Every member's deadline has passed: the whole
-                        # pooled cohort is cancelled, not faulted.
-                        for i, _ in pooled:
-                            if outcomes[i] is None:
-                                mark_cancelled(i, exc)
-                        rows = None
-                    if rows is not None:
+                    if draw.served:
+                        stats.ledger_served += total
+                    else:
                         stats.engine_runs += 1
                         stats.samples_drawn += total
-                if rows is not None:
                     offset = 0
                     for (i, req), (n, record) in zip(pooled, sizing):
                         values = rows[offset:offset + n]

@@ -22,7 +22,7 @@ from repro.core.ledger import (
     clear_ledger,
 )
 from repro.core.plan import clear_plan_cache, invalidate_plan
-from repro.core.sampling import SampleBudgetExceeded, _execute_plan
+from repro.core.sampling import Draw, SampleBudgetExceeded
 from repro.core.uncertain import Uncertain
 from repro.dists import Gamma, Laplace, Mixture
 from repro.dists.gaussian import Gaussian
@@ -169,7 +169,7 @@ class TestProbation:
 
     @staticmethod
     def _key(value: Uncertain, seed: int) -> tuple:
-        _, key, _ = LEDGER._resolve(value.plan, seed, None, get_config())
+        key, _ = LEDGER._resolve(Draw(value.plan, seed))
         return key
 
     def test_a_flood_of_one_shot_queries_leaves_one_unproven_entry(self):
@@ -370,12 +370,12 @@ class TestSeedLineage:
     def test_int_seed_and_its_generator_share_one_entry(self, make, seed):
         plan = make().plan
         with evaluation_config(sample_cache=True):
-            by_int = _execute_plan(plan, 100, seed)
-            by_generator = _execute_plan(plan, 100, np.random.default_rng(seed))
+            by_int = Draw(plan, seed).sample(100)
+            by_generator = Draw(plan, np.random.default_rng(seed)).sample(100)
         assert ledger_state()["entries"] == 1
         assert np.array_equal(by_int, by_generator)
         with evaluation_config():
-            off = _execute_plan(plan, 100, seed)
+            off = Draw(plan, seed).sample(100)
         assert np.array_equal(by_int, off)
 
 
@@ -645,8 +645,8 @@ class TestRunningByteTotal:
         evictions = []
         evict = SampleLedger._evict
 
-        def checked_evict(self, keep):  # runs under the ledger's lock
-            evict(self, keep)
+        def checked_evict(self, keep, sink):  # runs under the ledger's lock
+            evict(self, keep, sink)
             evictions.append(self._bytes)
             assert self._bytes == actual() <= self.max_bytes
 
@@ -713,9 +713,9 @@ class TestWindowsResolveOnce:
         calls = []
         real = ledger_module._lineage
 
-        def counted(rng_spec, config):
-            calls.append(rng_spec)
-            return real(rng_spec, config)
+        def counted(rng):
+            calls.append(rng)
+            return real(rng)
 
         monkeypatch.setattr(ledger_module, "_lineage", counted)
         return calls
@@ -741,8 +741,8 @@ class TestWindowsResolveOnce:
         with evaluation_config(engine=engine):
             fresh = u.samples(30, rng=5)
         with evaluation_config(engine=engine, sample_cache=True):
-            window = LEDGER.open_window(u.plan, 5, None, get_config())
-            rows = [window.draw(10) for _ in range(3)]
+            draw = Draw(u.plan, 5).sequential()
+            rows = [draw(10) for _ in range(3)]
         assert all(r.dtype == fresh.dtype for r in rows)
         assert np.array_equal(np.concatenate(rows), fresh)
 
@@ -751,13 +751,13 @@ class TestWindowsResolveOnce:
         with evaluation_config():
             fresh = u.samples(30, rng=5)
         with evaluation_config(sample_cache=True):
-            window = LEDGER.open_window(u.plan, 5, None, get_config())
-            first = window.draw(10)
+            draw = Draw(u.plan, 5).sequential()
+            first = draw(10)
             clear_ledger()
-            second = window.draw(10)
+            second = draw(10)
             assert ledger_state()["entries"] == 1
             clear_ledger()
-            third = window.draw(10)
+            third = draw(10)
         assert np.array_equal(first, fresh[:10])
         assert np.array_equal(second, fresh[10:20])
         assert np.array_equal(third, fresh[20:30])

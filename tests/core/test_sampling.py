@@ -8,11 +8,7 @@ import pytest
 from repro.core.engines import get_engine
 from repro.core.graph import BinaryOpNode, LeafNode, PointMassNode
 from repro.core.plan import compile_plan
-from repro.core.sampling import (
-    SampleContext,
-    SamplingError,
-    sequential_draw,
-)
+from repro.core.sampling import Draw, SampleContext, SamplingError
 from repro.dists import Gaussian
 from repro.dists.sampling_function import FunctionDistribution
 
@@ -118,7 +114,7 @@ class TestSequentialDraw:
         cond = BinaryOpNode(
             operator.gt, LeafNode(Gaussian(1.0, 1.0)), PointMassNode(0.0), ">"
         )
-        draw = sequential_draw(compile_plan(cond), rng, bool)
+        draw = Draw(compile_plan(cond), rng).sequential()
         out = draw(25)
         assert out.shape == (25,) and out.dtype == bool
 
@@ -126,6 +122,6 @@ class TestSequentialDraw:
         cond = BinaryOpNode(
             operator.gt, LeafNode(Gaussian(0.0, 1.0)), PointMassNode(0.0), ">"
         )
-        draw = sequential_draw(compile_plan(cond), fixed_rng, bool)
+        draw = Draw(compile_plan(cond), fixed_rng).sequential()
         a, b = draw(100), draw(100)
         assert not np.array_equal(a, b)
