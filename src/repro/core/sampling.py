@@ -204,8 +204,8 @@ class Draw:
     def _next_window(self, k: int) -> np.ndarray:
         from repro.core.ledger import LEDGER
 
-        rows = LEDGER.serve_window(self, int(k))
-        self.offset += int(k)
+        rows = LEDGER.serve_window(self, k)
+        self.offset += k
         return rows
 
 

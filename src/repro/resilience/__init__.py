@@ -9,7 +9,8 @@ policy-controlled outcome rather than an opaque crash:
   :class:`InconclusiveError`) and the structured :class:`Inconclusive`
   outcome attached to truncated hypothesis tests.
 - :mod:`repro.resilience.health` — per-batch non-finite detection with
-  per-slot attribution, enforced inside ``ExecutionEngine.sample``.
+  per-slot attribution, enforced by each engine run of a
+  :class:`~repro.core.sampling.Draw`.
 - :mod:`repro.resilience.source` — :class:`ResilientSource`: seeded
   bounded retries with backoff + jitter and a sliding-window
   :class:`CircuitBreaker` that degrades to a declared fallback

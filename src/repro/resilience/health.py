@@ -3,8 +3,8 @@
 The evaluation pipeline computes with IEEE floats, so a single leaf that
 emits NaN (a dropped sensor reading, a division by a zero-crossing
 support) silently poisons every downstream statistic.  This module gives
-that failure a policy: :func:`enforce` runs after every
-:meth:`~repro.core.engines.ExecutionEngine.sample` when the active
+that failure a policy: :func:`enforce` runs after every engine run of a
+:class:`~repro.core.sampling.Draw` when the active
 configuration's ``on_nonfinite`` is not ``"propagate"``, detects
 non-finite rows in the root batch, *attributes* them to the first slot of
 the compiled plan that introduced them, and applies the configured policy
@@ -117,10 +117,9 @@ def _summary(attributions, rows: int, n: int) -> str:
 def enforce(engine, plan, values, n: int, rng, config, allow_resample: bool = True):
     """Apply the active ``on_nonfinite`` policy to a freshly run batch.
 
-    Returns the (possibly repaired) root batch.  Called by
-    ``ExecutionEngine.sample`` only when the policy is not
-    ``"propagate"``, so the default path pays nothing beyond one string
-    comparison.  ``allow_resample=False`` marks draws that cannot be
+    Returns the (possibly repaired) root batch.  Called by ``Draw.run``
+    only when the policy is not ``"propagate"``, so the default path pays
+    nothing beyond one string comparison.  ``allow_resample=False`` marks draws that cannot be
     repaired row-wise (shared-context draws, where replacing rows of one
     root would desynchronise the memoised joint assignment); the
     ``"resample"`` policy then raises instead of silently desyncing.

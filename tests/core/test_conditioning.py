@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.conditionals import evaluation_config
 from repro.core.conditioning import condition
 from repro.core.uncertain import Uncertain
 from repro.dists import Gaussian, Uniform
@@ -10,6 +11,19 @@ from repro.rng import default_rng
 
 
 class TestCondition:
+    def test_default_stream_is_the_configs_generator(self):
+        # rng=None draws from config.rng, like every other query: the
+        # ambient pool is the pool an explicit generator of that seed
+        # draws, and another ambient seed draws another pool.
+        x = Uncertain(Gaussian(0.0, 1.0))
+        pools = {}
+        for seed in (7, 8):
+            with evaluation_config(rng=default_rng(seed)):
+                pools[seed] = x.given(x > 0.0, pool_size=500).node.dist.pool
+            explicit = x.given(x > 0.0, pool_size=500, rng=default_rng(seed))
+            assert np.array_equal(pools[seed], explicit.node.dist.pool)
+        assert not np.array_equal(pools[7], pools[8])
+
     def test_truncates_support(self):
         x = Uncertain(Gaussian(0.0, 1.0))
         positive = x.given(x > 0.0, rng=default_rng(0))

@@ -175,7 +175,8 @@ class ShapeZooLoop:
             5, 2000, self.queries
         )
         warm = inputs.make_recipe(np.random.default_rng([5, 99]), 3, 4)
-        inputs.build_recipe(warm).expected_value(self.rows, rng=0)
+        for seed in range(3):  # the third run builds a kernel
+            inputs.build_recipe(warm).expected_value(self.rows, rng=seed)
 
     def query(self, i: int) -> None:
         value = inputs.build_recipe(self.recipes[int(self.order[i])])

@@ -201,9 +201,15 @@ class TestEngineBoundaries:
             )
         assert np.array_equal(bare, scoped)
 
-    def test_ambient_deadline_stops_mid_draw_as_deadline_exceeded(self):
+    @pytest.mark.parametrize("sample_cache", [False, True],
+                             ids=["ledger-off", "ledger-on"])
+    def test_ambient_deadline_stops_mid_draw_as_deadline_exceeded(
+        self, sample_cache
+    ):
         # No explicit token: evaluation_config(deadline=...) derives one,
         # and the mid-run trip surfaces as the classic DeadlineExceeded.
+        # A ledger fill is an engine run of the same draw, so the
+        # deadline stops it too, and the cancelled fill leaves no entry.
         from repro import DeadlineExceeded
 
         # Compile before the deadline starts, and stall well past it: a
@@ -211,9 +217,11 @@ class TestEngineBoundaries:
         # before the draw begins.
         value = stalling_query(stall_s=0.25)
         value.plan
-        with evaluation_config(deadline=0.05):
+        clear_ledger()
+        with evaluation_config(deadline=0.05, sample_cache=sample_cache):
             with pytest.raises(DeadlineExceeded, match="mid-draw"):
                 value.samples(64, rng=0)
+        assert LEDGER.state()["entries"] == 0
 
 
 class TestTransientFaultsWriteNoVerdict:

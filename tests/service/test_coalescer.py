@@ -15,8 +15,10 @@ import pytest
 import repro
 from repro import Uncertain
 from repro.core.conditionals import EvaluationConfig
+from repro.core.ledger import LEDGER, clear_ledger
 from repro.dists import Gaussian, Uniform
-from repro.resilience.chaos import ChaosEngine, InjectedFault
+from repro.resilience.chaos import ChaosDistribution, ChaosEngine, InjectedFault
+from repro.runtime.cancellation import CancellationToken, EvaluationCancelled
 from repro.service import (
     CoalescerStats,
     QueryRequest,
@@ -270,6 +272,26 @@ class TestAdmission:
         outcomes = evaluate_batch([req], engine="numpy", config=config)
         assert isinstance(outcomes[0], repro.DeadlineExceeded)
         assert "mid-draw" in str(outcomes[0])
+
+    @pytest.mark.parametrize("sample_cache", [False, True],
+                             ids=["ledger-off", "ledger-on"])
+    def test_pooled_draw_stops_at_its_members_deadlines(self, sample_cache):
+        # The pooled token (the members' latest deadline) is installed
+        # around every engine run of the pooled draw, a ledger fill too.
+        slow = Uncertain(ChaosDistribution(
+            Gaussian(0.0, 1.0), seed=0, latency_s=0.25, latency_rate=1.0,
+        ))
+        value = slow + slow * 2.0
+        value.plan
+        reqs = [QueryRequest(value=value, kind="expected_value", samples=64)
+                for _ in range(2)]
+        tokens = {i: CancellationToken.with_timeout(0.05) for i in range(2)}
+        config = EvaluationConfig(sample_cache=sample_cache)
+        clear_ledger()
+        outcomes = evaluate_batch(reqs, engine="numpy", config=config,
+                                  tokens=tokens)
+        assert all(isinstance(o, EvaluationCancelled) for o in outcomes)
+        assert LEDGER.state()["entries"] == 0
 
 
 class TestRequestValidation:

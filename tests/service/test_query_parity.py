@@ -1,7 +1,7 @@
 """One query, one answer: ``Uncertain`` and the service agree bit for bit.
 
 A seeded request is answered from ``default_rng(SeedSequence(seed))``,
-drawn through the same ``_execute_plan`` the ``Uncertain`` methods use and
+drawn through the same ``sampling.Draw`` the ``Uncertain`` methods use and
 reduced by the same ``reduce_samples``.  So each method, handed the
 request's generator with the ledger off, returns the service's answer
 exactly — for scalar, vector and object (``GeoCoordinate``) values — and
