@@ -66,6 +66,9 @@ from repro.core.graph import (
     is_stochastic,
 )
 from repro.core.plan import OP_SOURCE, EvaluationPlan
+# The trust table lives with the shape keys, which bind these families'
+# parameters per plan; it is exported here, where it is enforced.
+from repro.core.structural import TRUSTED_BULK_FAMILIES
 
 __all__ = [
     "CertificationRecord",
@@ -79,17 +82,6 @@ __all__ = [
     "plan_draw_sequence",
     "prefix_stable",
 ]
-
-#: ``(module, qualname)`` of distribution classes whose ``sample_n`` is
-#: *known* (by reading both sources) to be the exact affine reduction of
-#: the named base-generator family, making coalesced draws value- and
-#: stream-identical.  Exact type match only: a subclass may override
-#: ``sample_n`` arbitrarily while inheriting ``bulk_draw_spec``.
-TRUSTED_BULK_FAMILIES = {
-    ("repro.dists.gaussian", "Gaussian"): "standard_normal",
-    ("repro.dists.uniform", "Uniform"): "random",
-    ("repro.dists.exponential", "Exponential"): "standard_exponential",
-}
 
 #: ``(module, qualname)`` of distribution classes whose ``sample_n`` makes
 #: one NumPy generator call per batch (or none) and whose row ``i`` does
@@ -437,10 +429,12 @@ def certify_kernel(spec, plan: EvaluationPlan) -> CertificationRecord:
             + (", ".join(f"{e.family}×{e.count}" for e in events)
                if events else "no stochastic draws"),
         )
+    # The record certifies the shape's kernel, which every plan of the
+    # shape shares: it carries the shape key.
     return CertificationRecord(
         subject="fused-kernel",
         status=status,
-        structural_hash=plan.structural_hash,
+        structural_hash=plan.shape.key,
         rule=rule,
         reasons=reasons,
         draw_sequence=tuple(events),
@@ -471,7 +465,7 @@ def _kernel_record(plan: EvaluationPlan) -> CertificationRecord:
         return CertificationRecord(
             subject="fused-kernel",
             status="fallback",
-            structural_hash=plan.structural_hash,
+            structural_hash=plan.shape.key,
             reasons=(f"kernel generation failed "
                      f"({type(exc).__name__}: {exc}); the fused "
                      "backend falls back to the numpy engine",),

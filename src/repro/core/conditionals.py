@@ -91,14 +91,17 @@ class Accounting:
             if charge:
                 self.samples_executed += n
 
-    def record(self, samples_used: int) -> None:
-        """Count one evaluated conditional that used ``samples_used``."""
+    def record(self, samples_used: int, metrics=_metrics.AMBIENT) -> None:
+        """Count one evaluated conditional that used ``samples_used``, in
+        this scope and in ``metrics`` (the sink the caller resolved,
+        ``None`` for none; by default the ambient one)."""
         with self._lock:
             self.samples_drawn += samples_used
             self.conditionals_evaluated += 1
-        sink = _metrics.active()
-        if sink is not None:
-            sink.record_conditional(samples_used)
+        if metrics is _metrics.AMBIENT:
+            metrics = _metrics.active()
+        if metrics is not None:
+            metrics.record_conditional(samples_used)
 
     def reset_sample_counter(self) -> None:
         with self._lock:
@@ -118,9 +121,11 @@ class EvaluationConfig:
     uses.
 
     ``engine`` selects how compiled evaluation plans are executed (see
-    :mod:`repro.core.engines`; ``"numpy"`` is the vectorized default,
-    ``"interpreter"`` the per-batch graph walk, ``"parallel"`` the
-    process-pool engine of :mod:`repro.runtime.parallel`).
+    :mod:`repro.core.engines`; ``"fused"``, the default, runs each hot
+    plan shape as one generated kernel, ``"numpy"`` is the vectorized
+    reference engine, ``"interpreter"`` the per-batch graph walk,
+    ``"parallel"`` the process-pool engine of
+    :mod:`repro.runtime.parallel`).
 
     The unified evaluation knobs (the ``repro.evaluate`` surface) live
     here too:
@@ -157,9 +162,11 @@ class EvaluationConfig:
     test_factory: "callable | None" = None
     #: Execution engine for compiled plans: a registered name or an
     #: :class:`~repro.core.engines.ExecutionEngine` instance.  Built-in
-    #: names: ``"numpy"`` (default), ``"interpreter"``, ``"parallel"``,
-    #: ``"fused"`` (generated-kernel backend, :mod:`repro.core.fused`).
-    engine: "str | object" = "numpy"
+    #: names: ``"fused"`` (default; generated kernels per plan shape,
+    #: :mod:`repro.core.fused`, bit-identical to the reference engine),
+    #: ``"numpy"`` (the reference engine), ``"interpreter"``,
+    #: ``"parallel"``.
+    engine: "str | object" = "fused"
     #: Retired: the rewrite optimizer is gone and every engine runs the
     #: compiled plan.  Accepted at any value and ignored, because the
     #: end-to-end benchmark's oracle still passes ``optimize=0``.

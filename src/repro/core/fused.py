@@ -1,6 +1,6 @@
 """The plan compiler's fused-kernel execution backend.
 
-For every *hot* plan shape (structural hash, see
+For every *hot* plan shape (a topology key, see
 :mod:`repro.core.structural`) this module generates one flat numpy Python
 source — a single function that evaluates the whole compiled program
 without the per-step dispatch loop of
@@ -8,7 +8,9 @@ without the per-step dispatch loop of
 accept/reject verdict, on the shape's
 :class:`~repro.core.structural.ShapeEntry`, so structural-cache eviction
 drops both.  Isomorphic plans compiled later rebind the same code to their
-own node objects.  Like a tiered JIT, the engine compiles only hot code:
+own node objects and values: a Gaussian, Uniform or Exponential leaf's
+loc and scale are bound per plan, so a kernel serves every reading of a
+fixed program.  Like a tiered JIT, the engine compiles only hot code:
 a shape's first ``_HOT_RUNS - 1`` runs execute on the NumPy engine, the
 bit-identical reference, and the ``_HOT_RUNS``-th builds the kernel.
 
@@ -29,7 +31,9 @@ What the generated kernel fuses:
   ``loc + scale * draw`` per value from the same underlying stream, so
   chunking the stream differently does not reorder it.  IEEE
   multiplication and addition commute exactly, so scaling in place
-  changes no value, and a run allocates one block instead of two.
+  changes no value, and a run allocates one block instead of two.  A
+  one-leaf run scales and shifts too, whatever its values: no term is
+  dropped as an identity, so the kernel fits every plan of its shape.
   Adjacency is in *RNG-consumption order*: point masses and
   deterministic interior ops never draw, so they do not break a run.
   A run is split where its block would outlive its readers: once every
@@ -72,7 +76,12 @@ import warnings
 
 import numpy as np
 
-from repro.core.engines import ExecutionEngine, get_engine, register_engine
+from repro.core.engines import (
+    _ENGINES,
+    ExecutionEngine,
+    get_engine,
+    register_engine,
+)
 from repro.core.graph import (
     ApplyNode,
     BinaryOpNode,
@@ -421,17 +430,9 @@ def _generate(plan: EvaluationPlan) -> _KernelSpec:
                     # and add per value as ``loc + scale * draw``, with no
                     # second block.
                     if k == 1:
-                        # Identity terms are dropped: ``0.0 + x`` and
-                        # ``1.0 * x`` cannot change any value the base
-                        # generators produce (params are structural, so
-                        # every plan sharing this source shares them).
-                        spec_row = node.dist.bulk_draw_spec()
-                        loc, scale = float(spec_row[1]), float(spec_row[2])
                         body.append(f"v{slot} = rng.{family}(n)")
-                        if scale != 1.0:
-                            body.append(f"v{slot} *= _scale{r}")
-                        if loc != 0.0:
-                            body.append(f"v{slot} += _loc{r}")
+                        body.append(f"v{slot} *= _scale{r}")
+                        body.append(f"v{slot} += _loc{r}")
                         steps_meta.append((slot, (), (family,)))
                     else:
                         body.append(
@@ -550,8 +551,7 @@ def _generate(plan: EvaluationPlan) -> _KernelSpec:
     source = "\n".join(lines) + "\n"
 
     namespace: dict = {}
-    digest = plan.structural_hash or "anonymous"
-    exec(compile(source, f"<fused:{digest[:16]}>", "exec"), namespace)
+    exec(compile(source, f"<fused:{plan.shape.key[:16]}>", "exec"), namespace)
     spec.source = source
     spec.factory = namespace["_factory"]
     spec.steps_meta = tuple(steps_meta)
@@ -598,12 +598,12 @@ def fused_program(plan: EvaluationPlan) -> FusedProgram | None:
     """
     bound = plan._fused
     if bound is None:
-        bound = _prepare(plan)
+        bound = _prepare(plan, _metrics.active())
     if bound is _FALLBACK:
         return None
     steps = plan.steps
     return FusedProgram(
-        plan.structural_hash,
+        plan.shape.key,
         bound.spec.source,
         [
             FusedStep(steps[slot].node, slot, parent_slots, ops)
@@ -629,13 +629,13 @@ def _reject(plan: EvaluationPlan, spec: _KernelSpec, detail: str, metrics):
     return _FALLBACK
 
 
-def _prepare(plan: EvaluationPlan):
+def _prepare(plan: EvaluationPlan, metrics):
     """Build (or rebind) and admit the kernel for ``plan``; cache on it.
 
     The kernel spec and its verdict are stored on ``plan.shape``, so every
     later plan of the shape rebinds it (or falls back, if rejected).
+    ``metrics`` is the sink the caller resolved (``None``: off).
     """
-    metrics = _metrics.active()
     shape = plan.shape
     if shape is None:
         plan._fused = _FALLBACK
@@ -699,27 +699,30 @@ class FusedEngine(ExecutionEngine):
     # ``release`` stays the fifth positional after ``self``: per-layer
     # wrappers (benchmarks/e2e/tracing.py) forward it by position.
     def run(self, plan, n, rng, memo=None, release=False):
-        if memo is not None:
-            # Memoised contexts need every shared slot: the inner engine's job.
-            return self.inner.run(plan, n, rng, memo=memo)
         bound = plan._fused
-        if bound is None:
+        if bound is None and memo is None:
             shape = plan.shape
-            if shape is not None and shape.kernel is None:
+            if shape is None:
+                bound = plan._fused = _FALLBACK
+            elif shape.kernel is None:
                 # Unlocked: a lost update only delays the build, and two
                 # threads may both build; either kernel is bit-identical.
                 shape.runs += 1
-                if shape.runs < _HOT_RUNS:
-                    # Cold shape: the reference engine gives the same answer.
-                    return self.inner.run(plan, n, rng, None, release)
-            bound = _prepare(plan)
-        if bound is _FALLBACK:
-            # The inner engine polls the ambient token per program step.
-            return self.inner.run(plan, n, rng, None, release)
+                if shape.runs >= _HOT_RUNS:
+                    bound = _prepare(plan, _metrics.active())
+            else:
+                bound = _prepare(plan, _metrics.active())
+        if bound is None or bound is _FALLBACK or memo is not None:
+            # A cold shape, an unfusable plan or a memoised context (which
+            # needs every shared slot): the reference engine's run, which
+            # polls the ambient token per program step.
+            return _ENGINES["numpy"].run(plan, n, rng, memo, release)
         # A generated kernel is one indivisible batch: the boundary check
         # is before launch (delegated runs inherit the inner engine's
         # finer per-step boundaries).
-        _cancel.check_current(kernel=plan.structural_hash, n=int(n))
+        token = _cancel.current()
+        if token is not None:
+            token.check(kernel=plan.shape.key, n=n)
         values: list = [None] * len(plan.steps)
         values[plan.root_slot] = bound.kernel(n, rng)
         return values

@@ -38,6 +38,7 @@ from repro.core.structural import (
     STRUCTURAL_CACHE,
     ShapeEntry,
     StructuralOpaque,
+    binding_digest,
     node_token,
 )
 from repro.runtime import metrics as _metrics
@@ -109,6 +110,7 @@ class EvaluationPlan:
         "provenance",
         "_program",
         "_shape",
+        "_hash",
         "_fused",
         "__weakref__",
     )
@@ -128,6 +130,7 @@ class EvaluationPlan:
         self.provenance: tuple = ()
         self._program = None
         self._shape = _UNSET
+        self._hash = _UNSET
         self._fused = None
 
     @property
@@ -188,8 +191,10 @@ class EvaluationPlan:
         Registered lazily in the process-global
         :class:`~repro.core.structural.StructuralCache` (``compile_plan``
         registers eagerly), so equal shapes across sessions resolve to the
-        same entry.  ``None`` marks an opaque plan (lambdas, user sampling
-        functions) that can never be shared structurally.
+        same entry.  Its ``key`` is a *topology* key: plans whose
+        Gaussian, Uniform and Exponential leaves bind other values share
+        it, with its kernel.  ``None`` marks an opaque plan (lambdas, user
+        sampling functions) that can never be shared structurally.
         """
         if self._shape is _UNSET:
             self._shape, _hit = STRUCTURAL_CACHE.entry_for(self)
@@ -197,9 +202,26 @@ class EvaluationPlan:
 
     @property
     def structural_hash(self) -> str | None:
-        """Canonical structural key of this plan's shape (``None`` if opaque)."""
-        shape = self.shape
-        return None if shape is None else shape.key
+        """What names the rows this plan draws (``None`` if opaque).
+
+        The shape key, plus a digest of the values the plan's parametric
+        leaves bind in slot order when it has any
+        (:func:`~repro.core.structural.binding_digest`): two plans with
+        equal hashes draw the same rows from the same stream.  The sample
+        ledger, the coalescer's groups and the parallel workers' plan
+        cache key on it.  Computed on first read; the kernel path reads
+        ``shape.key`` instead.
+        """
+        digest = self._hash
+        if digest is _UNSET:
+            shape = self.shape
+            if shape is None:
+                digest = None
+            else:
+                values = binding_digest(self)
+                digest = shape.key if values is None else f"{shape.key}:{values}"
+            self._hash = digest
+        return digest
 
     # -- introspection ------------------------------------------------------
 
@@ -283,6 +305,7 @@ _PLANNED_ROOTS: "weakref.WeakSet[Node]" = weakref.WeakSet()
 def compile_plan(
     root: Node,
     analyze: "Callable[[EvaluationPlan], object] | None" = None,
+    metrics=_metrics.AMBIENT,
 ) -> EvaluationPlan:
     """Lower ``root``'s DAG into an :class:`EvaluationPlan`, cached per root.
 
@@ -295,9 +318,13 @@ def compile_plan(
     once per cached plan (see
     :attr:`~repro.core.conditionals.EvaluationConfig.plan_analyzer`).
     Its return value is ignored; exceptions propagate to the caller.
+
+    ``metrics`` is the sink to count the compile in when the caller has
+    resolved it (``None``: off); by default the ambient one.
     """
     plan = root._compiled_plan
-    metrics = _metrics.active()
+    if metrics is _metrics.AMBIENT:
+        metrics = _metrics.active()
     if plan is not None:
         if metrics is not None:
             metrics.record_cache_hit()

@@ -92,13 +92,14 @@ class HypothesisTest:
             raise ValueError(f"threshold must be in (0, 1), got {threshold}")
         self.threshold = float(threshold)
 
-    def run(self, draw: BernoulliSampler) -> TestResult:
+    def run(self, draw: BernoulliSampler, metrics=_metrics.AMBIENT) -> TestResult:
         """Run the test against ``draw``, with runtime instrumentation.
 
         The statistical procedure itself lives in ``_run`` (template
         method); this wrapper attributes the run — number of sequential
-        steps (batch draws) and total samples — to the runtime metrics
-        registry and, when a tracer is installed, records a
+        steps (batch draws) and total samples — to ``metrics`` (the sink
+        the caller resolved, ``None`` for none; by default the ambient
+        one) and, when a tracer is installed, records a
         ``test.<Kind>.run`` span enclosing the engine batches it caused.
         """
         kind = type(self).__name__
@@ -107,9 +108,10 @@ class HypothesisTest:
             attrs["steps"] = steps
             attrs["samples"] = result.samples_used
             attrs["decision"] = result.decision.value
-        sink = _metrics.active()
-        if sink is not None:
-            sink.record_test(kind, steps, result.samples_used)
+        if metrics is _metrics.AMBIENT:
+            metrics = _metrics.active()
+        if metrics is not None:
+            metrics.record_test(kind, steps, result.samples_used)
         return result
 
     def _run(self, draw: BernoulliSampler) -> tuple[TestResult, int]:

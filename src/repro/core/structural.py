@@ -15,11 +15,25 @@ Canonical form
 A plan's fingerprint is the sequence of per-step tokens in slot (topo)
 order.  Each token records the node kind, its operation identity
 (``module.qualname`` for named functions, the ufunc name for ufuncs),
-its distribution's :meth:`~repro.dists.base.Distribution.structural_params`
-for leaves, the point-mass value for constants, and the *parent slot
-indices* — which is what makes the fingerprint capture sharing: ``x + x``
-(one leaf read twice) and ``x1 + x2`` (two leaves) produce different
-parent-index sequences even though the node kinds agree.
+the point-mass value for constants, and the *parent slot indices* —
+which is what makes the fingerprint capture sharing: ``x + x`` (one leaf
+read twice) and ``x1 + x2`` (two leaves) produce different parent-index
+sequences even though the node kinds agree.
+
+A leaf of a :data:`TRUSTED_BULK_FAMILIES` class (Gaussian, Uniform,
+Exponential) is a *parameter* of its plan: its token keeps the class and
+one value class, whether the leaf draws (``bulk_draw_spec()`` is not
+``None``) or is fixed (a Gaussian with σ = 0), and none of its values.
+So each new reading of a fixed program reuses one shape, one entry and
+one kernel; every graph binds its own values (the fused kernel's
+``_binding_args``).  Any other leaf's token carries its distribution's
+:meth:`~repro.dists.base.Distribution.structural_params`.
+
+The shape key is therefore a *topology* key.  What draws the same rows
+is the plan's ``structural_hash``: the shape key plus a digest of its
+parametric leaves' values in slot order (:func:`binding_digest`), which
+keys the sample ledger, the coalescer's groups and the parallel
+workers' plan cache.
 
 Anything whose behaviour cannot be proven equal from structure alone —
 lambdas, closures, bound methods, ``FunctionDistribution``, hardened
@@ -81,6 +95,20 @@ from repro.runtime import metrics as _metrics
 
 class StructuralOpaque(Exception):
     """Raised while fingerprinting when a value has no canonical form."""
+
+
+#: ``(module, qualname)`` of distribution classes whose ``sample_n`` is
+#: *known* (by reading both sources) to be the exact affine reduction of
+#: the named base-generator family, making coalesced draws value- and
+#: stream-identical.  Exact type match only: a subclass may override
+#: ``sample_n`` arbitrarily while inheriting ``bulk_draw_spec``.  Their
+#: leaves are plan parameters (see the module docstring); the certifier
+#: (:mod:`repro.analysis.certify`) trusts their coalesced draws.
+TRUSTED_BULK_FAMILIES = {
+    ("repro.dists.gaussian", "Gaussian"): "standard_normal",
+    ("repro.dists.uniform", "Uniform"): "random",
+    ("repro.dists.exponential", "Exponential"): "standard_exponential",
+}
 
 
 # ---------------------------------------------------------------------------
@@ -196,35 +224,94 @@ def _component_node_type():
     return _COMPONENT_NODE
 
 
+#: Per distribution class: its ``(draws, fixed)`` leaf tokens when it is
+#: a :data:`TRUSTED_BULK_FAMILIES` class, else ``()`` (value-keyed).
+_LEAF_TOKENS: dict[type, tuple] = {}
+
+#: Per ``(node kind, label or vectorized flag, callable)``: the token
+#: without its parent slots.  Only named module-level callables get here
+#: (anything else is opaque), so the table is bounded by the code.
+_OP_TOKENS: dict[tuple, tuple] = {}
+
+
+def _leaf_tokens(kind: type) -> tuple:
+    tokens = _LEAF_TOKENS.get(kind)
+    if tokens is None:
+        name = (kind.__module__, kind.__qualname__)
+        tokens = _LEAF_TOKENS[kind] = (
+            tuple(("leaf", ("param",) + name + (value_class,))
+                  for value_class in ("draws", "fixed"))
+            if name in TRUSTED_BULK_FAMILIES else ()
+        )
+    return tokens
+
+
+def _op_token(tag: str, detail, fn) -> tuple:
+    key = (tag, detail, fn)
+    try:
+        token = _OP_TOKENS.get(key)
+    except TypeError:  # an unhashable callable object
+        raise StructuralOpaque(f"callable {fn!r} has no stable identity") from None
+    if token is None:
+        token = _OP_TOKENS[key] = (tag, detail, callable_token(fn))
+    return token
+
+
 def node_token(node: Node, parent_slots: tuple[int, ...]) -> tuple:
-    """Canonical token for one plan step (raises ``StructuralOpaque``)."""
+    """Canonical token for one plan step (raises ``StructuralOpaque``).
+
+    A parametric leaf's token is its class and value class only (the
+    module docstring); op tokens are built once per op and label.
+    """
     kind = type(node)
     if kind is LeafNode:
-        return ("leaf", dist_token(node.dist))
+        dist = node.dist
+        tokens = _LEAF_TOKENS.get(type(dist))
+        if tokens is None:
+            tokens = _leaf_tokens(type(dist))
+        if tokens:
+            return tokens[dist.bulk_draw_spec() is None]
+        return ("leaf", dist_token(dist))
+    if kind is BinaryOpNode:
+        return _op_token("bin", node.label, node.op) + (parent_slots,)
     if kind is PointMassNode:
         return ("pm", canonical_value(node.value))
-    if kind is BinaryOpNode:
-        return ("bin", node.label, callable_token(node.op), parent_slots)
     if kind is UnaryOpNode:
-        return ("un", node.label, callable_token(node.op), parent_slots)
+        return _op_token("un", node.label, node.op) + (parent_slots,)
     if kind is ApplyNode:
-        return (
-            "apply",
-            bool(node.vectorized),
-            callable_token(node.fn),
-            parent_slots,
-        )
+        return _op_token("apply", bool(node.vectorized), node.fn) + (parent_slots,)
     if kind is _component_node_type():
         return ("comp", int(node.index), parent_slots)
     raise StructuralOpaque(f"unknown node kind {kind.__name__}")
+
+
+def binding_digest(plan) -> str | None:
+    """Digest of the values ``plan``'s parametric leaves bind, in slot
+    order, or ``None`` when it has none.
+
+    With the shape key it names the rows a plan draws; see
+    ``EvaluationPlan.structural_hash``.  The shape fixes each slot's
+    class, and these classes keep their parameters as Python floats,
+    whose ``repr`` round-trips exactly, so the ``repr`` of their
+    :meth:`~repro.dists.base.Distribution.structural_params` is canonical.
+    """
+    values = [
+        step.node.dist.structural_params() for step in plan.steps
+        if type(step.node) is LeafNode and _LEAF_TOKENS.get(type(step.node.dist))
+    ]
+    if not values:
+        return None
+    return hashlib.blake2b(repr(values).encode("utf-8"), digest_size=16).hexdigest()
 
 
 def plan_fingerprint(plan) -> tuple | None:
     """Canonical fingerprint of ``plan``, or ``None`` when opaque.
 
     Isomorphic DAGs — same shape built from fresh node objects — produce
-    equal fingerprints; differing distribution parameters, op identities,
-    point-mass values or sharing topology produce different ones.
+    equal fingerprints, whatever values their parametric leaves bind;
+    differing value classes, other distributions' parameters, op
+    identities, point-mass values or sharing topology produce different
+    ones.
     """
     try:
         tokens = tuple(
@@ -379,6 +466,8 @@ __all__ = [
     "ShapeEntry",
     "StructuralCache",
     "StructuralOpaque",
+    "TRUSTED_BULK_FAMILIES",
+    "binding_digest",
     "callable_token",
     "canonical_value",
     "clear_structural_cache",

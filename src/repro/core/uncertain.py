@@ -100,8 +100,12 @@ class Uncertain:
         """
         plan = self._plan
         if plan is None:
+            config = _cond.get_config()
+            selection = config.metrics
             plan = compile_plan(
-                self.node, analyze=_cond.get_config().plan_analyzer
+                self.node, config.plan_analyzer,
+                _metrics.METRICS if selection is True
+                else _metrics.resolve(selection),
             )
             object.__setattr__(self, "_plan", plan)
         return plan
@@ -595,8 +599,8 @@ class UncertainBool(Uncertain):
         config = draw.config
         if test is None:
             test = config.make_test(threshold)
-        result = test.run(draw.sequential())
-        config.accounting.record(result.samples_used)
+        result = test.run(draw.sequential(), draw.metrics)
+        config.accounting.record(result.samples_used, draw.metrics)
         if result.decision is TestDecision.INCONCLUSIVE:
             self._apply_inconclusive_policy(config, result)
         return result

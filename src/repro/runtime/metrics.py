@@ -475,6 +475,11 @@ def bind_resolver(resolver: Callable[[], object]) -> None:
     _resolver = resolver
 
 
+#: Default of a ``metrics=`` parameter: the caller resolved no sink, so
+#: the callee records into the ambient one (:func:`active`).
+AMBIENT = object()
+
+
 def active() -> RuntimeMetrics | None:
     """The metrics sink the runtime should record into right now.
 

@@ -118,7 +118,7 @@ def evaluate_request(
     same level (the effective sample count is pure in ``(nominal,
     level)``).  ``rng`` is only accepted for seedless requests (callers
     that want solo evaluation with an external stream; ``None`` is the
-    default seed's stream); ``token`` installs a cooperative
+    config's ``rng``, as for every ``Uncertain`` query); ``token`` installs a cooperative
     cancellation scope around the draw: one fresh engine run of a
     :class:`~repro.core.sampling.Draw` under ``config``, never served by
     the sample ledger.
@@ -128,7 +128,8 @@ def evaluate_request(
     plan = _plan if _plan is not None else request.value.plan
     decision = degrade if degrade is not None else NO_DEGRADATION
     n, record = decision.apply(request.resolve_samples(config))
-    rng = request.rng() if request.seed is not None else ensure_rng(rng)
+    if request.seed is not None:
+        rng = request.rng()
     with _cancel.scope(token):
         values = Draw(plan, rng, engine, config).run(n)
     answer, extra = reduce_query(request, values)

@@ -225,7 +225,7 @@ class TestTelemetry:
         x = Uncertain(Gaussian(0.0, 1.0))
         y = x + x
         metrics = RuntimeMetrics()
-        with evaluation_config(metrics=metrics):
+        with evaluation_config(metrics=metrics, engine="numpy"):
             y.samples(10, rng)
             y.samples(10, rng)
         snapshot = metrics.snapshot()

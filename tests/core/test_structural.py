@@ -1,9 +1,12 @@
 """Property tests for structural plan hashing (the compiler's shape registry).
 
-Contract: two plans get the same structural key iff their programs are
-interchangeable — same op kinds, arities, distribution parameters, and
-topology — and plans containing anything whose sampling behaviour the
-hash cannot capture (lambdas, closures, stateful sources) are opaque.
+Contract: two plans share a shape iff their programs are interchangeable
+up to the values their Gaussian, Uniform and Exponential leaves bind —
+same op kinds, arities, constants, other distributions' parameters, leaf
+value classes and topology — and two plans get the same structural hash
+iff they also bind the same values.  Plans containing anything whose
+sampling behaviour the hash cannot capture (lambdas, closures, stateful
+sources) are opaque.
 """
 
 from collections import Counter
@@ -39,11 +42,11 @@ def _fresh_cache():
     clear_structural_cache()
 
 
-def gps_speed(mu=1.5):
+def gps_speed(mu=1.5, offset=1.0):
     a = Uncertain(Gaussian(mu, 0.3))
     b = Uncertain(Gaussian(mu + 1.0, 0.4))
     d = b - a
-    return (d * d) / Uncertain(Uniform(0.5, 2.0)) + 1.0
+    return (d * d) / Uncertain(Uniform(0.5, 2.0)) + offset
 
 
 class TestHashEquality:
@@ -63,6 +66,32 @@ class TestHashEquality:
         p1 = compile_plan(gps_speed(mu=1.5).node)
         p2 = compile_plan(gps_speed(mu=2.5).node)
         assert p1.structural_hash != p2.structural_hash
+
+    def test_parametric_leaves_share_one_shape(self):
+        # Gaussian, Uniform and Exponential leaves are parameters: other
+        # values keep the shape (and its kernel), not the rows' name.
+        p1 = compile_plan(gps_speed(mu=1.5).node)
+        p2 = compile_plan(gps_speed(mu=2.5).node)
+        assert p2.shape is p1.shape
+        assert plan_fingerprint(p1) == plan_fingerprint(p2)
+        assert p1.structural_hash.startswith(p1.shape.key + ":")
+        assert compile_plan(gps_speed(mu=1.5).node).structural_hash == (
+            p1.structural_hash)
+
+    def test_a_fixed_gaussian_is_its_own_value_class(self):
+        # sigma = 0 never draws: the kernel delegates it, so it is keyed.
+        drawn = compile_plan((Uncertain(Gaussian(1.0, 0.5)) + 1.0).node)
+        fixed = compile_plan((Uncertain(Gaussian(1.0, 0.0)) + 1.0).node)
+        assert fixed.shape is not drawn.shape
+        assert plan_fingerprint(fixed) != plan_fingerprint(drawn)
+
+    def test_other_families_keep_their_values(self):
+        from repro.dists import Beta
+
+        p1 = compile_plan((Uncertain(Beta(2.0, 3.0)) + 1.0).node)
+        p2 = compile_plan((Uncertain(Beta(2.0, 4.0)) + 1.0).node)
+        assert p1.shape is not p2.shape
+        assert p1.structural_hash == p1.shape.key
 
     def test_differing_dist_family_differs(self):
         g = Uncertain(Gaussian(1.0, 1.0)) + 1.0
@@ -129,19 +158,19 @@ class TestCollisionHandling:
         # second shape must get a salted key rather than alias the first.
         monkeypatch.setattr(structural, "fingerprint_digest", lambda fp: "d")
         cache = StructuralCache()
-        first, _ = cache.entry_for(compile_plan(gps_speed(mu=1.5).node))
-        second, _ = cache.entry_for(compile_plan(gps_speed(mu=2.5).node))
+        first, _ = cache.entry_for(compile_plan(gps_speed(offset=1.0).node))
+        second, _ = cache.entry_for(compile_plan(gps_speed(offset=2.0).node))
         assert (first.key, second.key) == ("d", "d#1")
         # Each shape still hits its own key.
-        again1, hit1 = cache.entry_for(compile_plan(gps_speed(mu=1.5).node))
-        again2, hit2 = cache.entry_for(compile_plan(gps_speed(mu=2.5).node))
+        again1, hit1 = cache.entry_for(compile_plan(gps_speed(offset=1.0).node))
+        again2, hit2 = cache.entry_for(compile_plan(gps_speed(offset=2.0).node))
         assert (again1.key, hit1) == ("d", True)
         assert (again2.key, hit2) == ("d#1", True)
         assert cache.state()["collisions"] == 1
 
     def test_reuse_requires_identical_fingerprints(self):
-        p1 = compile_plan(gps_speed(mu=1.5).node)
-        p2 = compile_plan(gps_speed(mu=2.0).node)
+        p1 = compile_plan(gps_speed(offset=1.0).node)
+        p2 = compile_plan(gps_speed(offset=2.0).node)
         assert plan_fingerprint(p1) != plan_fingerprint(p2)
         assert p1.structural_hash != p2.structural_hash
 
@@ -180,11 +209,11 @@ class TestTokenSharing:
 
     @staticmethod
     def shapes(count):
-        # Shapes that share leaves and constants, each holding its leaf
-        # token twice.
+        # Distinct shapes that share their leaf token, each holding it
+        # twice.
         return [
             Uncertain(Gaussian(float(i % 3), 1.0))
-            + Uncertain(Gaussian(float(i % 3), 1.0)) * float(i % 4)
+            + Uncertain(Gaussian(float(i % 3), 1.0)) * float(i)
             for i in range(count)
         ]
 
@@ -346,7 +375,7 @@ class TestSharedOptimizerVerdict:
     def test_eviction_drops_the_verdict(self, monkeypatch, hot_kernels):
         monkeypatch.setattr(STRUCTURAL_CACHE, "limit", 1)
         assert hot_speed().plan.shape.kernel.verified
-        compile_plan(gps_speed(mu=2.5).node)  # evicts the first shape
+        compile_plan(gps_speed(offset=2.0).node)  # evicts the first shape
         assert compile_plan(gps_speed().node).shape.kernel is None
 
     def test_one_shape_holds_one_entry(self, monkeypatch):
@@ -363,3 +392,55 @@ class TestSharedOptimizerVerdict:
         assert (state["entries"], state["kernels"]) == (1, 1)
         assert state["kernels_verified"] == 1
         assert calls == []
+
+
+class TestParametricShapes:
+    """Fresh readings of one program reuse one shape and one kernel."""
+
+    def test_jittered_fig08_graphs_register_one_shape_and_build_one_kernel(self):
+        from benchmarks.e2e.inputs import fig08_root
+        from tests.core.test_oracle import rebind
+
+        template = Uncertain.from_node(fig08_root().parents[0])
+        leaves = [s.node.dist for s in template.plan.steps
+                  if type(s.node).__name__ == "LeafNode"]
+        jitter = np.random.default_rng(8)
+        reset_stats()
+        with evaluation_config(engine="fused", sample_cache=False):
+            for seed in range(600):
+                params = [
+                    (d.mu + jitter.normal(0.0, 1e-4), d.sigma, 0.0, 0.0, 0.0)
+                    if type(d) is Gaussian
+                    else (0.0, 0.0, d.low, d.high - d.low, 0.0)
+                    if type(d) is Uniform
+                    else (0.0, 0.0, 0.0, 0.0, d.rate)
+                    for d in leaves
+                ]
+                rebind(template, params).samples(16, rng=seed)
+        snap = stats()
+        assert snap["structural"]["entries"] == 1
+        assert snap["fused"]["kernels_built"] == 1
+        # The template registered the shape before the counters reset.
+        plans = snap["plans"]
+        assert (plans["structural_hits"], plans["structural_misses"]) == (600, 0)
+
+    def test_sensor_sums_map_to_one_shape_per_topology_and_comparison(self):
+        from itertools import product
+
+        from repro.life.sensors import sensor_sum
+
+        keys: dict = {}
+        for count in (3, 5, 8):
+            for bits in product((0.0, 1.0), repeat=count):
+                num_live = sensor_sum(np.array(bits), 0.3)
+                comparisons = (
+                    num_live < 2,
+                    (2 <= num_live) & (num_live <= 3),
+                    num_live > 3,
+                    (2.5 < num_live) & (num_live < 3.5),
+                )
+                for i, value in enumerate(comparisons):
+                    keys.setdefault((count, i), set()).add(value.plan.shape.key)
+        assert all(len(shapes) == 1 for shapes in keys.values())
+        assert len(set().union(*keys.values())) == len(keys) == 12
+        assert stats()["structural"]["entries"] == 12

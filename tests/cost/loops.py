@@ -21,7 +21,11 @@ freshly cleared caches, and :func:`measure` counts per query:
 The life loops also report ``draw_calls``: per engine run, the calls made
 by the draw callable a hypothesis test receives (its own frame included),
 outside the engine's ``run``.  That is the plumbing between the
-sequential test and the engine.
+sequential test and the engine.  And ``sample_n``: the leaves' own
+``sample_n`` calls per query.  A kernel draws each run of
+Gaussian, Uniform or Exponential leaves with one generator call, so only
+the NumPy engine's runs (a shape's cold runs) and leaves a kernel
+delegates make them.
 
 The collector is disabled while a loop runs, so no weak-reference
 callback fires at a point that depends on the heap.
@@ -75,6 +79,7 @@ class CallCounter:
     def __init__(self) -> None:
         self.calls = 0
         self.draw_calls = 0
+        self.sample_n = 0
         self._where: dict = {}
 
     def __call__(self, frame, event, arg) -> None:
@@ -99,18 +104,20 @@ class CallCounter:
             self.calls += 1
             if where == _DRAW:
                 self.draw_calls += 1
+            if code.co_name == "sample_n":
+                self.sample_n += 1
 
 
 class LifeLoop:
-    """200 cell updates of the life_sprt board's generation 1, NumPy engine."""
+    """200 cell updates of the life_sprt board's generation 1, on the
+    default engine and configuration, as the benchmark runs them."""
 
     queries = 200
     rows = None
     variant = SensorLife
 
     def config(self):
-        return evaluation_config(engine="numpy", sample_cache=False,
-                                 rng=np.random.default_rng([5, 1, 0]),
+        return evaluation_config(rng=np.random.default_rng([5, 1, 0]),
                                  max_samples=1000)
 
     def warm(self) -> None:
@@ -270,6 +277,7 @@ def measure(loop) -> dict[str, float]:
         counts["peak_rows"] = peak / (8 * loop.rows)
     if isinstance(loop, LifeLoop):
         counts["draw_calls"] = counter.draw_calls / max(engine_calls, 1)
+        counts["sample_n"] = counter.sample_n / queries
     return counts
 
 

@@ -118,7 +118,7 @@ class TestMetricsScoping:
 class TestTracing:
     def test_engine_spans_are_recorded(self):
         value = Uncertain(Gaussian(0.0, 1.0)) + 1.0
-        with tracing() as tracer:
+        with tracing() as tracer, evaluation_config(engine="numpy"):
             value.samples(200, rng=0)
         names = [span.name for span in tracer.spans]
         assert "engine.numpy.sample" in names
@@ -129,7 +129,7 @@ class TestTracing:
     def test_test_spans_nest_engine_spans(self):
         value = Uncertain(Gaussian(5.0, 1.0))
         with tracing() as tracer:
-            with evaluation_config(rng=np.random.default_rng(0)):
+            with evaluation_config(rng=np.random.default_rng(0), engine="numpy"):
                 bool(value > 2.0)
         by_name = {}
         for span in tracer.spans:

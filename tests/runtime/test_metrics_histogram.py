@@ -128,7 +128,7 @@ class TestEngineLatencyIntegration:
 
         metrics = RuntimeMetrics()
         value = repro.uncertain(Gaussian(0.0, 1.0))
-        with repro.evaluation_config(metrics=metrics, rng=0):
+        with repro.evaluation_config(metrics=metrics, rng=0, engine="numpy"):
             value.samples(256)
         snap = metrics.snapshot()
         assert snap["engines"]["numpy"]["latency"]["count"] >= 1

@@ -122,6 +122,21 @@ def log_of_gaussian() -> Uncertain:
     return Uncertain(Gaussian(0.0, 1.0)).map(np.log, vectorized=True)
 
 
+def test_a_seedless_request_draws_from_the_configs_generator():
+    # Like every Uncertain query: ``rng=None`` is ``config.rng``, not a
+    # fresh stream of the default seed on every call.
+    value = scalar()
+    answers = []
+    for seed in (7, 8):
+        with evaluation_config(rng=np.random.default_rng(seed)):
+            got = evaluate_request(
+                QueryRequest(value, "expected_value", samples=500)).value
+        with evaluation_config(rng=np.random.default_rng(seed)):
+            assert got == value.expected_value(500)
+        answers.append(got)
+    assert answers[0] != answers[1]
+
+
 @pytest.mark.parametrize("seed", [3, None])
 def test_evaluate_batch_honours_its_config(seed):
     config = EvaluationConfig(on_nonfinite="raise")

@@ -109,7 +109,7 @@ def _series(text: str, prefix: str) -> set:
 
 def test_runtime_stats_sections_and_keys():
     metrics = RuntimeMetrics()
-    with repro.evaluation_config(metrics=metrics, rng=0):
+    with repro.evaluation_config(metrics=metrics, rng=0, engine="numpy"):
         Uncertain(Gaussian(0.0, 1.0)).samples(8)
     snap = metrics.snapshot()
     assert set(snap) == set(RUNTIME_SCHEMA) | {"engines"}

@@ -4,7 +4,8 @@
 (``owner.__dict__[attr]``), so a renamed or removed one fails every traced
 benchmark run.  Entering the block here makes that a tier-1 failure, and
 the spans below show that the draw path still calls the wrapped ledger
-methods and records one engine span per engine run.
+methods and the wrapped ``FusedEngine.run`` (the default engine), and
+records one engine span per engine run.
 """
 
 from __future__ import annotations
@@ -42,6 +43,6 @@ def test_traced_draws_record_the_ledger_and_engine_spans():
     assert "ledger.open_window" in tested
     assert "ledger.serve" in names[len(tested):]
     engine_spans = [n for n in names if n.startswith("engine.")]
-    assert set(engine_spans) == {"engine.numpy.sample"}
+    assert set(engine_spans) == {"engine.fused.sample"}
     runs = sum(e["batches"] for e in scoped.snapshot()["engines"].values())
-    assert len(engine_spans) == runs > 1
+    assert len(engine_spans) == names.count("fused.run") == runs > 1
