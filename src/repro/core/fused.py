@@ -76,12 +76,7 @@ import warnings
 
 import numpy as np
 
-from repro.core.engines import (
-    _ENGINES,
-    ExecutionEngine,
-    get_engine,
-    register_engine,
-)
+from repro.core.engines import _ENGINES, ExecutionEngine, register_engine
 from repro.core.graph import (
     ApplyNode,
     BinaryOpNode,
@@ -691,10 +686,6 @@ class FusedEngine(ExecutionEngine):
     """
 
     name = "fused"
-
-    @property
-    def inner(self) -> ExecutionEngine:
-        return get_engine("numpy")
 
     # ``release`` stays the fifth positional after ``self``: per-layer
     # wrappers (benchmarks/e2e/tracing.py) forward it by position.

@@ -265,18 +265,23 @@ def _lower(root: Node):
     slot_of: dict[Node, int] = {}
     steps: list[PlanStep] = []
     tokens: list | None = []
-    # iter_nodes' post-order walk, inlined with ``slot_of`` as the seen set.
+    # iter_nodes' post-order walk, inlined with ``slot_of`` as the seen set:
+    # the parents of a node are pushed in order, so the last is lowered
+    # first.  A node without parents is lowered when it is first popped.
     stack: list[tuple[Node, bool]] = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if node in slot_of:
             continue
-        if not expanded:
+        parents = node.parents
+        if not expanded and parents:
             stack.append((node, True))
-            stack.extend([(p, False) for p in node.parents if p not in slot_of])
+            for p in parents:
+                if p not in slot_of:
+                    stack.append((p, False))
             continue
         slot = len(steps)
-        parent_slots = tuple([slot_of[p] for p in node.parents])
+        parent_slots = tuple(map(slot_of.__getitem__, parents))
         steps.append(PlanStep(node, slot, parent_slots))
         slot_of[node] = slot
         if tokens is not None:

@@ -246,17 +246,6 @@ def _leaf_tokens(kind: type) -> tuple:
     return tokens
 
 
-def _op_token(tag: str, detail, fn) -> tuple:
-    key = (tag, detail, fn)
-    try:
-        token = _OP_TOKENS.get(key)
-    except TypeError:  # an unhashable callable object
-        raise StructuralOpaque(f"callable {fn!r} has no stable identity") from None
-    if token is None:
-        token = _OP_TOKENS[key] = (tag, detail, callable_token(fn))
-    return token
-
-
 def node_token(node: Node, parent_slots: tuple[int, ...]) -> tuple:
     """Canonical token for one plan step (raises ``StructuralOpaque``).
 
@@ -273,16 +262,24 @@ def node_token(node: Node, parent_slots: tuple[int, ...]) -> tuple:
             return tokens[dist.bulk_draw_spec() is None]
         return ("leaf", dist_token(dist))
     if kind is BinaryOpNode:
-        return _op_token("bin", node.label, node.op) + (parent_slots,)
-    if kind is PointMassNode:
+        key = ("bin", node.label, node.op)
+    elif kind is PointMassNode:
         return ("pm", canonical_value(node.value))
-    if kind is UnaryOpNode:
-        return _op_token("un", node.label, node.op) + (parent_slots,)
-    if kind is ApplyNode:
-        return _op_token("apply", bool(node.vectorized), node.fn) + (parent_slots,)
-    if kind is _component_node_type():
+    elif kind is UnaryOpNode:
+        key = ("un", node.label, node.op)
+    elif kind is ApplyNode:
+        key = ("apply", bool(node.vectorized), node.fn)
+    elif kind is _component_node_type():
         return ("comp", int(node.index), parent_slots)
-    raise StructuralOpaque(f"unknown node kind {kind.__name__}")
+    else:
+        raise StructuralOpaque(f"unknown node kind {kind.__name__}")
+    try:
+        token = _OP_TOKENS.get(key)
+    except TypeError:  # an unhashable callable object
+        raise StructuralOpaque(f"callable {key[2]!r} has no stable identity") from None
+    if token is None:
+        token = _OP_TOKENS[key] = key[:2] + (callable_token(key[2]),)
+    return token + (parent_slots,)
 
 
 def binding_digest(plan) -> str | None:
