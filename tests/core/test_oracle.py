@@ -65,17 +65,16 @@ STREAM_FINGERPRINTS = {
 }
 
 
+@functools.cache
 def _generated() -> list[Uncertain]:
     rng = random.Random(2014)
     return [_random_fusable(rng) for _ in range(40)]
 
 
-_GENERATED = functools.cache(_generated)
-
 #: Topology templates: the corpus plans and the certifier's random plans.
 SEEDS = {
-    **{name: build for name, build in CERTIFY_CORPUS.items()},
-    **{f"random-{i}": (lambda i=i: _GENERATED()[i]) for i in range(40)},
+    **CERTIFY_CORPUS,
+    **{f"random-{i}": (lambda i=i: _generated()[i]) for i in range(40)},
 }
 
 _FAMILIES = (Gaussian, Uniform, Exponential)

@@ -16,6 +16,7 @@ import pytest
 
 from repro.core import optimizer, structural
 from repro.core.conditionals import evaluation_config
+from repro.core.graph import LeafNode
 from repro.core.plan import compile_plan
 from repro.core.structural import (
     STRUCTURAL_CACHE,
@@ -403,7 +404,7 @@ class TestParametricShapes:
 
         template = Uncertain.from_node(fig08_root().parents[0])
         leaves = [s.node.dist for s in template.plan.steps
-                  if type(s.node).__name__ == "LeafNode"]
+                  if type(s.node) is LeafNode]
         jitter = np.random.default_rng(8)
         reset_stats()
         with evaluation_config(engine="fused", sample_cache=False):
