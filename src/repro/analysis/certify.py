@@ -65,7 +65,7 @@ from repro.core.graph import (
     UnaryOpNode,
     is_stochastic,
 )
-from repro.core.plan import OP_SOURCE, EvaluationPlan
+from repro.core.plan import EvaluationPlan
 # The trust table lives with the shape keys, which bind these families'
 # parameters per plan; it is exported here, where it is enforced.
 from repro.core.structural import TRUSTED_BULK_FAMILIES
@@ -194,7 +194,7 @@ def plan_draw_sequence(plan: EvaluationPlan) -> tuple[DrawEvent, ...]:
     """
     events: list[DrawEvent] = []
     for step in plan.steps:
-        if step.opcode != OP_SOURCE or not is_stochastic(step.node):
+        if step.parent_slots or not is_stochastic(step.node):
             continue
         node = step.node
         family = "delegated"
@@ -274,7 +274,7 @@ def _infer_dtypes(plan: EvaluationPlan) -> list:
     dtypes: list = [None] * len(plan.steps)
     for step in plan.steps:
         node, slot = step.node, step.slot
-        if step.opcode == OP_SOURCE:
+        if not step.parent_slots:
             if isinstance(node, LeafNode):
                 if _trusted_family(node.dist) is not None:
                     dtypes[slot] = _FLOAT64

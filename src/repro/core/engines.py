@@ -5,9 +5,10 @@ This module holds the two core engines and the registry; the fused
 (:mod:`repro.core.fused`) and parallel (:mod:`repro.runtime.parallel`)
 engines register behind the same interface.
 
-- :class:`NumpyEngine` — the default.  Executes the flat program in one
-  forward pass over preallocated slots; shared subexpressions are slot
-  reads, batch evaluation is vectorized numpy.
+- :class:`NumpyEngine` — the reference engine every other one reproduces
+  (the default, ``"fused"``, runs a shape's cold runs on it).  Executes
+  the plan's steps in one forward pass over preallocated slots; shared
+  subexpressions are slot reads, batch evaluation is vectorized numpy.
 - :class:`InterpreterEngine` — a per-call iterative post-order walk of
   the DAG with a dictionary memo: the reference semantics that the
   engine-equivalence tests and the end-to-end benchmark's oracle compare
@@ -23,13 +24,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core import conditionals as _cond
-from repro.core.graph import Node
-from repro.core.plan import (
-    OP_BINARY,
-    OP_SOURCE,
-    OP_UNARY,
-    EvaluationPlan,
-)
+from repro.core.graph import BinaryOpNode, Node, UnaryOpNode
+from repro.core.plan import EvaluationPlan
 from repro.runtime import cancellation as _cancel
 
 #: Floating-point error handling for plan execution.  IEEE semantics are
@@ -130,90 +126,68 @@ def _demanded(plan: EvaluationPlan, values: list) -> list[bool]:
 
 
 class NumpyEngine(ExecutionEngine):
-    """Vectorized single-pass execution over preallocated slots (default).
+    """Vectorized single-pass execution over preallocated slots.
 
-    The hot loop dispatches on the opcode chosen at compile time; binary
-    and unary operators run without the generic ``evaluate_batch``
-    indirection.
+    The reference engine: one loop over the plan's steps serves
+    memo-free, memo-carrying and releasing runs.  Binary and unary
+    operators call their ``op`` directly; every other node runs its
+    ``evaluate_batch``.
     """
 
     name = "numpy"
 
     def run(self, plan, n, rng, memo=None, release=False):
-        values: list = [None] * len(plan.steps)
-        # Cooperative cancellation: the ambient token (installed by the
-        # service tier or an ambient deadline) is polled once per program
-        # step — the engine's natural batch boundary.  ``token`` is None
-        # for ordinary evaluations, so the hot path pays one predictable
-        # branch per step and nothing else; checks never touch ``rng``.
-        token = _cancel.current()
-        step_i = 0
-        if memo is None:
-            # Hot path (the SPRT loop, expectations): run the specialized
-            # program with bound callables and no bookkeeping.  With
-            # ``release``, each batch is dropped after its last read.
-            shape = (n,)
-            with np.errstate(**_ERRSTATE):
-                for entry in plan.program:
-                    if token is not None:
-                        token.check(step=step_i, steps=len(plan.program))
-                        step_i += 1
-                    opcode = entry[0]
-                    if opcode == OP_BINARY:
-                        _, op, slot, a, b, node, done = entry
-                        out = op(values[a], values[b])
-                    elif opcode == OP_SOURCE:
-                        _, evaluate, slot, node, done = entry
-                        out = evaluate((), n, rng)
-                    elif opcode == OP_UNARY:
-                        _, op, slot, a, node, done = entry
-                        out = op(values[a])
-                    else:
-                        _, evaluate, slot, parent_slots, node, done = entry
-                        out = evaluate([values[i] for i in parent_slots], n, rng)
-                    if type(out) is not np.ndarray or out.shape[:1] != shape:
-                        out = _check_batch(out, node, n)
-                    values[slot] = out
-                    if release:
-                        for i in done:
-                            values[i] = None
-            return values
-        seeded = False
+        steps = plan.steps
+        values: list = [None] * len(steps)
         if memo:
+            seeded = False
             slot_of = plan.slot_of
             for node, batch in memo.items():
                 slot = slot_of.get(node)
                 if slot is not None:
                     values[slot] = batch
                     seeded = True
-        if seeded:
-            needed = _demanded(plan, values)
-            steps = [s for s in plan.steps if needed[s.slot]]
-        else:
-            steps = plan.steps
+            if seeded:
+                needed = _demanded(plan, values)
+                steps = [s for s in steps if needed[s.slot]]
+        # With ``release`` (memo-free runs only: a memo keeps every slot),
+        # each batch is dropped once the step that reads it last has run.
+        last_read = plan.last_read if release and memo is None else None
+        # Cooperative cancellation: the ambient token (installed by the
+        # service tier or an ambient deadline) is polled once per step —
+        # the engine's natural batch boundary.  ``token`` is None for
+        # ordinary evaluations, so the loop pays one predictable branch
+        # per step and nothing else; checks never touch ``rng``.
+        token = _cancel.current()
+        step_i = 0
+        shape = (n,)
         with np.errstate(**_ERRSTATE):
             for step in steps:
                 if token is not None:
                     token.check(step=step_i, steps=len(steps))
                     step_i += 1
-                opcode = step.opcode
                 node = step.node
-                if opcode == OP_BINARY:
-                    a, b = step.parent_slots
+                parents = step.parent_slots
+                if type(node) is BinaryOpNode:
+                    a, b = parents
                     out = node.op(values[a], values[b])
-                elif opcode == OP_SOURCE:
+                elif not parents:
                     out = node.evaluate_batch((), n, rng)
-                elif opcode == OP_UNARY:
-                    out = node.op(values[step.parent_slots[0]])
+                elif type(node) is UnaryOpNode:
+                    out = node.op(values[parents[0]])
                 else:
-                    out = node.evaluate_batch(
-                        [values[i] for i in step.parent_slots], n, rng
-                    )
-                if type(out) is not np.ndarray or out.shape[:1] != (n,):
+                    out = node.evaluate_batch([values[i] for i in parents], n, rng)
+                if type(out) is not np.ndarray or out.shape[:1] != shape:
                     out = _check_batch(out, node, n)
-                values[step.slot] = out
-        for step in steps:
-            memo[step.node] = values[step.slot]
+                slot = step.slot
+                values[slot] = out
+                if parents and last_read is not None:
+                    for p in parents:
+                        if last_read[p] == slot:
+                            values[p] = None
+        if memo is not None:
+            for step in steps:
+                memo[step.node] = values[step.slot]
         return values
 
 

@@ -2,7 +2,7 @@
 
 For every *hot* plan shape (a topology key, see
 :mod:`repro.core.structural`) this module generates one flat numpy Python
-source — a single function that evaluates the whole compiled program
+source — a single function that evaluates the whole compiled plan
 without the per-step dispatch loop of
 :class:`~repro.core.engines.NumpyEngine` — and keeps it, with its
 accept/reject verdict, on the shape's
@@ -65,7 +65,7 @@ admit a kernel.  A kernel the certifier rejects (UNC401: a generator
 bug), or one that cannot be generated, is recorded on the shape, warned
 about with :class:`FusedFallbackWarning` and counted in runtime metrics;
 its plans, and plans with no structural hash (lambdas, opaque sources),
-run on the inner engine.  The :class:`CertificationRecord` is attached
+run on the NumPy engine.  The :class:`CertificationRecord` is attached
 to ``plan.provenance`` either way.
 """
 
@@ -84,7 +84,7 @@ from repro.core.graph import (
     PointMassNode,
     UnaryOpNode,
 )
-from repro.core.plan import OP_SOURCE, EvaluationPlan, PlanStep
+from repro.core.plan import EvaluationPlan, PlanStep
 from repro.runtime import cancellation as _cancel
 from repro.runtime import metrics as _metrics
 
@@ -288,7 +288,7 @@ def _generate(plan: EvaluationPlan) -> _KernelSpec:
     # certifier's own rule.
     consts = {
         step.slot for step in steps
-        if step.opcode == OP_SOURCE
+        if not step.parent_slots
         and type(step.node) is PointMassNode
         and isinstance(step.node.value, _SCALAR_TYPES)
     }
@@ -310,26 +310,22 @@ def _generate(plan: EvaluationPlan) -> _KernelSpec:
     )
 
     # -- lifetimes ---------------------------------------------------------
-    # A single-use expression is inlined into its consumer's statement,
-    # so a variable is last read by the statement that holds its last
-    # consumer (``home``).  The kernel deletes each variable after that
-    # statement, and starts a new draw block once every variable of the
-    # open one is dead, so a block never outlives its readers.
+    # A single-use expression is inlined into its reader's statement, so
+    # a variable is last read by the statement that holds its last reader
+    # (``home``).  The kernel deletes each variable after that statement,
+    # and starts a new draw block once every variable of the open one is
+    # dead, so a block never outlives its readers.
     inline = [
-        step.opcode != OP_SOURCE
+        bool(step.parent_slots)
         and uses[step.slot] == 1
         and step.slot != root_slot
         and _is_expression(step.node)
         for step in steps
     ]
-    consumer = [None] * len(steps)
-    for step in steps:
-        for p in step.parent_slots:
-            consumer[p] = step.slot
     home = list(range(len(steps)))
     for step in reversed(steps):
         if inline[step.slot]:
-            home[step.slot] = home[consumer[step.slot]]
+            home[step.slot] = home[plan.last_read[step.slot]]
     last_read = [-1] * len(steps)
     for step in steps:
         for p in step.parent_slots:
@@ -339,7 +335,7 @@ def _generate(plan: EvaluationPlan) -> _KernelSpec:
     k_index = {}
     pending_run = None  # [family, [slots], last read of its block]
     for step in steps:
-        if step.opcode != OP_SOURCE:
+        if step.parent_slots:
             continue
         node = step.node
         if type(node) is LeafNode:
@@ -414,7 +410,7 @@ def _generate(plan: EvaluationPlan) -> _KernelSpec:
     for step in steps:
         slot, node, parents = step.slot, step.node, step.parent_slots
         kind = type(node)
-        if step.opcode == OP_SOURCE:
+        if not parents:
             if slot in run_of:
                 r = run_of[slot]
                 family, slots = runs[r]
@@ -580,7 +576,7 @@ def _attach_certification(plan: EvaluationPlan, record) -> None:
         plan.provenance = tuple(plan.provenance) + (record,)
 
 
-#: Sentinel: this plan cannot be fused; always use the inner engine.
+#: Sentinel: this plan cannot be fused; always use the NumPy engine.
 _FALLBACK = object()
 
 
@@ -706,10 +702,10 @@ class FusedEngine(ExecutionEngine):
         if bound is None or bound is _FALLBACK or memo is not None:
             # A cold shape, an unfusable plan or a memoised context (which
             # needs every shared slot): the reference engine's run, which
-            # polls the ambient token per program step.
+            # polls the ambient token per plan step.
             return _ENGINES["numpy"].run(plan, n, rng, memo, release)
         # A generated kernel is one indivisible batch: the boundary check
-        # is before launch (delegated runs inherit the inner engine's
+        # is before launch (delegated runs inherit the NumPy engine's
         # finer per-step boundaries).
         token = _cancel.current()
         if token is not None:

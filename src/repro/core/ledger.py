@@ -104,7 +104,6 @@ from collections import OrderedDict
 import numpy as np
 
 from repro.core.graph import LeafNode, is_stochastic
-from repro.core.plan import OP_SOURCE
 from repro.runtime import metrics as _metrics
 from repro.runtime import trace as _trace
 
@@ -231,7 +230,7 @@ def _mode(plan) -> tuple[str, str]:
     from repro.analysis.certify import prefix_stable
 
     draws = (step.node for step in plan.steps
-             if step.opcode == OP_SOURCE and is_stochastic(step.node))
+             if not step.parent_slots and is_stochastic(step.node))
     leaf = next(draws, None)
     if leaf is None:
         return "stream", "no stochastic draws"

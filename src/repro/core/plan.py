@@ -33,7 +33,7 @@ from __future__ import annotations
 import weakref
 from typing import Callable, Iterator
 
-from repro.core.graph import BinaryOpNode, Node, UnaryOpNode
+from repro.core.graph import Node
 from repro.core.structural import (
     STRUCTURAL_CACHE,
     ShapeEntry,
@@ -49,37 +49,21 @@ from repro.runtime import trace as _trace
 _UNSET = object()
 
 
-#: Instruction tags, chosen at compile time so the hot loop can dispatch
-#: without re-inspecting node types.
-OP_SOURCE = 0  # no parents: leaves, point masses (needs n and rng)
-OP_UNARY = 1  # UnaryOpNode: values[out] = op(values[a])
-OP_BINARY = 2  # BinaryOpNode: values[out] = op(values[a], values[b])
-OP_GENERAL = 3  # anything else: node.evaluate_batch(parent values, n, rng)
-
-
 class PlanStep:
     """One instruction of a compiled plan.
 
     ``slot`` is this step's output slot (== its index in ``plan.steps``);
-    ``parent_slots`` are the operand slots; ``opcode`` is one of the ``OP_*``
-    tags above.
+    ``parent_slots`` are the operand slots (empty for a source: a leaf or
+    a point mass).
     """
 
-    __slots__ = ("node", "slot", "parent_slots", "opcode", "kind")
+    __slots__ = ("node", "slot", "parent_slots", "kind")
 
     def __init__(self, node: Node, slot: int, parent_slots: tuple[int, ...]) -> None:
         self.node = node
         self.slot = slot
         self.parent_slots = parent_slots
         self.kind = type(node).__name__
-        if not parent_slots:
-            self.opcode = OP_SOURCE
-        elif type(node) is BinaryOpNode:
-            self.opcode = OP_BINARY
-        elif type(node) is UnaryOpNode:
-            self.opcode = OP_UNARY
-        else:
-            self.opcode = OP_GENERAL
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         ops = getattr(self, "ops", None)
@@ -98,7 +82,10 @@ class EvaluationPlan:
 
     ``steps[i]`` writes slot ``i``; parents always occupy lower slots, so a
     single forward pass evaluates the whole network.  The root's value is
-    in ``steps[-1]`` (``root_slot``).
+    in ``steps[-1]`` (``root_slot``).  ``last_read[i]`` is the slot of the
+    last step that reads slot ``i`` (``-1`` for the root, which no step
+    reads), so a run whose caller reads only the root can drop each batch
+    once its last reader has run.
     """
 
     __slots__ = (
@@ -106,9 +93,8 @@ class EvaluationPlan:
         "steps",
         "slot_of",
         "root_slot",
-        "leaf_slots",
+        "last_read",
         "provenance",
-        "_program",
         "_shape",
         "_hash",
         "_fused",
@@ -116,71 +102,26 @@ class EvaluationPlan:
     )
 
     def __init__(
-        self, root: Node, steps: "list[PlanStep]", slot_of: "dict[Node, int]"
+        self,
+        root: Node,
+        steps: "list[PlanStep]",
+        slot_of: "dict[Node, int]",
+        last_read: "list[int]",
     ) -> None:
-        # ``steps``/``slot_of`` are ``root``'s lowering (compile_plan's walk).
+        # ``steps``/``slot_of``/``last_read`` are ``root``'s lowering
+        # (compile_plan's walk).
         self.root = root
         self.steps: tuple[PlanStep, ...] = tuple(steps)
         self.slot_of = slot_of
         self.root_slot = slot_of[root]
-        self.leaf_slots = tuple(s.slot for s in steps if not s.parent_slots)
+        self.last_read = last_read
         #: Compiler provenance trail: the
         #: :class:`~repro.analysis.certify.CertificationRecord` of the
         #: shape's fused kernel, once the fused engine has certified it.
         self.provenance: tuple = ()
-        self._program = None
         self._shape = _UNSET
         self._hash = _UNSET
         self._fused = None
-
-    @property
-    def program(self) -> tuple[tuple, ...]:
-        """Specialized instruction tuples for the hot execution loop.
-
-        Each entry front-loads everything a step needs — opcode, the bound
-        callable, output slot, operand slots, the node (for error
-        reporting) and, last, the slots this step reads for the last time
-        (never the root's) — so engines dispatch without per-step
-        attribute lookups, and a run whose caller reads only the root can
-        drop each batch once its last consumer has run.  Built lazily and
-        cached on the plan.
-        """
-        if self._program is None:
-            # Built back to front: a step reads a slot for the last time
-            # when no later step has read it.
-            entries = []
-            read_later = [False] * len(self.steps)
-            for s in reversed(self.steps):
-                done = ()
-                for p in s.parent_slots:
-                    if not read_later[p]:
-                        read_later[p] = True
-                        done += (p,)
-                if s.opcode == OP_BINARY:
-                    a, b = s.parent_slots
-                    entries.append((OP_BINARY, s.node.op, s.slot, a, b, s.node, done))
-                elif s.opcode == OP_UNARY:
-                    entries.append(
-                        (OP_UNARY, s.node.op, s.slot, s.parent_slots[0], s.node, done)
-                    )
-                elif s.opcode == OP_SOURCE:
-                    entries.append(
-                        (OP_SOURCE, s.node.evaluate_batch, s.slot, s.node, done)
-                    )
-                else:
-                    entries.append(
-                        (
-                            OP_GENERAL,
-                            s.node.evaluate_batch,
-                            s.slot,
-                            s.parent_slots,
-                            s.node,
-                            done,
-                        )
-                    )
-            entries.reverse()
-            self._program = tuple(entries)
-        return self._program
 
     # -- compiler pipeline ---------------------------------------------------
 
@@ -241,7 +182,7 @@ class EvaluationPlan:
     def __reduce__(self):
         # Plans serialise as their root graph and recompile on load: the
         # lowering is cheap and deterministic, and shipping the graph keeps
-        # the payload small (no steps/program/bound methods), which
+        # the payload small (no steps or bound kernel), which
         # ParallelEngine sends to its workers with every chunk.  The
         # receiver registers the shape in its own structural cache, which
         # yields the sender's key.
@@ -255,7 +196,7 @@ class EvaluationPlan:
 
 
 def _lower(root: Node):
-    """One walk over ``root``'s DAG: ``(steps, slot_of, fingerprint)``.
+    """One walk over ``root``'s DAG: ``(steps, slot_of, last_read, fingerprint)``.
 
     The walk that lowers the graph also yields the shape's fingerprint
     tokens (:func:`~repro.core.structural.plan_fingerprint`'s format), so
@@ -264,6 +205,7 @@ def _lower(root: Node):
     """
     slot_of: dict[Node, int] = {}
     steps: list[PlanStep] = []
+    last_read: list[int] = []
     tokens: list | None = []
     # iter_nodes' post-order walk, inlined with ``slot_of`` as the seen set:
     # the parents of a node are pushed in order, so the last is lowered
@@ -284,15 +226,19 @@ def _lower(root: Node):
         parent_slots = tuple(map(slot_of.__getitem__, parents))
         steps.append(PlanStep(node, slot, parent_slots))
         slot_of[node] = slot
+        # Slots are lowered in order, so the latest reader is the last one.
+        last_read.append(-1)
+        for p in parent_slots:
+            last_read[p] = slot
         if tokens is not None:
             try:
                 tokens.append(node_token(node, parent_slots))
             except StructuralOpaque:
                 tokens = None
     if tokens is None:
-        return steps, slot_of, None
+        return steps, slot_of, last_read, None
     tokens.append(("root", slot_of[root]))
-    return steps, slot_of, tuple(tokens)
+    return steps, slot_of, last_read, tuple(tokens)
 
 
 # ---------------------------------------------------------------------------
@@ -335,8 +281,8 @@ def compile_plan(
             metrics.record_cache_hit()
         return plan
     with _trace.span("plan.compile", root=root.label) as span_attrs:
-        steps, slot_of, fingerprint = _lower(root)
-        plan = EvaluationPlan(root, steps, slot_of)
+        steps, slot_of, last_read, fingerprint = _lower(root)
+        plan = EvaluationPlan(root, steps, slot_of, last_read)
         span_attrs["slots"] = len(steps)
         # Register the plan's shape in the structural cache.  A
         # hit means an isomorphic plan (possibly from another session)

@@ -7,7 +7,7 @@ an expired per-request deadline or a disconnected client kept burning a
 thread.  This module closes that gap with the standard cooperative
 pattern: a :class:`CancellationToken` installed around an evaluation
 (:func:`scope`) is polled by the engines at their natural batch
-boundaries — per program step in :class:`~repro.core.engines.NumpyEngine`
+boundaries — per plan step in :class:`~repro.core.engines.NumpyEngine`
 and the interpreter, per kernel in the fused backend, per chunk in
 :class:`~repro.runtime.parallel.ParallelEngine` — and a tripped token
 stops the run at the next boundary with :class:`EvaluationCancelled`.

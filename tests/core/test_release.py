@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from benchmarks.e2e.inputs import fig08_root
+from repro.analysis.demos import CERTIFY_CORPUS
 from repro.core.engines import get_engine
 from repro.core.plan import compile_plan
 from repro.core.structural import clear_structural_cache
@@ -73,13 +74,36 @@ class TestPeakOfOneDraw:
         assert draw_peak("fused", plan) < 23 * ROW
 
 
+def corpus_plan(name: str):
+    """The plan of ``CERTIFY_CORPUS[name]``, or the Fig 8 speed plan."""
+    if name == "fig08-speed":
+        return fig08_speed_plan()
+    return CERTIFY_CORPUS[name]().plan
+
+
+PLANS = ["fig08-speed", *sorted(CERTIFY_CORPUS)]
+
+
+def numpy_run(plan, n: int, release: bool):
+    """Every slot of one seeded NumPy-engine run (or the error's type)."""
+    try:
+        return get_engine("numpy").run(
+            plan, n, np.random.default_rng(5), None, release
+        )
+    except ValueError as exc:  # log-domain: a math domain error
+        return type(exc)
+
+
 class TestReleaseKeepsValues:
     @pytest.mark.parametrize("n", [1, 10, 1000])
-    def test_root_is_bit_identical_with_and_without_release(self, n):
-        plan = fig08_speed_plan()
-        eng = get_engine("numpy")
-        kept = eng.run(plan, n, np.random.default_rng(5))
-        released = eng.run(plan, n, np.random.default_rng(5), None, True)
+    @pytest.mark.parametrize("name", PLANS)
+    def test_root_is_bit_identical_with_and_without_release(self, name, n):
+        plan = corpus_plan(name)
+        kept = numpy_run(plan, n, False)
+        released = numpy_run(plan, n, True)
+        if isinstance(kept, type):  # the plan raises (log-domain)
+            assert released is kept
+            return
         np.testing.assert_array_equal(
             released[plan.root_slot], kept[plan.root_slot]
         )
@@ -88,14 +112,31 @@ class TestReleaseKeepsValues:
             plan.root_slot
         ]
 
-    def test_program_releases_every_interior_slot_once(self):
-        plan = fig08_speed_plan()
-        done = [slot for entry in plan.program for slot in entry[-1]]
-        assert sorted(done) == [
+    @pytest.mark.parametrize("name", PLANS)
+    def test_last_read_releases_every_interior_slot_once(self, name):
+        plan = corpus_plan(name)
+        # What a releasing run drops after each step: each parent whose
+        # last reader is that step, once however often the step reads it.
+        released = [
+            p
+            for step in plan.steps
+            for p in dict.fromkeys(step.parent_slots)
+            if plan.last_read[p] == step.slot
+        ]
+        assert sorted(released) == [
             s.slot for s in plan.steps if s.slot != plan.root_slot
         ]
-        for entry in plan.program:
+        assert plan.last_read[plan.root_slot] == -1
+        for slot, last in enumerate(plan.last_read):
+            readers = [s.slot for s in plan.steps if slot in s.parent_slots]
             # A slot is released by the step that reads it last.
-            for slot in entry[-1]:
-                readers = [s.slot for s in plan.steps if slot in s.parent_slots]
-                assert max(readers) == entry[2]
+            assert last == max(readers, default=-1)
+
+    def test_the_corpus_has_a_step_reading_one_slot_twice(self):
+        # ``x + x`` and ``x > x``: the release loop visits that parent
+        # twice and must still drop it only after both reads.
+        assert any(
+            len(set(s.parent_slots)) < len(s.parent_slots)
+            for name in PLANS
+            for s in corpus_plan(name).steps
+        )
