@@ -94,6 +94,26 @@ def numpy_run(plan, n: int, release: bool):
         return type(exc)
 
 
+def assert_last_read_releases_once(plan):
+    """Each interior slot is released once, by its last reader; the root never."""
+    # What a releasing run drops after each step: each parent whose last
+    # reader is that step, once however often the step reads it.
+    released = [
+        p
+        for step in plan.steps
+        for p in dict.fromkeys(step.parent_slots)
+        if plan.last_read[p] == step.slot
+    ]
+    assert sorted(released) == [
+        s.slot for s in plan.steps if s.slot != plan.root_slot
+    ]
+    assert plan.last_read[plan.root_slot] == -1
+    for slot, last in enumerate(plan.last_read):
+        readers = [s.slot for s in plan.steps if slot in s.parent_slots]
+        # A slot is released by the step that reads it last.
+        assert last == max(readers, default=-1)
+
+
 class TestReleaseKeepsValues:
     @pytest.mark.parametrize("n", [1, 10, 1000])
     @pytest.mark.parametrize("name", PLANS)
@@ -112,25 +132,12 @@ class TestReleaseKeepsValues:
             plan.root_slot
         ]
 
-    @pytest.mark.parametrize("name", PLANS)
+    def test_program_releases_every_interior_slot_once(self):
+        assert_last_read_releases_once(fig08_speed_plan())
+
+    @pytest.mark.parametrize("name", sorted(CERTIFY_CORPUS))
     def test_last_read_releases_every_interior_slot_once(self, name):
-        plan = corpus_plan(name)
-        # What a releasing run drops after each step: each parent whose
-        # last reader is that step, once however often the step reads it.
-        released = [
-            p
-            for step in plan.steps
-            for p in dict.fromkeys(step.parent_slots)
-            if plan.last_read[p] == step.slot
-        ]
-        assert sorted(released) == [
-            s.slot for s in plan.steps if s.slot != plan.root_slot
-        ]
-        assert plan.last_read[plan.root_slot] == -1
-        for slot, last in enumerate(plan.last_read):
-            readers = [s.slot for s in plan.steps if slot in s.parent_slots]
-            # A slot is released by the step that reads it last.
-            assert last == max(readers, default=-1)
+        assert_last_read_releases_once(corpus_plan(name))
 
     def test_the_corpus_has_a_step_reading_one_slot_twice(self):
         # ``x + x`` and ``x > x``: the release loop visits that parent
