@@ -27,12 +27,14 @@ What is provable, and why:
 - **Delegated sources** (``_S``/``_G`` slots): the kernel calls the same
   ``evaluate_batch`` the engine would, at the same position in slot
   order — stream-identical by construction.
-- **Inlined scalar constants**: the engine materializes every constant
-  as an ``np.full`` array while the kernel may keep it a Python scalar,
-  and NEP 50 gives Python scalars *weak* promotion.  A small abstract
-  dtype analysis finds the cases where both promotions provably agree
-  (see :func:`_scalar_obstacle`); the kernel generator materializes every
-  other constant, as the engine does.
+- **Scalar constants**: the engine materializes every constant as
+  ``np.full(n, value)``; the kernel binds it as ``np.asarray(value)[()]``,
+  the NumPy scalar of that array's dtype, which NEP 50 promotes as it
+  promotes the array (only Python scalars are weak).  A scalar read is
+  safe as one operand of a broadcasting binary, never under ``**``,
+  whose scalar exponent NumPy special-cases, never on both operands,
+  whose result would have no rows, and never for a value NumPy holds
+  only as an object.
 
 The kernel generator (:func:`repro.core.fused._generate`) consults the
 same predicates, so every kernel it emits certifies; a ``rejected``
@@ -52,17 +54,16 @@ The sample ledger's stream mode rests on the same kind of proof:
 from __future__ import annotations
 
 import dataclasses
+import operator
 from typing import Any
 
 import numpy as np
 
 from repro.core import fused as _fused
 from repro.core.graph import (
-    ApplyNode,
     BinaryOpNode,
     LeafNode,
     PointMassNode,
-    UnaryOpNode,
     is_stochastic,
 )
 from repro.core.plan import EvaluationPlan
@@ -249,122 +250,6 @@ def certify_rewrite(original: EvaluationPlan,
     )
 
 
-# -- abstract dtypes for inlined-scalar certification -----------------------
-
-_FLOAT64 = np.dtype(np.float64)
-_BOOL = np.dtype(np.bool_)
-
-#: Unary ufunc labels that map {float64, int64, bool} inputs to float64.
-_FLOAT_UFUNCS = frozenset({
-    "sqrt", "exp", "exp2", "expm1", "log", "log2", "log10", "log1p",
-    "sin", "cos", "tan", "arcsin", "arccos", "arctan", "sinh", "cosh",
-    "tanh",
-})
-
-_PROMOTABLE_KINDS = "ifb"  # int64 / float64 / bool_ engine-side dtypes
-
-
-def _infer_dtypes(plan: EvaluationPlan) -> list:
-    """Engine-semantics result dtype per slot (``None`` = unknown).
-
-    The reference engine materializes constants with ``np.full``, so
-    array-array promotion rules apply throughout; that is the semantics
-    certification compares the kernel against.
-    """
-    dtypes: list = [None] * len(plan.steps)
-    for step in plan.steps:
-        node, slot = step.node, step.slot
-        if not step.parent_slots:
-            if isinstance(node, LeafNode):
-                if _trusted_family(node.dist) is not None:
-                    dtypes[slot] = _FLOAT64
-            elif (type(node) is PointMassNode
-                  and isinstance(node.value, _fused._SCALAR_TYPES)):
-                dtypes[slot] = np.asarray(node.value).dtype
-            continue
-        if isinstance(node, BinaryOpNode) and len(step.parent_slots) == 2:
-            symbol = node.label
-            if symbol in {"<", "<=", ">", ">=", "==", "!=",
-                          "and", "or", "xor"}:
-                dtypes[slot] = _BOOL
-                continue
-            a, b = (dtypes[p] for p in step.parent_slots)
-            if a is None or b is None:
-                continue
-            if a.kind not in _PROMOTABLE_KINDS or b.kind not in _PROMOTABLE_KINDS:
-                continue
-            result = np.result_type(a, b)
-            if symbol == "/":
-                result = np.result_type(result, _FLOAT64)
-            dtypes[slot] = result
-        elif isinstance(node, UnaryOpNode) and len(step.parent_slots) == 1:
-            if node.label == "not":
-                dtypes[slot] = _BOOL
-            elif node.label in {"neg", "pos", "abs", "absolute", "fabs"}:
-                dtypes[slot] = dtypes[step.parent_slots[0]]
-        elif (isinstance(node, ApplyNode) and len(step.parent_slots) == 1
-              and node.label in _FLOAT_UFUNCS):
-            operand = dtypes[step.parent_slots[0]]
-            if operand is not None and operand.kind in _PROMOTABLE_KINDS:
-                dtypes[slot] = _FLOAT64
-    return dtypes
-
-
-def _scalar_obstacle(value, other, symbol: str) -> str | None:
-    """Why an inlined Python scalar might promote differently, or ``None``.
-
-    The engine sees ``np.full(n, value)`` (strong, array-array
-    promotion); the kernel sees the raw scalar (weak under NEP 50).
-    Returns the reason when the two can disagree in dtype or value.
-    """
-    if isinstance(value, (np.integer, np.floating, np.bool_)):
-        return None  # numpy scalars are strong: identical promotion.
-    if isinstance(value, bool):
-        return (f"python bool constant {value!r} inlined into {symbol!r}: "
-                "weak-scalar promotion may differ from the engine's "
-                "materialized array")
-    if other is None:
-        return (f"python scalar {value!r} inlined into {symbol!r} whose "
-                "other operand has unknown dtype; weak-scalar promotion "
-                "not provably identical")
-    if isinstance(value, float):
-        if other == _FLOAT64 or other.kind in "ib":
-            return None  # both paths promote to float64 with equal values.
-    elif isinstance(value, int):
-        if -(2 ** 63) <= value < 2 ** 63 and (other == _FLOAT64
-                                              or other.kind == "i"):
-            return None  # int64/float64 promotion agrees both ways.
-    return (f"python scalar {value!r} inlined into {symbol!r} against "
-            f"dtype {other}: weak-scalar promotion not provably identical")
-
-
-def _inline_obstacles(plan: EvaluationPlan, reads):
-    """``(read, reason)`` for each read in ``reads`` — operand ``i`` of
-    slot ``slot``, a constant taken as a Python scalar — that an infix op
-    may not take as a scalar (:func:`_scalar_obstacle`).
-
-    The kernel generator materializes these reads; the certifier rejects
-    a kernel that inlines one.
-    """
-    if not reads:
-        return
-    dtypes = _infer_dtypes(plan)
-    for slot, i in sorted(reads):
-        step = plan.steps[slot]
-        node = step.node
-        if not (isinstance(node, BinaryOpNode)
-                and len(step.parent_slots) == 2
-                and node.op in _fused._INFIX_BINARY):
-            continue
-        obstacle = _scalar_obstacle(
-            plan.steps[step.parent_slots[i]].node.value,
-            dtypes[step.parent_slots[1 - i]],
-            node.label,
-        )
-        if obstacle is not None:
-            yield (slot, i), obstacle
-
-
 def certify_kernel(spec, plan: EvaluationPlan) -> CertificationRecord:
     """Certify a generated kernel (``fused._KernelSpec``) stream-safe.
 
@@ -416,9 +301,27 @@ def certify_kernel(spec, plan: EvaluationPlan) -> CertificationRecord:
                 "consumer; drawing it as one block would reorder the stream"
             )
 
-    # Inlined scalar constants vs NEP 50 weak promotion.
-    rejected.extend(reason for _read, reason
-                    in _inline_obstacles(plan, spec.scalar_reads))
+    # Scalar reads: a constant bound as a NumPy scalar promotes as the
+    # engine's np.full array does, but only a broadcasting binary
+    # reproduces the engine's n rows from it (``**`` special-cases a
+    # scalar exponent).
+    for slot, i in sorted(spec.scalar_reads):
+        step = plan.steps[slot]
+        op = getattr(step.node, "op", None)
+        if not (type(step.node) is BinaryOpNode
+                and (op in _fused._NPFUNC_BINARY
+                     or (op in _fused._INFIX_BINARY and op is not operator.pow))):
+            rejected.append(f"slot {slot}: a scalar read under "
+                            f"{step.node.label!r}, not a broadcasting binary")
+            continue
+        const = plan.steps[step.parent_slots[i]].node
+        if (slot, 1 - i) in spec.scalar_reads:
+            rejected.append(f"slot {slot}: both operands read as scalars; "
+                            "the engine's result has n rows")
+        elif not (type(const) is PointMassNode
+                  and np.asarray(const.value).dtype != object):
+            rejected.append(f"slot {slot}: operand {i} read as a scalar is "
+                            "not a constant NumPy holds in a fixed dtype")
 
     if rejected:
         status, rule, reasons = "rejected", "UNC401", tuple(rejected)

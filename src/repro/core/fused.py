@@ -47,21 +47,23 @@ What the generated kernel fuses:
   expressions; single-use intermediates are inlined into their consumer,
   so ``sqrt(dx*dx + dy*dy) / dt > 4`` becomes one line of numpy instead
   of five dispatched steps.
-- **Constants.**  Scalar point masses are bound once at kernel-build
-  time and read as scalars where broadcasting keeps the result
-  identical; elsewhere each read builds the engine's ``np.full`` array
-  inside its own statement, so no constant array lives across a draw.
+- **Constants.**  Scalar point masses are bound per plan as the NumPy
+  scalar ``np.asarray(value)[()]``, of the dtype the engine's
+  ``np.full(n, value)`` has.  A NumPy scalar promotes as that array does
+  (only Python scalars are weak under NEP 50), so an operand of a
+  broadcasting binary reads the scalar; elsewhere each read builds the
+  engine's ``np.full`` array inside its own statement, so no constant
+  array lives across a draw.
 
 Safety: every freshly generated kernel is **admitted by proof, before
 first use**.  The generator coalesces a leaf only when its exact class
 is a trusted reduction of the family its ``bulk_draw_spec`` names, and
-delegates every other leaf to the leaf's own ``sample_n``; it inlines a
-scalar constant only where the static dtype analysis proves NEP 50 weak
-promotion changes nothing, and materializes every other constant as
-``np.full``, as the engine does.  The stream-safety certifier
-(:mod:`repro.analysis.certify`) then re-checks the kernel independently:
-draw sequence, contiguous runs, inlined scalars.  Nothing is executed to
-admit a kernel.  A kernel the certifier rejects (UNC401: a generator
+delegates every other leaf to the leaf's own ``sample_n``; it reads a
+constant as a scalar only as one operand of a broadcasting binary, and
+builds the engine's ``np.full`` for every other read.  The
+stream-safety certifier (:mod:`repro.analysis.certify`) then re-checks
+the kernel independently: draw sequence, contiguous runs, scalar reads.
+Nothing is executed to admit a kernel.  A kernel the certifier rejects (UNC401: a generator
 bug), or one that cannot be generated, is recorded on the shape, warned
 about with :class:`FusedFallbackWarning` and counted in runtime metrics;
 its plans, and plans with no structural hash (lambdas, opaque sources),
@@ -230,7 +232,8 @@ def _binding_args(spec: _KernelSpec, plan: EvaluationPlan):
         for i in spec.f_slots
     )
     G = tuple(steps[i].node.evaluate_batch for i in spec.g_slots)
-    K = tuple(steps[i].node.value for i in spec.k_slots)
+    # Per plan: a shape fixes each constant's value up to a NaN's payload.
+    K = tuple(np.asarray(steps[i].node.value)[()] for i in spec.k_slots)
     R = []
     for _family, slots in spec.runs:
         params = [steps[i].node.dist.bulk_draw_spec() for i in slots]
@@ -262,7 +265,7 @@ def _is_expression(node) -> bool:
 
 def _generate(plan: EvaluationPlan) -> _KernelSpec:
     """Generate (but do not certify) the kernel source for ``plan``."""
-    from repro.analysis.certify import _inline_obstacles, _trusted_family
+    from repro.analysis.certify import _trusted_family
 
     spec = _KernelSpec()
     steps = plan.steps
@@ -276,21 +279,22 @@ def _generate(plan: EvaluationPlan) -> _KernelSpec:
             uses[p] += 1
 
     # -- classify ----------------------------------------------------------
-    # Scalar point masses are bound once as ``_K`` constants and spelled
+    # Scalar point masses are bound as ``_K`` NumPy scalars and spelled
     # per read: as the scalar where broadcasting keeps the result
     # identical, else as ``np.full(n, _Kj)`` (mirroring the engine) built
     # inside the reading statement, so no constant array outlives it.
     # Reads that materialise: operands of generic/unknown calls and of
     # unary ops, operands of ``**`` (numpy special-cases a scalar exponent,
     # e.g. 0.5 as sqrt, which rounds differently from the engine's array
-    # exponent), one side of a const-const binary, and any scalar whose
-    # weak (NEP 50) promotion may differ from the engine's array: the
-    # certifier's own rule.
+    # exponent) and one side of a const-const binary.  A value NumPy holds
+    # only as an object (an int past 64 bits) is no constant: it runs its
+    # own ``evaluate_batch``.
     consts = {
         step.slot for step in steps
         if not step.parent_slots
         and type(step.node) is PointMassNode
         and isinstance(step.node.value, _SCALAR_TYPES)
+        and np.asarray(step.node.value).dtype != object
     }
     scalar_reads = set()  # (reading slot, operand index)
     for step in steps:
@@ -305,9 +309,6 @@ def _generate(plan: EvaluationPlan) -> _KernelSpec:
         ):
             # A const-const binary materialises its left side.
             scalar_reads.update(reads[-1:] if len(reads) == 2 else reads)
-    scalar_reads.difference_update(
-        [read for read, _reason in _inline_obstacles(plan, scalar_reads)]
-    )
 
     # -- lifetimes ---------------------------------------------------------
     # A single-use expression is inlined into its reader's statement, so

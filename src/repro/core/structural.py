@@ -119,8 +119,10 @@ TRUSTED_BULK_FAMILIES = {
 def _scalar_type(value) -> str:
     """``"py"`` for a Python scalar, else the NumPy scalar's dtype name.
 
-    The type is structural: CSE merges point masses per type, and under
-    NEP 50 a Python scalar promotes weakly where a NumPy scalar does not.
+    The type is structural: a shape fixes each constant's value and
+    type, so every plan of a shape binds its kernel constants as the same
+    NumPy scalar type (``np.full(n, 2)`` is int64, ``np.full(n,
+    np.int32(2))`` int32).
     """
     return value.dtype.name if isinstance(value, np.generic) else "py"
 

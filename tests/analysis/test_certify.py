@@ -141,28 +141,45 @@ class TestCertifyKernel:
         assert record.status == "certified"
         assert [e.family for e in record.draw_sequence] == ["delegated"]
 
-    def test_bool_scalar_defers_to_probe(self):
-        # Python bools promote differently inlined vs. materialized under
-        # NEP 50: the generator materializes the constant, as the engine
-        # does, and the kernel certifies.
+    def test_bool_scalar_reads_as_numpy_bool(self):
+        # The kernel binds True as np.True_, which promotes as the engine's
+        # np.full(n, True) does: the sum reads the scalar and certifies.
         value = Uncertain(Gaussian(0.0, 1.0)) + True
         plan = compile_plan(value.node)
         spec = fused_mod._generate(plan)
-        record = certify_kernel(spec, plan)
-        assert "np.full(n, _K0)" in spec.source
-        assert record.status == "certified"
+        assert "(v1 + _K0)" in spec.source
+        assert "np.full" not in spec.source
+        _S, _F, _G, K, _R = fused_mod._binding_args(spec, plan)
+        assert type(K[0]) is np.bool_
+        assert certify_kernel(spec, plan).status == "certified"
 
-    def test_inlined_bool_scalar_is_rejected(self):
-        value = Uncertain(Gaussian(0.0, 1.0)) + True
+    @pytest.mark.parametrize("case", ["pow", "both-operands", "object-dtype"])
+    def test_unsafe_scalar_read_is_rejected(self, case):
+        # The kernels a generator that read every constant as a scalar
+        # would emit: under ``**`` (NumPy special-cases a scalar
+        # exponent), on both operands (a result without rows) and for an
+        # int past 64 bits (np.full holds it as an object).
+        x = Uncertain(Gaussian(0.0, 1.0))
+        product = Uncertain.pointmass(2.0) * Uncertain.pointmass(3.0)
+        value, expected = {
+            "pow": (x ** 2.0, "not a broadcasting binary"),
+            "both-operands": (product + x, "both operands"),
+            "object-dtype": (x + 2**70, "fixed dtype"),
+        }[case]
         plan = compile_plan(value.node)
         spec = fused_mod._generate(plan)
-        # The kernel a generator that ignored the NEP 50 rule would emit:
-        # the root's constant operand read as a Python scalar.
-        spec.scalar_reads = spec.scalar_reads | {(plan.root_slot, 1)}
+        if case == "both-operands":
+            slot = plan.slot_of[product.node]
+            assert spec.scalar_reads == {(slot, 1)}
+            read = (slot, 0)
+        else:
+            assert spec.scalar_reads == frozenset()
+            read = (plan.root_slot, 1)
+        spec.scalar_reads = spec.scalar_reads | {read}
         record = certify_kernel(spec, plan)
         assert record.status == "rejected"
         assert record.rule == "UNC401"
-        assert any("python bool constant" in r for r in record.reasons)
+        assert any(expected in r for r in record.reasons), record.reasons
 
     def test_trust_table_is_exact_types_only(self):
         assert ("repro.dists.gaussian", "Gaussian") in TRUSTED_BULK_FAMILIES

@@ -1,8 +1,8 @@
 """The differential oracle: every configuration draws the NumPy engine's rows.
 
 One plan generator feeds every check.  Its plans are the
-``CERTIFY_CORPUS`` plans, the certifier suite's 40 random plans and a
-Hypothesis strategy that builds random plans over the three trusted leaf
+``CERTIFY_CORPUS`` plans, the certifier suite's 40 random plans, a table
+of typed constants and a Hypothesis strategy that builds random plans over the three trusted leaf
 families, point masses and the operators kernels fuse.  The parameter
 axis rebuilds a plan's topology with fresh node objects and other leaf
 values (:func:`rebind`), a Gaussian with σ = 0 included.
@@ -38,7 +38,7 @@ from repro.core.conditionals import evaluation_config
 from repro.core.fused import FusedFallbackWarning
 from repro.core.graph import LeafNode
 from repro.core.uncertain import Uncertain
-from repro.dists import Exponential, Gaussian, Uniform
+from repro.dists import Exponential, Gaussian, Poisson, Uniform
 from repro.evaluate import clear_caches
 from repro.service import QueryRequest, evaluate_batch
 from tests.analysis.test_certify import _random_fusable
@@ -71,10 +71,32 @@ def _generated() -> list[Uncertain]:
     return [_random_fusable(rng) for _ in range(40)]
 
 
-#: Topology templates: the corpus plans and the certifier's random plans.
+_pm = Uncertain.pointmass
+
+#: Constants whose ``np.full`` rows differ from what a Python scalar of
+#: the same value, read in a kernel, would give (NEP 50 promotes it
+#: weakly): int32 chains the engine widens to int64 (so ``* 4096`` must
+#: not wrap to 0, nor ``* 2**31`` overflow), a float32 chain it widens to
+#: float64, and ``2**63``, a uint64 array; ``True`` and a float32 factor
+#: beside a float64 leaf.
+TYPED_CONSTANTS = {
+    "int32-times-4096": lambda: _pm(np.int32(2**20)) * _pm(np.int32(2**10)) * 4096,
+    "int32-times-2**31-plus-x": lambda: (
+        (_pm(np.int32(3)) * _pm(np.int32(5)) * 2**31)
+        + Uncertain(Gaussian(0.0, 1.0))),
+    "float32-times-2.7": lambda: _pm(np.float32(1.1)) * _pm(np.float32(1.3)) * 2.7,
+    "poisson-plus-2**63": lambda: Uncertain(Poisson(3.0)) + 2**63,
+    "x-plus-True": lambda: Uncertain(Gaussian(0.0, 1.0)) + True,
+    "x-times-float32": lambda: Uncertain(Gaussian(0.0, 1.0)) * np.float32(2.5),
+}
+
+
+#: Topology templates: the corpus plans, the certifier's random plans and
+#: the typed constants.
 SEEDS = {
     **CERTIFY_CORPUS,
     **{f"random-{i}": (lambda i=i: _generated()[i]) for i in range(40)},
+    **TYPED_CONSTANTS,
 }
 
 _FAMILIES = (Gaussian, Uniform, Exponential)
@@ -220,6 +242,12 @@ def test_graphs_of_one_topology_draw_their_own_rows(name):
 
 # -- generated plans -----------------------------------------------------------
 
+#: Constants for generated plans: Python and NumPy-typed scalars, and
+#: ``2**63`` (a uint64 ``np.full``).  No int past 64 bits: its object rows
+#: have no bytes to compare.
+_CONSTANTS = (2, 2.5, -3.0, np.int32(2), np.float32(2.5), 2**63)
+_SCALARS = (1, 1.5, -2.0, np.int32(2), np.float32(2.5), 2**63)
+
 _LEAF_PARAMS = st.tuples(
     st.floats(-5.0, 5.0),
     st.one_of(st.just(0.0), st.floats(0.05, 4.0)),
@@ -244,7 +272,7 @@ def random_plans(draw) -> Uncertain:
         elif kind == "expo":
             exprs.append(Uncertain(Exponential(1.0)))
         else:
-            exprs.append(Uncertain.pointmass(draw(st.sampled_from([2, 2.5, -3.0]))))
+            exprs.append(Uncertain.pointmass(draw(st.sampled_from(_CONSTANTS))))
     pick = st.integers(0, 10**6)
     for op in draw(st.lists(st.sampled_from(["+", "-", "*", "/", ">", "neg",
                                              "sqrt", "scalar"]),
@@ -256,7 +284,7 @@ def random_plans(draw) -> Uncertain:
         elif op == "sqrt":
             exprs.append((a * a).map(np.sqrt, vectorized=True))
         elif op == "scalar":
-            exprs.append(a + draw(st.sampled_from([1, 1.5, -2.0])))
+            exprs.append(a + draw(st.sampled_from(_SCALARS)))
         elif op == ">":
             exprs.append(a > b)
         else:

@@ -292,8 +292,8 @@ class TestCanonicalValues:
         assert len(set(tokens)) == len(tokens)
 
     def test_python_and_numpy_scalar_operands_get_different_keys(self):
-        # NEP 50 promotes a Python scalar weakly, so the kernel's
-        # promotion verdict differs between these shapes.
+        # The engine's np.full of each constant differs in dtype, so
+        # the kernels bind different NumPy scalar types.
         x = Uncertain(Gaussian(0.0, 1.0))
         assert (
             compile_plan((x * 2.0).node).structural_hash
