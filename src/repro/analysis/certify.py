@@ -39,16 +39,20 @@ What is provable, and why:
 The kernel generator (:func:`repro.core.fused._generate`) consults the
 same predicates, so every kernel it emits certifies; a ``rejected``
 kernel is a generator bug, and the fused engine falls back to numpy.
-Every decision is emitted as a :class:`CertificationRecord` into
-``plan.provenance`` — ``certified``, ``fallback`` (an opaque plan, or a
-kernel that could not be generated: the numpy engine runs it) or
-``rejected`` (UNC401) — and the differential harness in
+Every decision is a :class:`CertificationRecord` — ``certified``,
+``fallback`` (an opaque plan, or a kernel that could not be generated:
+the numpy engine runs it) or ``rejected`` (UNC401).  The fused engine
+keeps a kernel's record on the shape with the kernel, so it is the
+certificate of every plan of that shape
+(:func:`certification_records`), and the differential harness in
 ``tests/analysis/test_certify.py`` runs every certified kernel against
 the numpy engine.
 
 The sample ledger's stream mode rests on the same kind of proof:
 :func:`prefix_stable` names the leaves whose ``n`` rows followed by
 ``N - n`` more equal one ``N``-row draw (:data:`PREFIX_STABLE_CLASSES`).
+Both trust tables live in :mod:`repro.core.structural`, with the shape
+keys, and are re-exported here, where they are enforced.
 """
 
 from __future__ import annotations
@@ -67,9 +71,12 @@ from repro.core.graph import (
     is_stochastic,
 )
 from repro.core.plan import EvaluationPlan
-# The trust table lives with the shape keys, which bind these families'
-# parameters per plan; it is exported here, where it is enforced.
-from repro.core.structural import TRUSTED_BULK_FAMILIES
+from repro.core.structural import (
+    PREFIX_STABLE_CLASSES,
+    TRUSTED_BULK_FAMILIES,
+    prefix_stable,
+    trusted_family,
+)
 
 __all__ = [
     "CertificationRecord",
@@ -82,43 +89,8 @@ __all__ = [
     "certify_value",
     "plan_draw_sequence",
     "prefix_stable",
+    "trusted_family",
 ]
-
-#: ``(module, qualname)`` of distribution classes whose ``sample_n`` makes
-#: one NumPy generator call per batch (or none) and whose row ``i`` does
-#: not depend on the batch size, so ``n`` rows then ``N - n`` more on one
-#: generator equal one ``N``-row draw (the sample ledger's stream mode).
-#: Read from each ``sample_n``, as :data:`TRUSTED_BULK_FAMILIES` is; NumPy's
-#: rejection samplers (gamma, beta, Student t, Poisson, binomial, von
-#: Mises) loop per element and keep no batch-sized state, so they belong.
-#: Exact types only.  Left out: ``TruncatedGaussian``, drawn by SciPy,
-#: whose sampler this table does not pin; ``MultivariateGaussian``, whose
-#: matrix product may round a 1-row batch differently from the same row
-#: in a larger one, depending on the BLAS (on a 2-CPU x86 host with
-#: NumPy 2.4, a 1 000-row draw split at 1 row differed from the whole at
-#: 4 of 20 seeds); multi-call
-#: samplers (``Mixture``, ``KernelDensity``) and user code
-#: (``FunctionDistribution``).
-PREFIX_STABLE_CLASSES = frozenset(TRUSTED_BULK_FAMILIES) | {
-    ("repro.dists.uniform", "DiscreteUniform"),
-    ("repro.dists.bernoulli", "Bernoulli"),
-    ("repro.dists.bernoulli", "Binomial"),
-    ("repro.dists.beta", "Beta"),
-    ("repro.dists.categorical", "Categorical"),
-    ("repro.dists.categorical", "PointMass"),
-    ("repro.dists.cauchy", "Cauchy"),
-    ("repro.dists.empirical", "Empirical"),
-    ("repro.dists.exponential", "Gamma"),
-    ("repro.dists.laplace", "Laplace"),
-    ("repro.dists.lognormal", "LogNormal"),
-    ("repro.dists.poisson", "Poisson"),
-    ("repro.dists.rayleigh", "Rayleigh"),
-    ("repro.dists.studentt", "StudentT"),
-    ("repro.dists.triangular", "Triangular"),
-    ("repro.dists.vonmises", "VonMises"),
-    ("repro.dists.weibull", "Weibull"),
-}
-
 
 @dataclasses.dataclass(frozen=True)
 class DrawEvent:
@@ -142,8 +114,9 @@ class DrawEvent:
 class CertificationRecord:
     """The certifier's verdict for one kernel.
 
-    Lives in ``plan.provenance`` (the ``name`` property keys it in
-    name-indexed provenance views).
+    A built kernel's record lives on its shape's kernel spec
+    (:func:`certification_records`); the ``name`` property keys it in
+    name-indexed views.
     """
 
     subject: str  # "optimizer-rewrite" | "fused-kernel"
@@ -174,17 +147,6 @@ class CertificationRecord:
         }
 
 
-def _trusted_family(dist) -> str | None:
-    kind = type(dist)
-    return TRUSTED_BULK_FAMILIES.get((kind.__module__, kind.__qualname__))
-
-
-def prefix_stable(dist) -> bool:
-    """Is ``dist`` of a class in :data:`PREFIX_STABLE_CLASSES`?"""
-    kind = type(dist)
-    return (kind.__module__, kind.__qualname__) in PREFIX_STABLE_CLASSES
-
-
 def plan_draw_sequence(plan: EvaluationPlan) -> tuple[DrawEvent, ...]:
     """The reference engines' RNG consumption sequence for ``plan``.
 
@@ -200,7 +162,7 @@ def plan_draw_sequence(plan: EvaluationPlan) -> tuple[DrawEvent, ...]:
         node = step.node
         family = "delegated"
         if isinstance(node, LeafNode):
-            family = _trusted_family(node.dist) or "delegated"
+            family = trusted_family(node.dist) or "delegated"
         if events and events[-1].family == family and family != "delegated":
             last = events[-1]
             events[-1] = DrawEvent(family, last.count + 1,
@@ -272,7 +234,7 @@ def certify_kernel(spec, plan: EvaluationPlan) -> CertificationRecord:
             family, slots = run_starts[slot]
             for member in slots:
                 dist = plan.steps[member].node.dist
-                known = _trusted_family(dist)
+                known = trusted_family(dist)
                 if known != family:
                     kind = type(dist).__name__
                     rejected.append(
@@ -345,9 +307,11 @@ def certify_kernel(spec, plan: EvaluationPlan) -> CertificationRecord:
 
 
 def certification_records(plan: EvaluationPlan) -> tuple[CertificationRecord, ...]:
-    """All certification records attached to ``plan.provenance``."""
-    return tuple(r for r in plan.provenance
-                 if isinstance(r, CertificationRecord))
+    """The record of ``plan``'s shape's kernel once built (else empty):
+    every plan of a shape reports it, whichever of them built the kernel."""
+    kernel = plan.shape and plan.shape.kernel
+    record = kernel and kernel.certification
+    return (record,) if record else ()
 
 
 def _kernel_record(plan: EvaluationPlan) -> CertificationRecord:
@@ -391,7 +355,7 @@ def certify_value(value) -> dict[str, Any]:
     else:
         plan = compile_plan(getattr(value, "node", value))
     # A kernel the fused engine already certified brings its record on
-    # provenance; don't re-derive a duplicate.
+    # the shape; don't re-derive a duplicate.
     records = list(certification_records(plan)) or [_kernel_record(plan)]
     statuses = {record.status for record in records}
     worst = next(status for status in ("rejected", "fallback", "certified")

@@ -52,6 +52,7 @@ from repro.analysis.rules import ALL_RULES, ERROR, severity_at_least
 from repro.core.graph import (
     ApplyNode,
     BinaryOpNode,
+    LeafNode,
     Node,
     PointMassNode,
     UnaryOpNode,
@@ -322,12 +323,14 @@ def _subtree_fingerprint(plan: EvaluationPlan, slot: int, cache: dict):
     Reachable slots are renumbered locally (ascending slot order is a
     valid topological order), so two sub-DAGs get equal fingerprints iff
     they are isomorphic *as DAGs* — unlike Merkle-style subtree hashing
-    this distinguishes ``x + x`` from ``x1 + x2``.  Returns ``None`` for
+    this distinguishes ``x + x`` from ``x1 + x2``.  A leaf's token keeps
+    its values, which ``node_token`` drops for the trusted families.
+    Returns ``None`` for
     structurally opaque nodes (unhashable params or callables).
     """
     if slot in cache:
         return cache[slot]
-    from repro.core.structural import StructuralOpaque, node_token
+    from repro.core.structural import StructuralOpaque, dist_token, node_token
 
     reachable: set[int] = set()
     stack = [slot]
@@ -344,7 +347,10 @@ def _subtree_fingerprint(plan: EvaluationPlan, slot: int, cache: dict):
         for s in ordered:
             step = plan.steps[s]
             parents = tuple(local[p] for p in step.parent_slots)
-            tokens.append(node_token(step.node, parents))
+            if type(step.node) is LeafNode:
+                tokens.append(("leaf", dist_token(step.node.dist)))
+            else:
+                tokens.append(node_token(step.node, parents))
         fingerprint = tuple(tokens)
     except StructuralOpaque:
         fingerprint = None

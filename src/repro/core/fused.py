@@ -67,8 +67,9 @@ Nothing is executed to admit a kernel.  A kernel the certifier rejects (UNC401: 
 bug), or one that cannot be generated, is recorded on the shape, warned
 about with :class:`FusedFallbackWarning` and counted in runtime metrics;
 its plans, and plans with no structural hash (lambdas, opaque sources),
-run on the NumPy engine.  The :class:`CertificationRecord` is attached
-to ``plan.provenance`` either way.
+run on the NumPy engine.  The :class:`CertificationRecord` is kept on
+the shape's kernel spec either way: it is the certificate of every plan
+of the shape (``repro.analysis.certification_records(plan)``).
 """
 
 from __future__ import annotations
@@ -87,6 +88,7 @@ from repro.core.graph import (
     UnaryOpNode,
 )
 from repro.core.plan import EvaluationPlan, PlanStep
+from repro.core.structural import trusted_family
 from repro.runtime import cancellation as _cancel
 from repro.runtime import metrics as _metrics
 
@@ -265,8 +267,6 @@ def _is_expression(node) -> bool:
 
 def _generate(plan: EvaluationPlan) -> _KernelSpec:
     """Generate (but do not certify) the kernel source for ``plan``."""
-    from repro.analysis.certify import _trusted_family
-
     spec = _KernelSpec()
     steps = plan.steps
     root_slot = plan.root_slot
@@ -341,7 +341,7 @@ def _generate(plan: EvaluationPlan) -> _KernelSpec:
         node = step.node
         if type(node) is LeafNode:
             draw = node.dist.bulk_draw_spec()
-            if draw is not None and draw[0] == _trusted_family(node.dist):
+            if draw is not None and draw[0] == trusted_family(node.dist):
                 family = draw[0]
                 if (
                     pending_run is not None
@@ -556,27 +556,6 @@ def _generate(plan: EvaluationPlan) -> _KernelSpec:
     return spec
 
 
-class _BoundKernel:
-    """A shape's kernel bound to one plan's node objects."""
-
-    __slots__ = ("kernel", "spec")
-
-    def __init__(self, kernel, spec):
-        self.kernel = kernel
-        self.spec = spec
-
-
-def _attach_certification(plan: EvaluationPlan, record) -> None:
-    """Append the kernel's CertificationRecord to ``plan.provenance``.
-
-    Identity comparison, not equality: this runs on every kernel rebind,
-    and a structural compare of the draw sequence would cost more
-    than the dispatch it decorates.
-    """
-    if record is not None and not any(r is record for r in plan.provenance):
-        plan.provenance = tuple(plan.provenance) + (record,)
-
-
 #: Sentinel: this plan cannot be fused; always use the NumPy engine.
 _FALLBACK = object()
 
@@ -588,18 +567,18 @@ def fused_program(plan: EvaluationPlan) -> FusedProgram | None:
     introspection objects are built on each call, so the draw path never
     pays for them.
     """
-    bound = plan._fused
-    if bound is None:
-        bound = _prepare(plan, _metrics.active())
-    if bound is _FALLBACK:
+    if plan._fused is None:
+        _prepare(plan, _metrics.active())
+    if plan._fused is _FALLBACK:
         return None
+    spec = plan.shape.kernel
     steps = plan.steps
     return FusedProgram(
         plan.shape.key,
-        bound.spec.source,
+        spec.source,
         [
             FusedStep(steps[slot].node, slot, parent_slots, ops)
-            for slot, parent_slots, ops in bound.spec.steps_meta
+            for slot, parent_slots, ops in spec.steps_meta
         ],
     )
 
@@ -616,7 +595,6 @@ def _reject(plan: EvaluationPlan, spec: _KernelSpec, detail: str, metrics):
         metrics.record_fused(rejected=1)
     spec.verified = False
     plan.shape.kernel = spec
-    _attach_certification(plan, spec.certification)
     plan._fused = _FALLBACK
     return _FALLBACK
 
@@ -624,9 +602,11 @@ def _reject(plan: EvaluationPlan, spec: _KernelSpec, detail: str, metrics):
 def _prepare(plan: EvaluationPlan, metrics):
     """Build (or rebind) and admit the kernel for ``plan``; cache on it.
 
-    The kernel spec and its verdict are stored on ``plan.shape``, so every
-    later plan of the shape rebinds it (or falls back, if rejected).
-    ``metrics`` is the sink the caller resolved (``None``: off).
+    The kernel spec, its verdict and its certification record are stored
+    on ``plan.shape``, so every later plan of the shape rebinds it (or
+    falls back, if rejected); ``plan._fused`` is the bound kernel or
+    ``_FALLBACK``.  ``metrics`` is the sink the caller resolved
+    (``None``: off).
     """
     shape = plan.shape
     if shape is None:
@@ -651,7 +631,6 @@ def _prepare(plan: EvaluationPlan, metrics):
             return _reject(plan, spec, f"{record.rule}: {reasons}", metrics)
     elif not spec.verified:
         # A previous plan of this shape was rejected: don't retry.
-        _attach_certification(plan, spec.certification)
         plan._fused = _FALLBACK
         return _FALLBACK
     try:
@@ -666,10 +645,8 @@ def _prepare(plan: EvaluationPlan, metrics):
             metrics.record_fused(built=1)
     elif metrics is not None:
         metrics.record_fused(kernel_hits=1)
-    _attach_certification(plan, spec.certification)
-    bound = _BoundKernel(kernel, spec)
-    plan._fused = bound
-    return bound
+    plan._fused = kernel
+    return kernel
 
 
 class FusedEngine(ExecutionEngine):
@@ -712,7 +689,7 @@ class FusedEngine(ExecutionEngine):
         if token is not None:
             token.check(kernel=plan.shape.key, n=n)
         values: list = [None] * len(plan.steps)
-        values[plan.root_slot] = bound.kernel(n, rng)
+        values[plan.root_slot] = bound(n, rng)
         return values
 
 

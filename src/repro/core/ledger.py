@@ -28,7 +28,7 @@ entry is created; nothing is run to choose:
   ``n`` rows and then ``N − n`` more on the same generator equals one
   ``N``-row run.  That is proven when the plan draws nothing, or draws
   from exactly one leaf whose exact class is prefix-stable
-  (:func:`repro.analysis.certify.prefix_stable`: one generator call per
+  (:func:`repro.core.structural.prefix_stable`: one generator call per
   batch, row ``i`` independent of the batch size).  The entry keeps one
   growing column plus the live generator positioned after it; any query
   is a slice, extension draws only the suffix.
@@ -104,6 +104,7 @@ from collections import OrderedDict
 import numpy as np
 
 from repro.core.graph import LeafNode, is_stochastic
+from repro.core.structural import prefix_stable
 from repro.runtime import metrics as _metrics
 from repro.runtime import trace as _trace
 
@@ -227,8 +228,6 @@ def _base_generator(base_spec: tuple) -> np.random.Generator:
 def _mode(plan) -> tuple[str, str]:
     """``("stream", why)`` when suffix extension is provably bit-identical
     for ``plan`` on every ledger engine, else ``("replay", why)``."""
-    from repro.analysis.certify import prefix_stable
-
     draws = (step.node for step in plan.steps
              if not step.parent_slots and is_stochastic(step.node))
     leaf = next(draws, None)

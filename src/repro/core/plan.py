@@ -44,8 +44,8 @@ from repro.core.structural import (
 from repro.runtime import metrics as _metrics
 from repro.runtime import trace as _trace
 
-#: Sentinel distinguishing "shape not registered yet" from the legitimate
-#: ``None`` result of an opaque (unshareable) plan.
+#: Sentinel for a ``structural_hash`` not computed yet (``None`` is the
+#: opaque plan's hash).
 _UNSET = object()
 
 
@@ -85,7 +85,10 @@ class EvaluationPlan:
     in ``steps[-1]`` (``root_slot``).  ``last_read[i]`` is the slot of the
     last step that reads slot ``i`` (``-1`` for the root, which no step
     reads), so a run whose caller reads only the root can drop each batch
-    once its last reader has run.
+    once its last reader has run.  ``shape`` is the
+    :class:`~repro.core.structural.ShapeEntry` ``compile_plan`` registered,
+    shared with its kernel and certificate by every plan of the topology
+    (``None``: an opaque plan, which is never shared).
     """
 
     __slots__ = (
@@ -94,8 +97,7 @@ class EvaluationPlan:
         "slot_of",
         "root_slot",
         "last_read",
-        "provenance",
-        "_shape",
+        "shape",
         "_hash",
         "_fused",
         "__weakref__",
@@ -107,39 +109,20 @@ class EvaluationPlan:
         steps: "list[PlanStep]",
         slot_of: "dict[Node, int]",
         last_read: "list[int]",
+        shape: ShapeEntry | None,
     ) -> None:
         # ``steps``/``slot_of``/``last_read`` are ``root``'s lowering
-        # (compile_plan's walk).
+        # (compile_plan's walk), ``shape`` its registered entry.
         self.root = root
         self.steps: tuple[PlanStep, ...] = tuple(steps)
         self.slot_of = slot_of
         self.root_slot = slot_of[root]
         self.last_read = last_read
-        #: Compiler provenance trail: the
-        #: :class:`~repro.analysis.certify.CertificationRecord` of the
-        #: shape's fused kernel, once the fused engine has certified it.
-        self.provenance: tuple = ()
-        self._shape = _UNSET
+        self.shape = shape
         self._hash = _UNSET
         self._fused = None
 
     # -- compiler pipeline ---------------------------------------------------
-
-    @property
-    def shape(self) -> ShapeEntry | None:
-        """This plan's shared :class:`~repro.core.structural.ShapeEntry`.
-
-        Registered lazily in the process-global
-        :class:`~repro.core.structural.StructuralCache` (``compile_plan``
-        registers eagerly), so equal shapes across sessions resolve to the
-        same entry.  Its ``key`` is a *topology* key: plans whose
-        Gaussian, Uniform and Exponential leaves bind other values share
-        it, with its kernel.  ``None`` marks an opaque plan (lambdas, user
-        sampling functions) that can never be shared structurally.
-        """
-        if self._shape is _UNSET:
-            self._shape, _hit = STRUCTURAL_CACHE.entry_for(self)
-        return self._shape
 
     @property
     def structural_hash(self) -> str | None:
@@ -282,14 +265,13 @@ def compile_plan(
         return plan
     with _trace.span("plan.compile", root=root.label) as span_attrs:
         steps, slot_of, last_read, fingerprint = _lower(root)
-        plan = EvaluationPlan(root, steps, slot_of, last_read)
-        span_attrs["slots"] = len(steps)
         # Register the plan's shape in the structural cache.  A
         # hit means an isomorphic plan (possibly from another session)
         # already compiled — the signal the structural counters expose —
         # and hands this plan that shape's entry and kernel.
         shape, structural_hit = STRUCTURAL_CACHE.register(fingerprint)
-        plan._shape = shape
+        plan = EvaluationPlan(root, steps, slot_of, last_read, shape)
+        span_attrs["slots"] = len(steps)
         span_attrs["structural_hash"] = None if shape is None else shape.key
     root._compiled_plan = plan
     _PLANNED_ROOTS.add(root)

@@ -48,7 +48,8 @@ Shape entries
 Each registered shape owns one :class:`ShapeEntry`, and every plan of
 that shape holds a reference to it (never its own copy of the
 fingerprint).  The entry carries the shape's structural key and the
-shape's fused kernel (see :mod:`repro.core.fused`).  Node objects are
+shape's fused kernel with its certification record (see
+:mod:`repro.core.fused`); a plan keeps no copy of either.  Node objects are
 never shared: each graph executes its own nodes.
 
 The cache stores each distinct fingerprint *token* once.  When a new
@@ -97,18 +98,71 @@ class StructuralOpaque(Exception):
     """Raised while fingerprinting when a value has no canonical form."""
 
 
+# ---------------------------------------------------------------------------
+# Stream-trust tables, read by the shape keys, the kernel generator, the
+# ledger and the certifier (:mod:`repro.analysis.certify` re-exports them).
+# ---------------------------------------------------------------------------
+
 #: ``(module, qualname)`` of distribution classes whose ``sample_n`` is
 #: *known* (by reading both sources) to be the exact affine reduction of
 #: the named base-generator family, making coalesced draws value- and
 #: stream-identical.  Exact type match only: a subclass may override
 #: ``sample_n`` arbitrarily while inheriting ``bulk_draw_spec``.  Their
-#: leaves are plan parameters (see the module docstring); the certifier
-#: (:mod:`repro.analysis.certify`) trusts their coalesced draws.
+#: leaves are plan parameters (see the module docstring), and the fused
+#: kernel coalesces their draws.
 TRUSTED_BULK_FAMILIES = {
     ("repro.dists.gaussian", "Gaussian"): "standard_normal",
     ("repro.dists.uniform", "Uniform"): "random",
     ("repro.dists.exponential", "Exponential"): "standard_exponential",
 }
+
+#: ``(module, qualname)`` of distribution classes whose ``sample_n`` makes
+#: one NumPy generator call per batch (or none) and whose row ``i`` does
+#: not depend on the batch size, so ``n`` rows then ``N - n`` more on one
+#: generator equal one ``N``-row draw (the sample ledger's stream mode).
+#: Read from each ``sample_n``, as :data:`TRUSTED_BULK_FAMILIES` is; NumPy's
+#: rejection samplers (gamma, beta, Student t, Poisson, binomial, von
+#: Mises) loop per element and keep no batch-sized state, so they belong.
+#: Exact types only.  Left out: ``TruncatedGaussian``, drawn by SciPy,
+#: whose sampler this table does not pin; ``MultivariateGaussian``, whose
+#: matrix product may round a 1-row batch differently from the same row
+#: in a larger one, depending on the BLAS (on a 2-CPU x86 host with
+#: NumPy 2.4, a 1 000-row draw split at 1 row differed from the whole at
+#: 4 of 20 seeds); multi-call
+#: samplers (``Mixture``, ``KernelDensity``) and user code
+#: (``FunctionDistribution``).
+PREFIX_STABLE_CLASSES = frozenset(TRUSTED_BULK_FAMILIES) | {
+    ("repro.dists.uniform", "DiscreteUniform"),
+    ("repro.dists.bernoulli", "Bernoulli"),
+    ("repro.dists.bernoulli", "Binomial"),
+    ("repro.dists.beta", "Beta"),
+    ("repro.dists.categorical", "Categorical"),
+    ("repro.dists.categorical", "PointMass"),
+    ("repro.dists.cauchy", "Cauchy"),
+    ("repro.dists.empirical", "Empirical"),
+    ("repro.dists.exponential", "Gamma"),
+    ("repro.dists.laplace", "Laplace"),
+    ("repro.dists.lognormal", "LogNormal"),
+    ("repro.dists.poisson", "Poisson"),
+    ("repro.dists.rayleigh", "Rayleigh"),
+    ("repro.dists.studentt", "StudentT"),
+    ("repro.dists.triangular", "Triangular"),
+    ("repro.dists.vonmises", "VonMises"),
+    ("repro.dists.weibull", "Weibull"),
+}
+
+
+def trusted_family(dist) -> str | None:
+    """The base-generator family ``dist``'s exact class is a trusted
+    reduction of (:data:`TRUSTED_BULK_FAMILIES`), else ``None``."""
+    kind = type(dist)
+    return TRUSTED_BULK_FAMILIES.get((kind.__module__, kind.__qualname__))
+
+
+def prefix_stable(dist) -> bool:
+    """Is ``dist`` of a class in :data:`PREFIX_STABLE_CLASSES`?"""
+    kind = type(dist)
+    return (kind.__module__, kind.__qualname__) in PREFIX_STABLE_CLASSES
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +394,9 @@ class ShapeEntry:
     own key object (a reference, not a copy, built of the cache's shared
     tokens).  ``runs`` counts the fused engine's runs of the shape before
     it has a kernel, and ``kernel`` is the fused engine's kernel spec once
-    built: ``kernel.verified`` is its accept/reject verdict.
+    built: ``kernel.verified`` is its accept/reject verdict and
+    ``kernel.certification`` the certifier's record, the certificate of
+    every plan of the shape.
     """
 
     __slots__ = ("key", "fingerprint", "runs", "kernel")
@@ -358,8 +414,7 @@ class StructuralCache:
     ``register(fingerprint)`` returns ``(entry, hit)``: the shape's
     :class:`ShapeEntry` (``None`` for an opaque plan's ``None``
     fingerprint; opaque plans are never cached) and whether a
-    structurally *equal* plan was already registered;
-    ``entry_for(plan)`` fingerprints ``plan`` first.  Evicting or
+    structurally *equal* plan was already registered.  Evicting or
     clearing a shape drops its kernel: the next plan of that shape
     registers a fresh entry.  ``compile_plan`` counts the lookups;
     :meth:`state` reports the contents.
@@ -377,9 +432,6 @@ class StructuralCache:
         self._tokens: dict[tuple, tuple] = {}
         self._token_refs: dict[int, int] = {}
         self.collisions = 0
-
-    def entry_for(self, plan) -> tuple[ShapeEntry | None, bool]:
-        return self.register(plan_fingerprint(plan))
 
     def register(self, fingerprint: tuple | None) -> tuple[ShapeEntry | None, bool]:
         if fingerprint is None:
@@ -461,6 +513,7 @@ def clear_structural_cache() -> None:
 
 
 __all__ = [
+    "PREFIX_STABLE_CLASSES",
     "STRUCTURAL_CACHE",
     "ShapeEntry",
     "StructuralCache",
@@ -474,4 +527,6 @@ __all__ = [
     "fingerprint_digest",
     "node_token",
     "plan_fingerprint",
+    "prefix_stable",
+    "trusted_family",
 ]

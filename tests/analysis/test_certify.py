@@ -281,6 +281,11 @@ class TestRuntimeIntegration:
         records = certification_records(plan)
         assert any(r.subject == "fused-kernel" and r.certified
                    for r in records)
+        # The record is the shape's: a plan of the shape that never ran
+        # reports the same one.
+        later = compile_plan(
+            (Uncertain(Gaussian(5, 2)) + Uncertain(Exponential(3.0))).node)
+        assert certification_records(later)[0] is records[0]
 
     def test_untrusted_kernel_still_probes(self, hot_kernels):
         # Nothing is probed: the untrusted leaf is delegated to its own

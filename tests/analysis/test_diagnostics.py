@@ -231,6 +231,18 @@ class TestUNC107SpuriousIndependence:
         rhs = Uncertain(Gaussian(0, 1)) * Uncertain(Uniform(0, 0.5))
         assert "UNC107" not in rules_of(lhs > rhs)
 
+    @pytest.mark.parametrize("left, right", [
+        (Gaussian(0, 1), Gaussian(50, 3)),
+        (Uniform(0, 1), Uniform(2, 5)),
+        (Exponential(1.0), Exponential(4.0)),
+    ], ids=["gaussian", "uniform", "exponential"])
+    def test_negative_differently_parameterised_operands(self, left, right):
+        # Same program, other values: two different quantities, not one
+        # rebuilt.  The shape key drops these leaves' values, the check
+        # must not.
+        assert "UNC107" not in rules_of(
+            Uncertain(left) * 2.0 - Uncertain(right) * 2.0)
+
     def test_negative_addition_of_iid_terms(self):
         # Summing iid terms is the normal idiom; only comparison-like ops
         # (and - and /) suggest the operands were meant to be one value.

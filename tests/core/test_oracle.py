@@ -2,8 +2,10 @@
 
 One plan generator feeds every check.  Its plans are the
 ``CERTIFY_CORPUS`` plans, the certifier suite's 40 random plans, a table
-of typed constants and a Hypothesis strategy that builds random plans over the three trusted leaf
-families, point masses and the operators kernels fuse.  The parameter
+of typed constants and two Hypothesis strategies: random plans over the
+three trusted leaf families, point masses and the operators kernels
+fuse, and chains of int32 or float32 constants, with or without a
+Poisson leaf, that Python scalars meet.  The parameter
 axis rebuilds a plan's topology with fresh node objects and other leaf
 values (:func:`rebind`), a Gaussian with σ = 0 included.
 
@@ -292,11 +294,50 @@ def random_plans(draw) -> Uncertain:
     return exprs[-1]
 
 
+#: Per chain dtype: the values of its typed point masses and scalars, and
+#: Python scalars of the same kind.  A Python scalar is weak under NEP 50,
+#: so read as one it would keep the chain's dtype, where the engine's
+#: ``np.full`` array widens it (int32 to int64, float32 to float64).
+_TYPED_CHAINS = {
+    np.int32: ((3, 2**10, 2**20), (5, 4096, 2**31 - 1)),
+    np.float32: ((1.1, 1.3, 2.5), (2.7, -0.3, 1.5)),
+}
+
+
+@st.composite
+def typed_chains(draw) -> Uncertain:
+    """A chain of int32 or float32 point masses and scalars, with or
+    without a Poisson leaf (int64 rows), in which Python scalars of the
+    chain's kind meet the typed values at least once: a judge of how a
+    kernel promotes its constants."""
+    dtype = draw(st.sampled_from(tuple(_TYPED_CHAINS)))
+    typed, python = (st.sampled_from(pool) for pool in _TYPED_CHAINS[dtype])
+    value = _pm(dtype(draw(typed)))
+    ops = draw(st.lists(st.sampled_from(["pm+", "pm-", "pm*", "typed+", "typed*",
+                                         "py+", "py*"]), max_size=5))
+    ops.insert(draw(st.integers(0, len(ops))), draw(st.sampled_from(["py+", "py*"])))
+    if draw(st.booleans()):
+        ops.insert(draw(st.integers(0, len(ops))), "poisson")
+    for op in ops:
+        if op == "poisson":
+            value = value + Uncertain(Poisson(3.0))
+            continue
+        kind, sym = op[:-1], op[-1]
+        if kind == "pm":
+            other = _pm(dtype(draw(typed)))
+        elif kind == "typed":
+            other = dtype(draw(typed))
+        else:
+            other = draw(python)
+        value = {"+": value + other, "-": value - other, "*": value * other}[sym]
+    return value
+
+
 @settings(max_examples=30, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture,
                                  HealthCheck.too_slow])
 @given(template=st.one_of(st.sampled_from(sorted(SEEDS)).map(lambda n: SEEDS[n]()),
-                          random_plans()),
+                          random_plans(), typed_chains()),
        data=st.data())
 def test_generated_plans_draw_their_own_rows(template, data):
     count = len(_trusted_leaves(template))

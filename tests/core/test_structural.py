@@ -14,6 +14,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from repro.analysis.certify import certification_records
 from repro.core import optimizer, structural
 from repro.core.conditionals import evaluation_config
 from repro.core.graph import LeafNode
@@ -145,12 +146,12 @@ class TestCollisionHandling:
     def test_hit_requires_full_fingerprint_equality(self):
         cache = StructuralCache()
         p1 = compile_plan(gps_speed(mu=1.5).node)
-        entry1, hit1 = cache.entry_for(p1)
+        entry1, hit1 = cache.register(plan_fingerprint(p1))
         assert not hit1
         # Another plan with an equal fingerprint hits the same entry: the
         # cache is keyed by the fingerprint itself.
         p2 = compile_plan(gps_speed(mu=1.5).node)
-        entry2, hit2 = cache.entry_for(p2)
+        entry2, hit2 = cache.register(plan_fingerprint(p2))
         assert hit2
         assert entry2 is entry1
 
@@ -159,12 +160,17 @@ class TestCollisionHandling:
         # second shape must get a salted key rather than alias the first.
         monkeypatch.setattr(structural, "fingerprint_digest", lambda fp: "d")
         cache = StructuralCache()
-        first, _ = cache.entry_for(compile_plan(gps_speed(offset=1.0).node))
-        second, _ = cache.entry_for(compile_plan(gps_speed(offset=2.0).node))
+
+        def register(offset):
+            plan = compile_plan(gps_speed(offset=offset).node)
+            return cache.register(plan_fingerprint(plan))
+
+        first, _ = register(1.0)
+        second, _ = register(2.0)
         assert (first.key, second.key) == ("d", "d#1")
         # Each shape still hits its own key.
-        again1, hit1 = cache.entry_for(compile_plan(gps_speed(offset=1.0).node))
-        again2, hit2 = cache.entry_for(compile_plan(gps_speed(offset=2.0).node))
+        again1, hit1 = register(1.0)
+        again2, hit2 = register(2.0)
         assert (again1.key, hit1) == ("d", True)
         assert (again2.key, hit2) == ("d#1", True)
         assert cache.state()["collisions"] == 1
@@ -181,7 +187,7 @@ class TestCacheBounds:
         cache = StructuralCache(limit=4)
         for i in range(10):
             plan = compile_plan((Uncertain(Gaussian(float(i), 1.0)) + float(i)).node)
-            cache.entry_for(plan)
+            cache.register(plan_fingerprint(plan))
         assert cache.state()["entries"] <= 4
 
     def test_global_stats_shape(self):
@@ -245,7 +251,7 @@ class TestTokenSharing:
     def test_table_tracks_live_entries_under_eviction(self):
         cache = StructuralCache(limit=4)
         for value in self.shapes(10):
-            cache.entry_for(compile_plan(value.node))
+            cache.register(plan_fingerprint(compile_plan(value.node)))
             self.assert_table_is_live_tokens(cache)
         assert cache.state()["entries"] == 4
         occurrences = sum(len(fp) for fp in cache._entries)
@@ -256,7 +262,7 @@ class TestTokenSharing:
     def test_keys_are_digests_of_fresh_fingerprints(self):
         cache = StructuralCache(limit=4)
         for value in self.shapes(10):
-            entry, hit = cache.entry_for(compile_plan(value.node))
+            entry, hit = cache.register(plan_fingerprint(compile_plan(value.node)))
             assert not hit
         for value in self.shapes(10)[-4:]:
             fresh = plan_fingerprint(compile_plan(value.node))
@@ -337,7 +343,7 @@ class TestSharedOptimizerVerdict:
         second = compile_plan(gps_speed().node)
         gps_speed().samples(8, np.random.default_rng(0))
         assert calls == []
-        assert second.provenance == first.provenance == ()
+        assert certification_records(second) == certification_records(first) == ()
         assert second.shape is first.shape
 
     @pytest.mark.parametrize("engine", ["numpy", "fused"])
