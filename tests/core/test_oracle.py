@@ -12,7 +12,11 @@ values (:func:`rebind`), a Gaussian with σ = 0 included.
 - **Engine × ledger:** on the ``numpy``, ``fused`` and ``interpreter``
   engines, with the sample ledger off and on, a plan's rows equal its
   NumPy-engine rows bit for bit.  On the fused engine each graph is drawn
-  until its shape is hot, and a kernel must have run.
+  until its shape is hot, and a kernel must have run.  Beyond seeded
+  ``samples``, four more query forms give the same answer with the ledger
+  on as off: a seeded SPRT ``test``, adaptive ``E``, a loop of
+  ``samples`` on one explicit ``Generator`` and ambient ``samples`` under
+  ``evaluation_config(rng=...)``.
 - **Parameters:** two graphs of one topology with different leaf values,
   drawn in turn under one configuration, each draw their own NumPy rows:
   a shared shape, kernel, ledger or coalescer group never hands one
@@ -37,11 +41,13 @@ from hypothesis import strategies as st
 
 from repro.analysis.demos import CERTIFY_CORPUS
 from repro.core.conditionals import evaluation_config
+from repro.core.expectation import expected_value_adaptive
 from repro.core.fused import FusedFallbackWarning
 from repro.core.graph import LeafNode
-from repro.core.uncertain import Uncertain
+from repro.core.uncertain import Uncertain, UncertainBool
 from repro.dists import Exponential, Gaussian, Poisson, Uniform
 from repro.evaluate import clear_caches
+from repro.rng import default_rng
 from repro.service import QueryRequest, evaluate_batch
 from tests.analysis.test_certify import _random_fusable
 from tests.kernel_path import kernel_ran
@@ -240,6 +246,74 @@ def test_graphs_of_one_topology_draw_their_own_rows(name):
         jittered(template, 0.25, zero_sigma=False),
         jittered(template, 0.75, zero_sigma=True),
     )
+
+
+# -- query forms: the ledger never changes an answer ---------------------------
+
+#: Plans for the query forms: one leaf, two leaves, a constant chain and
+#: a 24-slot comparison.
+QUERY_PLANS = {
+    "one-leaf": lambda: Uncertain(Gaussian(0.3, 1.0)),
+    "two-leaf": lambda: Uncertain(Gaussian(0.3, 1.0)) + Uncertain(Uniform(-1.0, 1.0)),
+    "quickstart": CERTIFY_CORPUS["quickstart"],
+    "sprt-sum": CERTIFY_CORPUS["sprt-sum"],
+}
+
+
+def _condition(value: Uncertain) -> UncertainBool:
+    """``value`` itself if it is a condition, else ``value`` above its
+    30 % quantile (true about 70 % of the time, so the SPRT takes some
+    batches and decides)."""
+    if isinstance(value, UncertainBool):
+        return value
+    return value > float(np.quantile(numpy_rows(value, 1000, 0), 0.3))
+
+
+def _sprt(value: Uncertain):
+    result = _condition(value).test(0.5, rng=SEED)
+    return result.decision, result.samples_used, result.successes
+
+
+def _adaptive_e(value: Uncertain):
+    return expected_value_adaptive(value, tolerance=0.02, batch_size=50,
+                                   max_samples=2000, rng=SEED)
+
+
+def _explicit_generator(value: Uncertain):
+    rng = default_rng(3)
+    return np.stack([value.samples(100, rng=rng) for _ in range(3)]).tobytes()
+
+
+def _ambient(value: Uncertain):
+    with evaluation_config(rng=default_rng(3)):
+        return np.stack([value.samples(100) for _ in range(3)]).tobytes()
+
+
+QUERY_FORMS = {
+    "sprt": _sprt,
+    "adaptive-E": _adaptive_e,
+    "explicit-generator": _explicit_generator,
+    "ambient": _ambient,
+}
+
+
+@pytest.mark.parametrize("form", sorted(QUERY_FORMS))
+@pytest.mark.parametrize("name", sorted(QUERY_PLANS))
+def test_every_query_form_is_the_same_with_the_ledger_on(name, form):
+    ask = QUERY_FORMS[form]
+    with evaluation_config(engine="numpy", sample_cache=False):
+        want = ask(QUERY_PLANS[name]())
+    for engine in ENGINES:
+        for ledger in (False, True):
+            clear_caches()
+            value = QUERY_PLANS[name]()
+            with evaluation_config(engine=engine, sample_cache=ledger):
+                # Asked three times: the third ask of a shape runs a kernel,
+                # and a ledger that kept rows serves the later asks.
+                for i in range(3):
+                    got = ask(value)
+                    assert got == want, (
+                        f"engine={engine} ledger={ledger} ask #{i}: {form} differs")
 
 
 # -- generated plans -----------------------------------------------------------

@@ -48,7 +48,7 @@ import numpy as np
 
 import repro
 from benchmarks.e2e import inputs
-from repro import Uncertain
+from repro import Uncertain, UncertainBool
 from repro.core.conditionals import evaluation_config, get_config
 from repro.core.engines import InterpreterEngine, NumpyEngine
 from repro.core.fused import FusedEngine
@@ -167,6 +167,28 @@ class Fig08ExpectationLedger(Fig08Expectation):
     sample_cache = True
 
 
+class Fig08SprtLedger:
+    """50 Fig 8 walking tests ``test(0.5, rng=seed)`` of one warm graph on
+    the fused engine with the ledger on, seeds cycling over 10 as in
+    :class:`Fig08ExpectationLedger`.  A test draws as many rows as it
+    takes to decide, so no peak is reported."""
+
+    queries = 50
+    rows = None
+
+    def config(self):
+        return evaluation_config(engine="fused", sample_cache=True)
+
+    def warm(self) -> None:
+        self.walking = UncertainBool.from_node(inputs.fig08_root())
+        for seed in range(3):  # the third run builds the kernel
+            self.walking.test(0.5, rng=10**6 + seed)
+
+    def steps(self):
+        return [lambda i=i: self.walking.test(0.5, rng=i % 10)
+                for i in range(self.queries)]
+
+
 class ShapeZooLoop:
     """500 seeded shape_zoo queries: a fresh graph of a Zipf-chosen recipe
     and ``expected_value(2000)`` on the fused engine."""
@@ -227,6 +249,7 @@ LOOPS = {
     "bayes_life": BayesLifeLoop,
     "fig08_E": Fig08Expectation,
     "fig08_E_ledger": Fig08ExpectationLedger,
+    "fig08_sprt_ledger": Fig08SprtLedger,
     "shape_zoo": ShapeZooLoop,
     "pooled_batch": PooledBatch,
 }
