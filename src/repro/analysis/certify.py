@@ -48,11 +48,8 @@ certificate of every plan of that shape
 ``tests/analysis/test_certify.py`` runs every certified kernel against
 the numpy engine.
 
-The sample ledger's stream mode rests on the same kind of proof:
-:func:`prefix_stable` names the leaves whose ``n`` rows followed by
-``N - n`` more equal one ``N``-row draw (:data:`PREFIX_STABLE_CLASSES`).
-Both trust tables live in :mod:`repro.core.structural`, with the shape
-keys, and are re-exported here, where they are enforced.
+The trust table lives in :mod:`repro.core.structural`, with the shape
+keys, and is re-exported here, where it is enforced.
 """
 
 from __future__ import annotations
@@ -72,23 +69,19 @@ from repro.core.graph import (
 )
 from repro.core.plan import EvaluationPlan
 from repro.core.structural import (
-    PREFIX_STABLE_CLASSES,
     TRUSTED_BULK_FAMILIES,
-    prefix_stable,
     trusted_family,
 )
 
 __all__ = [
     "CertificationRecord",
     "DrawEvent",
-    "PREFIX_STABLE_CLASSES",
     "TRUSTED_BULK_FAMILIES",
     "certification_records",
     "certify_kernel",
     "certify_rewrite",
     "certify_value",
     "plan_draw_sequence",
-    "prefix_stable",
     "trusted_family",
 ]
 

@@ -201,10 +201,10 @@ class EvaluationConfig:
     nonfinite_retries: int = 8
     #: Cross-query sample ledger (:mod:`repro.core.ledger`): ``False``
     #: (default) disables, ``True`` enables with the default 64 MiB byte
-    #: budget, an ``int`` enables with that byte budget.  When enabled,
-    #: repeated queries over the same plan shape reuse cached sample
-    #: columns, drawing only stream suffixes (see ``docs/performance.md``
-    #: for the bit-identity and invalidation contract).
+    #: budget, an ``int`` enables with that byte budget.  When enabled, a
+    #: one-shot query asked again with the same integer seed reuses the
+    #: rows of its first run, bit for bit what a fresh run would draw (see
+    #: ``docs/performance.md``).
     sample_cache: "bool | int" = False
     #: Policy for hypothesis tests that truncate without significance:
     #: ``"best-guess"`` (the paper's ternary mapping, the default),

@@ -137,7 +137,7 @@ def expected_value_adaptive(
         raise ValueError(f"confidence must be in (0, 1), got {confidence}")
     if batch_size < 2 or max_samples < batch_size:
         raise ValueError("need batch_size >= 2 and max_samples >= batch_size")
-    draw = _draw(uncertain, rng).sequential()
+    draw = _draw(uncertain, rng).run
     from scipy import stats
 
     z = float(stats.norm.isf((1.0 - confidence) / 2.0))

@@ -73,18 +73,13 @@ class Draw:
     fresh one).  Each engine run then only admits, runs, records and,
     under a non-default ``on_nonfinite``, enforces health (:meth:`run`).
 
-    One-shot and sequential draws differ only in how they use the sample
-    ledger (``config.sample_cache``):
-
-    - :meth:`sample` reads rows ``[0, n)``, which a memo-free draw may be
-      served from a cached column (:meth:`SampleLedger.serve
-      <repro.core.ledger.SampleLedger.serve>`);
-    - :meth:`sequential` hands a sequential loop (SPRT, adaptive ``E``)
-      its draw-``k`` callable: successive calls return *disjoint* batches,
-      the repeated batched sampling of Section 4.3.  On a stream-mode plan
-      they read consecutive windows of one ledger entry (the offset lives
-      here), never the same prefix twice; any other plan bypasses the
-      ledger from its first batch.
+    :meth:`sample` reads the rows of a one-shot query; with the sample
+    ledger on (``config.sample_cache``), a memo-free draw built from an
+    integer seed may be served from a cached column
+    (:meth:`SampleLedger.serve <repro.core.ledger.SampleLedger.serve>`).
+    A sequential loop (SPRT, adaptive ``E``) calls :meth:`run` per batch,
+    the repeated batched sampling of Section 4.3, and never reads the
+    ledger.
 
     The accounting's deadline token is installed around every engine run,
     ledger fills included, unless a token (the service's per-request one)
@@ -93,7 +88,7 @@ class Draw:
 
     __slots__ = (
         "plan", "engine", "rng", "memo", "config", "accounting", "metrics",
-        "tracer", "token", "propagate", "window", "offset", "served",
+        "tracer", "token", "propagate", "seed",
     )
 
     def __init__(
@@ -113,6 +108,8 @@ class Draw:
         self.engine = get_engine(config.engine if engine is None else engine)
         if rng is None:
             rng = config.rng
+        #: The integer seed the caller passed, if any: what the ledger keys.
+        self.seed = int(rng) if isinstance(rng, (int, np.integer)) else None
         self.rng = rng if isinstance(rng, np.random.Generator) else ensure_rng(rng)
         self.memo = memo
         self.config = config
@@ -124,11 +121,6 @@ class Draw:
         token = accounting.token
         self.token = token if token is not None and _cancel.current() is None else None
         self.propagate = config.on_nonfinite == "propagate"
-        #: ``(key, base_spec)`` of the ledger entry a sequential draw reads.
-        self.window = None
-        self.offset = 0
-        #: Whether :meth:`sample` was served by the ledger.
-        self.served = False
 
     def run(self, n: int, rng: np.random.Generator | None = None) -> np.ndarray:
         """Admit ``n`` rows and run the engine once, on ``rng`` (default:
@@ -177,7 +169,7 @@ class Draw:
                 _cancel.swap(outer)
 
     def sample(self, n: int) -> np.ndarray:
-        """Rows ``[0, n)`` of a one-shot query: from the sample ledger
+        """The ``n`` rows of a one-shot query: from the sample ledger
         when it serves this draw, else one engine run."""
         if n <= 0:
             raise ValueError(f"batch size must be positive, got {n}")
@@ -187,26 +179,8 @@ class Draw:
 
             rows = LEDGER.serve(self, n)
             if rows is not None:
-                self.served = True
                 return rows
         return self.run(n)
-
-    def sequential(self):
-        """The draw-``k`` callable of a sequential loop (see the class)."""
-        if self.config.sample_cache:
-            from repro.core.ledger import LEDGER
-
-            self.window = LEDGER.open_window(self)
-            if self.window is not None:
-                return self._next_window
-        return self.run
-
-    def _next_window(self, k: int) -> np.ndarray:
-        from repro.core.ledger import LEDGER
-
-        rows = LEDGER.serve_window(self, k)
-        self.offset += k
-        return rows
 
 
 class SampleContext:

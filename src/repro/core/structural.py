@@ -99,8 +99,8 @@ class StructuralOpaque(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Stream-trust tables, read by the shape keys, the kernel generator, the
-# ledger and the certifier (:mod:`repro.analysis.certify` re-exports them).
+# The stream-trust table, read by the shape keys, the kernel generator and
+# the certifier (:mod:`repro.analysis.certify` re-exports it).
 # ---------------------------------------------------------------------------
 
 #: ``(module, qualname)`` of distribution classes whose ``sample_n`` is
@@ -116,53 +116,11 @@ TRUSTED_BULK_FAMILIES = {
     ("repro.dists.exponential", "Exponential"): "standard_exponential",
 }
 
-#: ``(module, qualname)`` of distribution classes whose ``sample_n`` makes
-#: one NumPy generator call per batch (or none) and whose row ``i`` does
-#: not depend on the batch size, so ``n`` rows then ``N - n`` more on one
-#: generator equal one ``N``-row draw (the sample ledger's stream mode).
-#: Read from each ``sample_n``, as :data:`TRUSTED_BULK_FAMILIES` is; NumPy's
-#: rejection samplers (gamma, beta, Student t, Poisson, binomial, von
-#: Mises) loop per element and keep no batch-sized state, so they belong.
-#: Exact types only.  Left out: ``TruncatedGaussian``, drawn by SciPy,
-#: whose sampler this table does not pin; ``MultivariateGaussian``, whose
-#: matrix product may round a 1-row batch differently from the same row
-#: in a larger one, depending on the BLAS (on a 2-CPU x86 host with
-#: NumPy 2.4, a 1 000-row draw split at 1 row differed from the whole at
-#: 4 of 20 seeds); multi-call
-#: samplers (``Mixture``, ``KernelDensity``) and user code
-#: (``FunctionDistribution``).
-PREFIX_STABLE_CLASSES = frozenset(TRUSTED_BULK_FAMILIES) | {
-    ("repro.dists.uniform", "DiscreteUniform"),
-    ("repro.dists.bernoulli", "Bernoulli"),
-    ("repro.dists.bernoulli", "Binomial"),
-    ("repro.dists.beta", "Beta"),
-    ("repro.dists.categorical", "Categorical"),
-    ("repro.dists.categorical", "PointMass"),
-    ("repro.dists.cauchy", "Cauchy"),
-    ("repro.dists.empirical", "Empirical"),
-    ("repro.dists.exponential", "Gamma"),
-    ("repro.dists.laplace", "Laplace"),
-    ("repro.dists.lognormal", "LogNormal"),
-    ("repro.dists.poisson", "Poisson"),
-    ("repro.dists.rayleigh", "Rayleigh"),
-    ("repro.dists.studentt", "StudentT"),
-    ("repro.dists.triangular", "Triangular"),
-    ("repro.dists.vonmises", "VonMises"),
-    ("repro.dists.weibull", "Weibull"),
-}
-
-
 def trusted_family(dist) -> str | None:
     """The base-generator family ``dist``'s exact class is a trusted
     reduction of (:data:`TRUSTED_BULK_FAMILIES`), else ``None``."""
     kind = type(dist)
     return TRUSTED_BULK_FAMILIES.get((kind.__module__, kind.__qualname__))
-
-
-def prefix_stable(dist) -> bool:
-    """Is ``dist`` of a class in :data:`PREFIX_STABLE_CLASSES`?"""
-    kind = type(dist)
-    return (kind.__module__, kind.__qualname__) in PREFIX_STABLE_CLASSES
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +471,6 @@ def clear_structural_cache() -> None:
 
 
 __all__ = [
-    "PREFIX_STABLE_CLASSES",
     "STRUCTURAL_CACHE",
     "ShapeEntry",
     "StructuralCache",
@@ -527,6 +484,5 @@ __all__ = [
     "fingerprint_digest",
     "node_token",
     "plan_fingerprint",
-    "prefix_stable",
     "trusted_family",
 ]

@@ -599,7 +599,7 @@ class UncertainBool(Uncertain):
         config = draw.config
         if test is None:
             test = config.make_test(threshold)
-        result = test.run(draw.sequential(), draw.metrics)
+        result = test.run(draw.run, draw.metrics)
         config.accounting.record(result.samples_used, draw.metrics)
         if result.decision is TestDecision.INCONCLUSIVE:
             self._apply_inconclusive_policy(config, result)

@@ -159,8 +159,7 @@ _SCHEMA = {
     ),
     "ledger": (
         "hits", "misses", "suffix_extensions", "rows_reused", "rows_drawn",
-        "evictions", "stream_entries", "replay_entries", "bypasses",
-        "invalidations",
+        "evictions", "bypasses", "invalidations",
     ),
     "health": ("nonfinite_batches", "nonfinite_rows", "resamples", "by_policy"),
     "sources": (
@@ -258,23 +257,19 @@ class RuntimeMetrics:
         self.parallel_serial_rescues += serial_rescues
 
     def record_ledger(
-        self, hits: int = 0, misses: int = 0, suffix_extensions: int = 0,
-        rows_reused: int = 0, rows_drawn: int = 0, evictions: int = 0,
-        stream_entries: int = 0, replay_entries: int = 0,
-        bypasses: int = 0, invalidations: int = 0,
+        self, hits: int = 0, misses: int = 0, rows_reused: int = 0,
+        rows_drawn: int = 0, evictions: int = 0, bypasses: int = 0,
+        invalidations: int = 0,
     ) -> None:
-        """Sample-ledger events (``repro.core.ledger``): cache hits, suffix
-        extensions, reused vs freshly drawn rows, evictions, and the mode
-        each new entry is given: stream (``stream_entries``) or replay
-        (``replay_entries``)."""
+        """Sample-ledger events (``repro.core.ledger``): cache hits and
+        misses, reused vs freshly drawn rows, evictions, draws the ledger
+        does not serve and invalidated entries.  ``suffix_extensions``
+        is never counted: it stays 0, kept for readers of the schema."""
         self.ledger_hits += hits
         self.ledger_misses += misses
-        self.ledger_suffix_extensions += suffix_extensions
         self.ledger_rows_reused += rows_reused
         self.ledger_rows_drawn += rows_drawn
         self.ledger_evictions += evictions
-        self.ledger_stream_entries += stream_entries
-        self.ledger_replay_entries += replay_entries
         self.ledger_bypasses += bypasses
         self.ledger_invalidations += invalidations
 
@@ -396,7 +391,6 @@ _LABELLED_KEYS = {
     "by_kind": "kind",
     "by_policy": "policy",
     "inconclusive_by_policy": "policy",
-    "modes": "mode",
 }
 
 

@@ -78,9 +78,6 @@ class CoalescerStats:
     group_fallbacks: int = 0
     #: Requests that ultimately failed (exception outcome).
     failures: int = 0
-    #: Pooled seedless rows served from the cross-query sample ledger
-    #: instead of a fresh engine run (``config.sample_cache`` on).
-    ledger_served: int = 0
     #: Requests answered at a brownout level > 0 (reduced sample budget).
     degraded_requests: int = 0
     #: Requests cancelled mid-flight (deadline / client disconnect).
@@ -235,20 +232,14 @@ def _evaluate_group(
                 stats.engine_runs += 1
                 stats.samples_drawn += outcomes[i].samples_used
             # Seedless requests: ONE pooled draw sliced across requests,
-            # under the pooled token.  With the sample ledger on, the
-            # pooled draw is served from (and feeds) the cross-query
-            # cache — repeated same-shape floods reuse rows instead of
-            # redrawing.  Seeded requests above deliberately bypass the
-            # ledger: their per-request streams are the solo
-            # bit-identity contract.
+            # under the pooled token.
             if pooled:
                 sizing = [decision.apply(r.resolve_samples(config)) for _, r in pooled]
                 counts = [n for n, _ in sizing]
                 total = int(sum(counts))
                 try:
                     with _cancel.scope(_pool_token(pooled, tokens)):
-                        draw = Draw(plan, pool_rng, engine, config)
-                        rows = draw.sample(total)
+                        rows = Draw(plan, pool_rng, engine, config).run(total)
                 except EvaluationCancelled as exc:
                     # Every member's deadline has passed: the whole
                     # pooled cohort is cancelled, not faulted.
@@ -257,11 +248,8 @@ def _evaluate_group(
                             mark_cancelled(i, exc)
                     rows = None
                 if rows is not None:
-                    if draw.served:
-                        stats.ledger_served += total
-                    else:
-                        stats.engine_runs += 1
-                        stats.samples_drawn += total
+                    stats.engine_runs += 1
+                    stats.samples_drawn += total
                     offset = 0
                     for (i, req), (n, record) in zip(pooled, sizing):
                         values = rows[offset:offset + n]

@@ -64,7 +64,7 @@ _OCCUPANCY_BOUNDS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
 #: Coalescer totals that ``Service.stats()`` reports at its top level.
 _BATCH_TOTALS = (
     "failures", "groups", "coalesced_requests", "pooled_requests",
-    "engine_runs", "samples_drawn", "group_fallbacks", "ledger_served",
+    "engine_runs", "samples_drawn", "group_fallbacks",
 )
 
 #: Counters exported as ``<prefix>_service_<key>_total``: key -> help text.
@@ -81,7 +81,6 @@ _COUNTERS = {
     "samples_drawn": "Joint samples drawn by the coalescer.",
     "group_fallbacks":
         "Bulk evaluations that fell back to per-request evaluation.",
-    "ledger_served": "Pooled seedless rows served from the sample ledger.",
     "degraded_requests": "Requests answered at a brownout level > 0.",
     "cancelled": "Requests cancelled mid-flight (deadline / disconnect).",
     "bulkhead_rejected": "Requests refused by a group bulkhead.",

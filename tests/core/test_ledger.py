@@ -4,7 +4,10 @@ The load-bearing property is the acceptance contract: with
 ``sample_cache`` on, every query result is bit-identical to the same
 query with the ledger off, seed-for-seed, on both the numpy and fused
 engines — for raw samples, E, CI, percentiles, evidence, and full SPRT
-runs — while repeated queries stop paying for rows they already drew.
+runs — while a one-shot query asked again with its integer seed stops
+paying for rows it already drew.  Nothing else reads the ledger: a query
+on a generator, ambient or explicit, and every sequential test draw as
+with the ledger off.
 """
 
 import gc
@@ -15,6 +18,7 @@ import pytest
 
 from repro.core import ledger as ledger_module
 from repro.core.conditionals import evaluation_config, get_config
+from repro.core.expectation import expected_value_adaptive
 from repro.core.ledger import (
     ENTRY_OVERHEAD_BYTES,
     LEDGER,
@@ -24,7 +28,6 @@ from repro.core.ledger import (
 from repro.core.plan import clear_plan_cache, invalidate_plan
 from repro.core.sampling import Draw, SampleBudgetExceeded
 from repro.core.uncertain import Uncertain
-from repro.dists import Gamma, Laplace, Mixture
 from repro.dists.gaussian import Gaussian
 from repro.dists.categorical import PointMass
 from repro.dists.uniform import Uniform
@@ -47,12 +50,12 @@ def _fresh_ledger():
 
 
 def certified_value() -> Uncertain:
-    """Single stochastic bulk draw: certified stream mode on every engine."""
+    """One Gaussian leaf, scaled and shifted."""
     return Uncertain(Gaussian(5.0, 2.0)) * 1.5 + 3.0
 
 
 def replay_value() -> Uncertain:
-    """Two stochastic leaves: interleaved draws force replay mode."""
+    """Two stochastic leaves, a Gaussian and a Uniform, summed."""
     return Uncertain(Gaussian(0.0, 1.0)) + Uncertain(Uniform(0.0, 1.0))
 
 
@@ -103,12 +106,15 @@ class TestBitIdentity:
         assert on.decision == off.decision
         assert on.samples_used == off.samples_used
         assert on.p_hat == off.p_hat
-        # A repeated identical test replays the cached stream exactly.
+        # A repeated identical test draws the same fresh stream again.
         assert again.p_hat == on.p_hat
         assert again.samples_used == on.samples_used
+        assert ledger_state()["entries"] == 0
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_suffix_extension_equals_fresh_run(self, engine):
+        # A longer ask after a shorter one of the same seed is its own
+        # fresh run, held beside the shorter one.
         u = certified_value()
         with evaluation_config(engine=engine):
             fresh = u.samples(500, rng=99)
@@ -120,35 +126,35 @@ class TestBitIdentity:
 
 
 class TestSampleEconomics:
-    def test_budget_charges_only_the_suffix(self):
+    def test_budget_charges_only_drawn_rows(self):
         u = certified_value()
         with evaluation_config(sample_cache=True) as cfg:
             u.samples(100, rng=5)
             assert cfg.accounting.samples_executed == 100
-            u.samples(250, rng=5)  # 100 cached + 150 drawn
-            assert cfg.accounting.samples_executed == 250
-            u.samples(250, rng=5)  # fully cached
-            assert cfg.accounting.samples_executed == 250
-            u.samples(40, rng=5)  # prefix read
-            assert cfg.accounting.samples_executed == 250
+            u.samples(250, rng=5)  # a new N: a fresh 250-row run
+            assert cfg.accounting.samples_executed == 350
+            u.samples(250, rng=5)  # cached
+            u.samples(100, rng=5)  # cached
+            assert cfg.accounting.samples_executed == 350
 
     def test_budget_still_enforced_on_the_suffix(self):
+        # A new N is a fresh run, admitted in full.
         u = certified_value()
         with evaluation_config(sample_cache=True, sample_budget=150):
             u.samples(100, rng=5)
             with pytest.raises(SampleBudgetExceeded):
-                u.samples(300, rng=5)  # needs 200 more > 50 remaining
+                u.samples(120, rng=5)  # 120 rows > 50 remaining
 
-    def test_sprt_rerun_draws_no_new_rows(self):
+    def test_sprt_reruns_never_read_the_ledger(self):
         b = certified_value() > 6.0
         scoped = RuntimeMetrics()
         with evaluation_config(sample_cache=True, metrics=scoped):
             first = b.test(rng=31)
-            drawn_after_first = scoped.ledger_rows_drawn
             second = b.test(rng=31)
         assert second.p_hat == first.p_hat
-        assert scoped.ledger_rows_drawn == drawn_after_first
-        assert scoped.ledger_rows_reused >= first.samples_used
+        ledger = scoped.snapshot()["ledger"]
+        assert not any(ledger.values()), ledger
+        assert ledger_state()["entries"] == 0
 
     def test_replay_exact_n_repeats_hit(self):
         m = replay_value()
@@ -159,7 +165,7 @@ class TestSampleEconomics:
         assert np.array_equal(a, b)
         assert scoped.ledger_hits >= 1
         assert scoped.ledger_rows_drawn == 400
-        assert ledger_state()["modes"] == {"replay": 1}
+        assert ledger_state()["entries"] == 1
 
 
 class TestProbation:
@@ -169,8 +175,7 @@ class TestProbation:
 
     @staticmethod
     def _key(value: Uncertain, seed: int) -> tuple:
-        key, _ = LEDGER._resolve(Draw(value.plan, seed))
-        return key
+        return LEDGER._key(Draw(value.plan, seed))
 
     def test_a_flood_of_one_shot_queries_leaves_one_unproven_entry(self):
         u = replay_value()
@@ -266,12 +271,12 @@ class TestProbation:
                 assert ledger_state()["bytes"] <= 100_000
 
     def test_sprt_on_a_replay_plan_creates_no_entry(self):
+        # A sequential test never reaches the ledger: no entry, no bypass.
         scoped = RuntimeMetrics()
         with evaluation_config(sample_cache=True, metrics=scoped):
             (replay_value() > 6.0).test(rng=3)
         assert ledger_state()["entries"] == 0
-        assert scoped.ledger_replay_entries == 0
-        assert scoped.ledger_bypasses == 1
+        assert scoped.ledger_bypasses == 0
 
 
 class TestAnalystMix:
@@ -304,13 +309,18 @@ class TestAnalystMix:
 
 
 class TestStreamSemantics:
-    def test_ambient_repeated_queries_reuse_rows(self):
+    """Only an integer seed is served; a generator, ambient or explicit,
+    draws as with the ledger off."""
+
+    def test_ambient_repeated_queries_draw_fresh_rows(self):
         u = certified_value()
-        with evaluation_config(sample_cache=True) as cfg:
-            cfg.rng.standard_normal(5)  # an advanced, ambient stream
-            a = u.samples(200)
-            b = u.samples(200)
-        assert np.array_equal(a, b)
+        with evaluation_config(rng=default_rng(3)):
+            off = [u.samples(200) for _ in range(2)]
+        with evaluation_config(sample_cache=True, rng=default_rng(3)):
+            on = [u.samples(200) for _ in range(2)]
+        assert not np.array_equal(on[0], on[1])
+        assert np.array_equal(np.stack(on), np.stack(off))
+        assert ledger_state()["entries"] == 0
 
     def test_ambient_single_draws_stay_fresh_per_call(self):
         u = certified_value()
@@ -319,12 +329,16 @@ class TestStreamSemantics:
             draws = [u.sample() for _ in range(8)]
         assert len(set(draws)) > 1  # cursor advances; no frozen loop values
 
-    def test_serving_never_consumes_the_caller_generator(self):
+    def test_generator_queries_advance_the_caller_generator(self):
         u = certified_value()
-        with evaluation_config(sample_cache=True) as cfg:
-            before = cfg.rng.bit_generator.state
-            u.samples(500)
-            assert cfg.rng.bit_generator.state == before
+        scoped = RuntimeMetrics()
+        with evaluation_config(sample_cache=True, metrics=scoped) as cfg:
+            for rng in (None, default_rng(3)):
+                gen = cfg.rng if rng is None else rng
+                before = gen.bit_generator.state
+                u.samples(500, rng=rng)
+                assert gen.bit_generator.state != before
+        assert scoped.ledger_bypasses == 2
 
     def test_returned_arrays_are_private_copies(self):
         u = certified_value()
@@ -362,25 +376,30 @@ class TestSeededSingleDraws:
 
 
 class TestSeedLineage:
-    """An integer seed and the generator it names are one lineage."""
+    """An integer seed keys an entry; the generator it names draws the
+    same rows without one."""
 
+    # The ids name the two values, one leaf and two leaves.
     @pytest.mark.parametrize("make", [certified_value, replay_value],
                              ids=["stream", "replay"])
     @pytest.mark.parametrize("seed", [0, 7, 2**62 + 3])
-    def test_int_seed_and_its_generator_share_one_entry(self, make, seed):
+    def test_only_the_int_seed_is_cached(self, make, seed):
         plan = make().plan
         with evaluation_config(sample_cache=True):
             by_int = Draw(plan, seed).sample(100)
+            by_numpy_int = Draw(plan, np.uint64(seed)).sample(100)
             by_generator = Draw(plan, np.random.default_rng(seed)).sample(100)
-        assert ledger_state()["entries"] == 1
+        [key] = LEDGER._entries
+        assert key[2] == seed and type(key[2]) is int
+        assert np.array_equal(by_int, by_numpy_int)
         assert np.array_equal(by_int, by_generator)
         with evaluation_config():
             off = Draw(plan, seed).sample(100)
         assert np.array_equal(by_int, off)
 
 
-#: Single-draw loops over one generator that the ledger never advances:
-#: the ambient one, and an explicit one passed on every call.
+#: Single-draw loops over one generator, which each call advances: the
+#: ambient one, and an explicit one passed on every call.
 REUSED_GENERATOR_LOOPS = {
     "ambient": lambda u, g: [u.sample() for _ in range(8)],
     "explicit": lambda u, g: [u.sample(rng=g) for _ in range(8)],
@@ -390,6 +409,7 @@ REUSED_GENERATOR_LOOPS = {
 @pytest.mark.usefixtures("hot_kernels")
 class TestReusedGeneratorSingleDraws:
     @pytest.mark.parametrize("engine", ENGINES)
+    # The ids name the two values, one leaf and two leaves.
     @pytest.mark.parametrize("make", [certified_value, replay_value],
                              ids=["stream", "replay"])
     @pytest.mark.parametrize("how", sorted(REUSED_GENERATOR_LOOPS))
@@ -407,9 +427,9 @@ class TestReusedGeneratorSingleDraws:
 
 @pytest.mark.usefixtures("hot_kernels")
 class TestTwoLeafBoolShapes:
-    """A two-leaf comparison whose root is nearly always False: a split
-    run and a full run agree on the root while the leaves' streams
-    differ, so only the plan's draws can decide its mode."""
+    """A two-leaf comparison whose root is nearly always False, asked on
+    pristine generators: no ask reads the ledger, so each equals its
+    ledger-off answer."""
 
     @staticmethod
     def _session() -> tuple:
@@ -429,7 +449,7 @@ class TestTwoLeafBoolShapes:
         assert on[1] == off[1]
         assert np.array_equal(on[0], off[0])
         assert np.array_equal(on[2], off[2])
-        assert ledger_state()["modes"] == {"replay": 1}
+        assert ledger_state()["entries"] == 0
 
 
 class TestEvictionAndRebuild:
@@ -440,13 +460,14 @@ class TestEvictionAndRebuild:
         with evaluation_config(sample_cache=True):
             reference = [v.samples(200, rng=77) for v in values]
         clear_ledger()
-        # 1600 bytes per column plus the per-entry overhead (3136 bytes
-        # an entry); room for two entries only.
-        with evaluation_config(sample_cache=8000):
+        # 1600 bytes per column plus the per-entry overhead; room for two
+        # entries only.
+        budget = 3 * (1600 + ENTRY_OVERHEAD_BYTES) - 1
+        with evaluation_config(sample_cache=budget):
             for v in values:
                 v.samples(200, rng=77)
             state = ledger_state()
-            assert state["bytes"] <= 8000
+            assert state["bytes"] <= budget
             assert state["entries"] < 3
             # Evicted entries rebuild bit-identically on demand.
             rebuilt = [v.samples(200, rng=77) for v in values]
@@ -469,7 +490,6 @@ class TestEvictionAndRebuild:
         clear_ledger()
         state = ledger_state()
         assert state["entries"] == 0 and state["bytes"] == 0
-        assert state["modes"] == {}
 
 
 class TestInvalidation:
@@ -548,10 +568,8 @@ class TestGating:
             ctx.value_of(u.node)
         assert ledger_state()["entries"] == 0
 
-    def test_certify_verdicts_are_sticky_per_shape(self):
-        # The plan alone decides an entry's mode: every lineage and engine
-        # of a shape gets the same one.  Each query is asked twice, so its
-        # entry is proven and stays.
+    def test_entries_are_keyed_by_shape_engine_and_seed(self):
+        # Each query is asked twice, so its entry is proven and stays.
         u = certified_value()
         m = replay_value()
         for engine in ENGINES:
@@ -559,27 +577,10 @@ class TestGating:
                 for seed in (1, 2):
                     for value in (u, m, u, m):
                         value.samples(50, rng=seed)
-        modes = {(e.key[0], e.mode) for e in LEDGER._entries.values()}
-        assert modes == {
-            (u.plan.structural_hash, "stream"),
-            (m.plan.structural_hash, "replay"),
+        assert set(LEDGER._entries) == {
+            (value.plan.structural_hash, engine, seed)
+            for value in (u, m) for engine in ENGINES for seed in (1, 2)
         }
-        assert ledger_state()["modes"] == {"replay": 4, "stream": 4}
-
-    @pytest.mark.parametrize(
-        "dist,mode",
-        [
-            (Laplace(0.0, 1.0), "stream"),
-            (Gamma(2.0, 1.0), "stream"),
-            (Mixture([Gaussian(-2.0, 0.5), Gaussian(2.0, 0.5)], [0.4, 0.6]),
-             "replay"),
-        ],
-        ids=["table", "table-rejection-sampler", "outside-table"],
-    )
-    def test_single_leaf_mode_follows_the_prefix_stable_table(self, dist, mode):
-        with evaluation_config(sample_cache=True):
-            (Uncertain(dist) * 2.0).samples(10, rng=1)
-        assert ledger_state()["modes"] == {mode: 1}
 
     def test_fill_failure_drops_the_entry(self):
         u = certified_value()
@@ -620,7 +621,6 @@ class TestLiveState:
         assert (state["entries"], state["bytes"]) == (
             2, 1600 + 2 * ENTRY_OVERHEAD_BYTES
         )
-        assert state["modes"] == {"replay": 1, "stream": 1}
         assert not {"entries", "bytes"} & set(scoped.snapshot()["ledger"])
 
     def test_clear_without_metrics_empties_the_state(self):
@@ -654,11 +654,12 @@ class TestRunningByteTotal:
         leaf = ChaosDistribution(Gaussian(0.0, 1.0), seed=1)
         flaky = Uncertain(leaf) * 2.0
         steps = [
-            lambda: certified_value().samples(200, rng=1),  # stream: 1600
-            lambda: certified_value().samples(300, rng=1),  # suffix: +800
-            lambda: replay_value().samples(100, rng=1),  # replay: 800
+            lambda: certified_value().samples(200, rng=1),  # 1600
+            lambda: certified_value().samples(300, rng=1),  # another N: +2400
+            lambda: certified_value().samples(200, rng=1),  # a hit: proven
+            lambda: replay_value().samples(100, rng=1),  # 800
             lambda: replay_value().samples(150, rng=1),  # another N: +1200
-            lambda: flaky.samples(100, rng=1),  # stream: 800, evicts replay
+            lambda: flaky.samples(100, rng=1),  # 800, evicts replay (never hit)
             # A new shape evicts the entry never hit before it (flaky's).
             lambda: (Uncertain(Gaussian(9.0, 1.0)) + 1.0).samples(100, rng=1),
             lambda: invalidate_plan(replay_value().node),
@@ -668,7 +669,7 @@ class TestRunningByteTotal:
                 step()
                 assert ledger_state()["bytes"] == actual()
             assert evictions and ledger_state()["entries"] >= 2
-            # A failed extension drops the entry and its bytes.
+            # A failed fill drops the entry and its bytes.
             leaf.error_rate = 1.0
             with pytest.raises(InjectedFault):
                 flaky.samples(300, rng=1)
@@ -693,7 +694,6 @@ class TestMetricsExposition:
         assert "repro_ledger_bytes" not in text
         state = render_prometheus(stats())
         assert f"repro_ledger_bytes {800 + ENTRY_OVERHEAD_BYTES}" in state
-        assert 'repro_ledger_modes{mode="stream"} 1' in state
         snap = scoped.snapshot()["ledger"]
         assert snap["hits"] >= 1
         assert snap["rows_drawn"] == 100
@@ -706,61 +706,27 @@ class TestMetricsExposition:
 
 
 class TestWindowsResolveOnce:
-    """A window resolves engine, plan, key and lineage when it opens;
-    each batch then goes straight to its entry."""
-
-    def _count_lineage(self, monkeypatch) -> list:
-        calls = []
-        real = ledger_module._lineage
-
-        def counted(rng):
-            calls.append(rng)
-            return real(rng)
-
-        monkeypatch.setattr(ledger_module, "_lineage", counted)
-        return calls
-
-    @pytest.mark.parametrize(
-        "make_rng", [lambda: 21, lambda: np.random.default_rng(21)],
-        ids=["seed", "generator"],
-    )
-    def test_one_lineage_resolution_per_window(self, monkeypatch, make_rng):
-        b = certified_value() > 6.0
-        rng = make_rng()
-        calls = self._count_lineage(monkeypatch)
-        scoped = RuntimeMetrics()
-        with evaluation_config(sample_cache=True, metrics=scoped):
-            result = b.test(rng=rng)
-        assert result.samples_used > 10  # several batches
-        assert scoped.ledger_suffix_extensions > 1
-        assert len(calls) == 1
+    """A sequential test's batches (its windows) are ``draw.run`` calls:
+    they never reach the ledger and equal a ledger-off run."""
 
     @pytest.mark.parametrize("engine", ENGINES)
-    def test_window_rows_equal_a_ledger_off_run(self, engine):
+    def test_window_rows_equal_a_ledger_off_run(self, engine, monkeypatch):
         u = certified_value()
         with evaluation_config(engine=engine):
             fresh = u.samples(30, rng=5)
+
+        def unreachable(self, draw, n):
+            raise AssertionError("a sequential draw reached the ledger")
+
+        monkeypatch.setattr(SampleLedger, "serve", unreachable)
         with evaluation_config(engine=engine, sample_cache=True):
-            draw = Draw(u.plan, 5).sequential()
-            rows = [draw(10) for _ in range(3)]
+            draw = Draw(u.plan, 5)
+            rows = [draw.run(10) for _ in range(3)]
+            (u > 6.0).test(rng=5)
+            expected_value_adaptive(u, batch_size=10, max_samples=100, rng=5)
         assert all(r.dtype == fresh.dtype for r in rows)
         assert np.array_equal(np.concatenate(rows), fresh)
-
-    def test_entry_evicted_between_draws_is_recreated(self):
-        u = certified_value()
-        with evaluation_config():
-            fresh = u.samples(30, rng=5)
-        with evaluation_config(sample_cache=True):
-            draw = Draw(u.plan, 5).sequential()
-            first = draw(10)
-            clear_ledger()
-            second = draw(10)
-            assert ledger_state()["entries"] == 1
-            clear_ledger()
-            third = draw(10)
-        assert np.array_equal(first, fresh[:10])
-        assert np.array_equal(second, fresh[10:20])
-        assert np.array_equal(third, fresh[20:30])
+        assert ledger_state()["entries"] == 0
 
 
 def rewritten_value() -> Uncertain:
@@ -784,14 +750,14 @@ class TestGraphLifetime:
     @pytest.mark.parametrize(
         "make, reads",
         [
-            # Stream mode: a prefix, a suffix extension, an SPRT window.
+            # One leaf: two runs of one seed, and an SPRT.
             (certified_value, ("samples", "extend", "test")),
-            # Replay mode: multi-leaf, one fresh run per N.
+            # Two leaves: one run.
             (replay_value, ("samples",)),
             # Duplicated deterministic nodes over one leaf.
             (rewritten_value, ("samples", "extend", "test")),
         ],
-        ids=["stream", "replay", "rewritten"],
+        ids=["stream", "replay", "rewritten"],  # names kept from two modes
     )
     def test_dropped_graphs_are_freed_and_their_rows_stay(
         self, engine, make, reads

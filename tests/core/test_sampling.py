@@ -114,7 +114,7 @@ class TestSequentialDraw:
         cond = BinaryOpNode(
             operator.gt, LeafNode(Gaussian(1.0, 1.0)), PointMassNode(0.0), ">"
         )
-        draw = Draw(compile_plan(cond), rng).sequential()
+        draw = Draw(compile_plan(cond), rng).run
         out = draw(25)
         assert out.shape == (25,) and out.dtype == bool
 
@@ -122,6 +122,6 @@ class TestSequentialDraw:
         cond = BinaryOpNode(
             operator.gt, LeafNode(Gaussian(0.0, 1.0)), PointMassNode(0.0), ">"
         )
-        draw = Draw(compile_plan(cond), fixed_rng).sequential()
+        draw = Draw(compile_plan(cond), fixed_rng).run
         a, b = draw(100), draw(100)
         assert not np.array_equal(a, b)

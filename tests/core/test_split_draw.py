@@ -1,24 +1,24 @@
-"""Split-draw bit-identity: the sample ledger's load-bearing RNG property.
+"""Split-draw bit-identity: which samplers a drawn prefix could extend.
 
-The ledger's stream mode rests on numpy bulk draws being *prefix-stable*:
 ``sample_n(n, rng)`` followed by ``sample_n(N - n, rng)`` on the same
-generator equals one ``sample_n(N, rng)``.  That holds for every family
-whose batch is a single bulk RNG call, and provably fails for families
-that issue several interleaved bulk calls per batch (KernelDensity draws
-component indices and noise; Mixture draws selectors and components), so
-this module pins the *exact* expectation per family — including the
-expected failures.  If a numpy upgrade changes bulk-draw semantics, these
-tests fail loudly and name the family.
+generator equals one ``sample_n(N, rng)`` for every family whose batch is
+a single bulk RNG call, and provably fails for families that issue
+several interleaved bulk calls per batch (KernelDensity draws component
+indices and noise; Mixture draws selectors and components).  This module
+pins the *exact* expectation per family — including the expected
+failures — so a NumPy upgrade that changes bulk-draw semantics fails
+loudly and names the family.  The sample ledger does not rely on the
+property (it memoises whole fresh runs); a design that extends a drawn
+prefix, such as per-leaf streams, would.  Every family must at least
+reproduce a fresh run from one seed, which the ledger does rely on.
 
-The second half checks the same property one level up, where the ledger
-actually operates: engine runs of compiled plans, on both the numpy and
-fused engines.
+The second half checks the same property one level up, on engine runs
+of compiled plans, on both the numpy and fused engines.
 """
 
 import numpy as np
 import pytest
 
-from repro.analysis.certify import PREFIX_STABLE_CLASSES, prefix_stable
 from repro.core.conditionals import evaluation_config
 from repro.core.engines import get_engine
 from repro.core.plan import compile_plan
@@ -54,7 +54,11 @@ from repro.rng import default_rng
 from tests.kernel_path import kernel_ran_if_fused
 
 #: The split outcome depends on the host's BLAS, so neither True nor False
-#: can be pinned; the family must stay out of the ledger's stream mode.
+#: can be pinned.  Measured on a 2-CPU x86 host, NumPy 2.4: of seeds 0-19,
+#: a 1 000-row MultivariateGaussian draw split at (1, 999) differed from
+#: the whole at 3, 8, 13 and 17, while (333, 667) and (500, 500) matched:
+#: its matrix product may round a 1-row batch differently from the same
+#: row in a larger one.
 HOST_DEPENDENT = None
 
 #: Every public Distribution family with a representative instance and
@@ -92,27 +96,12 @@ FAMILY_EXPECTATIONS = [
      ), True),
     # Multi-call batches: component indices and values come from separate
     # bulk draws whose interleaving depends on the batch size, so a split
-    # draw CANNOT equal a full draw.  The ledger must keep treating these
-    # as non-extensible (replay mode); if numpy ever made these pass, the
-    # certify gate could be widened — hence the exact False assertion.
+    # draw CANNOT equal a full draw; if numpy ever made these pass, that
+    # would be news — hence the exact False assertion.
     ("Mixture",
      Mixture([Gaussian(-2.0, 0.5), Gaussian(2.0, 0.5)], [0.4, 0.6]), False),
     ("KernelDensity", KernelDensity([0.0, 1.0, 2.0, 3.0]), False),
 ]
-
-#: Families that stay out of the sample ledger's prefix-stable table,
-#: each with the reason.
-NOT_PREFIX_STABLE = {
-    "TruncatedGaussian": "drawn by SciPy, whose sampler the table does not pin",
-    # Measured on a 2-CPU x86 host, NumPy 2.4: of seeds 0-19, a 1 000-row
-    # draw split at (1, 999) differed from the whole at 3, 8, 13 and 17,
-    # while (333, 667) and (500, 500) matched.
-    "MultivariateGaussian": "its matrix product may round a 1-row batch "
-                            "differently from the same row in a larger one",
-    "FunctionDistribution": "user code",
-    "Mixture": "several generator calls per batch",
-    "KernelDensity": "several generator calls per batch",
-}
 
 SPLITS = [(1, 31), (13, 19), (31, 1)]
 
@@ -137,11 +126,13 @@ class TestFamilySplitDraw:
         ids=[name for name, _, _ in FAMILY_EXPECTATIONS],
     )
     def test_split_draw_matches_expectation(self, name, dist, expected):
+        full = np.atleast_1d(dist.sample_n(32, default_rng(20140301)))
+        again = np.atleast_1d(dist.sample_n(32, default_rng(20140301)))
+        assert np.array_equal(full, again, equal_nan=full.dtype.kind in "fc"), (
+            f"{name}: two fresh runs from one seed differ; the sample "
+            "ledger's cached runs would not be what a fresh run draws"
+        )
         if expected is HOST_DEPENDENT:
-            assert not prefix_stable(dist), (
-                f"{name}: its split draws depend on the host; the sample "
-                "ledger must not extend its entries"
-            )
             return
         results = [
             _split_matches(dist, h, t, seed)
@@ -150,16 +141,15 @@ class TestFamilySplitDraw:
         ]
         if expected:
             assert all(results), (
-                f"{name}: draw(n)+draw(N-n) diverged from draw(N); the "
-                "sample ledger's stream mode is unsound for this family"
+                f"{name}: draw(n)+draw(N-n) diverged from draw(N)"
             )
         else:
             # Degenerate splits (e.g. a 1-row tail) can coincide; what
             # matters is that at least one split diverges, which is what
-            # makes the family non-extensible for the ledger.
+            # makes the family's draws non-extensible.
             assert not all(results), (
                 f"{name}: split draws now match full draws — numpy's bulk "
-                "draw semantics changed; revisit the ledger certify gate"
+                "draw semantics changed"
             )
 
     def test_every_family_is_covered(self):
@@ -176,22 +166,10 @@ class TestFamilySplitDraw:
             f"families missing a split-draw expectation: {public - covered}"
         )
 
-    def test_prefix_stable_table_admits_exactly_the_splittable_families(self):
-        admitted = {
-            name for name, dist, _ in FAMILY_EXPECTATIONS if prefix_stable(dist)
-        }
-        # Every entry names one covered family: none is stale or misspelt.
-        assert len(admitted) == len(PREFIX_STABLE_CLASSES)
-        splittable = {
-            name for name, _, splittable in FAMILY_EXPECTATIONS if splittable
-        }
-        assert admitted == splittable - set(NOT_PREFIX_STABLE)
-        assert not admitted & set(NOT_PREFIX_STABLE)
-
 
 @pytest.mark.usefixtures("hot_kernels")
 class TestEngineSplitRun:
-    """The same property at the level the ledger operates on: full plans."""
+    """The same property one level up: engine runs of full plans."""
 
     @pytest.mark.parametrize("engine", ["numpy", "fused"])
     def test_single_draw_plan_extends(self, engine):
@@ -229,6 +207,5 @@ class TestEngineSplitRun:
             head = eng.sample(plan, 15, rng)
             tail = eng.sample(plan, 25, rng)
         assert not np.array_equal(np.concatenate([head, tail]), full), (
-            "a two-leaf plan produced extension-stable streams; the ledger "
-            "certify gate's replay classification is stale"
+            "a two-leaf plan produced extension-stable streams"
         )

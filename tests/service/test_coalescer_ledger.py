@@ -1,15 +1,13 @@
-"""Service × ledger: pooled seedless floods reuse cached sample columns.
+"""Service × ledger: the coalescer draws as with the ledger off.
 
-The coalescer's seedless pooled path is the service-side analogue of the
-analyst session — the same-shape flood arrives again and again.  With
-``sample_cache`` on, the second flood must be served from the ledger
-(zero engine runs), while seeded requests keep bypassing the ledger so
-their batched-equals-solo bit-identity contract stays intact.
+A seedless pooled draw runs on the pool's generator, so the ledger never
+serves it: every flood is one fresh engine run, admitted in full, and
+its answers equal the ledger-off ones.  Seeded requests run their own
+streams through ``evaluate_request``, the batched-equals-solo
+bit-identity contract.
 """
 
 from __future__ import annotations
-
-import asyncio
 
 import numpy as np
 import pytest
@@ -22,7 +20,6 @@ from repro.rng import default_rng
 from repro.service import (
     CoalescerStats,
     QueryRequest,
-    Service,
     evaluate_batch,
     evaluate_request,
 )
@@ -47,28 +44,30 @@ def _fresh_ledger():
 
 
 class TestPooledLedger:
-    def test_second_flood_served_from_ledger(self):
+    @staticmethod
+    def _floods(sample_cache) -> tuple:
+        """Two floods on one pool generator; their answers and stats."""
         value = speed_value()
-        with evaluation_config(sample_cache=True):
-            first = CoalescerStats()
-            out1 = evaluate_batch(
-                _seedless_batch(value), engine="numpy",
-                pool_rng=default_rng(9), stats=first,
-            )
-            second = CoalescerStats()
-            out2 = evaluate_batch(
-                _seedless_batch(value), engine="numpy",
-                pool_rng=default_rng(9), stats=second,
-            )
-        assert all(not isinstance(o, Exception) for o in out1 + out2)
-        # First flood filled the ledger (one engine run); the second is
-        # answered entirely from it.
-        assert second.engine_runs == 0
-        assert second.ledger_served == 2000
-        assert second.samples_drawn == 0
-        # Same pooled stream start, same rows: identical answers.
-        assert [o.value for o in out1] == [o.value for o in out2]
-        assert runtime.stats()["ledger"]["entries"] == 1
+        pool = default_rng(9)
+        answers, stats = [], []
+        with evaluation_config(sample_cache=sample_cache) as cfg:
+            for _ in range(2):
+                stats.append(CoalescerStats())
+                out = evaluate_batch(_seedless_batch(value), engine="numpy",
+                                     pool_rng=pool, stats=stats[-1])
+                assert all(not isinstance(o, Exception) for o in out)
+                answers.append([o.value for o in out])
+            executed = cfg.accounting.samples_executed
+        return answers, stats, executed
+
+    def test_every_flood_is_a_fresh_run(self):
+        on, stats, executed = self._floods(True)
+        off, _, _ = self._floods(False)
+        assert on == off
+        assert on[0] != on[1]  # the pool's generator advanced
+        assert [(s.engine_runs, s.samples_drawn) for s in stats] == [(1, 2000)] * 2
+        assert executed == 4000
+        assert runtime.stats()["ledger"]["entries"] == 0
 
     def test_seeded_requests_keep_solo_bit_identity(self):
         value = speed_value()
@@ -80,7 +79,7 @@ class TestPooledLedger:
             stats = CoalescerStats()
             batched = evaluate_batch(reqs, engine="numpy", stats=stats)
             solo = [evaluate_request(r, engine="numpy") for r in reqs]
-        assert stats.ledger_served == 0  # seeded streams bypass the ledger
+        assert runtime.stats()["ledger"]["entries"] == 0
         for b, s in zip(batched, solo):
             assert np.array_equal(b.value, s.value)
 
@@ -91,38 +90,5 @@ class TestPooledLedger:
             _seedless_batch(value), engine="numpy",
             pool_rng=default_rng(9), stats=stats,
         )
-        assert stats.ledger_served == 0
         assert stats.engine_runs == 1
         assert runtime.stats()["ledger"]["entries"] == 0
-
-    def test_budget_charged_once_for_repeated_floods(self):
-        value = speed_value()
-        with evaluation_config(sample_cache=True) as cfg:
-            for _ in range(3):
-                out = evaluate_batch(
-                    _seedless_batch(value), engine="numpy",
-                    pool_rng=default_rng(9),
-                )
-                assert all(not isinstance(o, Exception) for o in out)
-            # 4 requests x 500 samples, paid exactly once.
-            assert cfg.accounting.samples_executed == 2000
-
-    def test_service_reports_ledger_served(self):
-        value = speed_value()
-
-        async def scenario():
-            async with Service(engine="numpy", pool_seed=9) as svc:
-                for _ in range(2):
-                    await asyncio.gather(*(
-                        svc.expected_value(value, samples=500)
-                        for _ in range(4)
-                    ))
-                return svc.stats(), svc.render_metrics()
-
-        with evaluation_config(sample_cache=True):
-            stats, text = asyncio.run(scenario())
-        assert stats["ledger_served"] > 0
-        assert (
-            f"repro_service_ledger_served_total {stats['ledger_served']}"
-            in text.splitlines()
-        )

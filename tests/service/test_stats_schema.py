@@ -35,8 +35,7 @@ RUNTIME_SCHEMA = {
     },
     "ledger": {
         "hits", "misses", "suffix_extensions", "rows_reused", "rows_drawn",
-        "evictions", "stream_entries", "replay_entries", "bypasses",
-        "invalidations",
+        "evictions", "bypasses", "invalidations",
     },
     "health": {"nonfinite_batches", "nonfinite_rows", "resamples", "by_policy"},
     "sources": {
@@ -52,13 +51,13 @@ STATE_SCHEMA = {
     "structural": {
         "entries", "limit", "collisions", "kernels", "kernels_verified",
     },
-    "ledger": {"entries", "bytes", "max_bytes", "modes"},
+    "ledger": {"entries", "bytes", "max_bytes"},
 }
 
 SERVICE_KEYS = {
     "requests_by_kind", "requests_total", "shed", "rejected", "failures",
     "batches", "groups", "coalesced_requests", "pooled_requests",
-    "engine_runs", "samples_drawn", "group_fallbacks", "ledger_served",
+    "engine_runs", "samples_drawn", "group_fallbacks",
     "batch_occupancy",
     "latency_by_kind", "queue_depth", "samples_executed", "degradation",
 }
@@ -80,7 +79,6 @@ SERVICE_SERIES = {
     "repro_service_engine_runs_total",
     "repro_service_samples_drawn_total",
     "repro_service_group_fallbacks_total",
-    "repro_service_ledger_served_total",
     "repro_service_degraded_requests_total",
     "repro_service_cancelled_total",
     "repro_service_bulkhead_rejected_total",
