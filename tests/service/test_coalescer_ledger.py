@@ -60,12 +60,17 @@ class TestPooledLedger:
             executed = cfg.accounting.samples_executed
         return answers, stats, executed
 
-    def test_every_flood_is_a_fresh_run(self):
-        on, stats, executed = self._floods(True)
+    def test_every_flood_is_one_fresh_engine_run(self):
+        on, stats, _ = self._floods(True)
         off, _, _ = self._floods(False)
         assert on == off
         assert on[0] != on[1]  # the pool's generator advanced
-        assert [(s.engine_runs, s.samples_drawn) for s in stats] == [(1, 2000)] * 2
+        assert [s.engine_runs for s in stats] == [1, 1]
+        assert runtime.stats()["ledger"]["entries"] == 0
+
+    def test_every_flood_is_charged_in_full(self):
+        _, stats, executed = self._floods(True)
+        assert [s.samples_drawn for s in stats] == [2000, 2000]
         assert executed == 4000
         assert runtime.stats()["ledger"]["entries"] == 0
 
